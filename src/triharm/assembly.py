@@ -77,17 +77,14 @@ def _check_stiffness_rule(elem: ReferenceElement, rule: GaussRule):
         )
 
 
-_ref_grammian_cache: dict[tuple, np.ndarray] = {}
-
-
 def _reference_grammian(elem: ReferenceElement, alpha: tuple, rule: GaussRule):
     """G[a, b] = sum_p w_p d^alpha phi_a(xi_p) d^alpha phi_b(xi_p)."""
-    key = (id(elem), alpha, rule.q)
-    g = _ref_grammian_cache.get(key)
+    key = (alpha, rule.q)
+    g = elem.grammian_cache.get(key)
     if g is None:
         d = elem.eval_shape(alpha, rule.points)
         g = d.T @ (rule.weights[:, None] * d)
-        _ref_grammian_cache[key] = g
+        elem.grammian_cache[key] = g
     return g
 
 
@@ -229,10 +226,3 @@ def apply_dirichlet(system: SparseSymSystem,
         n_total=system.n,
     )
 
-
-def dump_matrix(matrix: sp.spmatrix, stream):
-    """Coordinate-format text dump (row, col, value) for inspection."""
-    coo = matrix.tocoo()
-    stream.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        stream.write(f"{r} {c} {v:.17e}\n")

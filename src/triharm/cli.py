@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--solver", default="direct", choices=["direct", "cg"])
         p.add_argument("--tol", type=float, default=1e-10,
                        help="iterative solver relative tolerance")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap (default: library default)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded BLAS for bitwise-stable output")
 
     p_conv = sub.add_parser("convergence", help="refinement study with orders")
     common(p_conv)
@@ -90,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimensions to cover (default 2,3)")
     p_ver.add_argument("--trials", type=int, default=100,
                        help="random vectors per continuity check (default 100)")
-    p_ver.add_argument("--threads", type=int, default=None)
-    p_ver.add_argument("--deterministic", action="store_true")
     return parser
 
 
@@ -133,20 +127,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if sub_pos is None:
         return merged + extra
     return merged[: sub_pos + 1] + extra + merged[sub_pos + 1:]
-
-
-def _limit_threads(args):
-    n = 1 if getattr(args, "deterministic", False) else getattr(args, "threads", None)
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(n))
-    except ImportError:
-        import os
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(n))
 
 
 def _load_problem(args):
@@ -250,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = _apply_config_file(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args)
     if args.command == "convergence":
         return cmd_convergence(args)
     if args.command == "solve":

@@ -33,10 +33,18 @@ class BoxDomain:
 class StructuredMesh:
     """Tensor-product mesh with an active-cell mask.
 
-    Entities:
-      - cells: active grid cells, lexicographic grid order
-      - vertices: grid nodes touched by at least one active cell
-      - faces: (axis, face-grid-index) records with one or two incident cells
+    Entities, each numbered in lexicographic grid order:
+      - cells: active grid cells; ``cell_index`` maps the cell grid to ids
+        (-1 where inactive)
+      - vertices: grid nodes touched by at least one active cell;
+        ``vertex_index`` maps the node grid to ids (-1 where untouched)
+      - faces: ordered by axis, then by face grid position, each with one
+        or two incident cells
+
+    Per-cell connectivity: ``cell_vertices[c, v]`` for the corners in
+    lexicographic sign order and ``cell_faces[c, axis, side]`` with side 0
+    at the low end of the axis; ``face_cells[f]`` holds the cell below and
+    the cell above the face along its axis, -1 where the side is outside.
     """
 
     def __init__(self, axis_nodes: list[np.ndarray], active: np.ndarray):
@@ -50,123 +58,72 @@ class StructuredMesh:
 
     def _build(self):
         n = self.dim
-        cells = [tuple(g) for g in np.argwhere(self.active)]
-        cells.sort()
-        self.cell_grid = cells
-        self.n_cells = len(cells)
-        self.cell_id = {g: i for i, g in enumerate(cells)}
-
-        centers = np.empty((self.n_cells, n))
-        half = np.empty((self.n_cells, n))
-        for ci, g in enumerate(cells):
-            for k in range(n):
-                a, b = self.axis_nodes[k][g[k]], self.axis_nodes[k][g[k] + 1]
-                centers[ci, k] = 0.5 * (a + b)
-                half[ci, k] = 0.5 * (b - a)
-        self.cell_centers = centers
-        self.cell_half_lengths = half
-
-        # vertices: grid nodes of active cells
-        vset = set()
-        corner_offsets = list(np.ndindex(*([2] * n)))
-        for g in cells:
-            for off in corner_offsets:
-                vset.add(tuple(gi + oi for gi, oi in zip(g, off)))
-        vgrids = sorted(vset)
-        self.vertex_grid = vgrids
-        self.vertex_id = {g: i for i, g in enumerate(vgrids)}
-        self.n_vertices = len(vgrids)
-        self.vertex_coords = np.array(
-            [[self.axis_nodes[k][g[k]] for k in range(n)] for g in vgrids]
-        )
-
-        # faces: keyed by (axis, face grid index); the face grid along `axis`
-        # has one more slot than the cell grid there
-        fmap: dict[tuple, list[int]] = {}
-        for g in cells:
-            ci = self.cell_id[g]
-            for k in range(n):
-                for side in (0, 1):
-                    fg = list(g)
-                    fg[k] += side
-                    fmap.setdefault((k, tuple(fg)), []).append(ci)
-        fkeys = sorted(fmap)
-        self.face_key = fkeys
-        self.face_id = {key: i for i, key in enumerate(fkeys)}
-        self.n_faces = len(fkeys)
-        self.face_axis = np.array([k for k, _ in fkeys], dtype=int)
-        self.face_cells = [tuple(sorted(fmap[key])) for key in fkeys]
-        bary = np.empty((self.n_faces, n))
-        for fi, (k, fg) in enumerate(fkeys):
-            for j in range(n):
-                if j == k:
-                    bary[fi, j] = self.axis_nodes[j][fg[j]]
-                else:
-                    a, b = self.axis_nodes[j][fg[j]], self.axis_nodes[j][fg[j] + 1]
-                    bary[fi, j] = 0.5 * (a + b)
-        self.face_barycenters = bary
-        self.boundary_face_mask = np.array(
-            [len(c) == 1 for c in self.face_cells], dtype=bool
-        )
-
-        # boundary vertices: a vertex is interior iff all 2^n adjacent grid
-        # cells exist and are active
         shape = self.active.shape
-        bmask = np.empty(self.n_vertices, dtype=bool)
-        for vi, g in enumerate(vgrids):
-            interior = True
-            for off in corner_offsets:
-                cg = tuple(gi - 1 + oi for gi, oi in zip(g, off))
-                if any(c < 0 or c >= s for c, s in zip(cg, shape)):
-                    interior = False
-                    break
-                if not self.active[cg]:
-                    interior = False
-                    break
-            bmask[vi] = not interior
-        self.boundary_vertex_mask = bmask
+        nodes = self.axis_nodes
 
-    # -- queries -----------------------------------------------------------
+        self.cell_index = np.full(shape, -1, dtype=np.int64)
+        self.n_cells = int(self.active.sum())
+        self.cell_index[self.active] = np.arange(self.n_cells)
+        cell_grid = np.argwhere(self.active)
+        lo = np.stack([nodes[k][cell_grid[:, k]] for k in range(n)], axis=1)
+        hi = np.stack([nodes[k][cell_grid[:, k] + 1] for k in range(n)], axis=1)
+        self.cell_centers = 0.5 * (lo + hi)
+        self.cell_half_lengths = 0.5 * (hi - lo)
 
-    def cell_vertex_ids(self, ci: int) -> list[int]:
-        """Vertex ids of cell ci, in lexicographic sign order of the corners."""
-        g = self.cell_grid[ci]
-        out = []
-        for off in np.ndindex(*([2] * self.dim)):
-            out.append(self.vertex_id[tuple(gi + oi for gi, oi in zip(g, off))])
-        return out
+        # padded[g + 1] is cell g's id; the pad marks cells outside the grid
+        padded = np.pad(self.cell_index, 1, constant_values=-1)
 
-    def cell_face_id(self, ci: int, axis: int, side: int) -> int:
-        """Global face id of cell ci's face on `axis` at side -1/+1."""
-        g = list(self.cell_grid[ci])
-        if side > 0:
-            g[axis] += 1
-        return self.face_id[(axis, tuple(g))]
+        def window(offset, extent):
+            """View of ``padded`` starting at ``offset`` with shape ``extent``."""
+            return padded[tuple(slice(o, o + e) for o, e in zip(offset, extent))]
+
+        # node g touches the cells g - 1 + c for the corner offsets c
+        corners = list(np.ndindex(*([2] * n)))
+        node_shape = tuple(s + 1 for s in shape)
+        touching = [window(c, node_shape) >= 0 for c in corners]
+        used = np.logical_or.reduce(touching)
+        self.boundary_vertex_mask = ~np.logical_and.reduce(touching)[used]
+        self.n_vertices = int(used.sum())
+        self.vertex_index = np.full(node_shape, -1, dtype=np.int64)
+        self.vertex_index[used] = np.arange(self.n_vertices)
+        vertex_grid = np.argwhere(used)
+        self.vertex_coords = np.stack(
+            [nodes[k][vertex_grid[:, k]] for k in range(n)], axis=1)
+        self.cell_vertices = np.stack(
+            [self.vertex_index[tuple((cell_grid + c).T)] for c in corners], axis=1)
+
+        # faces on axis k sit on a grid with one more slot along k; face g
+        # lies between the cells g - e_k (below) and g (above)
+        self.cell_faces = np.empty((self.n_cells, n, 2), dtype=np.int64)
+        face_cells, axis, bary = [], [], []
+        offset = 0
+        for k in range(n):
+            unit = np.eye(n, dtype=np.int64)[k]
+            face_shape = tuple(s + u for s, u in zip(shape, unit))
+            below = window(1 - unit, face_shape)
+            above = window((1,) * n, face_shape)
+            present = (below >= 0) | (above >= 0)
+            count = int(present.sum())
+            face_index = np.full(face_shape, -1, dtype=np.int64)
+            face_index[present] = offset + np.arange(count)
+            self.cell_faces[:, k, 0] = face_index[tuple(cell_grid.T)]
+            self.cell_faces[:, k, 1] = face_index[tuple((cell_grid + unit).T)]
+            face_cells.append(np.stack([below[present], above[present]], axis=1))
+            axis.append(np.full(count, k))
+            face_grid = np.argwhere(present)
+            bary.append(np.stack(
+                [nodes[j][face_grid[:, j]] if j == k
+                 else 0.5 * (nodes[j][face_grid[:, j]] + nodes[j][face_grid[:, j] + 1])
+                 for j in range(n)], axis=1))
+            offset += count
+        self.n_faces = offset
+        self.face_cells = np.concatenate(face_cells)
+        self.face_axis = np.concatenate(axis)
+        self.face_barycenters = np.concatenate(bary)
+        self.boundary_face_mask = (self.face_cells < 0).any(axis=1)
 
     def total_volume(self) -> float:
         return float(np.prod(2.0 * self.cell_half_lengths, axis=1).sum())
-
-    def boundary_vertices(self) -> np.ndarray:
-        return np.nonzero(self.boundary_vertex_mask)[0]
-
-    def boundary_faces(self) -> np.ndarray:
-        return np.nonzero(self.boundary_face_mask)[0]
-
-    def dump(self, stream):
-        """Plain-text debug dump: one record per line."""
-        stream.write(f"mesh dim={self.dim} cells={self.n_cells} "
-                     f"vertices={self.n_vertices} faces={self.n_faces}\n")
-        for vi, g in enumerate(self.vertex_grid):
-            coords = " ".join(f"{x:.17g}" for x in self.vertex_coords[vi])
-            stream.write(f"vertex {vi} grid={g} coords=({coords})"
-                         f" boundary={int(self.boundary_vertex_mask[vi])}\n")
-        for ci in range(self.n_cells):
-            verts = " ".join(str(v) for v in self.cell_vertex_ids(ci))
-            stream.write(f"cell {ci} grid={self.cell_grid[ci]} vertices=[{verts}]\n")
-        for fi, key in enumerate(self.face_key):
-            cells = " ".join(str(c) for c in self.face_cells[fi])
-            stream.write(f"face {fi} axis={key[0]} grid={key[1]} cells=[{cells}]"
-                         f" boundary={int(self.boundary_face_mask[fi])}\n")
 
 
 def uniform_mesh(domain: BoxDomain, subdivisions) -> StructuredMesh:

@@ -33,10 +33,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Family:
-    """Element family tag; ``axis`` is set only for the partial Adini element."""
+    """Element family, described by the facts that define its element.
+
+    Vertex DoFs are derivatives up to ``order`` (0 value, 1 gradient,
+    2 pure second derivative) along every axis, or along ``axis`` alone for
+    the partial Adini element; ``faces`` adds one second normal derivative
+    per face center.  ``shape_space`` and ``dof_set`` follow from these.
+    """
 
     name: str
     axis: int | None = None
+    order: int = 0
+    faces: bool = False
 
     def __str__(self):
         if self.axis is not None:
@@ -45,13 +53,13 @@ class Family:
 
 
 Q1 = Family("q1")
-ADINI_CLASSIC = Family("adini-classic")
-MORLEY = Family("morley")
-ADINI_TYPE = Family("adini")
+ADINI_CLASSIC = Family("adini-classic", order=1)
+MORLEY = Family("morley", order=1, faces=True)
+ADINI_TYPE = Family("adini", order=2)
 
 
 def partial_adini(axis: int) -> Family:
-    return Family("partial-adini", axis)
+    return Family("partial-adini", axis, order=1)
 
 
 def family_from_name(name: str, axis: int | None = None) -> Family:
@@ -93,10 +101,6 @@ class DofFunctional:
     def order(self) -> int:
         return {"value": 0, "grad": 1, "second": 2, "face_nn": 2}[self.kind]
 
-    def scaling_axis(self) -> int | None:
-        """Axis whose half-length scales this functional (None for values)."""
-        return None if self.kind == "value" else self.axis
-
 
 def reference_vertices(n: int) -> list[tuple[int, ...]]:
     """Vertex sign patterns in lexicographic order, (-1,...,-1) first."""
@@ -122,91 +126,48 @@ def apply_dof(dof: DofFunctional, poly: Polynomial, n: int) -> Fraction:
 
 # -- shape spaces ----------------------------------------------------------
 
-def _dedup(monomials):
-    seen, out = set(), []
-    for m in monomials:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
+def _derivative_axes(family: Family, n: int) -> list[int]:
+    if family.axis is None:
+        return list(range(n))
+    if not 0 <= family.axis < n:
+        raise ValueError(f"{family} axis out of range for n={n}")
+    return [family.axis]
 
 
 def shape_space(family: Family, n: int) -> list[tuple[int, ...]]:
-    """Monomial exponent tuples spanning the shape space."""
+    """Monomial exponent tuples spanning the shape space.
+
+    Q1, then Q1 * x_j^(2k) per derivative axis j and k = 1..order, then
+    x_j^4 and x_j^5 per axis when the family has face DoFs.  The order is
+    fixed: basis polynomials keep their terms in it, and float evaluation
+    sums them in that order.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     q1 = list(itertools.product((0, 1), repeat=n))
-
-    def shifted(extra):
-        out = []
-        for base in q1:
-            out.append(tuple(b + e for b, e in zip(base, extra)))
-        return out
-
-    axis_unit = [tuple(2 * (i == j) for j in range(n)) for i in range(n)]
-
-    if family.name == "q1":
-        return q1
-    if family.name == "adini-classic":
-        mono = list(q1)
-        for e in axis_unit:
-            mono += shifted(e)
-        return _dedup(mono)
-    if family.name == "partial-adini":
-        if family.axis is None or not 0 <= family.axis < n:
-            raise ValueError("partial-adini axis out of range")
-        return _dedup(q1 + shifted(axis_unit[family.axis]))
-    if family.name == "morley":
-        mono = list(q1)
-        for e in axis_unit:
-            mono += shifted(e)
-        for i in range(n):
-            mono.append(tuple(4 * (i == j) for j in range(n)))
-            mono.append(tuple(5 * (i == j) for j in range(n)))
-        return _dedup(mono)
-    if family.name == "adini":
-        mono = list(q1)
-        for e in axis_unit:
-            mono += shifted(e)
-            mono += shifted(tuple(2 * v for v in e))
-        return _dedup(mono)
-    raise ValueError(f"unknown family {family}")
+    mono = list(q1)
+    for j in _derivative_axes(family, n):
+        for k in range(1, family.order + 1):
+            mono += [b[:j] + (b[j] + 2 * k,) + b[j + 1:] for b in q1]
+    if family.faces:
+        for j in range(n):
+            mono += [tuple(p * (i == j) for i in range(n)) for p in (4, 5)]
+    return mono
 
 
 def dof_set(family: Family, n: int) -> list[DofFunctional]:
-    """Ordered DoF list: vertex blocks (lexicographic), then face DoFs."""
-    nv = 2 ** n
+    """Ordered DoF list: per vertex (lexicographic) the value, gradients and
+    pure second derivatives, then the face DoFs per (axis, side)."""
+    axes = _derivative_axes(family, n)
+    kinds = ("grad", "second")[:family.order]
     dofs: list[DofFunctional] = []
-    if family.name == "q1":
-        return [DofFunctional("value", vertex=v) for v in range(nv)]
-    if family.name == "adini-classic":
-        for v in range(nv):
-            dofs.append(DofFunctional("value", vertex=v))
-            dofs += [DofFunctional("grad", vertex=v, axis=j) for j in range(n)]
-        return dofs
-    if family.name == "partial-adini":
-        i = family.axis
-        if i is None or not 0 <= i < n:
-            raise ValueError("partial-adini axis out of range")
-        for v in range(nv):
-            dofs.append(DofFunctional("value", vertex=v))
-            dofs.append(DofFunctional("grad", vertex=v, axis=i))
-        return dofs
-    if family.name == "morley":
-        for v in range(nv):
-            dofs.append(DofFunctional("value", vertex=v))
-            dofs += [DofFunctional("grad", vertex=v, axis=j) for j in range(n)]
-        for k in range(n):
-            for side in (-1, 1):
-                dofs.append(DofFunctional("face_nn", axis=k, side=side))
-        return dofs
-    if family.name == "adini":
-        for v in range(nv):
-            dofs.append(DofFunctional("value", vertex=v))
-            dofs += [DofFunctional("grad", vertex=v, axis=j) for j in range(n)]
-            dofs += [DofFunctional("second", vertex=v, axis=j) for j in range(n)]
-        return dofs
-    raise ValueError(f"unknown family {family}")
+    for v in range(2 ** n):
+        dofs.append(DofFunctional("value", vertex=v))
+        dofs += [DofFunctional(kind, vertex=v, axis=j) for kind in kinds for j in axes]
+    if family.faces:
+        dofs += [DofFunctional("face_nn", axis=k, side=side)
+                 for k in range(n) for side in (-1, 1)]
+    return dofs
 
 
 def dof_matrix(family: Family, n: int):
@@ -233,6 +194,8 @@ class ReferenceElement:
     dofs: list[DofFunctional]
     basis: list[Polynomial]
     _eval_cache: dict = field(default_factory=dict, repr=False)
+    # reference Grammians of assembly, keyed by (derivative, quadrature q)
+    grammian_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_dofs(self) -> int:

@@ -18,28 +18,11 @@ from .reference import Family, ReferenceElement, build_dual_basis
 
 __all__ = ["FeSpace", "build_space"]
 
-def _vertex_kinds(family: Family, n: int) -> list[tuple[str, int | None]]:
-    if family.name == "q1":
-        return [("value", None)]
-    if family.name == "adini-classic":
-        return [("value", None)] + [("grad", j) for j in range(n)]
-    if family.name == "partial-adini":
-        return [("value", None), ("grad", family.axis)]
-    if family.name == "morley":
-        return [("value", None)] + [("grad", j) for j in range(n)]
-    if family.name == "adini":
-        return ([("value", None)] + [("grad", j) for j in range(n)]
-                + [("second", j) for j in range(n)])
-    raise ValueError(f"unknown family {family}")
-
-
 @dataclass
 class FeSpace:
     mesh: StructuredMesh
     family: Family
     element: ReferenceElement
-    vertex_kinds: list[tuple[str, int | None]]
-    has_face_dofs: bool
     n_dofs: int
     cell_dof_indices: np.ndarray   # [n_cells, n_local]
     cell_scalings: np.ndarray      # [n_cells, n_local]
@@ -64,68 +47,48 @@ class FeSpace:
 
 
 def build_space(mesh: StructuredMesh, family: Family) -> FeSpace:
-    """Enumerate global DoFs for (mesh, family) and build the cell maps."""
-    n = mesh.dim
-    elem = build_dual_basis(family, n)
-    vkinds = _vertex_kinds(family, n)
+    """Enumerate global DoFs for (mesh, family) and build the cell maps.
+
+    Global numbering: each vertex's DoFs in the order of the reference
+    element's first vertex, vertex by vertex, then one DoF per face when
+    the element has face DoFs.
+    """
+    elem = build_dual_basis(family, mesh.dim)
+    vkinds = [(d.kind, d.axis) for d in elem.dofs if d.vertex == 0]
     nvk = len(vkinds)
-    has_face = family.name == "morley"
-
     n_vdofs = mesh.n_vertices * nvk
-    n_dofs = n_vdofs + (mesh.n_faces if has_face else 0)
 
-    # per-global-dof metadata
-    dof_kind: list[tuple[str, int | None]] = [None] * n_dofs
-    dof_points = np.empty((n_dofs, n))
-    for vi in range(mesh.n_vertices):
-        for o, (kind, axis) in enumerate(vkinds):
-            gi = vi * nvk + o
-            dof_kind[gi] = (kind, axis)
-            dof_points[gi] = mesh.vertex_coords[vi]
-    if has_face:
-        for fi in range(mesh.n_faces):
-            gi = n_vdofs + fi
-            dof_kind[gi] = ("face_nn", int(mesh.face_axis[fi]))
-            dof_points[gi] = mesh.face_barycenters[fi]
+    dof_kind = vkinds * mesh.n_vertices
+    dof_points = [np.repeat(mesh.vertex_coords, nvk, axis=0)]
+    bmask = [np.repeat(mesh.boundary_vertex_mask, nvk)]
+    if any(d.kind == "face_nn" for d in elem.dofs):
+        # faces are numbered axis by axis
+        for k, count in enumerate(np.bincount(mesh.face_axis)):
+            dof_kind += [("face_nn", k)] * int(count)
+        dof_points.append(mesh.face_barycenters)
+        bmask.append(mesh.boundary_face_mask)
 
     # local->global map; local ordering matches the reference DoF ordering
-    n_local = elem.n_dofs
-    idx = np.empty((mesh.n_cells, n_local), dtype=np.int64)
-    scal = np.empty((mesh.n_cells, n_local))
-    kind_offset = {}
-    for o, (kind, axis) in enumerate(vkinds):
-        kind_offset[(kind, axis)] = o
-    for ci in range(mesh.n_cells):
-        verts = mesh.cell_vertex_ids(ci)
-        h = mesh.cell_half_lengths[ci]
-        for li, dof in enumerate(elem.dofs):
-            if dof.kind == "face_nn":
-                fid = mesh.cell_face_id(ci, dof.axis, dof.side)
-                idx[ci, li] = n_vdofs + fid
-                scal[ci, li] = h[dof.axis] ** 2
-            else:
-                off = kind_offset[(dof.kind, dof.axis)]
-                idx[ci, li] = verts[dof.vertex] * nvk + off
-                scal[ci, li] = h[dof.axis] ** dof.order if dof.axis is not None else 1.0
-    # value dofs: order 0 -> scaling 1 handled above via axis None
-
-    bmask = np.zeros(n_dofs, dtype=bool)
-    bverts = mesh.boundary_vertex_mask
-    for vi in np.nonzero(bverts)[0]:
-        bmask[vi * nvk:(vi + 1) * nvk] = True
-    if has_face:
-        bmask[n_vdofs:] = mesh.boundary_face_mask
+    half = mesh.cell_half_lengths
+    idx = np.empty((mesh.n_cells, elem.n_dofs), dtype=np.int64)
+    scal = np.ones((mesh.n_cells, elem.n_dofs))
+    for li, dof in enumerate(elem.dofs):
+        if dof.kind == "face_nn":
+            idx[:, li] = n_vdofs + mesh.cell_faces[:, dof.axis, (dof.side + 1) // 2]
+        else:
+            offset = vkinds.index((dof.kind, dof.axis))
+            idx[:, li] = mesh.cell_vertices[:, dof.vertex] * nvk + offset
+        if dof.axis is not None:
+            scal[:, li] = half[:, dof.axis] ** dof.order
 
     return FeSpace(
         mesh=mesh,
         family=family,
         element=elem,
-        vertex_kinds=vkinds,
-        has_face_dofs=has_face,
-        n_dofs=n_dofs,
+        n_dofs=len(dof_kind),
         cell_dof_indices=idx,
         cell_scalings=scal,
-        boundary_mask=bmask,
+        boundary_mask=np.concatenate(bmask),
         dof_kind=dof_kind,
-        dof_points=dof_points,
+        dof_points=np.concatenate(dof_points),
     )

@@ -107,6 +107,16 @@ def verify_duality(dims=(1, 2, 3, 4)) -> VerificationReport:
 
 # -- weak continuity on small meshes (exact rational arithmetic) -----------
 
+def _has_face_dofs(family: Family, n: int) -> bool:
+    """True for Morley-type elements (face DoFs), False for Adini-type ones
+    (vertex second derivatives); other elements are not H3-nonconforming."""
+    kinds = {dof.kind for dof in dof_set(family, n)}
+    if "face_nn" not in kinds and "second" not in kinds:
+        raise ValueError(f"{family} has neither face nor second-derivative DoFs;"
+                         " the H3 suites apply to Morley- and Adini-type elements")
+    return "face_nn" in kinds
+
+
 def _exact_setup(family: Family, n: int, subs):
     """Space over [-1,1]^n with exact per-cell scalings and half-lengths.
 
@@ -142,8 +152,7 @@ def verify_weak_continuity(family: Family, n: int, trials: int = 100,
     Adini-type: the normal-normal trace agrees pointwise (polynomial
     identity), and vanishes on boundary faces in the zero-boundary case.
     """
-    if family.name not in ("morley", "adini"):
-        raise ValueError("continuity suite applies to the H3 families")
+    morley = _has_face_dofs(family, n)
     rep = VerificationReport(f"continuity {family} n={n}")
     rng = random.Random(seed)
     box = [-1] * max(n - 1, 1), [1] * max(n - 1, 1)
@@ -177,13 +186,11 @@ def verify_weak_continuity(family: Family, n: int, trials: int = 100,
             for fi in range(mesh.n_faces):
                 k = int(mesh.face_axis[fi])
                 tang = [t for t in range(n) if t != k]
+                lo, hi = mesh.face_cells[fi]   # the face is lo's +1 side
                 if not mesh.boundary_face_mask[fi]:
-                    # lower cell id has the smaller grid index along k,
-                    # so the face is its +1 side
-                    lo, hi = mesh.face_cells[fi]
                     pl, ph = cell_polys[lo], cell_polys[hi]
                     hl, hh = halves[lo], halves[hi]
-                    if family.name == "morley":
+                    if morley:
                         for a, b in second_pairs(tang) + [(k, k)]:
                             jump = (face_mean(d2(pl, hl, a, b), k, 1)
                                     - face_mean(d2(ph, hh, a, b), k, -1))
@@ -196,10 +203,9 @@ def verify_weak_continuity(family: Family, n: int, trials: int = 100,
                             interior_ok = False
                 else:
                     # boundary face, zero-boundary coefficient vector
-                    (ci,) = mesh.face_cells[fi]
-                    side = 1 if mesh.cell_face_id(ci, k, 1) == fi else -1
+                    ci, side = (lo, 1) if lo >= 0 else (hi, -1)
                     p = cell_polys0[ci]
-                    if family.name == "morley":
+                    if morley:
                         for a, b in second_pairs(tang) + [(k, k)]:
                             if face_mean(d2(p, halves[ci], a, b), k, side) != 0:
                                 boundary_ok = False
@@ -232,8 +238,7 @@ def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
     Morley-type checks d_i(d_i Pi1 v - Pi0 d_i Pi1 v); Adini-type checks
     d_i(d_i v - Pi^{e_i} d_i v).  Both integrate to zero exactly.
     """
-    if family.name not in ("morley", "adini"):
-        raise ValueError("identity suite applies to the H3 families")
+    morley = _has_face_dofs(family, n)
     rep = VerificationReport(f"local-interp {family} n={n}")
     from .reference import shape_space
     box = [-1] * max(n - 1, 1), [1] * max(n - 1, 1)
@@ -242,7 +247,7 @@ def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
     for exps in shape_space(family, n):
         v = Polynomial.monomial(n, exps)
         for i in range(n):
-            if family.name == "morley":
+            if morley:
                 w = _interpolate(ADINI_CLASSIC, n, v)
                 u = w.diff(i)
                 g = u - _interpolate(Q1, n, u)

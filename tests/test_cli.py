@@ -32,7 +32,7 @@ def test_convergence_csv_to_stdout(capsys):
 
 def test_convergence_deterministic_output(tmp_path, capsys):
     args = ["convergence", "--case", "smooth2d", "--element", "morley",
-            "--levels", "2,4", "--deterministic"]
+            "--levels", "2,4"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
@@ -66,6 +66,9 @@ def test_exit_code_config_errors(capsys):
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run_cli(["convergence", "--levels", "x,y"], capsys)
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        run_cli(["convergence", "--deterministic"], capsys)
     assert err.value.code == 2
 
 

@@ -1,11 +1,11 @@
 """Structured meshes: entity counts, boundary detection, L-shape carving."""
 
-import io
-
 import numpy as np
 import pytest
 
-from triharm.mesh import BoxDomain, lshape_mesh, uniform_mesh
+from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
+from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.space import build_space
 
 
 def test_unit_square_2x2_counts():
@@ -53,21 +53,20 @@ def test_lshape_counts_and_volume():
 
 def test_lshape_reentrant_corner_is_boundary():
     mesh = lshape_mesh(2)
-    vid = mesh.vertex_id[(2, 2)]  # grid node at the origin
+    vid = mesh.vertex_index[2, 2]  # grid node at the origin
     assert np.allclose(mesh.vertex_coords[vid], 0.0)
     assert mesh.boundary_vertex_mask[vid]
     # a neighbor inside the retained region is interior
-    inner = mesh.vertex_id[(1, 2)]
+    inner = mesh.vertex_index[1, 2]
     assert not mesh.boundary_vertex_mask[inner]
 
 
 def test_cell_geometry_and_face_lookup():
     mesh = uniform_mesh(BoxDomain((0.0, 0.0), (2.0, 1.0)), (4, 2))
     assert np.allclose(mesh.cell_half_lengths, [0.25, 0.25])
-    ci = mesh.cell_id[(0, 0)]
+    ci = mesh.cell_index[0, 0]
     assert np.allclose(mesh.cell_centers[ci], [0.25, 0.25])
-    f_lo = mesh.cell_face_id(ci, 0, -1)
-    f_hi = mesh.cell_face_id(ci, 0, 1)
+    f_lo, f_hi = mesh.cell_faces[ci, 0]
     assert mesh.boundary_face_mask[f_lo]
     assert not mesh.boundary_face_mask[f_hi]
     assert ci in mesh.face_cells[f_hi]
@@ -75,7 +74,7 @@ def test_cell_geometry_and_face_lookup():
 
 def test_cell_vertex_ids_lexicographic_order():
     mesh = uniform_mesh(BoxDomain((0.0, 0.0), (1.0, 1.0)), (1, 1))
-    coords = mesh.vertex_coords[mesh.cell_vertex_ids(0)]
+    coords = mesh.vertex_coords[mesh.cell_vertices[0]]
     assert np.allclose(coords, [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
@@ -88,11 +87,24 @@ def test_validation_errors():
         lshape_mesh(0)
 
 
-def test_dump_is_parseable():
-    mesh = uniform_mesh(BoxDomain((0.0, 0.0), (1.0, 1.0)), (2, 1))
-    buf = io.StringIO()
-    mesh.dump(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("mesh dim=2 cells=2")
-    assert sum(1 for ln in lines if ln.startswith("vertex ")) == mesh.n_vertices
-    assert sum(1 for ln in lines if ln.startswith("face ")) == mesh.n_faces
+
+def test_masked_cube_with_one_cell_removed():
+    # [0,1]^3 split 2x2x2 without the cell at grid position (1,1,1): the
+    # centre node then touches the hole, so no vertex is interior
+    nodes = np.linspace(0.0, 1.0, 3)
+    active = np.ones((2, 2, 2), dtype=bool)
+    active[1, 1, 1] = False
+    mesh = StructuredMesh([nodes] * 3, active)
+    assert (mesh.n_cells, mesh.n_vertices, mesh.n_faces) == (7, 26, 33)
+    assert int(mesh.boundary_face_mask.sum()) == 24
+    assert mesh.boundary_vertex_mask.all()
+    assert mesh.cell_index[1, 1, 1] == -1
+    signs = np.array([[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [-1, 1, 1],
+                      [1, -1, -1], [1, -1, 1], [1, 1, -1], [1, 1, 1]])
+    for ci in range(mesh.n_cells):
+        expected = mesh.cell_centers[ci] + signs * mesh.cell_half_lengths[ci]
+        assert np.array_equal(mesh.vertex_coords[mesh.cell_vertices[ci]], expected)
+    morley = build_space(mesh, MORLEY)
+    assert (morley.n_dofs, len(morley.free_dofs())) == (137, 9)
+    adini = build_space(mesh, ADINI_TYPE)
+    assert (adini.n_dofs, len(adini.free_dofs())) == (182, 0)

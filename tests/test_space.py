@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from triharm.mesh import BoxDomain, uniform_mesh
-from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.mesh import BoxDomain, lshape_mesh, uniform_mesh
+from triharm.reference import ADINI_TYPE, MORLEY, dof_set, shape_space
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -80,3 +80,26 @@ def test_boundary_dofs_cover_face_and_vertex_dofs():
     free = set(space.free_dofs())
     assert boundary.isdisjoint(free)
     assert boundary | free == set(range(space.n_dofs))
+
+
+def test_numbering_is_pinned():
+    # literals recorded from the per-family implementation; the monomial
+    # order fixes the basis coefficients, the DoF order the global numbering
+    assert shape_space(ADINI_TYPE, 2) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1),
+        (4, 0), (4, 1), (5, 0), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+        (0, 4), (0, 5), (1, 4), (1, 5)]
+    vertex = [("value", None), ("grad", 0), ("grad", 1),
+              ("second", 0), ("second", 1)]
+    assert [(d.kind, d.vertex, d.axis) for d in dof_set(ADINI_TYPE, 2)] == [
+        (kind, v, axis) for v in range(4) for kind, axis in vertex]
+
+    space = build_space(lshape_mesh(1), MORLEY)
+    assert space.cell_dof_indices.tolist() == [
+        [0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14, 24, 26, 29, 30],
+        [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 25, 27, 30, 31],
+        [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 27, 28, 32, 33]]
+    assert space.boundary_dofs().tolist() == list(range(27)) + [28, 29, 31, 32, 33]
+    assert space.dof_kind == (
+        [("value", None), ("grad", 0), ("grad", 1)] * 8
+        + [("face_nn", 0)] * 5 + [("face_nn", 1)] * 5)
