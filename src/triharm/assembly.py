@@ -186,7 +186,12 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
 
 @dataclass
 class ReducedSystem:
-    """System restricted to free DoFs after symmetric boundary elimination."""
+    """System restricted to free DoFs after symmetric boundary elimination.
+
+    ``dof_points`` (the anchor point of each free DoF) and ``axis_nodes``
+    (the mesh's vertex planes) let the direct solver order the unknowns by
+    nested dissection; a system without them is factored in natural order.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -194,6 +199,8 @@ class ReducedSystem:
     boundary: np.ndarray
     boundary_values: np.ndarray
     n_total: int
+    dof_points: np.ndarray | None = None
+    axis_nodes: list[np.ndarray] | None = None
 
     def reconstruct(self, x_free: np.ndarray) -> np.ndarray:
         full = np.empty(self.n_total)
@@ -224,5 +231,7 @@ def apply_dirichlet(system: SparseSymSystem,
         boundary=bd,
         boundary_values=g,
         n_total=system.n,
+        dof_points=space.dof_points[free],
+        axis_nodes=space.mesh.axis_nodes,
     )
 

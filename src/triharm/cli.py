@@ -196,9 +196,15 @@ def cmd_solve(args) -> int:
           f"dofs={space.n_dofs} free={len(space.free_dofs())}")
     for label, value in zip(("L2", "H1", "H2", "H3"), errs):
         print(f"{label:3s} error = {value:.6e}")
-    iters = "-" if rep.iterations is None else str(rep.iterations)
-    print(f"solver={rep.method} iterations={iters} "
-          f"residual={rep.relative_residual:.3e} seconds={rep.seconds:.2f}")
+
+    def show(value, fmt=""):
+        return "-" if value is None else format(value, fmt)
+
+    print(f"solver={rep.method} ordering={show(rep.ordering)} "
+          f"fill={show(rep.fill)} iterations={show(rep.iterations)} "
+          f"residual={rep.relative_residual:.3e} "
+          f"factor_seconds={show(rep.factor_seconds, '.2f')} "
+          f"seconds={rep.seconds:.2f}")
     if args.dump:
         with open(args.dump, "w") as fh:
             for i, v in enumerate(coeffs):

@@ -7,13 +7,11 @@ assertion so the outcome is visible in captured output either way.
 import math
 
 import numpy as np
-import pytest
 
 from triharm.analysis import broken_norms, convergence_study, solve_case
 from triharm.assembly import assemble, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d
 from triharm.interpolation import canonical_interpolate, quasi_interpolate
-from triharm.mesh import uniform_mesh
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.space import build_space
 from triharm.verify import (

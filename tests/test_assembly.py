@@ -1,7 +1,5 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 

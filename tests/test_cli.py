@@ -17,6 +17,16 @@ def test_solve_prints_norms(capsys):
         capsys)
     assert code == 0
     assert "H3  error" in out and "solver=direct" in out
+    assert "ordering=nested-dissection fill=" in out
+
+
+def test_solve_with_cg_marks_direct_only_fields(capsys):
+    code, out, _ = run_cli(
+        ["solve", "--case", "smooth2d", "--element", "morley", "--n", "4",
+         "--solver", "cg"], capsys)
+    assert code == 0
+    assert "solver=cg ordering=- fill=- iterations=" in out
+    assert "factor_seconds=- " in out
 
 
 def test_convergence_csv_to_stdout(capsys):

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from triharm.assembly import ReducedSystem
-from triharm.solver import SolverError, solve_cg, solve_direct
+from triharm.assembly import ReducedSystem, apply_dirichlet, assemble, gauss_rule
+from triharm.cases import case_lshape2d, case_smooth3d
+from triharm.interpolation import boundary_values_from_case
+from triharm.mesh import StructuredMesh
+from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.solver import (
+    SolverError, nested_dissection, separator_split, solve_cg, solve_direct,
+)
+from triharm.space import build_space
 
 
 def synthetic_spd(n=50, seed=0) -> ReducedSystem:
@@ -62,3 +70,92 @@ def test_reconstruct_scatters_both_blocks():
                            np.array([5.0, 6.0]), 4)
     full = system.reconstruct(np.array([1.0, 2.0]))
     np.testing.assert_array_equal(full, [1.0, 5.0, 2.0, 6.0])
+
+
+def assembled(case, family, n):
+    """(full system, reduced system) of one refinement of a manufactured case."""
+    mesh = case.mesh(n)
+    space = build_space(mesh, family)
+    system = assemble(space, case.source, gauss_rule(6, mesh.dim),
+                      gauss_rule(8, mesh.dim))
+    return system, apply_dirichlet(system, boundary_values_from_case(space, case))
+
+
+def masked_cube_system():
+    # the 2x2x2 cube of test_mesh without the cell at grid position (1,1,1)
+    nodes = np.linspace(0.0, 1.0, 3)
+    active = np.ones((2, 2, 2), dtype=bool)
+    active[1, 1, 1] = False
+    space = build_space(StructuredMesh([nodes] * 3, active), MORLEY)
+    system = assemble(space, None, gauss_rule(6, 3))
+    return system, apply_dirichlet(system, np.zeros(len(space.boundary_dofs())))
+
+
+def assert_split_separates(matrix, points, axis_nodes):
+    left, right, sep = separator_split(points, axis_nodes)
+    assert len(left) and len(right) and len(sep)
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([left, right, sep])), np.arange(len(points)))
+    assert matrix.tocsr()[left][:, right].nnz == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assembled(case_lshape2d(), ADINI_TYPE, 8),
+    lambda: assembled(case_smooth3d(), MORLEY, 4),
+    masked_cube_system,
+], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley"])
+def test_top_split_decouples_the_halves(build):
+    system, reduced = build()
+    space = system.space
+    # the split of the free DoFs that solve_direct orders, and of all DoFs
+    assert_split_separates(reduced.matrix, reduced.dof_points, reduced.axis_nodes)
+    assert_split_separates(system.matrix, space.dof_points, space.mesh.axis_nodes)
+
+
+@pytest.mark.parametrize("case, family, n", [
+    (case_lshape2d(), ADINI_TYPE, 8),
+    (case_smooth3d(), MORLEY, 4),
+])
+def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
+    _, reduced = assembled(case, family, n)
+    perm = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(len(reduced.free)))
+
+
+@pytest.mark.parametrize("case, family, n", [
+    (case_lshape2d(), ADINI_TYPE, 8),
+    (case_smooth3d(), MORLEY, 4),
+])
+def test_direct_agrees_with_colamd_lu(case, family, n):
+    _, reduced = assembled(case, family, n)
+    x, report = solve_direct(reduced)
+    assert report.ordering == "nested-dissection"
+    assert 0 < report.factor_seconds <= report.seconds
+    reference = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD").solve(reduced.rhs)
+    err = np.abs(x - reference).max() / np.abs(reference).max()
+    assert err <= 1e-10
+
+
+def test_nested_dissection_fills_less_than_colamd():
+    _, reduced = assembled(case_smooth3d(), MORLEY, 8)
+    _, report = solve_direct(reduced)
+    lu = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD")
+    assert 0 < report.fill < lu.L.nnz + lu.U.nnz
+
+
+def test_system_without_points_is_factored_in_natural_order():
+    _, report = solve_direct(synthetic_spd())
+    assert report.ordering == "natural"
+    assert report.fill > 0
+    _, report = solve_cg(synthetic_spd())
+    assert (report.ordering, report.fill, report.factor_seconds) == (None, None, None)
+
+
+def test_singular_matrix_raises():
+    system = synthetic_spd()
+    a = system.matrix.tolil()
+    a[7, :] = 0.0
+    a[:, 7] = 0.0
+    system.matrix = a.tocsr()
+    with pytest.raises(SolverError):
+        solve_direct(system)
