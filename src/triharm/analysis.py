@@ -28,22 +28,29 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     """
     mesh = space.mesh
     elem = space.element
-    rule = gauss_rule(q, mesh.dim)
+    dim = mesh.dim
+    rule = gauss_rule(q, dim)
     centers = mesh.cell_centers
     half = mesh.cell_half_lengths
-    pts = centers[:, None, :] + half[:, None, :] * rule.points[None, :, :]
-    flat = pts.reshape(-1, mesh.dim)
+    # open grid of each cell's Gauss nodes: axis i varies along array axis
+    # i + 1, so the full grid [n_cells, q, ..., q] flattens in rule order
+    grid = tuple(
+        (centers[:, [i]] + half[:, [i]] * rule.nodes).reshape(
+            (mesh.n_cells,) + (1,) * i + (q,) + (1,) * (dim - i - 1))
+        for i in range(dim))
+    full = (mesh.n_cells,) + (q,) * dim
     jac = np.prod(half, axis=1)
     ref_coeffs = coeffs[space.cell_dof_indices] * space.cell_scalings
 
     acc = np.zeros(4)
     for m in range(4):
-        for alpha, mult in derivative_multiindices(mesh.dim, m):
-            exact = case.derivative(alpha, flat).reshape(mesh.n_cells, -1)
-            d = elem.eval_shape(alpha, rule.points)       # [npts, nloc]
-            uh = ref_coeffs @ d.T                         # [nc, npts]
+        for alpha, mult in derivative_multiindices(dim, m):
+            exact = np.broadcast_to(case.derivative(alpha, grid), full)
+            exact = exact.reshape(mesh.n_cells, -1)
+            # chain rule h^-alpha folded into the [n_cells, nloc] coefficients
             chain = np.prod(half ** (-np.array(alpha)), axis=1)
-            uh = uh * chain[:, None]
+            d = elem.eval_shape(alpha, rule.points)       # [npts, nloc]
+            uh = (ref_coeffs * chain[:, None]) @ d.T      # [nc, npts]
             diff2 = (exact - uh) ** 2 @ rule.weights
             acc[m] += mult * float(np.sum(jac * diff2))
     return tuple(math.sqrt(v) for v in acc)
@@ -124,7 +131,7 @@ class ErrorReport:
 def convergence_study(case: ManufacturedCase, family: Family,
                       levels: list[int], q_stiffness: int = 6,
                       q_load: int = 8, q_error: int = 8,
-                      solver: str = "direct",
+                      solver: str = "direct", cg_tol: float = 1e-10,
                       progress=None) -> ErrorReport:
     """Solve a refinement sequence and collect errors and observed orders."""
     if len(levels) < 2:
@@ -136,7 +143,7 @@ def convergence_study(case: ManufacturedCase, family: Family,
     for n in levels:
         space, coeffs, solve_report = solve_case(
             case, family, n, q_stiffness=q_stiffness, q_load=q_load,
-            solver=solver)
+            solver=solver, cg_tol=cg_tol)
         errs = broken_norms(space, coeffs, case, q=q_error)
         hmax = float(space.mesh.cell_half_lengths.max()) * 2.0
         report.add(n, hmax, errs)

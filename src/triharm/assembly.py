@@ -29,8 +29,9 @@ __all__ = [
 class GaussRule:
     dim: int
     q: int
-    points: np.ndarray   # [m, dim]
+    points: np.ndarray   # [m, dim], tensor product of nodes, last axis fastest
     weights: np.ndarray  # [m]
+    nodes: np.ndarray    # [q] 1D Gauss-Legendre nodes on [-1, 1]
 
 
 _rule_cache: dict[tuple[int, int], GaussRule] = {}
@@ -46,9 +47,9 @@ def gauss_rule(q: int, n: int) -> GaussRule:
     x, w = np.polynomial.legendre.leggauss(q)
     pts = np.array(list(itertools.product(x, repeat=n)))
     wts = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    rule = GaussRule(n, q, pts, wts)
+    for arr in (pts, wts, x):
+        arr.setflags(write=False)
+    rule = GaussRule(n, q, pts, wts, x)
     _rule_cache[key] = rule
     return rule
 
@@ -131,12 +132,14 @@ class SparseSymSystem:
 
 def _cell_groups(space: FeSpace):
     """Group cells sharing identical half-lengths (one element matrix each)."""
-    half = space.mesh.cell_half_lengths
-    keys = [tuple(np.round(h, 14)) for h in half]
-    groups: dict[tuple, list[int]] = {}
-    for ci, key in enumerate(keys):
-        groups.setdefault(key, []).append(ci)
-    return groups
+    half = np.round(space.mesh.cell_half_lengths, 14)
+    keys, first, inverse = np.unique(half, axis=0, return_index=True,
+                                     return_inverse=True)
+    inverse = inverse.ravel()   # NumPy 2.0.0 returns it with an extra axis
+    # each group's cells ascending, groups in order of their first cell
+    cells = np.split(np.argsort(inverse, kind="stable"),
+                     np.cumsum(np.bincount(inverse))[:-1])
+    return {tuple(keys[g]): cells[g] for g in np.argsort(first)}
 
 
 def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
@@ -160,7 +163,6 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
     for hkey, cells in _cell_groups(space).items():
         k_ref = element_stiffness(hkey, elem, stiffness_rule)
         jac = float(np.prod(hkey))
-        cells = np.asarray(cells)
         gidx = space.cell_dof_indices[cells]          # [nc, nloc]
         scale = space.cell_scalings[cells]            # [nc, nloc]
         # scaled element matrices, all cells of the group at once

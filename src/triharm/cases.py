@@ -2,6 +2,12 @@
 
 Each case supplies the exact solution, all partial derivatives up to order
 three (vectorized over point arrays), and the source f = (-Delta)^3 u.
+
+Points come in one of two forms: a dense ``[m, dim]`` array, giving values
+of shape ``[m]``, or an open grid, a tuple of ``dim`` coordinate arrays that
+broadcast together (as ``np.ix_`` returns), giving values of the broadcast
+shape.  A separable solution evaluates each factor on its own axis array,
+so a tensor grid of q points per axis costs q, not q^dim, evaluations.
 """
 
 from __future__ import annotations
@@ -20,17 +26,29 @@ __all__ = [
     "polynomial_case", "get_case", "CASE_NAMES",
 ]
 
+# a dense [m, dim] array, or an open grid of dim broadcasting coordinate arrays
+Points = np.ndarray | tuple[np.ndarray, ...]
+
+
+def _axes(points: Points, dim: int) -> tuple[np.ndarray, ...]:
+    """The coordinate arrays of ``points``, one per axis."""
+    if isinstance(points, tuple):
+        if len(points) != dim:
+            raise ValueError(f"open grid has {len(points)} axes, need {dim}")
+        return tuple(np.asarray(x, dtype=float) for x in points)
+    return tuple(np.asarray(points, dtype=float).reshape(-1, dim).T)
+
 
 @dataclass
 class ManufacturedCase:
     name: str
     dim: int
     domain: BoxDomain | None      # None marks the 2D L-shape
-    source: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
+    source: Callable[[Points], np.ndarray]
+    derivative: Callable[[tuple[int, ...], Points], np.ndarray]
     regularity: float             # expected s in H^{3+s}
 
-    def u(self, points: np.ndarray) -> np.ndarray:
+    def u(self, points: Points) -> np.ndarray:
         return self.derivative((0,) * self.dim, points)
 
     def mesh(self, n: int) -> StructuredMesh:
@@ -48,10 +66,11 @@ def _cosine_product(name: str, domain: BoxDomain, freqs, phases,
     lam = float(np.sum(k ** 2)) ** 3  # (-Delta)^3 eigenvalue
 
     def derivative(alpha, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, dim)
-        out = np.ones(pts.shape[0])
+        xs = _axes(points, dim)
+        out = 1.0
         for i, a in enumerate(alpha):
-            out = out * (k[i] ** a) * np.cos(k[i] * pts[:, i] + phi[i] + a * math.pi / 2)
+            # each cosine sees only its own axis; the product broadcasts
+            out = out * (k[i] ** a) * np.cos(k[i] * xs[i] + phi[i] + a * math.pi / 2)
         return out
 
     def source(points):
@@ -87,10 +106,10 @@ def case_lshape2d() -> ManufacturedCase:
     p = 2.5
 
     def zpow(points, power):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi)
-        out = np.zeros(pts.shape[0], dtype=complex)
+        x, y = _axes(points, 2)
+        r = np.hypot(x, y)    # not separable: broadcast to the full grid
+        theta = np.mod(np.arctan2(y, x), 2 * math.pi)
+        out = np.zeros(r.shape, dtype=complex)
         pos = r > 0
         out[pos] = r[pos] ** power * np.exp(1j * power * theta[pos])
         if power == 0:
@@ -108,8 +127,7 @@ def case_lshape2d() -> ManufacturedCase:
         return np.imag(vals)
 
     def source(points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.zeros(pts.shape[0])
+        return np.zeros(np.broadcast_shapes(*(x.shape for x in _axes(points, 2))))
 
     return ManufacturedCase("lshape2d", 2, None, source, derivative, 0.5)
 
@@ -118,11 +136,16 @@ def polynomial_case(poly: Polynomial, domain: BoxDomain,
                     name: str = "polynomial") -> ManufacturedCase:
     """Wrap an exact polynomial u; source computed as (-Delta)^3 u exactly."""
     dim = poly.dim
-    lap3 = Polynomial.zero(dim)
     lap = lambda q: sum((q.diff(i, 2) for i in range(dim)), Polynomial.zero(dim))
     lap3 = lap(lap(lap(poly)))
 
     deriv_cache: dict[tuple, Polynomial] = {}
+
+    def evaluate(q: Polynomial, points):
+        # broadcast an open grid to the full grid, evaluate, restore its shape
+        grid = np.broadcast_arrays(*_axes(points, dim))
+        flat = np.stack([x.ravel() for x in grid], axis=1)
+        return q.eval_grid(flat).reshape(grid[0].shape)
 
     def derivative(alpha, points):
         alpha = tuple(alpha)
@@ -130,10 +153,10 @@ def polynomial_case(poly: Polynomial, domain: BoxDomain,
         if q is None:
             q = poly.diff_multi(alpha)
             deriv_cache[alpha] = q
-        return q.eval_grid(np.asarray(points, dtype=float).reshape(-1, dim))
+        return evaluate(q, points)
 
     def source(points):
-        return -lap3.eval_grid(np.asarray(points, dtype=float).reshape(-1, dim))
+        return -evaluate(lap3, points)
 
     return ManufacturedCase(name, dim, domain, source, derivative, 1.0)
 

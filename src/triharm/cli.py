@@ -149,7 +149,8 @@ def cmd_convergence(args) -> int:
         report = convergence_study(
             case, family, args.levels,
             q_stiffness=args.q_stiffness, q_load=args.q_load,
-            q_error=args.q_error, solver=args.solver, progress=progress)
+            q_error=args.q_error, solver=args.solver, cg_tol=args.tol,
+            progress=progress)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -22,13 +22,15 @@ def canonical_interpolate(space: FeSpace, case: ManufacturedCase) -> np.ndarray:
     of the exact solution (value, gradient, pure second, face normal second).
     """
     coeffs = np.empty(space.n_dofs)
-    # group dofs by (kind, axis) so each derivative is evaluated in one call
-    groups: dict[tuple, list[int]] = {}
-    for gi, ka in enumerate(space.dof_kind):
-        groups.setdefault(ka, []).append(gi)
+    # group dofs by (kind, axis) so each derivative is evaluated in one call;
+    # groups in order of first appearance, each group's dofs ascending
+    kinds = {ka: code for code, ka in enumerate(dict.fromkeys(space.dof_kind))}
+    codes = np.fromiter(map(kinds.__getitem__, space.dof_kind), dtype=np.int64,
+                        count=space.n_dofs)
+    groups = np.split(np.argsort(codes, kind="stable"),
+                      np.cumsum(np.bincount(codes))[:-1])
     n = space.dim
-    for (kind, axis), idx in groups.items():
-        idx = np.asarray(idx)
+    for (kind, axis), idx in zip(kinds, groups):
         pts = space.dof_points[idx]
         if kind == "value":
             alpha = (0,) * n

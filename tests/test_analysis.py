@@ -1,5 +1,6 @@
 """Broken norms, single solves, and the convergence-study driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from triharm.analysis import (
     ErrorReport, broken_norms, convergence_study, solve_case,
 )
-from triharm.cases import case_smooth2d, polynomial_case
+from triharm.assembly import derivative_multiindices, gauss_rule
+from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.mesh import BoxDomain, uniform_mesh
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
@@ -36,6 +38,62 @@ def test_broken_norms_mixed_multiplicity():
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), ADINI_TYPE)
     h2 = broken_norms(space, np.zeros(space.n_dofs), case)[2]
     assert h2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def dense_broken_norms(space, coeffs, case, q=8):
+    """Point-by-point reference: the exact solution at every quadrature
+    point of every cell as one [m, dim] array."""
+    mesh, elem = space.mesh, space.element
+    rule = gauss_rule(q, mesh.dim)
+    half = mesh.cell_half_lengths
+    pts = mesh.cell_centers[:, None, :] + half[:, None, :] * rule.points[None, :, :]
+    flat = pts.reshape(-1, mesh.dim)
+    jac = np.prod(half, axis=1)
+    ref_coeffs = coeffs[space.cell_dof_indices] * space.cell_scalings
+    acc = np.zeros(4)
+    for m in range(4):
+        for alpha, mult in derivative_multiindices(mesh.dim, m):
+            exact = case.derivative(alpha, flat).reshape(mesh.n_cells, -1)
+            uh = ref_coeffs @ elem.eval_shape(alpha, rule.points).T
+            uh = uh * np.prod(half ** (-np.array(alpha)), axis=1)[:, None]
+            acc[m] += mult * float(np.sum(jac * ((exact - uh) ** 2 @ rule.weights)))
+    return tuple(math.sqrt(v) for v in acc)
+
+
+def quartic_case():
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    return polynomial_case(x ** 4 * y - 2 * x * y ** 3 + y ** 2, UNIT_SQUARE)
+
+
+def solved(case, family, n):
+    space, coeffs, _ = solve_case(case, family, n)
+    return space, coeffs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (case_smooth3d(), *solved(case_smooth3d(), MORLEY, 4)),
+    lambda: (case_lshape2d(), *solved(case_lshape2d(), ADINI_TYPE, 8)),
+    lambda: (quartic_case(), *solved(quartic_case(), ADINI_TYPE, 4)),
+], ids=["smooth3d-morley4", "lshape2d-adini8", "quartic-adini4"])
+def test_broken_norms_match_dense_reference(make):
+    case, space, coeffs = make()
+    got = broken_norms(space, coeffs, case)
+    want = dense_broken_norms(space, coeffs, case)
+    assert min(want) > 0
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_broken_norms_scale_with_an_amplitude_wrapper():
+    # the same wrapper as the benchmark's: the open grid passes through it
+    c = 1.7
+    case = case_smooth3d()
+    space, coeffs = solved(case, MORLEY, 2)
+    scaled = dataclasses.replace(
+        case, derivative=lambda alpha, p: c * case.derivative(alpha, p))
+    got = broken_norms(space, c * coeffs, scaled)
+    for g, e in zip(got, broken_norms(space, coeffs, case)):
+        assert g == pytest.approx(c * e, rel=1e-12)
 
 
 def test_solve_case_reproduces_first_table_row():

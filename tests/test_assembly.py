@@ -1,11 +1,13 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from triharm.assembly import (
-    apply_dirichlet, assemble, derivative_multiindices, element_load,
-    element_stiffness, gauss_rule,
+    _cell_groups, apply_dirichlet, assemble, derivative_multiindices,
+    element_load, element_stiffness, gauss_rule,
 )
 from triharm.cases import polynomial_case
 from triharm.interpolation import canonical_interpolate
@@ -29,6 +31,9 @@ def test_gauss_rule_tensor_weights():
     rule = gauss_rule(4, 3)
     assert rule.points.shape == (64, 3)
     assert rule.weights.sum() == pytest.approx(8.0)  # volume of [-1,1]^3
+    # points are the tensor product of the nodes, last axis fastest
+    grid = np.stack(np.meshgrid(*[rule.nodes] * 3, indexing="ij"), axis=-1)
+    np.testing.assert_array_equal(rule.points, grid.reshape(-1, 3))
 
 
 def test_derivative_multiindices_order3():
@@ -111,3 +116,18 @@ def test_insufficient_stiffness_rule_rejected():
     space = build_space(uniform_mesh(UNIT_SQUARE, (1, 1)), MORLEY)
     with pytest.raises(ValueError):
         assemble(space, None, gauss_rule(3, 2), gauss_rule(8, 2))
+
+
+def test_cell_groups_match_a_per_cell_loop():
+    # three distinct half-lengths, one differing only below the rounding
+    rng = np.random.default_rng(3)
+    sizes = np.array([[0.25, 0.5], [0.125, 0.5], [0.25, 0.5 + 1e-15]])
+    half = sizes[rng.integers(0, 3, size=40)]
+    space = SimpleNamespace(mesh=SimpleNamespace(cell_half_lengths=half))
+    want: dict[tuple, list[int]] = {}
+    for ci, h in enumerate(half):
+        want.setdefault(tuple(np.round(h, 14)), []).append(ci)
+    got = _cell_groups(space)
+    assert list(got) == list(want)
+    for key, cells in want.items():
+        assert got[key].tolist() == cells

@@ -138,3 +138,61 @@ def test_case_mesh_factory():
     assert get_case("smooth2d").mesh(4).n_cells == 16
     assert get_case("lshape2d").mesh(4).n_cells == 48
     assert get_case("smooth3d").mesh(2).n_cells == 8
+
+
+def cell_grid(dim, n_cells, q, rng):
+    """Open grid of q nodes per axis in each of n_cells random cells, in the
+    layout ``broken_norms`` uses: axis i varies along array axis i + 1."""
+    lo = rng.uniform(-0.9, 0.5, size=(n_cells, dim))
+    nodes = np.sort(rng.uniform(0.0, 0.4, size=q))
+    return tuple(
+        (lo[:, [i]] + nodes).reshape((n_cells,) + (1,) * i + (q,) + (1,) * (dim - i - 1))
+        for i in range(dim))
+
+
+def dense(grid):
+    """The [m, dim] points of an open grid, last axis fastest."""
+    full = np.broadcast_arrays(*grid)
+    return np.stack([x.ravel() for x in full], axis=1), full[0].shape
+
+
+OPEN_GRID_CASES = {
+    "smooth2d": case_smooth2d,
+    "smooth3d": case_smooth3d,
+    "lshape2d": case_lshape2d,
+    "polynomial": lambda: polynomial_case(
+        Polynomial.variable(3, 0) ** 4 * Polynomial.variable(3, 1)
+        - 3 * Polynomial.variable(3, 1) * Polynomial.variable(3, 2) ** 2 + 2,
+        BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_GRID_CASES))
+def test_open_grid_matches_dense_points(name):
+    case = OPEN_GRID_CASES[name]()
+    grid = cell_grid(case.dim, 5, 4, np.random.default_rng(7))
+    pts, shape = dense(grid)
+    for order in range(4):
+        for alpha in _multi_indices(case.dim, order):
+            got = case.derivative(alpha, grid)
+            want = case.derivative(alpha, pts).reshape(shape)
+            assert got.shape == shape
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-14 * scale
+    for fn in (case.u, case.source):
+        got = fn(grid)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, fn(pts).reshape(shape), rtol=1e-14)
+
+
+def test_open_grid_from_ix_and_zero_results_keep_the_broadcast_shape():
+    # x y has vanishing third derivatives and source: still one value a point
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    case = polynomial_case(x * y, BoxDomain((0.0, 0.0), (1.0, 1.0)))
+    grid = np.ix_(np.linspace(0.1, 0.9, 3), np.linspace(0.2, 0.8, 5))
+    assert case.derivative((3, 0), grid).shape == (3, 5)
+    assert case.source(grid).shape == (3, 5)
+    np.testing.assert_allclose(case.u(grid), grid[0] * grid[1], rtol=1e-15)
+    assert case_lshape2d().source(grid).shape == (3, 5)
+    with pytest.raises(ValueError):
+        case.derivative((0, 0), grid + (grid[0],))

@@ -48,6 +48,21 @@ def test_convergence_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_convergence_passes_tol_to_cg(capsys):
+    # at N=2 and N=4 CG reaches rounding level in the same step under either
+    # tolerance, so the tolerance first shows in the N=8 row
+    def table(tol):
+        code, out, _ = run_cli(
+            ["convergence", "--case", "smooth2d", "--element", "adini",
+             "--levels", "4,8", "--solver", "cg", "--tol", tol], capsys)
+        assert code == 0
+        return out.strip().splitlines()
+
+    loose, tight = table("1e-4"), table("1e-12")
+    assert loose[1] == tight[1]
+    assert loose[2] != tight[2]
+
+
 def test_convergence_file_outputs(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     md_path = tmp_path / "table.md"
@@ -71,6 +86,7 @@ def test_verify_suite_output(capsys):
 def test_exit_code_config_errors(capsys):
     assert run_cli(["convergence", "--levels", "4"], capsys)[0] == 2
     assert run_cli(["solve", "--n", "0"], capsys)[0] == 2
+    assert run_cli(["solve", "--n", "2", "--q-error", "0"], capsys)[0] == 2
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "--suite", "bogus"], capsys)
     assert err.value.code == 2

@@ -1,14 +1,16 @@
 """Canonical and projection-averaging interpolation operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from triharm.analysis import broken_norms
-from triharm.cases import case_smooth2d, polynomial_case
+from triharm.cases import case_lshape2d, case_smooth2d, polynomial_case
 from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
-from triharm.mesh import BoxDomain, uniform_mesh
+from triharm.mesh import BoxDomain, lshape_mesh, uniform_mesh
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.space import build_space
@@ -83,3 +85,27 @@ def test_quasi_interpolation_first_order_h3_decay():
         errs.append(broken_norms(space, coeffs, case)[3])
     rate = np.log2(errs[0] / errs[1])
     assert rate == pytest.approx(1.0, abs=0.3)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_canonical_makes_the_same_derivative_calls_as_a_per_dof_loop(family):
+    space = build_space(lshape_mesh(2), family)
+    calls = []
+
+    def recording(alpha, points):
+        calls.append((alpha, points.copy()))
+        return case_lshape2d().derivative(alpha, points)
+
+    case = dataclasses.replace(case_lshape2d(), derivative=recording)
+    coeffs = canonical_interpolate(space, case)
+    groups: dict[tuple, list[int]] = {}
+    for gi, ka in enumerate(space.dof_kind):
+        groups.setdefault(ka, []).append(gi)
+    assert len(calls) == len(groups)
+    want = np.empty(space.n_dofs)
+    for (alpha, points), ((kind, axis), idx) in zip(calls, groups.items()):
+        order = {"value": 0, "grad": 1}.get(kind, 2)
+        assert alpha == tuple(order * int(i == axis) for i in range(2))
+        np.testing.assert_array_equal(points, space.dof_points[idx])
+        want[idx] = case_lshape2d().derivative(alpha, points)
+    np.testing.assert_array_equal(coeffs, want)
