@@ -67,6 +67,8 @@ def solve_case(case: ManufacturedCase, family: Family, n: int,
                       gauss_rule(q_stiffness, mesh.dim),
                       gauss_rule(q_load, mesh.dim))
     reduced = apply_dirichlet(system, boundary_values_from_case(space, case))
+    # the unreduced matrix is not needed again: free it before factoring
+    del system
     if solver == "direct":
         x, report = solve_direct(reduced)
     elif solver == "cg":

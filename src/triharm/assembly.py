@@ -148,28 +148,40 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
 
     ``f`` maps an array of points [m, dim] to values [m]; pass None for a
     zero right-hand side.
+
+    The COO triples, one per element-matrix entry, are written in place
+    into preallocated int32 index and float value arrays, in a fixed order:
+    groups, then cells, then entries row-major.  ``tocsr`` sums the
+    duplicates in that order and keeps the explicit zeros the sums leave.
     """
     mesh = space.mesh
     elem = space.element
     load_rule = load_rule or stiffness_rule
     nloc = elem.n_dofs
 
-    rows, cols, vals = [], [], []
+    size = mesh.n_cells * nloc * nloc
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
     rhs = np.zeros(space.n_dofs)
 
     phi0 = elem.eval_shape((0,) * elem.dim, load_rule.points)
     wphi = load_rule.weights[:, None] * phi0
 
+    end = 0
     for hkey, cells in _cell_groups(space).items():
         k_ref = element_stiffness(hkey, elem, stiffness_rule)
         jac = float(np.prod(hkey))
         gidx = space.cell_dof_indices[cells]          # [nc, nloc]
         scale = space.cell_scalings[cells]            # [nc, nloc]
-        # scaled element matrices, all cells of the group at once
-        kscaled = scale[:, :, None] * k_ref[None, :, :] * scale[:, None, :]
-        rows.append(np.repeat(gidx, nloc, axis=1).ravel())
-        cols.append(np.tile(gidx, (1, nloc)).ravel())
-        vals.append(kscaled.ravel())
+        start, end = end, end + len(cells) * nloc * nloc
+        shape = (len(cells), nloc, nloc)
+        # scaled element matrices (s_a k_ab) s_b, all cells of the group
+        k = vals[start:end].reshape(shape)
+        np.multiply(scale[:, :, None], k_ref, out=k)
+        k *= scale[:, None, :]
+        rows[start:end].reshape(shape)[...] = gidx[:, :, None]
+        cols[start:end].reshape(shape)[...] = gidx[:, None, :]
         if f is not None:
             centers = mesh.cell_centers[cells]
             h = np.asarray(hkey)
@@ -179,10 +191,8 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
             fe = jac * (fv @ wphi)                    # [nc, nloc]
             np.add.at(rhs, gidx.ravel(), (scale * fe).ravel())
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, space.n_dofs),
-    ).tocsr()
+    mat = sp.coo_matrix((vals, (rows, cols)),
+                        shape=(space.n_dofs, space.n_dofs)).tocsr()
     return SparseSymSystem(mat, rhs, space)
 
 
@@ -224,10 +234,10 @@ def apply_dirichlet(system: SparseSymSystem,
     g = np.asarray(boundary_values, dtype=float)
     if g.shape != bd.shape:
         raise ValueError("boundary value vector has wrong length")
-    a = system.matrix
-    rhs = system.rhs[free] - a[free][:, bd] @ g
+    rows = system.matrix[free]
+    rhs = system.rhs[free] - rows[:, bd] @ g
     return ReducedSystem(
-        matrix=a[free][:, free].tocsr(),
+        matrix=rows[:, free].tocsr(),
         rhs=rhs,
         free=free,
         boundary=bd,

@@ -1,11 +1,14 @@
 """Broken norms, single solves, and the convergence-study driver."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from triharm import analysis
 from triharm.analysis import (
     ErrorReport, broken_norms, convergence_study, solve_case,
 )
@@ -103,6 +106,26 @@ def test_solve_case_reproduces_first_table_row():
     expected = (1.142e-01, 7.092e-01, 8.272e+00, 1.436e+02)
     for got, want in zip(errs, expected):
         assert abs(got - want) / want < 0.1
+    assert report.relative_residual < 1e-9
+
+
+def test_solve_case_frees_the_unreduced_matrix_before_factoring(monkeypatch):
+    assembled = []
+
+    def assemble(*args, **kwargs):
+        system = real_assemble(*args, **kwargs)
+        assembled.append(weakref.ref(system.matrix))
+        return system
+
+    def solve_direct(reduced):
+        gc.collect()
+        assert len(assembled) == 1 and assembled[0]() is None
+        return real_solve_direct(reduced)
+
+    real_assemble, real_solve_direct = analysis.assemble, analysis.solve_direct
+    monkeypatch.setattr(analysis, "assemble", assemble)
+    monkeypatch.setattr(analysis, "solve_direct", solve_direct)
+    _, _, report = solve_case(case_smooth2d(), MORLEY, 4)
     assert report.relative_residual < 1e-9
 
 

@@ -196,3 +196,26 @@ def test_open_grid_from_ix_and_zero_results_keep_the_broadcast_shape():
     assert case_lshape2d().source(grid).shape == (3, 5)
     with pytest.raises(ValueError):
         case.derivative((0, 0), grid + (grid[0],))
+
+
+def test_lshape_reuses_polar_data_with_bit_identical_values():
+    # one case answers every multi-index from its cached r, theta and powers;
+    # a fresh case per call computes each value from scratch
+    grid = cell_grid(2, 6, 4, np.random.default_rng(11))
+    pts, _ = dense(grid)
+    pts = np.vstack([pts, [[0.0, 0.0]]])       # r = 0 takes the zero branch
+    alphas = [a for order in range(4) for a in _multi_indices(2, order)]
+    cached = case_lshape2d()
+    for points in (grid, pts, grid):           # switching points drops the cache
+        for alpha in alphas:
+            got = cached.derivative(alpha, points)
+            want = case_lshape2d().derivative(alpha, points)
+            assert np.array_equal(got, want)
+    # the cache follows the coordinates, not the array objects
+    moving = (grid[0].copy(), grid[1])
+    for alpha in alphas[:3]:
+        cached.derivative(alpha, moving)
+    moving[0][...] += 0.125
+    for alpha in alphas:
+        assert np.array_equal(cached.derivative(alpha, moving),
+                              case_lshape2d().derivative(alpha, moving))
