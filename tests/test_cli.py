@@ -96,6 +96,33 @@ def test_exit_code_config_errors(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["convergence", "--deterministic"], capsys)
     assert err.value.code == 2
+    # the continuity suite is a proof over the basis; it samples nothing
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--suite", "continuity", "--trials", "0"], capsys)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["continuity", "local-interp", "patch"])
+def test_verify_suite_with_nothing_to_check_is_a_config_error(suite, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--dims", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "n >= 2" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["convergence", "--levels", "2,4", "--output", "{dir}/table.csv"],
+    ["convergence", "--levels", "2,4", "--markdown", "{dir}/table.md"],
+    ["solve", "--n", "2", "--dump", "{dir}/coeffs.txt"],
+])
+def test_unwritable_output_is_a_config_error(args, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    args = [a.format(dir=missing) for a in args]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert lines[-1].startswith(f"error: cannot write {missing}")
+    assert "Traceback" not in err
 
 
 def test_solution_dump(tmp_path, capsys):

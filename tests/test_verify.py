@@ -1,8 +1,13 @@
 """Verification suite drivers (small, fast configurations)."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from triharm.reference import ADINI_TYPE, MORLEY, Q1
+from triharm import verify
+from triharm.polynomials import Polynomial
+from triharm.reference import ADINI_TYPE, MORLEY, Q1, build_dual_basis
 from triharm.verify import (
     run_suite, verify_duality, verify_local_interpolation, verify_patch_test,
     verify_unisolvence, verify_weak_continuity,
@@ -23,7 +28,11 @@ def test_duality_small_dims():
 
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_continuity_2d_short(family):
-    _assert_passed(verify_weak_continuity(family, 2, trials=5))
+    report = verify_weak_continuity(family, 2)
+    _assert_passed(report)
+    assert [label for label, _, _ in report.items] == [
+        "mesh 2x1: interior jumps", "mesh 2x1: boundary traces",
+        "mesh 2x2: interior jumps", "mesh 2x2: boundary traces"]
 
 
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
@@ -46,7 +55,76 @@ def test_suite_rejects_wrong_family():
 def test_run_suite_dispatch():
     reports = run_suite("unisolvence", dims=(1, 2))
     assert len(reports) == 1 and reports[0].passed
-    reports = run_suite("continuity", dims=(2,), trials=2)
+    reports = run_suite("continuity", dims=(2,))
     assert len(reports) == 2
     with pytest.raises(ValueError):
         run_suite("spectral", dims=(2,))
+
+
+@pytest.mark.parametrize("name", ["continuity", "local-interp", "patch"])
+def test_run_suite_that_checks_nothing_is_an_error(name):
+    with pytest.raises(ValueError, match="n >= 2"):
+        run_suite(name, dims=(1,))
+    with pytest.raises(ValueError):
+        run_suite(name, dims=())
+
+
+def test_run_suite_all_skips_low_dimensions():
+    reports = run_suite("all", dims=(1,))
+    assert [rep.suite for rep in reports] == ["unisolvence", "duality"]
+
+
+# -- the continuity proof must fail on broken elements ----------------------
+
+def _break_setup(monkeypatch, change):
+    """Route every exact set-up of the continuity suite through ``change``."""
+    exact_setup = verify._exact_setup
+
+    def broken(family, n, subs):
+        return change(*exact_setup(family, n, subs))
+
+    monkeypatch.setattr(verify, "_exact_setup", broken)
+
+
+# local DoFs of cell 0 whose scaling, once multiplied by 11/10, breaks a
+# jump or a trace; the others enter no checked quantity of a shared face
+BREAKING_SCALINGS = {MORLEY: {4, 8, 10, 11, 13, 15}, ADINI_TYPE: {9, 13, 18, 19}}
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_continuity_fails_on_a_wrong_scaling(family, monkeypatch):
+    failing = set()
+    for li in range(build_dual_basis(family, 2).n_dofs):
+        def scale(space, scalings, halves, li=li):
+            scalings[0][li] *= Fraction(11, 10)
+            return space, scalings, halves
+
+        with monkeypatch.context() as m:
+            _break_setup(m, scale)
+            if not verify_weak_continuity(family, 2).passed:
+                failing.add(li)
+    assert failing == BREAKING_SCALINGS[family]
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_continuity_fails_on_a_perturbed_basis_coefficient(family, monkeypatch):
+    def perturb(space, scalings, halves):
+        elem = space.element
+        basis = list(elem.basis)
+        basis[0] = basis[0] + Polynomial.monomial(2, (2, 0), Fraction(1, 10))
+        elem = dataclasses.replace(elem, basis=basis)
+        return dataclasses.replace(space, element=elem), scalings, halves
+
+    _assert_passed(verify_weak_continuity(family, 2))
+    _break_setup(monkeypatch, perturb)
+    assert not verify_weak_continuity(family, 2).passed
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_continuity_fails_on_a_wrong_half_length(family, monkeypatch):
+    def stretch(space, scalings, halves):
+        halves[0][0] *= Fraction(11, 10)
+        return space, scalings, halves
+
+    _break_setup(monkeypatch, stretch)
+    assert not verify_weak_continuity(family, 2).passed
