@@ -20,7 +20,7 @@ from .space import FeSpace
 
 __all__ = [
     "GaussRule", "gauss_rule", "derivative_multiindices",
-    "element_stiffness", "element_load", "assemble",
+    "element_stiffness", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
 
@@ -104,17 +104,6 @@ def element_stiffness(cell_half_lengths, elem: ReferenceElement,
         chain = float(np.prod(h ** (-2 * np.array(alpha))))
         k += (mult * jac * chain) * _reference_grammian(elem, alpha, rule)
     return k
-
-
-def element_load(cell_center, cell_half_lengths, elem: ReferenceElement,
-                 rule: GaussRule, f) -> np.ndarray:
-    """Load vector F[a] = integral of f * phi_a over the physical cell."""
-    c = np.asarray(cell_center, dtype=float)
-    h = np.asarray(cell_half_lengths, dtype=float)
-    x = c + h * rule.points
-    vals = np.asarray(f(x), dtype=float)
-    phi = elem.eval_shape((0,) * elem.dim, rule.points)
-    return float(np.prod(h)) * (phi.T @ (rule.weights * vals))
 
 
 @dataclass

@@ -87,94 +87,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend defaults from a key=value file so explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
-    extra: list[str] = []
+def _config_flags(path: str) -> list[str]:
+    """Turn a file of ``key = value`` lines into ``--key=value`` flags."""
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, value = (tok.strip() for tok in line.split("=", 1))
-                flag = "--" + key.replace("_", "-")
-                if value.lower() in ("true", "yes", "on"):
-                    extra.append(flag)
-                else:
-                    extra.extend([flag, value])
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        sys.stderr.write(f"error: cannot read config: {exc}\n")
-        raise SystemExit(EXIT_CONFIG)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        raise SystemExit(EXIT_CONFIG)
-    # insert after the subcommand so argparse assigns them there
-    head = argv[: i]
-    tail = [a for a in argv[i + 2:]]
-    sub_pos = next((j for j, a in enumerate(head + tail)
-                    if not a.startswith("-")), None)
-    merged = head + tail
-    if sub_pos is None:
-        return merged + extra
-    return merged[: sub_pos + 1] + extra + merged[sub_pos + 1:]
+        raise OSError(f"cannot read config {path}: {exc.strerror or exc}")
+    flags = []
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad line in config {path}: {line!r}")
+        key, value = (tok.strip() for tok in line.split("=", 1))
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _load_problem(args):
-    case = get_case(args.case)
-    family = family_from_name(args.element)
-    return case, family
-
-
-def _write(path: str, text: str) -> bool:
-    """Write an output file; report an unwritable path as one error line."""
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write an output file; an unwritable path raises one readable OSError."""
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_convergence(args) -> int:
-    case, family = _load_problem(args)
-    if len(args.levels) < 2:
-        sys.stderr.write("error: need at least two refinement levels\n")
-        return EXIT_CONFIG
-    try:
-        def progress(n, errs, rep):
-            print(f"# N={n:<4d} errors=({errs[0]:.6e}, {errs[1]:.6e}, "
-                  f"{errs[2]:.6e}, {errs[3]:.6e})  "
-                  f"[{rep.method}, {rep.seconds:.1f}s]", file=sys.stderr)
+    # fail on an unwritable path before any solve, without truncating a file
+    for path in filter(None, (args.output, args.markdown)):
+        _write(path, "", mode="a")
 
-        report = convergence_study(
-            case, family, args.levels,
-            q_stiffness=args.q_stiffness, q_load=args.q_load,
-            q_error=args.q_error, solver=args.solver, cg_tol=args.tol,
-            progress=progress)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except SolverError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERIC
+    def progress(n, errs, rep):
+        print(f"# N={n:<4d} errors=({errs[0]:.6e}, {errs[1]:.6e}, "
+              f"{errs[2]:.6e}, {errs[3]:.6e})  "
+              f"[{rep.method}, {rep.seconds:.1f}s]", file=sys.stderr)
 
+    report = convergence_study(
+        get_case(args.case), family_from_name(args.element), args.levels,
+        q_stiffness=args.q_stiffness, q_load=args.q_load,
+        q_error=args.q_error, solver=args.solver, cg_tol=args.tol,
+        progress=progress)
     csv = report.to_csv()
     if args.output:
-        if not _write(args.output, csv):
-            return EXIT_CONFIG
+        _write(args.output, csv)
     else:
         sys.stdout.write(csv)
-    if args.markdown and not _write(args.markdown, report.to_markdown()):
-        return EXIT_CONFIG
+    if args.markdown:
+        _write(args.markdown, report.to_markdown())
     finest = report.orders()[-1]
     print("# observed orders at finest pair: "
           + ", ".join("n/a" if o is None else f"{o:.2f}" for o in finest),
@@ -183,24 +144,13 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.n < 1:
-        sys.stderr.write("error: --n must be a positive integer\n")
-        return EXIT_CONFIG
-    case, family = _load_problem(args)
-    try:
-        space, coeffs, rep = solve_case(
-            case, family, args.n, q_stiffness=args.q_stiffness,
-            q_load=args.q_load, solver=args.solver, cg_tol=args.tol)
-        errs = broken_norms(space, coeffs, case, q=args.q_error)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except SolverError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERIC
+    case, family = get_case(args.case), family_from_name(args.element)
+    space, coeffs, rep = solve_case(
+        case, family, args.n, q_stiffness=args.q_stiffness,
+        q_load=args.q_load, solver=args.solver, cg_tol=args.tol)
+    errs = broken_norms(space, coeffs, case, q=args.q_error)
     if not all(np.isfinite(errs)):
-        sys.stderr.write("numerical failure: non-finite error norms\n")
-        return EXIT_NUMERIC
+        raise SolverError("non-finite error norms")
     print(f"case={case.name} element={family} N={args.n} "
           f"dofs={space.n_dofs} free={len(space.free_dofs())}")
     for label, value in zip(("L2", "H1", "H2", "H3"), errs):
@@ -215,20 +165,14 @@ def cmd_solve(args) -> int:
           f"factor_seconds={show(rep.factor_seconds, '.2f')} "
           f"seconds={rep.seconds:.2f}")
     if args.dump:
-        lines = "".join(f"{i} {v:.17e}\n" for i, v in enumerate(coeffs))
-        if not _write(args.dump, lines):
-            return EXIT_CONFIG
+        _write(args.dump,
+               "".join(f"{i} {v:.17e}\n" for i, v in enumerate(coeffs)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = run_suite(args.suite, dims=tuple(args.dims))
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     failed = False
-    for rep in reports:
+    for rep in run_suite(args.suite, dims=tuple(args.dims)):
         for label, ok, detail in rep.items:
             status = "PASS" if ok else "FAIL"
             line = f"[{status}] {rep.suite}: {label}"
@@ -239,19 +183,29 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+COMMANDS = {"convergence": cmd_convergence, "solve": cmd_solve,
+            "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "convergence":
-        return cmd_convergence(args)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    # --config may sit before or after the subcommand; without allow_abbrev
+    # an abbreviated subcommand flag such as --c would be read as --config
+    pre = _Parser(prog="triharm", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", metavar="FILE")
+    known, rest = pre.parse_known_args(argv)
+    try:
+        if known.config is not None:
+            # right after the subcommand, so explicit flags that follow win
+            rest[1:1] = _config_flags(known.config)
+        args = build_parser().parse_args(rest)
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except SolverError as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

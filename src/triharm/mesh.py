@@ -122,9 +122,6 @@ class StructuredMesh:
         self.face_barycenters = np.concatenate(bary)
         self.boundary_face_mask = (self.face_cells < 0).any(axis=1)
 
-    def total_volume(self) -> float:
-        return float(np.prod(2.0 * self.cell_half_lengths, axis=1).sum())
-
 
 def uniform_mesh(domain: BoxDomain, subdivisions) -> StructuredMesh:
     """Uniform tensor grid with N_i cells along axis i."""

@@ -253,7 +253,7 @@ class Polynomial:
 # -- exact dense linear algebra over Fractions -----------------------------
 
 def det(matrix) -> Fraction:
-    """Exact determinant by fraction-free forward elimination."""
+    """Exact determinant by Gaussian elimination over Fractions."""
     a = [[_as_fraction(v) for v in row] for row in matrix]
     m = len(a)
     if any(len(row) != m for row in a):

@@ -40,11 +40,6 @@ class FeSpace:
     def free_dofs(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask)[0]
 
-    def cell_dofs(self, ci: int) -> list[tuple[int, float]]:
-        """(global index, h-power scaling) for every local DoF of cell ci."""
-        return list(zip(self.cell_dof_indices[ci].tolist(),
-                        self.cell_scalings[ci].tolist()))
-
 
 def build_space(mesh: StructuredMesh, family: Family) -> FeSpace:
     """Enumerate global DoFs for (mesh, family) and build the cell maps.

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from triharm.assembly import (
     _cell_groups, apply_dirichlet, assemble, derivative_multiindices,
-    element_load, element_stiffness, gauss_rule,
+    element_stiffness, gauss_rule,
 )
 from triharm.cases import case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import canonical_interpolate
@@ -69,10 +69,13 @@ def test_stiffness_scaling_law():
 
 
 def test_unit_load_against_exact_integrals():
-    elem = build_dual_basis(Q1, 2)
-    rule = gauss_rule(8, 2)
+    # one Q1 cell on [-1,1]^2: the physical cell is the reference cell
+    mesh = uniform_mesh(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (1, 1))
+    space = build_space(mesh, Q1)
+    elem = space.element
     f = lambda pts: np.ones(pts.shape[0])
-    load = element_load(np.zeros(2), np.ones(2), elem, rule, f)
+    system = assemble(space, f, gauss_rule(6, 2), gauss_rule(8, 2))
+    load = system.rhs[space.cell_dof_indices[0]]
     # each Q1 basis function integrates to 1 over the reference cell
     np.testing.assert_allclose(load, np.ones(4), rtol=1e-13)
     exact = [float(phi.integrate_box([-1, -1], [1, 1])) for phi in elem.basis]

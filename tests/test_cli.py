@@ -1,8 +1,12 @@
 """Command-line interface: output formats, exit codes, config files."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from triharm.cli import main
+from triharm.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -160,3 +164,73 @@ def test_lshape_solve_matches_published_value(capsys):
     h3 = next(float(ln.split("=")[1]) for ln in out.splitlines()
               if ln.startswith("H3"))
     assert abs(h3 - 2.353) / 2.353 < 0.1
+
+
+@pytest.mark.parametrize("where", [
+    ["--config={cfg}", "solve"],
+    ["--config", "{cfg}", "solve"],
+    ["solve", "--config", "{cfg}"],
+])
+def test_config_file_is_honoured_before_or_after_the_subcommand(
+        where, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("element = morley\nn = 2\n")
+    code, out, _ = run_cli([a.format(cfg=cfg) for a in where], capsys)
+    assert code == 0
+    assert "element=morley" in out and "N=2" in out
+
+
+def test_abbreviated_case_flag_is_not_read_as_config(capsys):
+    code, out, _ = run_cli(["solve", "--c", "lshape2d", "--n", "2"], capsys)
+    assert code == 0
+    assert "case=lshape2d" in out
+
+
+@pytest.mark.parametrize("text", [None, "element = morley\nn 2\n"])
+def test_unusable_config_file_is_a_config_error(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(["solve", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(cfg) in lines[0]
+
+
+def test_unwritable_output_fails_before_any_solve(tmp_path, capsys,
+                                                  monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("convergence_study ran")
+
+    monkeypatch.setattr("triharm.cli.convergence_study", fail)
+    missing = tmp_path / "no-such-dir" / "table.csv"
+    code, _, err = run_cli(
+        ["convergence", "--levels", "2,4", "--output", str(missing)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}")
+
+
+def test_existing_output_is_kept_when_the_study_fails(tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("kept\n")
+    code, _, _ = run_cli(["convergence", "--levels", "2,3",
+                          "--output", str(csv_path)], capsys)
+    assert code == 2
+    assert csv_path.read_text() == "kept\n"
+
+
+def test_readme_command_line_flags_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+
+    def long_options(parser):
+        for action in parser._actions:
+            yield from (s for s in action.option_strings if s.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from long_options(sub)
+
+    assert documented == set(long_options(build_parser())) - {"--help"}

@@ -48,7 +48,8 @@ def test_lshape_counts_and_volume():
     for n in (1, 2, 4):
         mesh = lshape_mesh(n)
         assert mesh.n_cells == 3 * n * n
-        assert mesh.total_volume() == pytest.approx(3.0)
+        volume = np.prod(2.0 * mesh.cell_half_lengths, axis=1).sum()
+        assert volume == pytest.approx(3.0)
 
 
 def test_lshape_reentrant_corner_is_boundary():

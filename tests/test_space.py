@@ -33,8 +33,7 @@ def test_morley_2x2_free_count():
 
 def test_shared_dofs_are_shared():
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 1)), MORLEY)
-    d0 = set(space.cell_dofs(0))
-    d1 = set(space.cell_dofs(1))
+    d0, d1 = (set(row.tolist()) for row in space.cell_dof_indices)
     # two shared vertices x 3 DoFs + 1 shared face
     assert len(d0 & d1) == 7
 

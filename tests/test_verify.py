@@ -26,6 +26,21 @@ def test_duality_small_dims():
     _assert_passed(verify_duality((1, 2)))
 
 
+def test_duality_builds_only_the_requested_dimensions(monkeypatch):
+    calls = []
+    real = verify.build_dual_basis
+
+    def recording(family, n):
+        calls.append((family, n))
+        return real(family, n)
+
+    monkeypatch.setattr(verify, "build_dual_basis", recording)
+    report = verify_duality((2,))
+    _assert_passed(report)
+    assert calls and {n for _, n in calls} == {2}
+    assert "P3 reproduction adini n=2" in [label for label, _, _ in report.items]
+
+
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_continuity_2d_short(family):
     report = verify_weak_continuity(family, 2)
