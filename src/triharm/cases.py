@@ -46,19 +46,19 @@ class ManufacturedCase:
     domain: BoxDomain | None      # None marks the 2D L-shape
     source: Callable[[Points], np.ndarray]
     derivative: Callable[[tuple[int, ...], Points], np.ndarray]
-    regularity: float             # expected s in H^{3+s}
 
     def u(self, points: Points) -> np.ndarray:
         return self.derivative((0,) * self.dim, points)
 
-    def mesh(self, n: int) -> StructuredMesh:
+    def mesh(self, n) -> StructuredMesh:
+        """Mesh of ``n`` cells per axis, or of ``n[i]`` along axis i; the
+        L-shape takes ``n`` cells per unit length."""
         if self.domain is None:
             return lshape_mesh(n)
-        return uniform_mesh(self.domain, [n] * self.dim)
+        return uniform_mesh(self.domain, n)
 
 
-def _cosine_product(name: str, domain: BoxDomain, freqs, phases,
-                    regularity: float = 1.0) -> ManufacturedCase:
+def _cosine_product(name: str, domain: BoxDomain, freqs, phases) -> ManufacturedCase:
     """u = prod_i cos(k_i x_i + phi_i); derivatives shift phases by pi/2."""
     k = np.asarray(freqs, dtype=float)
     phi = np.asarray(phases, dtype=float)
@@ -76,7 +76,7 @@ def _cosine_product(name: str, domain: BoxDomain, freqs, phases,
     def source(points):
         return lam * derivative((0,) * dim, points)
 
-    return ManufacturedCase(name, dim, domain, source, derivative, regularity)
+    return ManufacturedCase(name, dim, domain, source, derivative)
 
 
 def case_smooth2d() -> ManufacturedCase:
@@ -144,7 +144,7 @@ def case_lshape2d() -> ManufacturedCase:
     def source(points):
         return np.zeros(np.broadcast_shapes(*(x.shape for x in _axes(points, 2))))
 
-    return ManufacturedCase("lshape2d", 2, None, source, derivative, 0.5)
+    return ManufacturedCase("lshape2d", 2, None, source, derivative)
 
 
 def polynomial_case(poly: Polynomial, domain: BoxDomain,
@@ -173,7 +173,7 @@ def polynomial_case(poly: Polynomial, domain: BoxDomain,
     def source(points):
         return -evaluate(lap3, points)
 
-    return ManufacturedCase(name, dim, domain, source, derivative, 1.0)
+    return ManufacturedCase(name, dim, domain, source, derivative)
 
 
 CASE_NAMES = ("smooth2d", "lshape2d", "smooth3d")

@@ -1,12 +1,14 @@
 """Command-line frontend: convergence studies, single solves, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure (solver breakdown or non-finite results).
+3 numerical failure (solver breakdown or non-finite results), 141 when the
+reader closes stdout early (128 + SIGPIPE, as a shell reports for ``cat``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,8 +118,20 @@ def _write(path: str, text: str, mode: str = "w") -> None:
 
 
 def cmd_convergence(args) -> int:
+    paths = [p for p in (args.output, args.markdown) if p]
+    new = [p for p in paths if not os.path.exists(p)]
+    try:
+        return _convergence(args, paths)
+    except BaseException:
+        # a failed run leaves behind no output file it created
+        for path in filter(os.path.exists, new):
+            os.remove(path)
+        raise
+
+
+def _convergence(args, paths) -> int:
     # fail on an unwritable path before any solve, without truncating a file
-    for path in filter(None, (args.output, args.markdown)):
+    for path in paths:
         _write(path, "", mode="a")
 
     def progress(n, errs, rep):
@@ -199,7 +214,13 @@ def main(argv: list[str] | None = None) -> int:
             # right after the subcommand, so explicit flags that follow win
             rest[1:1] = _config_flags(known.config)
         args = build_parser().parse_args(rest)
-        return COMMANDS[args.command](args)
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()   # a closed stdout shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # quiet the interpreter's final flush into the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

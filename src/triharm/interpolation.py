@@ -19,26 +19,18 @@ __all__ = ["canonical_interpolate", "quasi_interpolate", "boundary_values_from_c
 
 def canonical_interpolate(space: FeSpace, case: ManufacturedCase) -> np.ndarray:
     """Coefficient vector whose global DoFs equal the physical functionals
-    of the exact solution (value, gradient, pure second, face normal second).
+    of the exact solution: d^alpha at each DoF's anchor point.
     """
     coeffs = np.empty(space.n_dofs)
-    # group dofs by (kind, axis) so each derivative is evaluated in one call;
+    # group dofs by alpha so each derivative is evaluated in one call;
     # groups in order of first appearance, each group's dofs ascending
-    kinds = {ka: code for code, ka in enumerate(dict.fromkeys(space.dof_kind))}
-    codes = np.fromiter(map(kinds.__getitem__, space.dof_kind), dtype=np.int64,
+    alphas = {alpha: code for code, alpha in enumerate(dict.fromkeys(space.dof_alpha))}
+    codes = np.fromiter(map(alphas.__getitem__, space.dof_alpha), dtype=np.int64,
                         count=space.n_dofs)
     groups = np.split(np.argsort(codes, kind="stable"),
                       np.cumsum(np.bincount(codes))[:-1])
-    n = space.dim
-    for (kind, axis), idx in zip(kinds, groups):
-        pts = space.dof_points[idx]
-        if kind == "value":
-            alpha = (0,) * n
-        elif kind == "grad":
-            alpha = tuple(1 if i == axis else 0 for i in range(n))
-        else:  # "second" and "face_nn" are both pure second derivatives
-            alpha = tuple(2 if i == axis else 0 for i in range(n))
-        coeffs[idx] = case.derivative(alpha, pts)
+    for alpha, idx in zip(alphas, groups):
+        coeffs[idx] = case.derivative(alpha, space.dof_points[idx])
     return coeffs
 
 

@@ -1,10 +1,10 @@
 """Reference elements on the cube [-1, 1]^n.
 
 Each element family is described by its shape-space monomials and a list of
-degree-of-freedom functionals (point values / derivatives at vertices,
-second normal derivatives at face centers).  The nodal basis dual to the
-DoFs is computed by exact rational inversion of the DoF-monomial matrix, so
-the Kronecker-delta property holds exactly.
+degree-of-freedom functionals, each a derivative d^alpha taken at a vertex
+or at a face center.  The nodal basis dual to the DoFs is computed by exact
+rational inversion of the DoF-monomial matrix, so the Kronecker-delta
+property holds exactly.
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
 functionals are recovered at map time by the h-power scalings stored in the
@@ -83,23 +83,15 @@ def family_from_name(name: str, axis: int | None = None) -> Family:
 
 @dataclass(frozen=True)
 class DofFunctional:
-    """A nodal linear functional.
+    """A nodal linear functional: the derivative d^alpha at an anchor.
 
-    kind:
-      - "value":   point value at a vertex
-      - "grad":    first derivative along ``axis`` at a vertex
-      - "second":  pure second derivative along ``axis`` at a vertex
-      - "face_nn": second normal derivative at the center of face (axis, side)
+    The anchor is vertex ``vertex`` (lexicographic index) of the reference
+    cell, or the center of face ``face = (axis, side)``.
     """
 
-    kind: str
+    alpha: tuple[int, ...]
     vertex: int | None = None
-    axis: int | None = None
-    side: int | None = None
-
-    @property
-    def order(self) -> int:
-        return {"value": 0, "grad": 1, "second": 2, "face_nn": 2}[self.kind]
+    face: tuple[int, int] | None = None
 
 
 def reference_vertices(n: int) -> list[tuple[int, ...]]:
@@ -109,19 +101,12 @@ def reference_vertices(n: int) -> list[tuple[int, ...]]:
 
 def apply_dof(dof: DofFunctional, poly: Polynomial, n: int) -> Fraction:
     """Apply a reference DoF functional to a polynomial, exactly."""
-    verts = reference_vertices(n)
-    if dof.kind == "value":
-        return poly(verts[dof.vertex])
-    if dof.kind == "grad":
-        return poly.diff(dof.axis, 1)(verts[dof.vertex])
-    if dof.kind == "second":
-        return poly.diff(dof.axis, 2)(verts[dof.vertex])
-    if dof.kind == "face_nn":
-        center = tuple(
-            Fraction(dof.side) if i == dof.axis else Fraction(0) for i in range(n)
-        )
-        return poly.diff(dof.axis, 2)(center)
-    raise ValueError(f"unknown DoF kind {dof.kind!r}")
+    if dof.face is None:
+        point = reference_vertices(n)[dof.vertex]
+    else:
+        axis, side = dof.face
+        point = tuple(side * (i == axis) for i in range(n))
+    return poly.diff_multi(dof.alpha)(point)
 
 
 # -- shape spaces ----------------------------------------------------------
@@ -157,15 +142,15 @@ def shape_space(family: Family, n: int) -> list[tuple[int, ...]]:
 
 def dof_set(family: Family, n: int) -> list[DofFunctional]:
     """Ordered DoF list: per vertex (lexicographic) the value, gradients and
-    pure second derivatives, then the face DoFs per (axis, side)."""
+    pure second derivatives, then the second normal derivative at each face
+    center per (axis, side)."""
+    pure = lambda j, k: tuple(k * (i == j) for i in range(n))
     axes = _derivative_axes(family, n)
-    kinds = ("grad", "second")[:family.order]
-    dofs: list[DofFunctional] = []
-    for v in range(2 ** n):
-        dofs.append(DofFunctional("value", vertex=v))
-        dofs += [DofFunctional(kind, vertex=v, axis=j) for kind in kinds for j in axes]
+    alphas = [(0,) * n] + [pure(j, k) for k in range(1, family.order + 1)
+                           for j in axes]
+    dofs = [DofFunctional(alpha, vertex=v) for v in range(2 ** n) for alpha in alphas]
     if family.faces:
-        dofs += [DofFunctional("face_nn", axis=k, side=side)
+        dofs += [DofFunctional(pure(k, 2), face=(k, side))
                  for k in range(n) for side in (-1, 1)]
     return dofs
 

@@ -135,8 +135,11 @@ def solve_cg(system: ReducedSystem, tol: float = 1e-10,
     """Jacobi-preconditioned conjugate gradients.
 
     Raises SolverError on non-convergence; for fine meshes (condition number
-    ~ h^-6) the direct solver is the reliable choice.
+    ~ h^-6) the direct solver is the reliable choice.  A tolerance that is
+    not finite and positive raises ValueError.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
     a, b = system.matrix, system.rhs
     t0 = time.perf_counter()
     if a.shape[0] == 0:

@@ -15,17 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import broken_norms
-from .assembly import apply_dirichlet, assemble, gauss_rule
+from .analysis import broken_norms, solve_case
 from .cases import polynomial_case
-from .interpolation import boundary_values_from_case
 from .mesh import BoxDomain, uniform_mesh
 from .polynomials import Polynomial
 from .reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, apply_dof, build_dual_basis,
-    dof_set, morley_closed_form, partial_adini, unisolvence_determinant,
+    morley_closed_form, partial_adini, shape_space, unisolvence_determinant,
 )
-from .solver import solve_direct
 from .space import build_space
 
 __all__ = [
@@ -98,14 +95,13 @@ def verify_duality(dims=(1, 2, 3, 4)) -> VerificationReport:
 
 # -- weak continuity on small meshes (exact rational arithmetic) -----------
 
-def _has_face_dofs(family: Family, n: int) -> bool:
+def _has_face_dofs(family: Family) -> bool:
     """True for Morley-type elements (face DoFs), False for Adini-type ones
     (vertex second derivatives); other elements are not H3-nonconforming."""
-    kinds = {dof.kind for dof in dof_set(family, n)}
-    if "face_nn" not in kinds and "second" not in kinds:
+    if not family.faces and family.order < 2:
         raise ValueError(f"{family} has neither face nor second-derivative DoFs;"
                          " the H3 suites apply to Morley- and Adini-type elements")
-    return "face_nn" in kinds
+    return family.faces
 
 
 def _exact_setup(family: Family, n: int, subs):
@@ -166,7 +162,7 @@ def verify_weak_continuity(family: Family, n: int) -> VerificationReport:
     and scalings.  An interior row must vanish identically and a boundary
     row on the free DoFs, which covers every coefficient vector at once.
     """
-    morley = _has_face_dofs(family, n)
+    morley = _has_face_dofs(family)
     rep = VerificationReport(f"continuity {family} n={n}")
 
     elem = traces = None   # both meshes share the reference element
@@ -233,9 +229,8 @@ def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
     Morley-type checks d_i(d_i Pi1 v - Pi0 d_i Pi1 v); Adini-type checks
     d_i(d_i v - Pi^{e_i} d_i v).  Both integrate to zero exactly.
     """
-    morley = _has_face_dofs(family, n)
+    morley = _has_face_dofs(family)
     rep = VerificationReport(f"local-interp {family} n={n}")
-    from .reference import shape_space
     box = [-1] * max(n - 1, 1), [1] * max(n - 1, 1)
     ok = True
     worst = ""
@@ -296,12 +291,8 @@ def verify_patch_test(family: Family, n: int, seed: int = 0) -> VerificationRepo
     for label, u in cubics:
         case = polynomial_case(u, domain, name=label)
         for subs in mesh_subs:
-            mesh = uniform_mesh(domain, subs)
-            space = build_space(mesh, family)
-            system = assemble(space, case.source, gauss_rule(6, n), gauss_rule(8, n))
-            reduced = apply_dirichlet(system, boundary_values_from_case(space, case))
-            xf, _ = solve_direct(reduced)
-            errs = broken_norms(space, reduced.reconstruct(xf), case)
+            space, coeffs, _ = solve_case(case, family, subs)
+            errs = broken_norms(space, coeffs, case)
             scale = max(1.0, broken_norms(space, np.zeros(space.n_dofs), case)[3])
             ok = errs[3] <= 1e-7 * scale
             rep.add(f"{label} cells={subs}", ok, f"|u-u_h|_3={errs[3]:.2e}")

@@ -138,6 +138,10 @@ def test_case_mesh_factory():
     assert get_case("smooth2d").mesh(4).n_cells == 16
     assert get_case("lshape2d").mesh(4).n_cells == 48
     assert get_case("smooth3d").mesh(2).n_cells == 8
+    # one count per axis, as the patch test passes them to solve_case
+    mesh = get_case("smooth3d").mesh((2, 1, 3))
+    assert mesh.n_cells == 6
+    np.testing.assert_array_equal(mesh.cell_half_lengths[0], [0.25, 0.5, 1 / 6])
 
 
 def cell_grid(dim, n_cells, q, rng):

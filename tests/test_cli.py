@@ -1,7 +1,10 @@
 """Command-line interface: output formats, exit codes, config files."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,6 +222,44 @@ def test_existing_output_is_kept_when_the_study_fails(tmp_path, capsys):
                           "--output", str(csv_path)], capsys)
     assert code == 2
     assert csv_path.read_text() == "kept\n"
+
+
+def test_new_output_is_removed_when_the_study_fails(tmp_path, capsys):
+    csv_path, md_path = tmp_path / "new.csv", tmp_path / "new.md"
+    code, _, err = run_cli(["convergence", "--levels", "2,3", "--output",
+                            str(csv_path), "--markdown", str(md_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: levels must double")
+    assert not csv_path.exists() and not md_path.exists()
+
+
+def test_cg_tolerance_that_is_not_positive_is_a_config_error(capsys):
+    code, out, err = run_cli(
+        ["solve", "--n", "2", "--solver", "cg", "--tol=-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: CG tolerance must be finite and > 0, got -1.0"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--n", "2"],
+    ["verify", "--suite", "unisolvence", "--dims", "2"],
+])
+def test_closed_stdout_exits_quietly_with_the_sigpipe_status(args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "triharm.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_readme_command_line_flags_match_the_parser():

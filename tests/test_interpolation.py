@@ -57,14 +57,12 @@ def test_canonical_matches_derivative_functionals():
     case = case_smooth2d()
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), MORLEY)
     coeffs = canonical_interpolate(space, case)
-    for gi, (kind, axis) in enumerate(space.dof_kind):
+    # value and gradient at 9 vertices, then the normal second derivative
+    # at the 6 faces of each axis
+    assert space.dof_alpha == (
+        [(0, 0), (1, 0), (0, 1)] * 9 + [(2, 0)] * 6 + [(0, 2)] * 6)
+    for gi, alpha in enumerate(space.dof_alpha):
         pt = space.dof_points[gi][None, :]
-        if kind == "value":
-            alpha = (0, 0)
-        elif kind == "grad":
-            alpha = tuple(int(i == axis) for i in range(2))
-        else:
-            alpha = tuple(2 * int(i == axis) for i in range(2))
         assert coeffs[gi] == pytest.approx(float(case.derivative(alpha, pt)[0]))
 
 
@@ -99,13 +97,12 @@ def test_canonical_makes_the_same_derivative_calls_as_a_per_dof_loop(family):
     case = dataclasses.replace(case_lshape2d(), derivative=recording)
     coeffs = canonical_interpolate(space, case)
     groups: dict[tuple, list[int]] = {}
-    for gi, ka in enumerate(space.dof_kind):
-        groups.setdefault(ka, []).append(gi)
+    for gi, alpha in enumerate(space.dof_alpha):
+        groups.setdefault(alpha, []).append(gi)
     assert len(calls) == len(groups)
     want = np.empty(space.n_dofs)
-    for (alpha, points), ((kind, axis), idx) in zip(calls, groups.items()):
-        order = {"value": 0, "grad": 1}.get(kind, 2)
-        assert alpha == tuple(order * int(i == axis) for i in range(2))
+    for (alpha, points), (group_alpha, idx) in zip(calls, groups.items()):
+        assert alpha == group_alpha
         np.testing.assert_array_equal(points, space.dof_points[idx])
         want[idx] = case_lshape2d().derivative(alpha, points)
     np.testing.assert_array_equal(coeffs, want)

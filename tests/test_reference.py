@@ -54,7 +54,7 @@ def test_morley_face_function_formula():
     expected = Fraction(1, 16) * (x0 ** 2 - 1) ** 2 * (x0 + 1)
     face_plus = None
     for dof, phi in zip(elem.dofs, elem.basis):
-        if dof.kind == "face_nn" and dof.axis == 0 and dof.side == 1:
+        if dof.face == (0, 1):
             face_plus = phi
     assert face_plus == expected
 
@@ -72,7 +72,7 @@ def test_value_partition_of_unity():
         elem = build_dual_basis(fam, n)
         total = Polynomial.zero(n)
         for dof, phi in zip(elem.dofs, elem.basis):
-            if dof.kind == "value":
+            if not any(dof.alpha):
                 total = total + phi
         assert total == Polynomial.constant(n, 1)
 

@@ -56,6 +56,12 @@ def test_cg_nonconvergence_raises():
         solve_cg(system, tol=1e-14, maxiter=2)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_cg_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_cg(synthetic_spd(n=10), tol=tol)
+
+
 def test_empty_system():
     empty = ReducedSystem(sp.csr_matrix((0, 0)), np.zeros(0),
                           np.arange(0), np.arange(3), np.ones(3), 3)

@@ -44,9 +44,9 @@ def test_gradient_dof_scaling():
     for ci in range(space.mesh.n_cells):
         for li, dof in enumerate(space.element.dofs):
             s = space.cell_scalings[ci, li]
-            if dof.kind == "value":
+            if sum(dof.alpha) == 0:
                 assert s == 1.0
-            elif dof.kind == "grad":
+            elif sum(dof.alpha) == 1:
                 assert s == 0.25
             else:  # pure second derivative
                 assert s == 0.25 ** 2
@@ -57,17 +57,18 @@ def test_face_dof_scaling():
     space = build_space(uniform_mesh(UNIT_SQUARE, (4, 4)), MORLEY)
     for ci in range(space.mesh.n_cells):
         for li, dof in enumerate(space.element.dofs):
-            if dof.kind == "face_nn":
+            if dof.face:
                 assert space.cell_scalings[ci, li] == 1.0 / 64.0
 
 
 def test_dof_points_match_entities():
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), MORLEY)
     mesh = space.mesh
-    for gi, (kind, axis) in enumerate(space.dof_kind):
+    for gi, alpha in enumerate(space.dof_alpha):
         pt = space.dof_points[gi]
-        if kind == "face_nn":
-            # face barycenters sit on grid planes
+        if sum(alpha) == 2:
+            # Morley's second normal derivatives sit at face barycenters,
+            # which lie on grid planes
             assert np.any(np.all(np.isclose(mesh.face_barycenters, pt), axis=1))
         else:
             assert np.any(np.all(np.isclose(mesh.vertex_coords, pt), axis=1))
@@ -88,10 +89,11 @@ def test_numbering_is_pinned():
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1),
         (4, 0), (4, 1), (5, 0), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3),
         (0, 4), (0, 5), (1, 4), (1, 5)]
-    vertex = [("value", None), ("grad", 0), ("grad", 1),
-              ("second", 0), ("second", 1)]
-    assert [(d.kind, d.vertex, d.axis) for d in dof_set(ADINI_TYPE, 2)] == [
-        (kind, v, axis) for v in range(4) for kind, axis in vertex]
+    vertex = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
+    assert [(d.alpha, d.vertex, d.face) for d in dof_set(ADINI_TYPE, 2)] == [
+        (alpha, v, None) for v in range(4) for alpha in vertex]
+    assert [(d.alpha, d.face) for d in dof_set(MORLEY, 2)[12:]] == [
+        ((2, 0), (0, -1)), ((2, 0), (0, 1)), ((0, 2), (1, -1)), ((0, 2), (1, 1))]
 
     space = build_space(lshape_mesh(1), MORLEY)
     assert space.cell_dof_indices.tolist() == [
@@ -99,6 +101,5 @@ def test_numbering_is_pinned():
         [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 25, 27, 30, 31],
         [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 27, 28, 32, 33]]
     assert space.boundary_dofs().tolist() == list(range(27)) + [28, 29, 31, 32, 33]
-    assert space.dof_kind == (
-        [("value", None), ("grad", 0), ("grad", 1)] * 8
-        + [("face_nn", 0)] * 5 + [("face_nn", 1)] * 5)
+    assert space.dof_alpha == (
+        [(0, 0), (1, 0), (0, 1)] * 8 + [(2, 0)] * 5 + [(0, 2)] * 5)

@@ -7,7 +7,9 @@ import pytest
 
 from triharm import verify
 from triharm.polynomials import Polynomial
-from triharm.reference import ADINI_TYPE, MORLEY, Q1, build_dual_basis
+from triharm.reference import (
+    ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, build_dual_basis, partial_adini,
+)
 from triharm.verify import (
     run_suite, verify_duality, verify_local_interpolation, verify_patch_test,
     verify_unisolvence, verify_weak_continuity,
@@ -55,16 +57,31 @@ def test_local_interpolation_2d(family):
     _assert_passed(verify_local_interpolation(family, 2))
 
 
-def test_patch_2d_both_families():
+def test_patch_2d_both_families(monkeypatch):
+    calls = []
+    real = verify.solve_case
+
+    def recording(case, family, n, **kwargs):
+        calls.append(n)
+        return real(case, family, n, **kwargs)
+
+    # the patch test solves through the same pipeline as a user's solve
+    monkeypatch.setattr(verify, "solve_case", recording)
     for family in (MORLEY, ADINI_TYPE):
-        _assert_passed(verify_patch_test(family, 2))
+        calls.clear()
+        report = verify_patch_test(family, 2)
+        _assert_passed(report)
+        assert len(calls) == len(report.items) == 9
+        assert set(calls) == {(2, 1), (2, 2), (4, 2)}
 
 
 def test_suite_rejects_wrong_family():
-    with pytest.raises(ValueError):
-        verify_weak_continuity(Q1, 2)
-    with pytest.raises(ValueError):
-        verify_local_interpolation(Q1, 2)
+    # neither face DoFs nor vertex second derivatives
+    for family in (Q1, ADINI_CLASSIC, partial_adini(0)):
+        with pytest.raises(ValueError, match="neither face nor second"):
+            verify_weak_continuity(family, 2)
+        with pytest.raises(ValueError, match="neither face nor second"):
+            verify_local_interpolation(family, 2)
 
 
 def test_run_suite_dispatch():
