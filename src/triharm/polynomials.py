@@ -2,13 +2,16 @@
 
 Polynomials live in the reference coordinates of an axis-aligned cell and are
 the exact backbone for dual-basis construction, unisolvence determinants and
-the face-integral identity checks.  All arithmetic is over
+the face-integral identity checks.  Polynomial arithmetic is over
 ``fractions.Fraction``; floating-point evaluation is provided separately for
-the runtime (quadrature) paths.
+the runtime (quadrature) paths.  ``det`` and ``invert`` share one
+fraction-free elimination over Python ints: rational rows are scaled to
+integers first, and the exact result is unscaled at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -45,7 +48,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean[exps] + c if exps in clean else c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -165,8 +168,8 @@ class Polynomial:
             fac = 1
             for j in range(e, e - order, -1):
                 fac *= j
-            key = exps[:axis] + (e - order,) + exps[axis + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + coeff * fac
+            # distinct exponents stay distinct, so no two terms merge
+            terms[exps[:axis] + (e - order,) + exps[axis + 1:]] = coeff * fac
         return Polynomial(self.dim, terms)
 
     def diff_multi(self, alpha) -> "Polynomial":
@@ -250,54 +253,80 @@ class Polynomial:
         return Polynomial(new_dim, terms)
 
 
-# -- exact dense linear algebra over Fractions -----------------------------
+# -- exact dense linear algebra: fraction-free elimination over ints -------
 
-def det(matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fractions."""
-    a = [[_as_fraction(v) for v in row] for row in matrix]
-    m = len(a)
-    if any(len(row) != m for row in a):
+def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
+    """Scale each row to integers by the lcm of its denominators.
+
+    Returns the integer rows and the per-row scales, so that
+    ``rows[i] = scales[i] * matrix[i]``.
+    """
+    rows, scales = [], []
+    for row in matrix:
+        row = [_as_fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    sign = 1
-    detval = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        detval *= p
-        for r in range(col + 1, m):
-            factor = a[r][col] / p
-            if factor == 0:
-                continue
-            for c in range(col, m):
-                a[r][c] -= factor * a[col][c]
-    return sign * detval
+    return rows, scales
 
 
-def invert(matrix):
-    """Exact inverse via Gauss-Jordan elimination; raises on singularity."""
-    a = [[_as_fraction(v) for v in row] for row in matrix]
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise ValueError("matrix must be square")
-    inv = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place.
+
+    ``rows`` holds an m x m integer matrix A, possibly followed by more
+    columns R.  Each step divides by the previous pivot, which is exact:
+    every intermediate entry is a minor of the input (Bareiss, Math. Comp.
+    22, 1968).  Rows are swapped as the pivots need.  At the end the extra
+    columns hold d * A^-1 R, with d = det(PA) and P the row permutation;
+    columns of A are not updated once eliminated.  Returns (sign of P, d);
+    raises ZeroDivisionError when A is singular.
+    """
+    m = len(rows)
+    sign, prev = 1, 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if rows[r][k]), None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [v / p for v in a[col]]
-        inv[col] = [v / p for v in inv[col]]
-        for r in range(m):
-            if r == col or a[r][col] == 0:
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        # columns < k are already eliminated; only k onwards change
+        tail = rows[k][k:]
+        p = tail[0]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if i == k or (not f and p == prev):
                 continue
-            f = a[r][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
+            if f:
+                row[k:] = [(p * v - f * w) // prev for v, w in zip(row[k:], tail)]
+            else:
+                row[k:] = [p * v // prev for v in row[k:]]
+        prev = p
+    return sign, prev
+
+
+def det(matrix) -> Fraction:
+    """Exact determinant by fraction-free elimination over Python ints."""
+    rows, scales = _integer_rows(matrix)
+    try:
+        sign, d = _eliminate(rows)
+    except ZeroDivisionError:
+        return Fraction(0)
+    return Fraction(sign * d, math.prod(scales))
+
+
+def invert(matrix) -> list[list[Fraction]]:
+    """Exact inverse by fraction-free elimination over Python ints.
+
+    Eliminates [D A | I], D the row scales that make D A integral, to
+    [d I | d (D A)^-1]; then A^-1 = (D A)^-1 D.  Raises ZeroDivisionError
+    when the matrix is singular.
+    """
+    rows, scales = _integer_rows(matrix)
+    m = len(rows)
+    for i, row in enumerate(rows):
+        row += [int(i == j) for j in range(m)]
+    _, d = _eliminate(rows)
+    return [[Fraction(v * s, d) for v, s in zip(row[m:], scales)] for row in rows]

@@ -2,9 +2,11 @@
 
 Each element family is described by its shape-space monomials and a list of
 degree-of-freedom functionals, each a derivative d^alpha taken at a vertex
-or at a face center.  The nodal basis dual to the DoFs is computed by exact
-rational inversion of the DoF-monomial matrix, so the Kronecker-delta
-property holds exactly.
+or at a face center.  The DoF-monomial matrix has integer entries in closed
+form, and the nodal basis dual to the DoFs is its exact inverse, computed by
+fraction-free elimination over Python ints, so the Kronecker-delta property
+holds exactly.  Each derivative of the basis is differentiated once per
+element and kept for the floating-point evaluation.
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
 functionals are recovered at map time by the h-power scalings stored in the
@@ -14,6 +16,7 @@ finite element space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,6 +96,13 @@ class DofFunctional:
     vertex: int | None = None
     face: tuple[int, int] | None = None
 
+    def anchor(self, n: int) -> tuple[int, ...]:
+        """Reference coordinates of the anchor, each in {-1, 0, 1}."""
+        if self.face is None:
+            return reference_vertices(n)[self.vertex]
+        axis, side = self.face
+        return tuple(side * (i == axis) for i in range(n))
+
 
 def reference_vertices(n: int) -> list[tuple[int, ...]]:
     """Vertex sign patterns in lexicographic order, (-1,...,-1) first."""
@@ -101,12 +111,7 @@ def reference_vertices(n: int) -> list[tuple[int, ...]]:
 
 def apply_dof(dof: DofFunctional, poly: Polynomial, n: int) -> Fraction:
     """Apply a reference DoF functional to a polynomial, exactly."""
-    if dof.face is None:
-        point = reference_vertices(n)[dof.vertex]
-    else:
-        axis, side = dof.face
-        point = tuple(side * (i == axis) for i in range(n))
-    return poly.diff_multi(dof.alpha)(point)
+    return poly.diff_multi(dof.alpha)(dof.anchor(n))
 
 
 # -- shape spaces ----------------------------------------------------------
@@ -155,18 +160,33 @@ def dof_set(family: Family, n: int) -> list[DofFunctional]:
     return dofs
 
 
-def dof_matrix(family: Family, n: int):
-    """Generalized Vandermonde matrix: V[j][m] = dof_j(monomial_m)."""
+def _monomial_derivative(m: tuple[int, ...], alpha: tuple[int, ...], s) -> int:
+    """d^alpha x^m at s: prod_i m_i! / (m_i - alpha_i)! * s_i^(m_i - alpha_i)."""
+    out = 1
+    for mi, ai, si in zip(m, alpha, s):
+        if mi < ai:
+            return 0
+        out *= math.perm(mi, ai) * si ** (mi - ai)
+    return out
+
+
+def dof_matrix(family: Family, n: int) -> list[list[int]]:
+    """Generalized Vandermonde matrix: V[j][m] = dof_j(monomial_m).
+
+    Anchors have coordinates in {-1, 0, 1}, so every entry is an integer
+    given in closed form.
+    """
     monomials = shape_space(family, n)
     dofs = dof_set(family, n)
     if len(monomials) != len(dofs):
         raise ValueError(
             f"{family} at n={n}: {len(monomials)} monomials vs {len(dofs)} DoFs"
         )
-    return [
-        [apply_dof(d, Polynomial.monomial(n, m), n) for m in monomials]
-        for d in dofs
-    ]
+    rows = []
+    for d in dofs:
+        anchor = d.anchor(n)
+        rows.append([_monomial_derivative(m, d.alpha, anchor) for m in monomials])
+    return rows
 
 
 @dataclass
@@ -178,9 +198,11 @@ class ReferenceElement:
     monomials: list[tuple[int, ...]]
     dofs: list[DofFunctional]
     basis: list[Polynomial]
-    _eval_cache: dict = field(default_factory=dict, repr=False)
+    # caches start empty, also on a dataclasses.replace copy with a new basis
+    _deriv_cache: dict = field(default_factory=dict, repr=False, init=False)
+    _eval_cache: dict = field(default_factory=dict, repr=False, init=False)
     # reference Grammians of assembly, keyed by (derivative, quadrature q)
-    grammian_cache: dict = field(default_factory=dict, repr=False)
+    grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property
     def n_dofs(self) -> int:
@@ -188,6 +210,25 @@ class ReferenceElement:
 
     def max_degree_per_axis(self) -> int:
         return max(max(m) for m in self.monomials)
+
+    def derivatives(self, alpha: tuple[int, ...]) -> list[Polynomial]:
+        """d^alpha of every basis function, differentiated once and kept.
+
+        Each list is one ``diff`` of the list for alpha - e_last (e_last the
+        last axis alpha differentiates along), so the axes apply in the
+        order of ``Polynomial.diff_multi`` and the terms keep its order.
+        """
+        alpha = tuple(alpha)
+        if not any(alpha):
+            return self.basis
+        hit = self._deriv_cache.get(alpha)
+        if hit is not None:
+            return hit
+        last = max(i for i, a in enumerate(alpha) if a)
+        lower = alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:]
+        out = [phi.diff(last) for phi in self.derivatives(lower)]
+        self._deriv_cache[alpha] = out
+        return out
 
     def eval_shape(self, deriv: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs].
@@ -207,8 +248,8 @@ class ReferenceElement:
         if hit is not None:
             return hit
         out = np.empty((pts.shape[0], self.n_dofs))
-        for a, phi in enumerate(self.basis):
-            out[:, a] = phi.diff_multi(deriv).eval_grid(pts)
+        for a, phi in enumerate(self.derivatives(deriv)):
+            out[:, a] = phi.eval_grid(pts)
         out.setflags(write=False)
         self._eval_cache[key] = out
         return out

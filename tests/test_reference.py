@@ -1,16 +1,19 @@
 """Reference element: shape spaces, DoF sets, dual bases, closed forms."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from triharm.polynomials import Polynomial
+from triharm import reference
+from triharm.polynomials import Polynomial, det, invert
 from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basis,
-    dof_set, family_from_name, morley_closed_form, partial_adini,
+    dof_matrix, dof_set, family_from_name, morley_closed_form, partial_adini,
     q1_closed_form, shape_space, unisolvence_determinant,
 )
+from triharm.verify import _families_for
 
 
 def test_shape_space_sizes():
@@ -107,3 +110,67 @@ def test_family_from_name():
     assert family_from_name("partial-adini", axis=1) == partial_adini(1)
     with pytest.raises(ValueError):
         family_from_name("hermite")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dof_matrix_matches_applied_functionals(n):
+    # oracle: apply every DoF functional to every shape monomial
+    for family in _families_for(n):
+        monomials = shape_space(family, n)
+        expected = [[apply_dof(d, Polynomial.monomial(n, m), n) for m in monomials]
+                    for d in dof_set(family, n)]
+        matrix = dof_matrix(family, n)
+        assert matrix == expected, family
+        assert all(type(v) is int for row in matrix for v in row)
+
+
+def test_adini_4d_inverse_is_exact():
+    vmat = dof_matrix(ADINI_TYPE, 4)
+    inv = invert(vmat)
+    m = len(vmat)
+    assert m == 144
+    # every inverse entry times det(V) is an integer: multiply in ints
+    d = det(vmat)
+    assert d.denominator == 1
+    d = d.numerator
+    assert all(d % v.denominator == 0 for row in inv for v in row)
+    adj = [[v.numerator * (d // v.denominator) for v in row] for row in inv]
+    prod = [[sum(vmat[i][k] * adj[k][j] for k in range(m)) for j in range(m)]
+            for i in range(m)]
+    assert prod == [[d if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+def test_singular_dof_matrix_does_not_pair(monkeypatch):
+    real = reference.shape_space
+
+    def repeated(family, n):
+        mono = real(family, n)
+        return mono[:-1] + mono[:1]
+
+    monkeypatch.setattr(reference, "shape_space", repeated)
+    monkeypatch.setattr(reference, "_element_cache", {})
+    with pytest.raises(ValueError, match="do not pair"):
+        build_dual_basis(MORLEY, 2)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("n", [2, 3])
+def test_eval_shape_is_bitwise_the_direct_derivative(family, n):
+    elem = build_dual_basis(family, n)
+    pts = np.random.default_rng(7 + n).uniform(-1.0, 1.0, size=(13, n))
+    for alpha in itertools.product(range(4), repeat=n):
+        if sum(alpha) > 3:
+            continue
+        direct = [phi.diff_multi(alpha) for phi in elem.basis]
+        # same terms, in the same order, so the float sums match bit for bit
+        assert [list(d.terms.items()) for d in elem.derivatives(alpha)] == \
+            [list(d.terms.items()) for d in direct]
+        assert np.array_equal(elem.eval_shape(alpha, pts),
+                              np.stack([d.eval_grid(pts) for d in direct], axis=1))
+
+
+def test_derivatives_are_computed_once():
+    elem = build_dual_basis(ADINI_TYPE, 2)
+    first = elem.derivatives((1, 2))
+    assert elem.derivatives((1, 2)) is first
+    assert elem.derivatives((0, 0)) is elem.basis

@@ -160,3 +160,13 @@ def test_continuity_fails_on_a_wrong_half_length(family, monkeypatch):
 
     _break_setup(monkeypatch, stretch)
     assert not verify_weak_continuity(family, 2).passed
+
+
+def test_duality_fails_on_a_perturbed_basis_function():
+    elem = build_dual_basis(MORLEY, 2)
+    assert verify._is_dual(elem)
+    for i, delta in ((0, Polynomial.monomial(2, (1, 1), Fraction(1, 7))),
+                     (5, Polynomial.monomial(2, (0, 4), Fraction(1, 3)))):
+        basis = list(elem.basis)
+        basis[i] = basis[i] + delta
+        assert not verify._is_dual(dataclasses.replace(elem, basis=basis))
