@@ -5,8 +5,8 @@ the exact backbone for dual-basis construction, unisolvence determinants and
 the face-integral identity checks.  Polynomial arithmetic is over
 ``fractions.Fraction``; floating-point evaluation is provided separately for
 the runtime (quadrature) paths.  ``det`` and ``invert`` share one
-fraction-free elimination over Python ints: rational rows are scaled to
-integers first, and the exact result is unscaled at the end.
+fraction-free elimination over Python ints, on rational rows scaled to
+integers; ``invert`` returns integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -317,16 +317,16 @@ def det(matrix) -> Fraction:
     return Fraction(sign * d, math.prod(scales))
 
 
-def invert(matrix) -> list[list[Fraction]]:
-    """Exact inverse by fraction-free elimination over Python ints.
+def invert(matrix) -> tuple[list[list[int]], int]:
+    """Exact inverse as integer numerators N over one denominator d.
 
     Eliminates [D A | I], D the row scales that make D A integral, to
-    [d I | d (D A)^-1]; then A^-1 = (D A)^-1 D.  Raises ZeroDivisionError
-    when the matrix is singular.
+    [d I | d (D A)^-1]; then A^-1 = (D A)^-1 D = N / d with N = d (D A)^-1 D.
+    Raises ZeroDivisionError when the matrix is singular.
     """
     rows, scales = _integer_rows(matrix)
     m = len(rows)
     for i, row in enumerate(rows):
         row += [int(i == j) for j in range(m)]
     _, d = _eliminate(rows)
-    return [[Fraction(v * s, d) for v, s in zip(row[m:], scales)] for row in rows]
+    return [[v * s for v, s in zip(row[m:], scales)] for row in rows], d

@@ -2,11 +2,11 @@
 
 Each element family is described by its shape-space monomials and a list of
 degree-of-freedom functionals, each a derivative d^alpha taken at a vertex
-or at a face center.  The DoF-monomial matrix has integer entries in closed
-form, and the nodal basis dual to the DoFs is its exact inverse, computed by
-fraction-free elimination over Python ints, so the Kronecker-delta property
-holds exactly.  Each derivative of the basis is differentiated once per
-element and kept for the floating-point evaluation.
+or at a face center.  The DoF-monomial matrix V has integer entries in closed
+form.  Its exact inverse C, the coefficients of the nodal basis dual to the
+DoFs, comes from fraction-free elimination over Python ints as integer
+numerators N over one denominator d (so V N = d I), and is the element's
+only data: every derivative d^alpha of the basis is evaluated from it.
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
 functionals are recovered at map time by the h-power scalings stored in the
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -191,15 +192,17 @@ def dof_matrix(family: Family, n: int) -> list[list[int]]:
 
 @dataclass
 class ReferenceElement:
-    """Immutable reference element with nodal basis dual to the DoFs."""
+    """Reference element with nodal basis dual to the DoFs, kept as the exact
+    inverse of the DoF matrix: integer numerators ``coeffs[m][a]`` over one
+    ``denominator``, basis function a being sum_m coeffs[m][a] / d * x^m."""
 
     dim: int
     family: Family
     monomials: list[tuple[int, ...]]
     dofs: list[DofFunctional]
-    basis: list[Polynomial]
-    # caches start empty, also on a dataclasses.replace copy with a new basis
-    _deriv_cache: dict = field(default_factory=dict, repr=False, init=False)
+    coeffs: list[list[int]]   # [monomial][basis function]
+    denominator: int
+    # caches start empty, also on a dataclasses.replace copy with new coeffs
     _eval_cache: dict = field(default_factory=dict, repr=False, init=False)
     # reference Grammians of assembly, keyed by (derivative, quadrature q)
     grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
@@ -211,45 +214,45 @@ class ReferenceElement:
     def max_degree_per_axis(self) -> int:
         return max(max(m) for m in self.monomials)
 
-    def derivatives(self, alpha: tuple[int, ...]) -> list[Polynomial]:
-        """d^alpha of every basis function, differentiated once and kept.
-
-        Each list is one ``diff`` of the list for alpha - e_last (e_last the
-        last axis alpha differentiates along), so the axes apply in the
-        order of ``Polynomial.diff_multi`` and the terms keep its order.
-        """
-        alpha = tuple(alpha)
-        if not any(alpha):
-            return self.basis
-        hit = self._deriv_cache.get(alpha)
-        if hit is not None:
-            return hit
-        last = max(i for i, a in enumerate(alpha) if a)
-        lower = alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:]
-        out = [phi.diff(last) for phi in self.derivatives(lower)]
-        self._deriv_cache[alpha] = out
-        return out
+    @cached_property
+    def basis(self) -> list[Polynomial]:
+        """The nodal basis as exact polynomials, terms in shape-space order."""
+        return [Polynomial(self.dim, {m: Fraction(row[a], self.denominator)
+                                      for m, row in zip(self.monomials, self.coeffs)})
+                for a in range(self.n_dofs)]
 
     def eval_shape(self, deriv: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs].
 
-        Derivative orders above 3 are outside the library contract.
+        Basis function a has the coefficient perm(m, deriv) * coeffs[m][a] /
+        denominator at exponent m - deriv, rounded once from ints.  Summing
+        the terms in shape-space order, each a coefficient times per-axis
+        powers in axis order, gives bitwise ``Polynomial.eval_grid`` of the
+        differentiated basis function.
         """
         deriv = tuple(int(d) for d in deriv)
         if len(deriv) != self.dim:
             raise ValueError("derivative multi-index has wrong length")
-        if sum(deriv) > 3:
-            raise ValueError("derivative order > 3 not supported")
-        pts = np.ascontiguousarray(np.asarray(points, dtype=float))
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+        if pts.shape[1] != self.dim:
+            raise ValueError("points have wrong dimension")
         key = (deriv, pts.shape, pts.tobytes())
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        out = np.empty((pts.shape[0], self.n_dofs))
-        for a, phi in enumerate(self.derivatives(deriv)):
-            out[:, a] = phi.eval_grid(pts)
+        # vander fills columns by a running product: the width keeps the bits
+        width = self.max_degree_per_axis() + 1
+        powers = [np.vander(x, width, increasing=True) for x in pts.T]
+        out = np.zeros((pts.shape[0], self.n_dofs))
+        for m, row in zip(self.monomials, self.coeffs):
+            factor = math.prod(map(math.perm, m, deriv))
+            if not factor:
+                continue
+            term = np.array([factor * c / self.denominator for c in row])
+            for i, (mi, ai) in enumerate(zip(m, deriv)):
+                if mi > ai:
+                    term = term * powers[i][:, mi - ai, None]
+            out += term
         out.setflags(write=False)
         self._eval_cache[key] = out
         return out
@@ -263,21 +266,15 @@ def build_dual_basis(family: Family, n: int) -> ReferenceElement:
     key = (family, n)
     if key in _element_cache:
         return _element_cache[key]
-    monomials = shape_space(family, n)
-    dofs = dof_set(family, n)
-    vmat = dof_matrix(family, n)
     try:
-        coeffs = invert(vmat)  # columns give nodal basis coefficients
+        coeffs, d = invert(dof_matrix(family, n))
     except ZeroDivisionError as exc:
         raise ValueError(
             f"singular DoF matrix for {family} at n={n}: "
             "shape space and DoF set do not pair"
         ) from exc
-    basis = []
-    for i in range(len(dofs)):
-        terms = {m: coeffs[mi][i] for mi, m in enumerate(monomials)}
-        basis.append(Polynomial(n, terms))
-    elem = ReferenceElement(n, family, monomials, dofs, basis)
+    elem = ReferenceElement(n, family, shape_space(family, n), dof_set(family, n),
+                            coeffs, d)
     _element_cache[key] = elem
     return elem
 

@@ -9,6 +9,8 @@ tests of the full solve pipeline.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +23,7 @@ from .mesh import BoxDomain, uniform_mesh
 from .polynomials import Polynomial
 from .reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, ReferenceElement, apply_dof,
-    build_dual_basis, morley_closed_form, partial_adini, shape_space,
+    build_dual_basis, dof_matrix, morley_closed_form, partial_adini, shape_space,
     unisolvence_determinant,
 )
 from .space import build_space
@@ -68,13 +70,11 @@ def verify_unisolvence(dims=(1, 2, 3, 4)) -> VerificationReport:
 
 
 def _is_dual(elem: ReferenceElement) -> bool:
-    """dof_j(phi_i) == [i == j] exactly, from the element's derivatives."""
-    for j, dof in enumerate(elem.dofs):
-        anchor = dof.anchor(elem.dim)
-        if any(d(anchor) != int(i == j)
-               for i, d in enumerate(elem.derivatives(dof.alpha))):
-            return False
-    return True
+    """dof_j(phi_a) == [a == j] exactly: V N == d I in Python ints."""
+    cols = list(zip(*elem.coeffs))
+    return all(sum(map(operator.mul, row, col)) == elem.denominator * (i == j)
+               for i, row in enumerate(dof_matrix(elem.family, elem.dim))
+               for j, col in enumerate(cols))
 
 
 def verify_duality(dims=(1, 2, 3, 4)) -> VerificationReport:
@@ -84,9 +84,7 @@ def verify_duality(dims=(1, 2, 3, 4)) -> VerificationReport:
         for fam in _families_for(n):
             rep.add(f"delta {fam} n={n}", _is_dual(build_dual_basis(fam, n)))
     for n in (n for n in dims if n >= 2):
-        elem = build_dual_basis(MORLEY, n)
-        closed = morley_closed_form(n)
-        ok = all(a == b for a, b in zip(elem.basis, closed))
+        ok = build_dual_basis(MORLEY, n).basis == morley_closed_form(n)
         rep.add(f"morley closed form n={n}", ok)
         # P3 reproduction: every cubic monomial is its own interpolant
         cubics = [Polynomial.monomial(n, exps)
@@ -219,12 +217,13 @@ def verify_weak_continuity(family: Family, n: int) -> VerificationReport:
 # -- face-integral identities of the local interpolation operators ---------
 
 def _interpolate(family: Family, n: int, v: Polynomial) -> Polynomial:
-    """Canonical reference-cell interpolation onto the given family."""
+    """Canonical reference-cell interpolation: x^m gets sum_j N[m][j] dof_j(v) / d."""
     elem = build_dual_basis(family, n)
-    out = Polynomial.zero(n)
-    for dof, phi in zip(elem.dofs, elem.basis):
-        out = out + apply_dof(dof, v, n) * phi
-    return out
+    values = [apply_dof(dof, v, n) for dof in elem.dofs]
+    scale = math.lcm(*(x.denominator for x in values))
+    nums, d = [int(x * scale) for x in values], scale * elem.denominator
+    return Polynomial(n, {m: Fraction(sum(map(operator.mul, row, nums)), d)
+                          for m, row in zip(elem.monomials, elem.coeffs)})
 
 
 def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
@@ -322,11 +321,13 @@ def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
     """Run one named suite (or 'all') over the requested dimensions.
 
     The continuity, local-interp and patch suites need n >= 2; 'all' skips
-    them for smaller n, and a run that would check nothing raises
-    ``ValueError``.
+    them for smaller n, and a run that would check nothing, or is given no
+    dimensions, raises ``ValueError``.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if not dims:
+        raise ValueError("no dimensions given")
     names = SUITES if name == "all" else (name,)
     reports = [rep for sub in names for rep in _suite_reports(sub, dims)]
     if not any(rep.items for rep in reports):

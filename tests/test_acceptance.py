@@ -107,7 +107,7 @@ def test_acceptance_4_exact_element_construction():
     problems = []
     rep = verify_unisolvence((1, 2, 3, 4))
     problems += [f"unisolvence: {label}" for label, _ in rep.failures()]
-    rep = verify_duality((1, 2, 3))
+    rep = verify_duality((1, 2, 3, 4))
     problems += [f"duality: {label}" for label, _ in rep.failures()]
     _report(4, "exact unisolvence, duality, and closed forms", problems)
 

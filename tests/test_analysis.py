@@ -14,6 +14,7 @@ from triharm.analysis import (
 )
 from triharm.assembly import derivative_multiindices, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
+from triharm.interpolation import canonical_interpolate
 from triharm.mesh import BoxDomain, uniform_mesh
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
@@ -107,6 +108,22 @@ def test_solve_case_reproduces_first_table_row():
     for got, want in zip(errs, expected):
         assert abs(got - want) / want < 0.1
     assert report.relative_residual < 1e-9
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_coarsest_3d_solve_is_the_canonical_interpolant(family):
+    # at smooth3d N=2 the solve returns the canonical interpolant, so the
+    # reported H3 error (the known red 3D Morley entry) is the interpolation
+    # error of the boundary data, not a solver error
+    case = case_smooth3d()
+    space, coeffs, _ = solve_case(case, family, 2)
+    interp = canonical_interpolate(space, case)
+    free = space.free_dofs()
+    assert np.abs(coeffs[free] - interp[free]).max() < 1e-13
+    h3 = broken_norms(space, coeffs, case)[3]
+    assert h3 == pytest.approx(broken_norms(space, interp, case)[3], rel=1e-12)
+    if family == MORLEY:
+        assert h3 == pytest.approx(127.2353, rel=1e-6)
 
 
 def test_solve_case_frees_the_unreduced_matrix_before_factoring(monkeypatch):

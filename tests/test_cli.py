@@ -117,6 +117,11 @@ def test_verify_suite_with_nothing_to_check_is_a_config_error(suite, capsys):
     assert err.startswith("error: ") and "n >= 2" in err
 
 
+def test_verify_without_dimensions_is_a_config_error(capsys):
+    code, out, err = run_cli(["verify", "--suite", "duality", "--dims", ""], capsys)
+    assert (code, out, err) == (2, "", "error: no dimensions given\n")
+
+
 @pytest.mark.parametrize("args", [
     ["convergence", "--levels", "2,4", "--output", "{dir}/table.csv"],
     ["convergence", "--levels", "2,4", "--markdown", "{dir}/table.md"],

@@ -105,11 +105,11 @@ def test_det_known_values():
 
 def test_invert_roundtrip_and_singular():
     m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    inv = invert(m)
+    inv, d = invert(m)
     size = len(m)
     prod = [[sum(m[i][k] * inv[k][j] for k in range(size)) for j in range(size)]
             for i in range(size)]
-    assert prod == [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    assert prod == [[d if i == j else 0 for j in range(size)] for i in range(size)]
     with pytest.raises(ZeroDivisionError):
         invert([[1, 2], [2, 4]])
 
@@ -147,13 +147,20 @@ def test_invert_matches_fraction_gauss_jordan():
     ]
     for matrix in matrices:
         assert det(matrix) != 0
-        assert invert(matrix) == gauss_jordan_inverse(matrix)
+        inv, d = invert(matrix)
+        assert [[Fraction(v, d) for v in row] for row in inv] == \
+            gauss_jordan_inverse(matrix)
 
 
 def test_invert_returns_fractions_of_integer_input():
-    inv = invert([[2, 0], [0, 4]])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    assert all(isinstance(v, Fraction) for row in inv for v in row)
+    # integer numerators over the one denominator det(A)
+    inv, d = invert([[2, 0], [0, 4]])
+    assert (inv, d) == ([[4, 0], [0, 2]], 8)
+    assert all(type(v) is int for row in inv for v in row)
+    inv, d = invert([[Fraction(1, 2), 0], [0, 4]])
+    assert [[Fraction(v, d) for v in row] for row in inv] == \
+        [[2, 0], [0, Fraction(1, 4)]]
+    assert all(type(v) is int for row in inv for v in row)
 
 
 def test_det_sign_of_row_swaps():

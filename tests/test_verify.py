@@ -97,7 +97,13 @@ def test_run_suite_dispatch():
 def test_run_suite_that_checks_nothing_is_an_error(name):
     with pytest.raises(ValueError, match="n >= 2"):
         run_suite(name, dims=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no dimensions given"):
+        run_suite(name, dims=())
+
+
+@pytest.mark.parametrize("name", ["duality", "all"])
+def test_run_suite_without_dimensions_says_so(name):
+    with pytest.raises(ValueError, match="^no dimensions given$"):
         run_suite(name, dims=())
 
 
@@ -138,13 +144,23 @@ def test_continuity_fails_on_a_wrong_scaling(family, monkeypatch):
     assert failing == BREAKING_SCALINGS[family]
 
 
+def _perturbed(elem, a, exps, delta: Fraction):
+    """A copy of ``elem`` whose basis function a has delta * x^exps added,
+    made on the integer coefficients and their denominator."""
+    m = elem.monomials.index(exps)
+    coeffs = [[c * delta.denominator for c in row] for row in elem.coeffs]
+    coeffs[m][a] += delta.numerator * elem.denominator
+    out = dataclasses.replace(elem, coeffs=coeffs,
+                              denominator=elem.denominator * delta.denominator)
+    assert out.basis[a] == elem.basis[a] + Polynomial.monomial(elem.dim, exps, delta)
+    assert out.basis[:a] + out.basis[a + 1:] == elem.basis[:a] + elem.basis[a + 1:]
+    return out
+
+
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_continuity_fails_on_a_perturbed_basis_coefficient(family, monkeypatch):
     def perturb(space, scalings, halves):
-        elem = space.element
-        basis = list(elem.basis)
-        basis[0] = basis[0] + Polynomial.monomial(2, (2, 0), Fraction(1, 10))
-        elem = dataclasses.replace(elem, basis=basis)
+        elem = _perturbed(space.element, 0, (2, 0), Fraction(1, 10))
         return dataclasses.replace(space, element=elem), scalings, halves
 
     _assert_passed(verify_weak_continuity(family, 2))
@@ -165,8 +181,5 @@ def test_continuity_fails_on_a_wrong_half_length(family, monkeypatch):
 def test_duality_fails_on_a_perturbed_basis_function():
     elem = build_dual_basis(MORLEY, 2)
     assert verify._is_dual(elem)
-    for i, delta in ((0, Polynomial.monomial(2, (1, 1), Fraction(1, 7))),
-                     (5, Polynomial.monomial(2, (0, 4), Fraction(1, 3)))):
-        basis = list(elem.basis)
-        basis[i] = basis[i] + delta
-        assert not verify._is_dual(dataclasses.replace(elem, basis=basis))
+    for a, exps, delta in ((0, (1, 1), Fraction(1, 7)), (5, (0, 4), Fraction(1, 3))):
+        assert not verify._is_dual(_perturbed(elem, a, exps, delta))
