@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_dirichlet, assemble, derivative_multiindices, gauss_rule
+from .assembly import (
+    DATA_Q, apply_dirichlet, assemble, derivative_multiindices, gauss_rule,
+)
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
 from .reference import Family
@@ -20,7 +22,7 @@ __all__ = [
 
 
 def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
-                 q: int = 8) -> tuple[float, float, float, float]:
+                 q: int = DATA_Q) -> tuple[float, float, float, float]:
     """(L2, broken H1, H2, H3 semi-norms) of exact-minus-discrete.
 
     Mixed partials enter with the multinomial multiplicity m!/alpha!, the
@@ -57,15 +59,11 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
 
 
 def solve_case(case: ManufacturedCase, family: Family, n: int,
-               q_stiffness: int = 6, q_load: int = 8,
                solver: str = "direct", cg_tol: float = 1e-10,
                ) -> tuple[FeSpace, np.ndarray, SolveReport]:
     """Assemble, impose exact-DoF boundary data, and solve one refinement."""
-    mesh = case.mesh(n)
-    space = build_space(mesh, family)
-    system = assemble(space, case.source,
-                      gauss_rule(q_stiffness, mesh.dim),
-                      gauss_rule(q_load, mesh.dim))
+    space = build_space(case.mesh(n), family)
+    system = assemble(space, case.source)
     reduced = apply_dirichlet(system, boundary_values_from_case(space, case))
     # the unreduced matrix is not needed again: free it before factoring
     del system
@@ -131,10 +129,8 @@ class ErrorReport:
 
 
 def convergence_study(case: ManufacturedCase, family: Family,
-                      levels: list[int], q_stiffness: int = 6,
-                      q_load: int = 8, q_error: int = 8,
-                      solver: str = "direct", cg_tol: float = 1e-10,
-                      progress=None) -> ErrorReport:
+                      levels: list[int], solver: str = "direct",
+                      cg_tol: float = 1e-10, progress=None) -> ErrorReport:
     """Solve a refinement sequence and collect errors and observed orders."""
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
@@ -143,10 +139,9 @@ def convergence_study(case: ManufacturedCase, family: Family,
             raise ValueError("levels must double: got " + repr(levels))
     report = ErrorReport(case.name, str(family))
     for n in levels:
-        space, coeffs, solve_report = solve_case(
-            case, family, n, q_stiffness=q_stiffness, q_load=q_load,
-            solver=solver, cg_tol=cg_tol)
-        errs = broken_norms(space, coeffs, case, q=q_error)
+        space, coeffs, solve_report = solve_case(case, family, n, solver=solver,
+                                                 cg_tol=cg_tol)
+        errs = broken_norms(space, coeffs, case)
         hmax = float(space.mesh.cell_half_lengths.max()) * 2.0
         report.add(n, hmax, errs)
         if progress is not None:

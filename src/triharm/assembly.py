@@ -19,7 +19,7 @@ from .reference import ReferenceElement
 from .space import FeSpace
 
 __all__ = [
-    "GaussRule", "gauss_rule", "derivative_multiindices",
+    "GaussRule", "gauss_rule", "DATA_Q", "derivative_multiindices",
     "element_stiffness", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
@@ -33,6 +33,10 @@ class GaussRule:
     weights: np.ndarray  # [m]
     nodes: np.ndarray    # [q] 1D Gauss-Legendre nodes on [-1, 1]
 
+
+# Gauss points per axis for integrals of smooth, non-polynomial data: the
+# load, the quasi-interpolant's projections and the error norms
+DATA_Q = 8
 
 _rule_cache: dict[tuple[int, int], GaussRule] = {}
 
@@ -68,41 +72,33 @@ def derivative_multiindices(n: int, order: int) -> list[tuple[tuple[int, ...], i
     return out
 
 
-def _check_stiffness_rule(elem: ReferenceElement, rule: GaussRule):
-    # integrands are products of two shape derivatives: per-variable degree
-    # up to twice the shape degree; the q-point rule is exact to 2q-1
-    need = 2 * elem.max_degree_per_axis()
-    if 2 * rule.q - 1 < need:
-        raise ValueError(
-            f"quadrature q={rule.q} insufficient for per-variable degree {need}"
-        )
+def _reference_grammian(elem: ReferenceElement, alpha: tuple):
+    """G[a, b] = integral of d^alpha phi_a d^alpha phi_b over [-1,1]^n.
 
-
-def _reference_grammian(elem: ReferenceElement, alpha: tuple, rule: GaussRule):
-    """G[a, b] = sum_p w_p d^alpha phi_a(xi_p) d^alpha phi_b(xi_p)."""
-    key = (alpha, rule.q)
-    g = elem.grammian_cache.get(key)
+    The integrand has per-axis degree at most 2p for shape degree p per
+    axis, so the (p+1)-point Gauss rule (exact to degree 2p+1) is exact.
+    """
+    g = elem.grammian_cache.get(alpha)
     if g is None:
+        rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
         d = elem.eval_shape(alpha, rule.points)
         g = d.T @ (rule.weights[:, None] * d)
-        elem.grammian_cache[key] = g
+        elem.grammian_cache[alpha] = g
     return g
 
 
-def element_stiffness(cell_half_lengths, elem: ReferenceElement,
-                      rule: GaussRule) -> np.ndarray:
+def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:
     """Element matrix of the tri-harmonic form in physical coordinates.
 
     Entries are taken against the reference nodal basis; the h^order DoF
     scalings are applied on both sides during global assembly.
     """
-    _check_stiffness_rule(elem, rule)
     h = np.asarray(cell_half_lengths, dtype=float)
     jac = float(np.prod(h))
     k = np.zeros((elem.n_dofs, elem.n_dofs))
     for alpha, mult in derivative_multiindices(elem.dim, 3):
         chain = float(np.prod(h ** (-2 * np.array(alpha))))
-        k += (mult * jac * chain) * _reference_grammian(elem, alpha, rule)
+        k += (mult * jac * chain) * _reference_grammian(elem, alpha)
     return k
 
 
@@ -131,12 +127,12 @@ def _cell_groups(space: FeSpace):
     return {tuple(keys[g]): cells[g] for g in np.argsort(first)}
 
 
-def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
-             load_rule: GaussRule | None = None) -> SparseSymSystem:
+def assemble(space: FeSpace, f) -> SparseSymSystem:
     """Assemble the global stiffness matrix and load vector.
 
     ``f`` maps an array of points [m, dim] to values [m]; pass None for a
-    zero right-hand side.
+    zero right-hand side.  The load is integrated with ``DATA_Q`` Gauss
+    points per axis.
 
     The COO triples, one per element-matrix entry, are written in place
     into preallocated int32 index and float value arrays, in a fixed order:
@@ -145,7 +141,7 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
     """
     mesh = space.mesh
     elem = space.element
-    load_rule = load_rule or stiffness_rule
+    rule = gauss_rule(DATA_Q, elem.dim)
     nloc = elem.n_dofs
 
     size = mesh.n_cells * nloc * nloc
@@ -154,12 +150,12 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
     vals = np.empty(size)
     rhs = np.zeros(space.n_dofs)
 
-    phi0 = elem.eval_shape((0,) * elem.dim, load_rule.points)
-    wphi = load_rule.weights[:, None] * phi0
+    phi0 = elem.eval_shape((0,) * elem.dim, rule.points)
+    wphi = rule.weights[:, None] * phi0
 
     end = 0
     for hkey, cells in _cell_groups(space).items():
-        k_ref = element_stiffness(hkey, elem, stiffness_rule)
+        k_ref = element_stiffness(hkey, elem)
         jac = float(np.prod(hkey))
         gidx = space.cell_dof_indices[cells]          # [nc, nloc]
         scale = space.cell_scalings[cells]            # [nc, nloc]
@@ -175,7 +171,7 @@ def assemble(space: FeSpace, f, stiffness_rule: GaussRule,
             centers = mesh.cell_centers[cells]
             h = np.asarray(hkey)
             # physical quadrature points for every cell in the group
-            pts = centers[:, None, :] + h[None, None, :] * load_rule.points[None, :, :]
+            pts = centers[:, None, :] + h[None, None, :] * rule.points[None, :, :]
             fv = np.asarray(f(pts.reshape(-1, mesh.dim))).reshape(len(cells), -1)
             fe = jac * (fv @ wphi)                    # [nc, nloc]
             np.add.at(rhs, gidx.ravel(), (scale * fe).ravel())

@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="element family (default: adini)")
         p.add_argument("--case", default="smooth2d", choices=list(CASE_NAMES),
                        help="manufactured problem (default: smooth2d)")
-        p.add_argument("--q-stiffness", type=int, default=6,
-                       help="Gauss points per axis for stiffness (default 6)")
-        p.add_argument("--q-load", type=int, default=8,
-                       help="Gauss points per axis for the load (default 8)")
-        p.add_argument("--q-error", type=int, default=8,
-                       help="Gauss points per axis for error norms (default 8)")
         p.add_argument("--solver", default="direct", choices=["direct", "cg"])
         p.add_argument("--tol", type=float, default=1e-10,
                        help="iterative solver relative tolerance")
@@ -141,9 +135,7 @@ def _convergence(args, paths) -> int:
 
     report = convergence_study(
         get_case(args.case), family_from_name(args.element), args.levels,
-        q_stiffness=args.q_stiffness, q_load=args.q_load,
-        q_error=args.q_error, solver=args.solver, cg_tol=args.tol,
-        progress=progress)
+        solver=args.solver, cg_tol=args.tol, progress=progress)
     csv = report.to_csv()
     if args.output:
         _write(args.output, csv)
@@ -160,10 +152,9 @@ def _convergence(args, paths) -> int:
 
 def cmd_solve(args) -> int:
     case, family = get_case(args.case), family_from_name(args.element)
-    space, coeffs, rep = solve_case(
-        case, family, args.n, q_stiffness=args.q_stiffness,
-        q_load=args.q_load, solver=args.solver, cg_tol=args.tol)
-    errs = broken_norms(space, coeffs, case, q=args.q_error)
+    space, coeffs, rep = solve_case(case, family, args.n, solver=args.solver,
+                                    cg_tol=args.tol)
+    errs = broken_norms(space, coeffs, case)
     if not all(np.isfinite(errs)):
         raise SolverError("non-finite error norms")
     print(f"case={case.name} element={family} N={args.n} "

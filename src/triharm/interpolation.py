@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import gauss_rule
+from .assembly import DATA_Q, gauss_rule
 from .cases import ManufacturedCase
 from .space import FeSpace
 
@@ -39,8 +39,7 @@ def boundary_values_from_case(space: FeSpace, case: ManufacturedCase) -> np.ndar
     return canonical_interpolate(space, case)[space.boundary_dofs()]
 
 
-def quasi_interpolate(space: FeSpace, u, q: int = 8,
-                      zero_boundary: bool = False) -> np.ndarray:
+def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndarray:
     """Projection-averaging interpolant from point values of ``u``.
 
     Per cell, solve the local mass system for the L2 projection onto the
@@ -50,7 +49,7 @@ def quasi_interpolate(space: FeSpace, u, q: int = 8,
     """
     mesh = space.mesh
     elem = space.element
-    rule = gauss_rule(q, mesh.dim)
+    rule = gauss_rule(DATA_Q, mesh.dim)
     phi = elem.eval_shape((0,) * mesh.dim, rule.points)
     mass = phi.T @ (rule.weights[:, None] * phi)  # reference cell; Jacobian cancels
     try:

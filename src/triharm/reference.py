@@ -204,7 +204,7 @@ class ReferenceElement:
     denominator: int
     # caches start empty, also on a dataclasses.replace copy with new coeffs
     _eval_cache: dict = field(default_factory=dict, repr=False, init=False)
-    # reference Grammians of assembly, keyed by (derivative, quadrature q)
+    # reference Grammians of assembly, keyed by derivative multi-index
     grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property

@@ -274,10 +274,10 @@ def _random_cubic(n: int, rng: random.Random) -> Polynomial:
     return p
 
 
-def verify_patch_test(family: Family, n: int, seed: int = 0) -> VerificationReport:
+def verify_patch_test(family: Family, n: int) -> VerificationReport:
     """Cubic solutions are reproduced by the solved discrete problem."""
     rep = VerificationReport(f"patch {family} n={n}")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     x = [Polynomial.variable(n, i) for i in range(n)]
     cubics = [("x1^3", x[0] ** 3), ("x1^2 x2", x[0] ** 2 * x[1] if n >= 2 else x[0] ** 3)]
     if n >= 3:
@@ -320,17 +320,19 @@ def _suite_reports(name: str, dims) -> list[VerificationReport]:
 def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
     """Run one named suite (or 'all') over the requested dimensions.
 
-    The continuity, local-interp and patch suites need n >= 2; 'all' skips
+    A dimension listed twice runs once, in first-seen order.  The
+    continuity, local-interp and patch suites need n >= 2; 'all' skips
     them for smaller n, and a run that would check nothing, or is given no
     dimensions, raises ``ValueError``.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    dims = tuple(dict.fromkeys(dims))
     if not dims:
         raise ValueError("no dimensions given")
     names = SUITES if name == "all" else (name,)
     reports = [rep for sub in names for rep in _suite_reports(sub, dims)]
     if not any(rep.items for rep in reports):
-        raise ValueError(f"suite {name!r} checks nothing for dims={tuple(dims)}"
+        raise ValueError(f"suite {name!r} checks nothing for dims={dims}"
                          " (continuity, local-interp and patch need n >= 2)")
     return reports

@@ -9,10 +9,10 @@ import math
 import numpy as np
 
 from triharm.analysis import broken_norms, convergence_study, solve_case
-from triharm.assembly import assemble, gauss_rule
+from triharm.assembly import derivative_multiindices, element_stiffness, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d
 from triharm.interpolation import canonical_interpolate, quasi_interpolate
-from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.reference import ADINI_TYPE, MORLEY, build_dual_basis
 from triharm.space import build_space
 from triharm.verify import (
     verify_duality, verify_local_interpolation, verify_patch_test,
@@ -165,18 +165,34 @@ def test_acceptance_7_interpolation_rates():
     _report(7, "interpolation rates 4-m +- 0.2 over N=8,16,32", problems)
 
 
+def _grammian_stiffness(h, elem, rule):
+    """Element matrix sum_alpha (3!/alpha!) int d^alpha phi_a d^alpha phi_b
+    on the cell of half-lengths h, from eval_shape on ``rule``."""
+    k = np.zeros((elem.n_dofs, elem.n_dofs))
+    for alpha, mult in derivative_multiindices(elem.dim, 3):
+        d = elem.eval_shape(alpha, rule.points)
+        scale = mult * np.prod(h) * np.prod(h ** (-2.0 * np.array(alpha)))
+        k += scale * (d.T @ (rule.weights[:, None] * d))
+    return k
+
+
 def test_acceptance_8_quadrature_and_solver_crosschecks():
-    """Stiffness is quadrature-exact at q=6; CG agrees with the direct
-    factorization on coarse meshes."""
+    """The stiffness rule derived from the element degree is exact (a rule
+    two points finer gives the same element matrix); CG agrees with the
+    direct factorization on coarse meshes."""
     problems = []
-    case2d = case_smooth2d()
     for family in (ADINI_TYPE, MORLEY):
-        space = build_space(case2d.mesh(4), family)
-        a6 = assemble(space, None, gauss_rule(6, 2), gauss_rule(8, 2)).matrix
-        a8 = assemble(space, None, gauss_rule(8, 2), gauss_rule(8, 2)).matrix
-        rel = abs(a6 - a8).max() / abs(a8).max()
-        if rel > 1e-12:
-            problems.append(f"{family.name} q6-vs-q8 stiffness: {rel:.2e}")
+        for n in (2, 3):
+            elem = build_dual_basis(family, n)
+            h = np.array([0.5, 0.125, 0.25][:n])
+            got = element_stiffness(h, elem)
+            q = elem.max_degree_per_axis() + 1
+            want = _grammian_stiffness(h, elem, gauss_rule(q + 2, n))
+            rel = np.abs(got - want).max() / np.abs(want).max()
+            if rel > 1e-12:
+                problems.append(f"{family.name} n={n} stiffness vs "
+                                f"q={q + 2}: {rel:.2e}")
+    case2d = case_smooth2d()
     for family, n, dim_case in ((ADINI_TYPE, 8, case2d), (MORLEY, 8, case2d),
                                 (ADINI_TYPE, 4, case_smooth3d())):
         _, direct, _ = solve_case(dim_case, family, n)

@@ -90,12 +90,23 @@ def test_verify_suite_output(capsys):
     assert all(line.startswith("[PASS]") for line in out.strip().splitlines())
 
 
+def test_repeated_dimension_is_verified_once(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "unisolvence",
+                            "--dims", "2,2"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0
+    assert len(lines) == len(set(lines)) == 6
+
+
 def test_exit_code_config_errors(capsys):
     assert run_cli(["convergence", "--levels", "4"], capsys)[0] == 2
     assert run_cli(["solve", "--n", "0"], capsys)[0] == 2
-    assert run_cli(["solve", "--n", "2", "--q-error", "0"], capsys)[0] == 2
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "--suite", "bogus"], capsys)
+    assert err.value.code == 2
+    # quadrature is fixed by the discretisation: --q-* flags are unknown
+    with pytest.raises(SystemExit) as err:
+        run_cli(["solve", "--n", "2", "--q-error", "0"], capsys)
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run_cli(["convergence", "--levels", "x,y"], capsys)

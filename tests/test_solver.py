@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from triharm.assembly import ReducedSystem, apply_dirichlet, assemble, gauss_rule
+from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
 from triharm.cases import case_lshape2d, case_smooth3d
 from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import StructuredMesh
@@ -80,10 +80,8 @@ def test_reconstruct_scatters_both_blocks():
 
 def assembled(case, family, n):
     """(full system, reduced system) of one refinement of a manufactured case."""
-    mesh = case.mesh(n)
-    space = build_space(mesh, family)
-    system = assemble(space, case.source, gauss_rule(6, mesh.dim),
-                      gauss_rule(8, mesh.dim))
+    space = build_space(case.mesh(n), family)
+    system = assemble(space, case.source)
     return system, apply_dirichlet(system, boundary_values_from_case(space, case))
 
 
@@ -93,7 +91,7 @@ def masked_cube_system():
     active = np.ones((2, 2, 2), dtype=bool)
     active[1, 1, 1] = False
     space = build_space(StructuredMesh([nodes] * 3, active), MORLEY)
-    system = assemble(space, None, gauss_rule(6, 3))
+    system = assemble(space, None)
     return system, apply_dirichlet(system, np.zeros(len(space.boundary_dofs())))
 
 

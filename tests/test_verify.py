@@ -93,6 +93,13 @@ def test_run_suite_dispatch():
         run_suite("spectral", dims=(2,))
 
 
+def test_run_suite_runs_a_repeated_dimension_once():
+    reports = run_suite("unisolvence", dims=(2, 2))
+    assert len(reports) == 1
+    assert len(reports[0].items) == 6
+    assert reports[0].items == run_suite("unisolvence", dims=(2,))[0].items
+
+
 @pytest.mark.parametrize("name", ["continuity", "local-interp", "patch"])
 def test_run_suite_that_checks_nothing_is_an_error(name):
     with pytest.raises(ValueError, match="n >= 2"):
