@@ -187,7 +187,8 @@ class ReducedSystem:
 
     ``dof_points`` (the anchor point of each free DoF) and ``axis_nodes``
     (the mesh's vertex planes) let the direct solver order the unknowns by
-    nested dissection; a system without them is factored in natural order.
+    nested dissection and factor along its tree of fronts; a system without
+    them is factored as one dense front in natural order.
     """
 
     matrix: sp.csr_matrix

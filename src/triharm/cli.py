@@ -29,12 +29,11 @@ EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the config error code on bad flags."""
+    """argparse whose errors reach ``main`` as ValueError, after the usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError(message)
 
 
 def _int_list(text: str) -> list[int]:
@@ -199,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     # an abbreviated subcommand flag such as --c would be read as --config
     pre = _Parser(prog="triharm", add_help=False, allow_abbrev=False)
     pre.add_argument("--config", metavar="FILE")
-    known, rest = pre.parse_known_args(argv)
     try:
+        known, rest = pre.parse_known_args(argv)
         if known.config is not None:
             # right after the subcommand, so explicit flags that follow win
             rest[1:1] = _config_flags(known.config)

@@ -101,23 +101,33 @@ def test_repeated_dimension_is_verified_once(capsys):
 def test_exit_code_config_errors(capsys):
     assert run_cli(["convergence", "--levels", "4"], capsys)[0] == 2
     assert run_cli(["solve", "--n", "0"], capsys)[0] == 2
-    with pytest.raises(SystemExit) as err:
-        run_cli(["verify", "--suite", "bogus"], capsys)
-    assert err.value.code == 2
+    assert run_cli(["verify", "--suite", "bogus"], capsys)[0] == 2
     # quadrature is fixed by the discretisation: --q-* flags are unknown
-    with pytest.raises(SystemExit) as err:
-        run_cli(["solve", "--n", "2", "--q-error", "0"], capsys)
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run_cli(["convergence", "--levels", "x,y"], capsys)
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run_cli(["convergence", "--deterministic"], capsys)
-    assert err.value.code == 2
+    assert run_cli(["solve", "--n", "2", "--q-error", "0"], capsys)[0] == 2
+    assert run_cli(["convergence", "--levels", "x,y"], capsys)[0] == 2
+    assert run_cli(["convergence", "--deterministic"], capsys)[0] == 2
     # the continuity suite is a proof over the basis; it samples nothing
+    assert run_cli(["verify", "--suite", "continuity", "--trials", "0"], capsys)[0] == 2
+
+
+def test_parser_errors_print_the_usage_and_one_error_line(capsys):
+    code, out, err = run_cli(["verify", "--suite", "bogus"], capsys)
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert lines[0].startswith("usage: triharm verify")
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert lines[-1].startswith("error: argument --suite: invalid choice: 'bogus'")
+    # a --config flag without its file is reported the same way
+    code, _, err = run_cli(["solve", "--config"], capsys)
+    assert code == 2
+    assert err.strip().splitlines()[-1] == "error: argument --config: expected one argument"
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        run_cli(["verify", "--suite", "continuity", "--trials", "0"], capsys)
-    assert err.value.code == 2
+        main(["solve", "--help"])
+    assert err.value.code == 0
+    assert "--element" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", ["continuity", "local-interp", "patch"])

@@ -11,7 +11,8 @@ from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import StructuredMesh
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    SolverError, nested_dissection, separator_split, solve_cg, solve_direct,
+    SolverError, nested_dissection, permuted_lower, separator_split, solve_cg,
+    solve_direct, update_rows,
 )
 from triharm.space import build_space
 
@@ -122,13 +123,56 @@ def test_top_split_decouples_the_halves(build):
 ])
 def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
     _, reduced = assembled(case, family, n)
-    perm = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    perm, _ = nested_dissection(reduced.dof_points, reduced.axis_nodes)
     np.testing.assert_array_equal(np.sort(perm), np.arange(len(reduced.free)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assembled(case_lshape2d(), ADINI_TYPE, 8),
+    lambda: assembled(case_smooth3d(), MORLEY, 4),
+    masked_cube_system,
+], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley"])
+def test_fronts_form_an_elimination_tree(build):
+    _, reduced = build()
+    n = reduced.matrix.shape[0]
+    perm, fronts = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    # the fronts' ranges cover 0..n-1 once, in list order
+    assert [f.start for f in fronts] == [0] + [f.stop for f in fronts[:-1]]
+    assert fronts[-1].stop == n
+    # postorder: every front but the last has one parent, and each front's
+    # subtree is the run of fronts that ends with it
+    size = []
+    for i, f in enumerate(fronts):
+        end = i
+        for c in reversed(f.children):
+            assert c == end - 1
+            end -= size[c]
+        size.append(i - end + 1)
+    assert size[-1] == len(fronts)
+
+    lower = permuted_lower(reduced.matrix, perm)
+    dense = reduced.matrix.toarray()[perm][:, perm]
+    np.testing.assert_array_equal(lower.toarray(), np.tril(dense))
+    rows = update_rows(lower, fronts)
+    assert len(rows[-1]) == 0
+
+    def front_rows(i):
+        return np.concatenate([np.arange(fronts[i].start, fronts[i].stop), rows[i]])
+
+    for i, f in enumerate(fronts):
+        # every lower entry of the front's columns lies in the front
+        reach = lower.indices[lower.indptr[f.start]:lower.indptr[f.stop]]
+        assert np.isin(reach, front_rows(i)).all()
+        # and so does every child's update
+        for c in f.children:
+            assert np.all(rows[c] >= f.start)
+            assert np.isin(rows[c], front_rows(i)).all()
 
 
 @pytest.mark.parametrize("case, family, n", [
     (case_lshape2d(), ADINI_TYPE, 8),
     (case_smooth3d(), MORLEY, 4),
+    (case_smooth3d(), ADINI_TYPE, 4),
 ])
 def test_direct_agrees_with_colamd_lu(case, family, n):
     _, reduced = assembled(case, family, n)
@@ -144,7 +188,8 @@ def test_nested_dissection_fills_less_than_colamd():
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     _, report = solve_direct(reduced)
     lu = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD")
-    assert 0 < report.fill < lu.L.nnz + lu.U.nnz
+    # the Cholesky factor L alone against the L half of COLAMD's LU
+    assert 0 < report.fill < lu.L.nnz
 
 
 def test_system_without_points_is_factored_in_natural_order():
@@ -163,3 +208,12 @@ def test_singular_matrix_raises():
     system.matrix = a.tocsr()
     with pytest.raises(SolverError):
         solve_direct(system)
+
+
+def test_indefinite_matrix_fails_in_the_cholesky():
+    # positive diagonal, eigenvalues 5, -1 and 1: the second pivot is -2.5
+    a = sp.csr_matrix(np.array([[2.0, 3.0, 0.0], [3.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+    system = ReducedSystem(a, np.ones(3), np.arange(3), np.arange(0), np.zeros(0), 3)
+    with pytest.raises(SolverError, match="pivot 1 .*not positive") as err:
+        solve_direct(system)
+    assert "residual" not in str(err.value)
