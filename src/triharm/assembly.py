@@ -185,10 +185,10 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
 class ReducedSystem:
     """System restricted to free DoFs after symmetric boundary elimination.
 
-    ``dof_points`` (the anchor point of each free DoF) and ``axis_nodes``
-    (the mesh's vertex planes) let the direct solver order the unknowns by
-    nested dissection and factor along its tree of fronts; a system without
-    them is factored as one dense front in natural order.
+    ``space`` is the space the system was assembled on.  Its DoF anchors and
+    vertex planes let the direct solver order the unknowns by nested
+    dissection, and its mesh lets CG build a multigrid hierarchy.  A system
+    without one is factored as one dense front in natural order.
     """
 
     matrix: sp.csr_matrix
@@ -197,8 +197,17 @@ class ReducedSystem:
     boundary: np.ndarray
     boundary_values: np.ndarray
     n_total: int
-    dof_points: np.ndarray | None = None
-    axis_nodes: list[np.ndarray] | None = None
+    space: FeSpace | None = None
+
+    @property
+    def dof_points(self) -> np.ndarray | None:
+        """The anchor point of each free DoF."""
+        return None if self.space is None else self.space.dof_points[self.free]
+
+    @property
+    def axis_nodes(self) -> list[np.ndarray] | None:
+        """The mesh's vertex planes."""
+        return None if self.space is None else self.space.mesh.axis_nodes
 
     def reconstruct(self, x_free: np.ndarray) -> np.ndarray:
         full = np.empty(self.n_total)
@@ -229,7 +238,6 @@ def apply_dirichlet(system: SparseSymSystem,
         boundary=bd,
         boundary_values=g,
         n_total=system.n,
-        dof_points=space.dof_points[free],
-        axis_nodes=space.mesh.axis_nodes,
+        space=space,
     )
 

@@ -1,0 +1,182 @@
+"""Geometric multigrid V-cycle over the nested meshes of a structured mesh.
+
+A mesh coarsens by halving every axis, taking every other vertex plane.
+That is possible while every axis has an even cell count and each block of
+2^n cells is all active or all inactive; each coarse cell is then the union
+of its 2^n children.  The hierarchy coarsens the system's mesh until the
+rule fails, and builds the same element family on every level.
+
+The prolongation maps a coarse DoF vector to the fine space: each fine cell
+reads its DoFs off its parent's polynomial, and a fine DoF shared by
+several fine cells takes the average of their readings, the averaging of
+``quasi_interpolate``.  Restricted to the free DoFs of both levels, it
+gives the Galerkin coarse operator P^T A P.
+
+The cycle is a symmetric V(1,1)-cycle: a degree-3 Chebyshev smoother on
+D^-1 A over [lmax / 30, 1.1 lmax], where lmax is estimated from a fixed
+start vector, before and after the coarse correction, and an exact solve by
+a given factorization on the coarsest level.  A system without a space, or
+one whose mesh does not coarsen, has one level, and the preconditioner is
+then its exact solve.  For the smoother see Adams, Brezina, Hu and
+Tuminaro, JCP 188 (2003); for nonconforming multigrid, Brenner, Math.
+Comp. 68 (1999).
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from .assembly import ReducedSystem
+from .mesh import StructuredMesh
+from .space import FeSpace, build_space
+
+__all__ = ["coarsen", "prolongation", "VCycle"]
+
+CHEBYSHEV_DEGREE = 3
+CHEBYSHEV_RATIO = 30.0   # smoothing interval [lmax / 30, 1.1 lmax]
+LMAX_MARGIN = 1.1
+DENSE_EIGEN = 100        # estimate lmax of smaller levels by a dense solve
+
+
+def coarsen(mesh: StructuredMesh) -> StructuredMesh | None:
+    """The mesh with every axis halved, or None if the rule above fails."""
+    shape = mesh.active.shape
+    if any(s % 2 for s in shape):
+        return None
+    blocks = mesh.active.reshape([v for s in shape for v in (s // 2, 2)])
+    inner = tuple(range(1, 2 * mesh.dim, 2))
+    active = blocks.any(axis=inner)
+    if not np.array_equal(active, blocks.all(axis=inner)):
+        return None
+    return StructuredMesh([nodes[::2] for nodes in mesh.axis_nodes], active)
+
+
+def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
+    """Coarse-to-fine map of DoF vectors, over all DoFs of both spaces.
+
+    Entry (j, J) is the average, over the fine cells at fine DoF j, of the
+    DoF j reading of coarse basis function J on the cell's parent: its
+    d^alpha at the DoF's anchor, in physical coordinates.  Both spaces must
+    hold the same element, on ``coarsen(fine.mesh)`` for the coarse one.
+    """
+    elem = fine.element
+    dim = elem.dim
+    fmesh, cmesh = fine.mesh, coarse.mesh
+    parent = cmesh.cell_index[tuple((np.argwhere(fmesh.active) // 2).T)]
+    half = cmesh.cell_half_lengths[parent]
+    # fine reference point xi sits at offset + ratio * xi in its parent's
+    offset = (fmesh.cell_centers - cmesh.cell_centers[parent]) / half
+    ratio = fmesh.cell_half_lengths / half
+    keys, inverse = np.unique(np.round(np.hstack([offset, ratio]), 14), axis=0,
+                              return_inverse=True)
+    inverse = inverse.ravel()
+    anchors = np.array([d.anchor(dim) for d in elem.dofs], dtype=float)
+    by_alpha = {}
+    for a, d in enumerate(elem.dofs):
+        by_alpha.setdefault(d.alpha, []).append(a)
+
+    # read[c, a, b]: reference d^alpha_a of parent basis function b at the
+    # anchor of the fine cell's local DoF a
+    read = np.empty((fmesh.n_cells, elem.n_dofs, elem.n_dofs))
+    for g, key in enumerate(keys):
+        cells = np.flatnonzero(inverse == g)
+        points = key[:dim] + key[dim:] * anchors
+        for alpha, local in by_alpha.items():
+            read[np.ix_(cells, local)] = elem.eval_shape(alpha, points[local])
+    # physical DoF values: the coarse reference coefficient of b is
+    # scaling_b times the global one, and d^alpha_a in x is h^-alpha_a times
+    # the reference derivative; both are the parent's h^alpha scalings
+    scal = coarse.cell_scalings[parent]
+    read *= scal[:, None, :] / scal[:, :, None]
+    rows = fine.cell_dof_indices
+    incident = np.bincount(rows.ravel(), minlength=fine.n_dofs)
+    read /= incident[rows][:, :, None]
+    cols = coarse.cell_dof_indices[parent]
+    shape = read.shape
+    p = sp.coo_matrix(
+        (read.ravel(), (np.broadcast_to(rows[:, :, None], shape).ravel(),
+                        np.broadcast_to(cols[:, None, :], shape).ravel())),
+        shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    p.eliminate_zeros()
+    return p
+
+
+def _lmax(a: sp.csr_matrix, dinv: np.ndarray) -> float:
+    """Largest eigenvalue of D^-1 A, from the symmetric D^-1/2 A D^-1/2."""
+    root = np.sqrt(dinv)
+    s = sp.diags(root) @ a @ sp.diags(root)
+    if s.shape[0] <= DENSE_EIGEN:
+        return float(np.linalg.eigvalsh(s.toarray())[-1])
+    # a Ritz value is a lower bound; tol=1e-2 leaves it within ~0.5% of
+    # lmax here (L-shape N=32, 3D Morley N=16), well inside LMAX_MARGIN
+    start = np.random.default_rng(0).standard_normal(s.shape[0])
+    return float(spla.eigsh(s, k=1, which="LA", v0=start, tol=1e-2,
+                            return_eigenvectors=False)[0])
+
+
+class VCycle:
+    """Symmetric V(1,1)-cycle on the hierarchy of ``system``'s mesh.
+
+    ``matrices[0]`` is the system's matrix and ``prolongations[i]`` maps the
+    free DoFs of level i + 1 to those of level i; ``restrictions[i]`` is its
+    transpose.  ``factor`` is called on the coarsest level's
+    ``ReducedSystem`` and returns an object whose ``solve`` is that level's
+    exact solve.
+    """
+
+    def __init__(self, system: ReducedSystem,
+                 factor: Callable[[ReducedSystem], object]):
+        self.matrices = [system.matrix]
+        self.prolongations, self.restrictions = [], []
+        space, free = system.space, system.free
+        while space is not None and (mesh := coarsen(space.mesh)) is not None:
+            coarse = build_space(mesh, space.element.family)
+            coarse_free = coarse.free_dofs()
+            p = prolongation(space, coarse)[free][:, coarse_free]
+            a = (p.T @ self.matrices[-1] @ p).tocsr()
+            a.eliminate_zeros()
+            self.prolongations.append(p)
+            self.restrictions.append(p.T.tocsr())
+            self.matrices.append(a)
+            space, free = coarse, coarse_free
+        bd = np.arange(0) if space is None else space.boundary_dofs()
+        n = len(free) + len(bd)
+        coarsest = ReducedSystem(self.matrices[-1], np.zeros(len(free)), free,
+                                 bd, np.zeros(len(bd)), n, space)
+        self.exact = factor(coarsest)
+        self.dinv = [1.0 / a.diagonal() for a in self.matrices[:-1]]
+        self.lmax = [_lmax(a, d) for a, d in zip(self.matrices, self.dinv)]
+
+    def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.prolongations):
+            return self.exact.solve(b)
+        a = self.matrices[level]
+        x = self._smooth(level, b)
+        coarse = self(self.restrictions[level] @ (b - a @ x), level + 1)
+        x += self.prolongations[level] @ coarse
+        return self._smooth(level, b, x)
+
+    def _smooth(self, level: int, b: np.ndarray,
+                x: np.ndarray | None = None) -> np.ndarray:
+        """Chebyshev iteration on D^-1 A x = D^-1 b from x (zero if None).
+
+        Saad, Iterative Methods for Sparse Linear Systems, Algorithm 12.1.
+        """
+        a, dinv = self.matrices[level], self.dinv[level]
+        hi = LMAX_MARGIN * self.lmax[level]
+        lo = self.lmax[level] / CHEBYSHEV_RATIO
+        theta, delta = (hi + lo) / 2, (hi - lo) / 2
+        sigma = theta / delta
+        rho = 1 / sigma
+        r = b.copy() if x is None else b - a @ x
+        d = dinv * r / theta
+        for _ in range(CHEBYSHEV_DEGREE - 1):
+            x = d if x is None else x + d
+            r -= a @ d
+            rho, last = 1 / (2 * sigma - rho), rho
+            d = rho * last * d + (2 * rho / delta) * (dinv * r)
+        return x + d

@@ -56,17 +56,19 @@ def test_convergence_deterministic_output(tmp_path, capsys):
 
 
 def test_convergence_passes_tol_to_cg(capsys):
-    # at N=2 and N=4 CG reaches rounding level in the same step under either
-    # tolerance, so the tolerance first shows in the N=8 row
-    def table(tol):
+    # under 1e-12 (and the default 1e-10) CG prints the direct solver's
+    # table; stopped at 1e-4 it differs in every row
+    def table(*solver):
         code, out, _ = run_cli(
             ["convergence", "--case", "smooth2d", "--element", "adini",
-             "--levels", "4,8", "--solver", "cg", "--tol", tol], capsys)
+             "--levels", "4,8", *solver], capsys)
         assert code == 0
         return out.strip().splitlines()
 
-    loose, tight = table("1e-4"), table("1e-12")
-    assert loose[1] == tight[1]
+    loose = table("--solver", "cg", "--tol", "1e-4")
+    tight = table("--solver", "cg", "--tol", "1e-12")
+    assert tight == table()
+    assert loose[1] != tight[1]
     assert loose[2] != tight[2]
 
 

@@ -1,0 +1,142 @@
+"""Mesh coarsening, prolongation and the V-cycle that preconditions CG."""
+
+import numpy as np
+import pytest
+
+from triharm.analysis import solve_case
+from triharm.assembly import apply_dirichlet, assemble
+from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
+from triharm.interpolation import boundary_values_from_case, canonical_interpolate
+from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
+from triharm.multigrid import VCycle, coarsen, prolongation
+from triharm.polynomials import Polynomial
+from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.solver import cholesky, solve_cg, solve_direct
+from triharm.space import build_space
+
+from test_solver import synthetic_spd
+
+UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+UNIT_CUBE = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+GRADED = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+
+
+def masked_cube():
+    # the 2x2x2 cube of test_mesh without the cell at grid position (1,1,1)
+    active = np.ones((2, 2, 2), dtype=bool)
+    active[1, 1, 1] = False
+    return StructuredMesh([np.linspace(0.0, 1.0, 3)] * 3, active)
+
+
+def cubic_case(dim):
+    if dim == 2:
+        x, y = (Polynomial.variable(2, i) for i in range(2))
+        return polynomial_case(x ** 3 - 2 * x ** 2 * y + x * y + y ** 3 - 1,
+                               UNIT_SQUARE)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    return polynomial_case(x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1,
+                           UNIT_CUBE)
+
+
+FINE_MESHES = {
+    "square-4": lambda: uniform_mesh(UNIT_SQUARE, 4),
+    "graded-square": lambda: StructuredMesh([GRADED, 1 - GRADED[::-1]],
+                                            np.ones((4, 4), dtype=bool)),
+    "lshape-2": lambda: lshape_mesh(2),
+    "cube-4x2x2": lambda: uniform_mesh(UNIT_CUBE, (4, 2, 2)),
+    "graded-cube": lambda: StructuredMesh([GRADED, np.linspace(0, 1, 3), GRADED],
+                                          np.ones((4, 2, 4), dtype=bool)),
+}
+
+
+def test_coarsen_halves_every_axis():
+    coarse, expected = coarsen(lshape_mesh(4)), lshape_mesh(2)
+    np.testing.assert_array_equal(coarse.active, expected.active)
+    for got, want in zip(coarse.axis_nodes, expected.axis_nodes):
+        np.testing.assert_array_equal(got, want)
+    assert coarsen(uniform_mesh(UNIT_CUBE, (4, 2, 2))).active.shape == (2, 1, 1)
+
+
+@pytest.mark.parametrize("mesh", [
+    lambda: uniform_mesh(UNIT_SQUARE, (3, 5)),
+    masked_cube,
+    lambda: lshape_mesh(1),
+    lambda: uniform_mesh(UNIT_SQUARE, 1),
+], ids=["square-3x5", "masked-cube", "lshape-1", "one-cell"])
+def test_meshes_that_do_not_coarsen(mesh):
+    assert coarsen(mesh()) is None
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE], ids=str)
+@pytest.mark.parametrize("name", FINE_MESHES)
+def test_prolongation_maps_the_coarse_interpolant_of_a_cubic_to_the_fine_one(name, family):
+    # cubics lie in both shape spaces, so every fine cell reads its DoFs off
+    # the same polynomial and the averages are exact
+    mesh = FINE_MESHES[name]()
+    case = cubic_case(mesh.dim)
+    fine, coarse = build_space(mesh, family), build_space(coarsen(mesh), family)
+    p = prolongation(fine, coarse)
+    assert p.shape == (fine.n_dofs, coarse.n_dofs)
+    np.testing.assert_allclose(p @ canonical_interpolate(coarse, case),
+                               canonical_interpolate(fine, case), rtol=0, atol=1e-12)
+
+
+def reduced_system(case, mesh, family):
+    space = build_space(mesh, family)
+    system = assemble(space, case.source)
+    return apply_dirichlet(system, boundary_values_from_case(space, case))
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    reduced = reduced_system(case_lshape2d(), lshape_mesh(4), ADINI_TYPE)
+    vcycle = VCycle(reduced, cholesky)
+    assert [a.shape[0] for a in vcycle.matrices] == [165, 25, 0]
+    m = np.column_stack([vcycle(e) for e in np.eye(reduced.matrix.shape[0])])
+    np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max())
+    assert np.linalg.eigvalsh((m + m.T) / 2)[0] > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: reduced_system(case_smooth2d(), uniform_mesh(UNIT_SQUARE, (3, 5)), ADINI_TYPE),
+    lambda: reduced_system(case_smooth3d(), masked_cube(), MORLEY),
+    lambda: reduced_system(case_lshape2d(), lshape_mesh(1), MORLEY),
+    lambda: synthetic_spd(),
+], ids=["square-3x5", "masked-cube", "lshape-1", "no-space"])
+def test_one_level_hierarchy_solves_exactly(build):
+    reduced = build()
+    assert len(reduced.free) > 0
+    vcycle = VCycle(reduced, cholesky)
+    assert vcycle.prolongations == [] and len(vcycle.matrices) == 1
+    xd, _ = solve_direct(reduced)
+    xc, report = solve_cg(reduced, tol=1e-12)
+    assert report.iterations == 1
+    assert np.abs(xc - xd).max() <= 1e-7 * np.abs(xd).max()
+
+
+@pytest.mark.parametrize("case, family, levels", [
+    (case_lshape2d(), ADINI_TYPE, (4, 8, 16, 32)),
+    (case_smooth2d(), MORLEY, (8, 16, 32)),
+    (case_smooth2d(), ADINI_TYPE, (8, 16, 32)),
+    (case_smooth3d(), MORLEY, (4, 8)),
+    (case_smooth3d(), ADINI_TYPE, (4, 8)),
+], ids=["lshape2d-adini", "smooth2d-morley", "smooth2d-adini",
+        "smooth3d-morley", "smooth3d-adini"])
+def test_cg_iterations_barely_grow_under_refinement(case, family, levels):
+    counts = []
+    for n in levels:
+        _, direct, _ = solve_case(case, family, n)
+        _, viacg, report = solve_case(case, family, n, solver="cg", cg_tol=1e-12)
+        assert np.abs(viacg - direct).max() <= 1e-7 * np.abs(direct).max()
+        counts.append(report.iterations)
+    assert max(counts) <= 50, counts
+    # an h-dependent preconditioner multiplies the count at each refinement
+    # (diagonal scaling: ~7.5x); the V-cycle adds a few iterations
+    assert all(b - a <= 12 for a, b in zip(counts, counts[1:])), counts
+
+
+def test_cg_is_deterministic():
+    case = case_lshape2d()
+    (_, x1, r1), (_, x2, r2) = (solve_case(case, ADINI_TYPE, 16, solver="cg")
+                                for _ in range(2))
+    np.testing.assert_array_equal(x1, x2)
+    assert r1.iterations == r2.iterations
