@@ -1,4 +1,9 @@
-"""Broken-norm errors, single solves, and convergence studies."""
+"""Broken-norm errors, single solves, and convergence studies.
+
+The error norms integrate over each cell's tensor grid of Gauss nodes,
+handed to the case as an open grid (``assembly.cell_grid``) one block of
+cells at a time, so their memory does not grow with the mesh.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    DATA_Q, apply_dirichlet, assemble, derivative_multiindices, gauss_rule,
+    DATA_Q, apply_dirichlet, assemble, cell_grid, derivative_multiindices,
+    gauss_rule,
 )
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
@@ -20,6 +26,9 @@ __all__ = [
     "broken_norms", "solve_case", "ErrorReport", "convergence_study",
 ]
 
+# quadrature points per block of cells in broken_norms: 1 MB per float64 array
+BLOCK_POINTS = 1 << 17
+
 
 def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
                  q: int = DATA_Q) -> tuple[float, float, float, float]:
@@ -27,34 +36,38 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
 
     Mixed partials enter with the multinomial multiplicity m!/alpha!, the
     same weighting as the ordered-tuple sums of the bilinear form.
+
+    Cells are taken in blocks of about ``BLOCK_POINTS`` quadrature points,
+    so each temporary stays near 1 MB whatever the mesh size.  Within a
+    block every multi-index sees the same open grid, which lets a case
+    reuse work across them (the L-shape keeps r and theta).
     """
     mesh = space.mesh
     elem = space.element
     dim = mesh.dim
     rule = gauss_rule(q, dim)
-    centers = mesh.cell_centers
     half = mesh.cell_half_lengths
-    # open grid of each cell's Gauss nodes: axis i varies along array axis
-    # i + 1, so the full grid [n_cells, q, ..., q] flattens in rule order
-    grid = tuple(
-        (centers[:, [i]] + half[:, [i]] * rule.nodes).reshape(
-            (mesh.n_cells,) + (1,) * i + (q,) + (1,) * (dim - i - 1))
-        for i in range(dim))
-    full = (mesh.n_cells,) + (q,) * dim
     jac = np.prod(half, axis=1)
     ref_coeffs = coeffs[space.cell_dof_indices] * space.cell_scalings
+    terms = [(m, alpha, mult, elem.eval_shape(alpha, rule.points))  # [npts, nloc]
+             for m in range(4)
+             for alpha, mult in derivative_multiindices(dim, m)]
 
     acc = np.zeros(4)
-    for m in range(4):
-        for alpha, mult in derivative_multiindices(dim, m):
+    step = max(1, BLOCK_POINTS // len(rule.weights))
+    for lo in range(0, mesh.n_cells, step):
+        cells = slice(lo, lo + step)
+        grid = cell_grid(mesh.cell_centers[cells], half[cells], rule)
+        full = (len(grid[0]),) + (q,) * dim
+        for m, alpha, mult, d in terms:
             exact = np.broadcast_to(case.derivative(alpha, grid), full)
-            exact = exact.reshape(mesh.n_cells, -1)
-            # chain rule h^-alpha folded into the [n_cells, nloc] coefficients
-            chain = np.prod(half ** (-np.array(alpha)), axis=1)
-            d = elem.eval_shape(alpha, rule.points)       # [npts, nloc]
-            uh = (ref_coeffs * chain[:, None]) @ d.T      # [nc, npts]
-            diff2 = (exact - uh) ** 2 @ rule.weights
-            acc[m] += mult * float(np.sum(jac * diff2))
+            exact = exact.reshape(full[0], -1)
+            # chain rule h^-alpha folded into the [nb, nloc] coefficients
+            chain = np.prod(half[cells] ** (-np.array(alpha)), axis=1)
+            diff = (ref_coeffs[cells] * chain[:, None]) @ d.T   # [nb, npts]
+            np.subtract(exact, diff, out=diff)
+            np.square(diff, out=diff)
+            acc[m] += mult * float(np.sum(jac[cells] * (diff @ rule.weights)))
     return tuple(math.sqrt(v) for v in acc)
 
 

@@ -4,6 +4,12 @@ tri-harmonic bilinear form.
 The form sums the squared third gradient over all ordered index triples;
 assembly loops over distinct third-order multi-indices alpha weighted by the
 multinomial multiplicity 3!/alpha! instead, which is the identical sum.
+
+``cell_grid`` gives the Gauss points of a set of cells as an open grid, one
+coordinate array per axis.  The load here, the quasi-interpolant and the
+error norms all evaluate their data on it, so a separable function costs
+q evaluations per axis and cell rather than q^dim, and no dense
+``[n_cells * q^dim, dim]`` point array is built.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .reference import ReferenceElement
 from .space import FeSpace
 
 __all__ = [
-    "GaussRule", "gauss_rule", "DATA_Q", "derivative_multiindices",
+    "GaussRule", "gauss_rule", "DATA_Q", "cell_grid", "derivative_multiindices",
     "element_stiffness", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
@@ -56,6 +62,23 @@ def gauss_rule(q: int, n: int) -> GaussRule:
     rule = GaussRule(n, q, pts, wts, x)
     _rule_cache[key] = rule
     return rule
+
+
+def cell_grid(centers, half_lengths, rule: GaussRule) -> tuple[np.ndarray, ...]:
+    """The Gauss points of each cell as an open grid.
+
+    ``centers`` is ``[nc, dim]``; ``half_lengths`` is ``[nc, dim]`` or one
+    ``[dim]`` vector shared by all cells.  Axis i of the grid is the array
+    ``center_i + h_i * nodes`` of shape ``[nc, 1, ..., q, ..., 1]``, with q
+    on array axis i + 1, so the full grid ``[nc, q, ..., q]`` flattens per
+    cell in the order of ``rule.points``.
+    """
+    half = np.broadcast_to(half_lengths, centers.shape)
+    nc, dim = centers.shape
+    return tuple(
+        (centers[:, [i]] + half[:, [i]] * rule.nodes).reshape(
+            (nc,) + (1,) * i + (rule.q,) + (1,) * (dim - i - 1))
+        for i in range(dim))
 
 
 def derivative_multiindices(n: int, order: int) -> list[tuple[tuple[int, ...], int]]:
@@ -130,9 +153,11 @@ def _cell_groups(space: FeSpace):
 def assemble(space: FeSpace, f) -> SparseSymSystem:
     """Assemble the global stiffness matrix and load vector.
 
-    ``f`` maps an array of points [m, dim] to values [m]; pass None for a
-    zero right-hand side.  The load is integrated with ``DATA_Q`` Gauss
-    points per axis.
+    ``f`` maps points to values in either form a ``ManufacturedCase``
+    accepts; it is called once per group of equal cells with the open grid
+    of ``cell_grid`` and may return anything that broadcasts to the full
+    grid (a constant, say).  Pass None for a zero right-hand side.  The
+    load is integrated with ``DATA_Q`` Gauss points per axis.
 
     The COO triples, one per element-matrix entry, are written in place
     into preallocated int32 index and float value arrays, in a fixed order:
@@ -168,12 +193,11 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
         rows[start:end].reshape(shape)[...] = gidx[:, :, None]
         cols[start:end].reshape(shape)[...] = gidx[:, None, :]
         if f is not None:
-            centers = mesh.cell_centers[cells]
-            h = np.asarray(hkey)
-            # physical quadrature points for every cell in the group
-            pts = centers[:, None, :] + h[None, None, :] * rule.points[None, :, :]
-            fv = np.asarray(f(pts.reshape(-1, mesh.dim))).reshape(len(cells), -1)
-            fe = jac * (fv @ wphi)                    # [nc, nloc]
+            grid = cell_grid(mesh.cell_centers[cells], hkey, rule)
+            fv = np.broadcast_to(f(grid), (len(cells),) + (rule.q,) * mesh.dim)
+            # one product for the whole group: row chunks of it would round
+            # differently under a blocked BLAS
+            fe = jac * (fv.reshape(len(cells), -1) @ wphi)   # [nc, nloc]
             np.add.at(rhs, gidx.ravel(), (scale * fe).ravel())
 
     mat = sp.coo_matrix((vals, (rows, cols)),

@@ -1,16 +1,17 @@
 """Interpolation operators onto the global finite element spaces.
 
 ``canonical_interpolate`` matches every DoF of a smooth function (needs its
-derivatives).  ``quasi_interpolate`` needs point values only: cell-wise L2
-projection onto the shape space followed by averaging of shared DoFs over
-the incident cells, with an optional homogeneous-boundary variant.
+derivatives).  ``quasi_interpolate`` needs point values only, taken on the
+open grid of each cell's Gauss points: cell-wise L2 projection onto the
+shape space followed by averaging of shared DoFs over the incident cells,
+with an optional homogeneous-boundary variant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import DATA_Q, gauss_rule
+from .assembly import DATA_Q, cell_grid, gauss_rule
 from .cases import ManufacturedCase
 from .space import FeSpace
 
@@ -42,10 +43,13 @@ def boundary_values_from_case(space: FeSpace, case: ManufacturedCase) -> np.ndar
 def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndarray:
     """Projection-averaging interpolant from point values of ``u``.
 
-    Per cell, solve the local mass system for the L2 projection onto the
-    shape space; every shared DoF is then the plain average of the incident
-    cells' DoF readings of their projections.  With ``zero_boundary`` the
-    boundary DoFs are set to zero (the V_h0 variant).
+    ``u`` is called once, with the open grid of every cell's Gauss points
+    (``assembly.cell_grid``), and may return anything that broadcasts to
+    the full grid; a ``ManufacturedCase``'s ``u`` accepts it.  Per cell,
+    solve the local mass system for the L2 projection onto the shape space;
+    every shared DoF is then the plain average of the incident cells' DoF
+    readings of their projections.  With ``zero_boundary`` the boundary
+    DoFs are set to zero (the V_h0 variant).
     """
     mesh = space.mesh
     elem = space.element
@@ -57,11 +61,9 @@ def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndar
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular local mass matrix") from exc
 
-    centers = mesh.cell_centers
-    half = mesh.cell_half_lengths
-    pts = centers[:, None, :] + half[:, None, :] * rule.points[None, :, :]
-    uv = np.asarray(u(pts.reshape(-1, mesh.dim))).reshape(mesh.n_cells, -1)
-    rhs = uv @ (rule.weights[:, None] * phi)       # [nc, nloc]
+    grid = cell_grid(mesh.cell_centers, mesh.cell_half_lengths, rule)
+    uv = np.broadcast_to(u(grid), (mesh.n_cells,) + (rule.q,) * mesh.dim)
+    rhs = uv.reshape(mesh.n_cells, -1) @ (rule.weights[:, None] * phi)  # [nc, nloc]
     ref_coeffs = rhs @ mass_inv.T                  # reference DoFs of projections
 
     # physical DoF reading of the projection = ref coefficient / scaling

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from triharm import analysis
 from triharm.analysis import (
     ErrorReport, broken_norms, convergence_study, solve_case,
 )
-from triharm.assembly import derivative_multiindices, gauss_rule
+from triharm.assembly import DATA_Q, derivative_multiindices, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import canonical_interpolate
 from triharm.mesh import BoxDomain, uniform_mesh
@@ -79,13 +80,32 @@ def solved(case, family, n):
     lambda: (case_lshape2d(), *solved(case_lshape2d(), ADINI_TYPE, 8)),
     lambda: (quartic_case(), *solved(quartic_case(), ADINI_TYPE, 4)),
 ], ids=["smooth3d-morley4", "lshape2d-adini8", "quartic-adini4"])
-def test_broken_norms_match_dense_reference(make):
+def test_broken_norms_match_dense_reference(make, monkeypatch):
     case, space, coeffs = make()
-    got = broken_norms(space, coeffs, case)
     want = dense_broken_norms(space, coeffs, case)
     assert min(want) > 0
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-12)
+    # one block at the default size, then blocks of 7 cells, the last short
+    assert space.mesh.n_cells % 7 != 0
+    for block_points in (analysis.BLOCK_POINTS, 7 * DATA_Q ** space.dim + 5):
+        monkeypatch.setattr(analysis, "BLOCK_POINTS", block_points)
+        got = broken_norms(space, coeffs, case)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_broken_norms_memory_stays_within_a_few_blocks():
+    # smooth3d Morley N=16 has 4096 cells and 2M quadrature points: one
+    # float64 array over all of them is 16 MB, a block's is 1 MB
+    case = case_smooth3d()
+    space = build_space(case.mesh(16), MORLEY)
+    coeffs = np.zeros(space.n_dofs)
+    tracemalloc.start()
+    try:
+        broken_norms(space, coeffs, case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_broken_norms_scale_with_an_amplitude_wrapper():

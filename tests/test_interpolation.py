@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from triharm.analysis import broken_norms
-from triharm.cases import case_lshape2d, case_smooth2d, polynomial_case
+from triharm.assembly import DATA_Q, gauss_rule
+from triharm.cases import (
+    case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case,
+)
 from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
@@ -106,3 +109,31 @@ def test_canonical_makes_the_same_derivative_calls_as_a_per_dof_loop(family):
         np.testing.assert_array_equal(points, space.dof_points[idx])
         want[idx] = case_lshape2d().derivative(alpha, points)
     np.testing.assert_array_equal(coeffs, want)
+
+
+def dense_quasi_interpolate(space, u):
+    """The projection-averaging interpolant from ``u`` at every cell's
+    Gauss points as one dense [m, dim] array."""
+    mesh, elem = space.mesh, space.element
+    rule = gauss_rule(DATA_Q, mesh.dim)
+    phi = elem.eval_shape((0,) * mesh.dim, rule.points)
+    mass_inv = np.linalg.inv(phi.T @ (rule.weights[:, None] * phi))
+    half = mesh.cell_half_lengths
+    pts = mesh.cell_centers[:, None, :] + half[:, None, :] * rule.points[None]
+    uv = u(pts.reshape(-1, mesh.dim)).reshape(mesh.n_cells, -1)
+    readings = (uv @ (rule.weights[:, None] * phi)) @ mass_inv.T / space.cell_scalings
+    acc = np.zeros(space.n_dofs)
+    cnt = np.zeros(space.n_dofs)
+    np.add.at(acc, space.cell_dof_indices.ravel(), readings.ravel())
+    np.add.at(cnt, space.cell_dof_indices.ravel(), 1.0)
+    return acc / cnt
+
+
+@pytest.mark.parametrize("case, mesh, family", [
+    (case_lshape2d(), lambda: lshape_mesh(4), ADINI_TYPE),
+    (case_smooth3d(), lambda: case_smooth3d().mesh(2), MORLEY),
+], ids=["lshape4-adini", "smooth3d2-morley"])
+def test_quasi_interpolation_on_the_open_grid_matches_dense_points(case, mesh, family):
+    space = build_space(mesh(), family)
+    got = quasi_interpolate(space, case.u)
+    assert np.array_equal(got, dense_quasi_interpolate(space, case.u))
