@@ -165,7 +165,8 @@ def cmd_solve(args) -> int:
         return "-" if value is None else format(value, fmt)
 
     print(f"solver={rep.method} ordering={show(rep.ordering)} "
-          f"fill={show(rep.fill)} iterations={show(rep.iterations)} "
+          f"fill={show(rep.fill)} fronts={show(rep.fronts)} "
+          f"iterations={show(rep.iterations)} "
           f"residual={rep.relative_residual:.3e} "
           f"factor_seconds={show(rep.factor_seconds, '.2f')} "
           f"seconds={rep.seconds:.2f}")

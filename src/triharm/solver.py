@@ -1,17 +1,18 @@
 """Solvers for the reduced symmetric positive definite system.
 
 The default is a multifrontal Cholesky factorization (Duff & Reid 1983;
-Liu 1992) on a geometric nested-dissection tree (George 1973).  The free
-DoFs are split recursively at the mesh vertex plane nearest the median of
-their longest extent, and the DoFs on that plane, which separate the two
-halves, are numbered after them.  Each separator, and each block left
-unsplit, is a front: a contiguous range of the permuted numbering whose
-columns of L are computed together in one dense matrix.  In postorder, a
-front gathers its lower entries of the matrix and its children's update
-matrices, factors its diagonal block with LAPACK's ``dpotrf``, and hands
-the Schur complement on its remaining rows to its parent.  Only L is
-stored.  A non-positive pivot raises SolverError, and a relative residual
-check of 1e-9 guards every direct solve.
+Liu 1992) on a geometric nested-dissection tree (George 1973).  Each block
+of free DoFs is cut once, at the mesh vertex plane nearest the median of its
+longest extent, and the DoFs on that plane are numbered after the two halves
+they separate.  A block of fewer than ``LEAF_DOFS`` DoFs is not cut, which
+merges the smallest fronts into one leaf.  Each separator, and each block
+left whole, is a front: a range of the permuted numbering whose columns of L
+are computed together in dense blocks.  ``symbolic`` works out, once, each
+front's update rows, where its matrix entries go, and how each child's
+update matrix maps into its parent.  The numeric loop then only allocates,
+adds slices and calls LAPACK and BLAS (``dpotrf``, ``dtrsm``, ``dsyrk``).
+Only L is stored, its diagonal blocks packed.  A non-positive pivot raises
+SolverError, and a relative residual check of 1e-9 guards every direct solve.
 
 The alternative is conjugate gradients preconditioned by the multigrid
 V-cycle of ``multigrid``, whose coarsest level the same Cholesky factors.
@@ -35,7 +36,9 @@ from .multigrid import VCycle
 
 __all__ = ["SolveReport", "solve_direct", "solve_cg", "SolverError", "Front",
            "Cholesky", "cholesky", "nested_dissection", "separator_split",
-           "permuted_lower", "update_rows"]
+           "symbolic", "LEAF_DOFS"]
+
+LEAF_DOFS = 64   # a block of fewer free DoFs is not cut: it is one front
 
 
 class SolverError(RuntimeError):
@@ -51,6 +54,7 @@ class SolveReport:
     ordering: str | None = None      # direct: "nested-dissection" or "natural"
     fill: int | None = None          # direct: entries of L the fronts store
     factor_seconds: float | None = None  # direct: time spent in the factorization
+    fronts: int | None = None        # direct: fronts of the elimination tree
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,24 @@ def _residual(a, x, b) -> float:
     return float(np.linalg.norm(a @ x - b) / nb)
 
 
+def _cut(coords, axis_nodes: list[np.ndarray]):
+    """``(axis, plane)``: the vertex plane nearest the median of the longest
+    axis of the points with coordinates ``coords`` (one array per axis), or
+    None when no vertex plane lies strictly inside their extent."""
+    lo, hi = [c.min() for c in coords], [c.max() for c in coords]
+    for axis in sorted(range(len(coords)), key=lambda ax: lo[ax] - hi[ax]):
+        nodes = axis_nodes[axis]
+        inside = nodes[np.searchsorted(nodes, lo[axis], "right"):
+                       np.searchsorted(nodes, hi[axis])]
+        if inside.size:
+            coord = coords[axis]
+            # np.median without its overhead: the mean of the middle pair
+            mid = [(len(coord) - 1) // 2, len(coord) // 2]
+            median = np.partition(coord, mid)[mid].sum() / 2
+            return axis, inside[np.abs(inside - median).argmin()]
+    return None
+
+
 def separator_split(points: np.ndarray, axis_nodes: list[np.ndarray]):
     """Split points at the vertex plane nearest the median of the longest axis.
 
@@ -81,150 +103,198 @@ def separator_split(points: np.ndarray, axis_nodes: list[np.ndarray]):
     Every cell lies on one side of a vertex plane, so no cell holds a DoF
     of ``left`` and one of ``right``: the DoFs on the plane separate them.
     """
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    for axis in np.argsort(lo - hi, kind="stable"):
-        nodes = axis_nodes[axis]
-        inside = nodes[(nodes > lo[axis]) & (nodes < hi[axis])]
-        if inside.size:
-            coord = points[:, axis]
-            # np.median without its overhead: the mean of the middle pair
-            mid = [(len(coord) - 1) // 2, len(coord) // 2]
-            median = np.partition(coord, mid)[mid].sum() / 2
-            cut = inside[np.argmin(np.abs(inside - median))]
-            return (np.flatnonzero(coord < cut), np.flatnonzero(coord > cut),
-                    np.flatnonzero(coord == cut))
-    return None
+    cut = _cut(points.T, axis_nodes)
+    if cut is None:
+        return None
+    coord = points[:, cut[0]]
+    return (np.flatnonzero(coord < cut[1]), np.flatnonzero(coord > cut[1]),
+            np.flatnonzero(coord == cut[1]))
 
 
 def nested_dissection(points: np.ndarray, axis_nodes: list[np.ndarray]
                       ) -> tuple[np.ndarray, list[Front]]:
     """Nested-dissection order of the DoFs anchored at ``points``, and its fronts.
 
-    Each block is split by ``separator_split``; both halves are ordered
-    recursively, then the separator follows them as their parent front.  A
-    block that no vertex plane cuts, or whose separator has at least as many
-    DoFs as its smaller half, is not split: it keeps its natural order and
-    becomes one leaf front.  The fronts are listed in postorder.
+    Each block is cut once, by the rule of ``separator_split``; both halves
+    are ordered recursively, then the separator follows them as their parent
+    front.  A block of fewer than ``LEAF_DOFS`` DoFs, one that no vertex
+    plane cuts, or one whose separator has at least as many DoFs as its
+    smaller half is not split: it keeps its natural order and becomes one
+    leaf front.  The fronts are listed in postorder.
 
-    A separator's own DoFs are split by the same rule and numbered left half,
-    separator, right half, recursively, so the closed box of it that borders
-    a descendant block is a few contiguous runs.
+    A separator's DoFs are then numbered by the cuts its first half made:
+    below, on and above each cut plane in turn, recursively.  The part of
+    it next to a descendant block is then a few contiguous runs.
     """
-    pieces, fronts = [], []
-
-    def split(idx):
-        parts = separator_split(points[idx], axis_nodes) if len(idx) > 1 else None
-        if parts is None or len(parts[2]) >= min(map(len, parts[:2])):
-            return None
-        return [idx[p] for p in parts]
-
-    def in_order(idx):
-        parts = split(idx)
-        if parts is None:
-            return idx
-        left, right, sep = parts
-        return np.concatenate([in_order(left), in_order(sep), in_order(right)])
+    coords = [np.ascontiguousarray(c) for c in points.T]
+    pieces, fronts, cuts = [], [], []
 
     def visit(idx) -> int:
-        parts = split(idx)
+        sub = [c[idx] for c in coords]
+        cut = _cut(sub, axis_nodes) if len(idx) >= LEAF_DOFS else None
         children = ()
-        if parts is not None:
-            left, right, sep = parts
-            children = (visit(left), visit(right))
-            idx = in_order(sep)
+        if cut is not None:
+            coord = sub[cut[0]]
+            left, right = idx[coord < cut[1]], idx[coord > cut[1]]
+            if len(idx) - len(left) - len(right) < min(len(left), len(right)):
+                children, idx = (visit(left), visit(right)), idx[coord == cut[1]]
         start = fronts[-1].stop if fronts else 0
         pieces.append(idx)
         fronts.append(Front(start, start + len(idx), children))
+        cuts.append(cut if children else (-1, 0.0))
         return len(fronts) - 1
 
     visit(np.arange(len(points)))
+    # walk all separator DoFs down their first halves' cuts at once, adding
+    # a digit 0, 1 or 2 for below, on or above each cut, and 0 at a leaf
+    axis, plane = (np.array(v) for v in zip(*cuts))
+    below = np.array([f.children[0] if f.children else -1 for f in fronts])
+    above = np.array([f.children[-1] if f.children else -1 for f in fronts])
+    seps = np.flatnonzero(below >= 0)
+    if len(seps):
+        sizes = [len(pieces[f]) for f in seps]
+        owner, dofs = np.repeat(seps, sizes), np.concatenate([pieces[f] for f in seps])
+        node, key = below[owner], np.zeros(len(dofs), dtype=np.int64)
+        while (live := axis[node] >= 0).any():
+            x, at = points[dofs, axis[node]], plane[node]
+            digit = np.where(live, np.sign(x - at) + 1, 0).astype(np.int64)
+            key = 3 * key + digit
+            node = np.where(~live, node, np.where(digit == 2, above[node], below[node]))
+        dofs = dofs[np.lexsort((key, owner))]
+        for f, d in zip(seps, np.split(dofs, np.cumsum(sizes)[:-1])):
+            pieces[f] = d
     return np.concatenate(pieces), fronts
 
 
-def permuted_lower(a: sp.spmatrix, perm: np.ndarray) -> sp.csc_matrix:
-    """Lower triangle of ``P A P^T`` in CSC, where row i of it is row perm[i] of A."""
-    coo = a.tocoo()
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(len(perm))
-    rows, cols = inverse[coo.row], inverse[coo.col]
-    keep = rows >= cols
-    return sp.csc_matrix((coo.data[keep], (rows[keep], cols[keep])),
-                         shape=a.shape)
+def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
+    """The pattern of ``P A P^T = L L^T`` on the fronts, computed once.
 
+    Row i of ``P A P^T`` is row perm[i] of the symmetric matrix A.  Front f
+    holds k columns of L on its own range and its m update rows: the sorted
+    rows past its range that its entries or its children's update rows
+    reach.  Returns ``(rows, runs, entries)``:
 
-def update_rows(lower: sp.csc_matrix, fronts: list[Front]) -> list[np.ndarray]:
-    """The sorted rows past each front's range that its columns of L reach.
-
-    They are the rows of ``lower``'s entries below the range in its columns,
-    and the children's update rows past the range.
+    - ``rows[f]``: front f's update rows;
+    - ``runs[c]``: child c's update rows as runs ``(at, lo, hi)``: rows
+      ``lo:hi`` of its update matrix are rows ``at:at + hi - lo`` of its
+      parent (own range first), never crossing into its update rows;
+    - ``entries[f]``: ``(positions, values)`` of front f's entries on and
+      below the diagonal in its flat C-ordered ``(k + m, k)`` block.
     """
-    rows, ptr = [], lower.indptr
-    for front in fronts:
-        reach = np.unique(np.concatenate(
-            [lower.indices[ptr[front.start]:ptr[front.stop]]]
-            + [rows[c] for c in front.children]))
-        rows.append(reach[reach >= front.stop])
-    return rows
+    n, nf = len(perm), len(fronts)
+    inverse = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
+    inverse[perm] = np.arange(n)
+    b = a.tocsr()[perm]     # row j of it is column j of P A P^T
+    b.sum_duplicates()
+    i = inverse[b.indices]
+    j = np.repeat(np.arange(n, dtype=inverse.dtype), np.diff(b.indptr))
+    keep = i >= j
+    i, j, values = i[keep], j[keep], b.data[keep]
+    del b, keep
+    bounds = np.searchsorted(j, np.array([f.start for f in fronts], dtype=j.dtype))
+    bounds = bounds.tolist() + [len(j)]
+    slot, count = np.empty(n, dtype=np.intp), np.arange(n + 1)  # row in front
+    rows, entries, parent = [], [], np.full(nf, -1)
+    at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
+    for f, front in enumerate(fronts):
+        k, own = front.stop - front.start, i[bounds[f]:bounds[f + 1]]
+        x = np.concatenate([own[own >= front.stop]] + [
+            rows[c][rows[c].searchsorted(front.stop):] for c in front.children])
+        x.sort()
+        rows.append(x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x)
+        slot[front.start:front.stop] = count[:k]
+        slot[rows[f]] = count[k:k + len(rows[f])]
+        entries.append((slot[own] * k + j[bounds[f]:bounds[f + 1]] - front.start,
+                        values[bounds[f]:bounds[f + 1]]))
+        for c in front.children:
+            at[c], parent[c] = slot[rows[c]], f
+    # a run ends where the child, the contiguity or the parent's part changes
+    m = np.array([len(r) for r in rows])
+    k = np.array([f.stop - f.start for f in fronts])
+    child, at = np.repeat(np.arange(nf), m), np.concatenate(at)
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = ((child[1:] != child[:-1]) | (at[1:] != at[:-1] + 1)
+               | (at[1:] == k[parent[child[1:]]]))
+    cuts = np.flatnonzero(new)
+    lo = cuts - np.concatenate(([0], np.cumsum(m)))[child[cuts]]
+    hi = lo + np.diff(cuts, append=len(at))
+    runs = [[] for _ in fronts]
+    for c, *run in zip(child[cuts].tolist(), at[cuts].tolist(), lo.tolist(),
+                       hi.tolist()):
+        runs[c].append(tuple(run))
+    return rows, runs, entries
 
 
-def _extend_add(blocks, update, rows, front, front_rows) -> None:
-    """Add a child's update matrix into its parent's front, lower blocks only.
+def _extend_add(l11, l21, f22, update, runs, own: bool) -> None:
+    """Add a child's update matrix into its parent's blocks, lower parts only.
 
-    ``blocks[p][q]`` is the parent block whose rows lie in part p and whose
-    columns lie in part q (0: the parent's own range, 1: its update rows).
-    The child's rows fall into runs that are contiguous in one part, and each
-    pair of runs is one slice addition.
+    With ``own``, the columns in the parent's own range, into its L11 and
+    L21; otherwise the others, into its update matrix ``f22``.  Each pair of
+    runs is one slice addition.
     """
-    part = (rows >= front.stop).astype(np.intp)
-    local = np.where(part == 0, rows - front.start,
-                     np.searchsorted(front_rows, rows))
-    cuts = np.flatnonzero((np.diff(local) != 1) | (np.diff(part) != 0)) + 1
-    bounds = np.concatenate(([0], cuts, [len(rows)]))
-    runs = list(zip(part[bounds[:-1]].tolist(), local[bounds[:-1]].tolist(),
-                    bounds[:-1].tolist(), bounds[1:].tolist()))
-    for j, (pc, at_c, lo_c, hi_c) in enumerate(runs):
-        for pr, at_r, lo_r, hi_r in runs[j:]:
-            blocks[pr][pc][at_r:at_r + hi_r - lo_r, at_c:at_c + hi_c - lo_c] += \
+    k = len(l11)
+    for t, (col, lo_c, hi_c) in enumerate(runs):
+        if (col < k) != own:
+            continue
+        for row, lo_r, hi_r in runs[t:]:
+            dst, r, c = ((f22, row - k, col - k) if col >= k else
+                         (l11, row, col) if row < k else (l21, row - k, col))
+            dst[r:r + hi_r - lo_r, c:c + hi_c - lo_c] += \
                 update[lo_r:hi_r, lo_c:hi_c]
 
 
-def _factor(lower, fronts, rows, perm) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Multifrontal Cholesky: ``(L11, L21)`` of each front, Fortran order.
+def _factor(fronts, perm, rows, runs, entries):
+    """Multifrontal Cholesky: ``(L11, L21)`` of each front, L11 packed.
 
-    L11 is the lower triangle of the front's diagonal block (its upper
-    triangle holds no data), and L21 the block of its update rows.  Each
-    child's update matrix is freed once its parent has absorbed it.
+    A front gathers its entries (dropping them from ``entries``) and its
+    children's updates in its own columns, factors them, forms its update
+    matrix with ``dsyrk``, then adds its children's updates past its range.
+    Blocks are C-ordered lower triangles, which LAPACK and BLAS see as
+    Fortran-ordered upper ones; L11 is kept in ``dtpsv``'s packed form.
+    Update matrices lie on two stacks at the ends of one buffer, for fronts
+    of even and odd depth: a front pushes its own onto one stack while its
+    children's are on top of the other, then pops theirs.
     """
-    factors, pending = [], {}
-    ptr = lower.indptr
+    depth, sizes = [0] * len(fronts), [len(r) ** 2 for r in rows]
+    for f in reversed(range(len(fronts))):
+        for c in fronts[f].children:
+            depth[c] = depth[f] + 1
+    place, tops, size = [], [0, 0], 0
+    for f, front in enumerate(fronts):
+        place.append(tops[depth[f] % 2])
+        tops[depth[f] % 2] += sizes[f]
+        size = max(size, sum(tops))
+        tops[1 - depth[f] % 2] -= sum(sizes[c] for c in front.children)
+    work, factors, updates, tri = np.zeros(size), [], [], {}
     for i, (front, upd) in enumerate(zip(fronts, rows)):
         k, m = front.stop - front.start, len(upd)
-        f11 = np.zeros((k, k), order="F")
-        f21 = np.zeros((m, k), order="F")
-        f22 = np.zeros((m, m), order="F")
-        lo, hi = ptr[front.start], ptr[front.stop]
-        r, v = lower.indices[lo:hi], lower.data[lo:hi]
-        c = np.repeat(np.arange(k), np.diff(ptr[front.start:front.stop + 1]))
-        own = r < front.stop
-        f11[r[own] - front.start, c[own]] = v[own]
-        f21[np.searchsorted(upd, r[~own]), c[~own]] = v[~own]
-        blocks = ((f11, None), (f21, f22))
+        at = place[i] if depth[i] % 2 == 0 else size - place[i] - sizes[i]
+        f22 = work[at:at + sizes[i]].reshape(m, m)
+        l11, l21 = np.zeros((k, k)), np.zeros((m, k))
+        (pos, val), entries[i] = entries[i], None
+        low = pos < k * k
+        l11.reshape(-1)[pos[low]] = val[low]
+        l21.reshape(-1)[pos[~low] - k * k] = val[~low]
         for child in front.children:
-            _extend_add(blocks, pending.pop(child), rows[child], front, upd)
+            _extend_add(l11, l21, f22, updates[child], runs[child], True)
         if k:
-            f11, info = lapack.dpotrf(f11, lower=1, clean=0, overwrite_a=1)
+            _, info = lapack.dpotrf(l11.T, lower=0, clean=0, overwrite_a=1)
             if info > 0:
                 pos = front.start + info - 1
                 raise SolverError(
                     f"Cholesky pivot {pos} (free DoF {perm[pos]}) is not "
                     "positive; system not SPD")
             if m:
-                f21 = blas.dtrsm(1.0, f11, f21, side=1, lower=1, trans_a=1,
-                                 overwrite_b=1)
-                f22 = blas.dsyrk(-1.0, f21, beta=1.0, c=f22, lower=1,
-                                 overwrite_c=1)
-        factors.append((f11, f21))
-        pending[i] = f22
+                blas.dtrsm(1.0, l11.T, l21.T, trans_a=1, overwrite_b=1)
+                blas.dsyrk(-1.0, l21.T, c=f22.T, trans=1, overwrite_c=1)
+        else:
+            f22.fill(0.0)
+        for child in front.children:
+            _extend_add(l11, l21, f22, updates[child], runs[child], False)
+        if k not in tri:
+            tri[k] = np.tri(k, dtype=bool)
+        factors.append((l11[tri[k]], l21))
+        updates.append(f22)
     return factors
 
 
@@ -232,14 +302,16 @@ def _substitute(factors, fronts, rows, b) -> np.ndarray:
     """Solve ``L L^T x = b`` front by front: forward in postorder, then back."""
     x = b.copy()
     for (l11, l21), front, upd in zip(factors, fronts, rows):
-        if l11.size:
-            y = blas.dtrsv(l11, x[front.start:front.stop], lower=1)
+        k = front.stop - front.start
+        if k:
+            y = blas.dtpsv(k, l11, x[front.start:front.stop], trans=1)
             x[front.start:front.stop] = y
             x[upd] -= l21 @ y
     for (l11, l21), front, upd in zip(factors[::-1], fronts[::-1], rows[::-1]):
-        if l11.size:
+        k = front.stop - front.start
+        if k:
             y = x[front.start:front.stop] - l21.T @ x[upd]
-            x[front.start:front.stop] = blas.dtrsv(l11, y, lower=1, trans=1)
+            x[front.start:front.stop] = blas.dtpsv(k, l11, y)
     return x
 
 
@@ -256,8 +328,7 @@ class Cholesky:
 
     @property
     def fill(self) -> int:
-        return sum(l11.shape[0] * (l11.shape[0] + 1) // 2 + l21.size
-                   for l11, l21 in self.factors)
+        return sum(l11.size + l21.size for l11, l21 in self.factors)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty(len(self.perm))
@@ -280,9 +351,8 @@ def cholesky(system: ReducedSystem) -> Cholesky:
         ordering = "nested-dissection"
         perm, fronts = nested_dissection(system.dof_points, system.axis_nodes)
     t0 = time.perf_counter()
-    lower = permuted_lower(a, perm)
-    rows = update_rows(lower, fronts)
-    factors = _factor(lower, fronts, rows, perm)
+    rows, runs, entries = symbolic(a, perm, fronts)
+    factors = _factor(fronts, perm, rows, runs, entries)
     return Cholesky(perm, fronts, rows, factors, ordering,
                     time.perf_counter() - t0)
 
@@ -299,7 +369,8 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     res = _residual(system.matrix, x, system.rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
                          ordering=factor.ordering, fill=factor.fill,
-                         factor_seconds=factor.seconds)
+                         factor_seconds=factor.seconds,
+                         fronts=len(factor.fronts))
     if not np.isfinite(res) or res > 1e-9:
         raise SolverError(
             f"direct solve residual {res:.3e} exceeds 1e-9; "

@@ -65,9 +65,11 @@ def dense_broken_norms(space, coeffs, case, q=8):
     return tuple(math.sqrt(v) for v in acc)
 
 
-def quartic_case():
+def quintic_case():
+    # not in the Adini space: its errors (7e-4 ... 3.7 at N=4) lie far above
+    # pytest.approx's absolute floor of 1e-12
     x, y = (Polynomial.variable(2, i) for i in range(2))
-    return polynomial_case(x ** 4 * y - 2 * x * y ** 3 + y ** 2, UNIT_SQUARE)
+    return polynomial_case(x ** 5 - 3 * x ** 2 * y ** 3 + y ** 2, UNIT_SQUARE)
 
 
 def solved(case, family, n):
@@ -78,12 +80,12 @@ def solved(case, family, n):
 @pytest.mark.parametrize("make", [
     lambda: (case_smooth3d(), *solved(case_smooth3d(), MORLEY, 4)),
     lambda: (case_lshape2d(), *solved(case_lshape2d(), ADINI_TYPE, 8)),
-    lambda: (quartic_case(), *solved(quartic_case(), ADINI_TYPE, 4)),
-], ids=["smooth3d-morley4", "lshape2d-adini8", "quartic-adini4"])
+    lambda: (quintic_case(), *solved(quintic_case(), ADINI_TYPE, 4)),
+], ids=["smooth3d-morley4", "lshape2d-adini8", "quintic-adini4"])
 def test_broken_norms_match_dense_reference(make, monkeypatch):
     case, space, coeffs = make()
     want = dense_broken_norms(space, coeffs, case)
-    assert min(want) > 0
+    assert min(want) > 1e-6    # so that a zero result cannot pass
     # one block at the default size, then blocks of 7 cells, the last short
     assert space.mesh.n_cells % 7 != 0
     for block_points in (analysis.BLOCK_POINTS, 7 * DATA_Q ** space.dim + 5):

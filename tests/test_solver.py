@@ -1,18 +1,22 @@
 """Direct and iterative solvers on synthetic and assembled systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from triharm.analysis import broken_norms
 from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
-from triharm.cases import case_lshape2d, case_smooth3d
+from triharm.cases import ManufacturedCase, case_lshape2d, case_smooth3d, polynomial_case
 from triharm.interpolation import boundary_values_from_case
-from triharm.mesh import StructuredMesh
+from triharm.mesh import BoxDomain, StructuredMesh
+from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    SolverError, nested_dissection, permuted_lower, separator_split, solve_cg,
-    solve_direct, update_rows,
+    SolverError, cholesky, nested_dissection, separator_split, solve_cg,
+    solve_direct, symbolic,
 )
 from triharm.space import build_space
 
@@ -87,6 +91,33 @@ def assembled(case, family, n):
     return system, apply_dirichlet(system, boundary_values_from_case(space, case))
 
 
+class AlternatingCells(ManufacturedCase):
+    """The case on ``n[i]`` cells along axis i whose widths alternate 1:2,
+    starting with the short one on even axes and the long one on odd axes."""
+
+    def mesh(self, n):
+        nodes = []
+        for i, cells in enumerate(n):
+            widths = 1.0 + (np.arange(cells) + i) % 2
+            t = np.concatenate(([0.0], np.cumsum(widths))) / widths.sum()
+            nodes.append(self.domain.lo[i] + (self.domain.hi[i] - self.domain.lo[i]) * t)
+        return StructuredMesh(nodes, np.ones(tuple(n), dtype=bool))
+
+
+def alternating_cubic(dim):
+    """A cubic on a box with a different length per axis, on AlternatingCells."""
+    if dim == 2:
+        x, y = (Polynomial.variable(2, i) for i in range(2))
+        u, box = x ** 3 - 2 * x ** 2 * y + x * y + y ** 3 - 1, ((0.0, 0.0), (1.0, 0.7))
+    else:
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        u = x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1
+        box = ((0.0, 0.0, 0.0), (1.0, 0.8, 1.3))
+    case = polynomial_case(u, BoxDomain(*box))
+    return AlternatingCells(**{f.name: getattr(case, f.name)
+                               for f in dataclasses.fields(case)})
+
+
 def masked_cube_system():
     # the 2x2x2 cube of test_mesh without the cell at grid position (1,1,1)
     nodes = np.linspace(0.0, 1.0, 3)
@@ -132,7 +163,10 @@ def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
     lambda: assembled(case_lshape2d(), ADINI_TYPE, 8),
     lambda: assembled(case_smooth3d(), MORLEY, 4),
     masked_cube_system,
-], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley"])
+    lambda: assembled(alternating_cubic(2), ADINI_TYPE, (8, 6)),
+    lambda: assembled(alternating_cubic(3), MORLEY, (4, 6, 4)),
+], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley",
+        "alternating2d-adini-8x6", "alternating3d-morley-4x6x4"])
 def test_fronts_form_an_elimination_tree(build):
     _, reduced = build()
     n = reduced.matrix.shape[0]
@@ -151,29 +185,39 @@ def test_fronts_form_an_elimination_tree(build):
         size.append(i - end + 1)
     assert size[-1] == len(fronts)
 
-    lower = permuted_lower(reduced.matrix, perm)
-    dense = reduced.matrix.toarray()[perm][:, perm]
-    np.testing.assert_array_equal(lower.toarray(), np.tril(dense))
-    rows = update_rows(lower, fronts)
+    rows, runs, entries = symbolic(reduced.matrix, perm, fronts)
     assert len(rows[-1]) == 0
+    dense = reduced.matrix.toarray()[perm][:, perm]
+    lower = np.zeros_like(dense)
 
     def front_rows(i):
         return np.concatenate([np.arange(fronts[i].start, fronts[i].stop), rows[i]])
 
     for i, f in enumerate(fronts):
-        # every lower entry of the front's columns lies in the front
-        reach = lower.indices[lower.indptr[f.start]:lower.indptr[f.stop]]
-        assert np.isin(reach, front_rows(i)).all()
-        # and so does every child's update
+        # the entries of the front's columns lie in its rows, and are A's
+        k, (pos, val) = f.stop - f.start, entries[i]
+        r, c = np.divmod(pos, k) if k else (pos, pos)
+        lower[front_rows(i)[r], f.start + c] = val
         for c in f.children:
+            # every child's update rows lie in the front, and its runs map
+            # them onto the front's numbering
             assert np.all(rows[c] >= f.start)
             assert np.isin(rows[c], front_rows(i)).all()
+            mapped = np.concatenate([np.arange(at, at + hi - lo)
+                                     for at, lo, hi in runs[c]])
+            np.testing.assert_array_equal(front_rows(i)[mapped], rows[c])
+            assert all(hi0 == lo1 for (_, _, hi0), (_, lo1, _)
+                       in zip(runs[c], runs[c][1:]))
+    # column j of L is read off row perm[j] of A (A is symmetric up to rounding)
+    np.testing.assert_array_equal(lower, np.tril(dense.T))
 
 
 @pytest.mark.parametrize("case, family, n", [
     (case_lshape2d(), ADINI_TYPE, 8),
     (case_smooth3d(), MORLEY, 4),
     (case_smooth3d(), ADINI_TYPE, 4),
+    (alternating_cubic(2), MORLEY, (8, 6)),
+    (alternating_cubic(3), ADINI_TYPE, (4, 4, 4)),
 ])
 def test_direct_agrees_with_colamd_lu(case, family, n):
     _, reduced = assembled(case, family, n)
@@ -183,6 +227,27 @@ def test_direct_agrees_with_colamd_lu(case, family, n):
     reference = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD").solve(reduced.rhs)
     err = np.abs(x - reference).max() / np.abs(reference).max()
     assert err <= 1e-10
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_direct_solve_reproduces_a_cubic_on_unequal_cells(family):
+    # cubics lie in both spaces, so the discrete solution is the cubic itself
+    case = alternating_cubic(2)
+    space = build_space(case.mesh((8, 6)), family)
+    assert len(np.unique(np.round(space.mesh.cell_half_lengths, 12), axis=0)) == 4
+    system = apply_dirichlet(assemble(space, case.source),
+                             boundary_values_from_case(space, case))
+    x, _ = solve_direct(system)
+    assert max(broken_norms(space, system.reconstruct(x), case)) <= 1e-10
+
+
+def test_solve_report_counts_the_fronts():
+    _, reduced = assembled(case_lshape2d(), ADINI_TYPE, 8)
+    _, report = solve_direct(reduced)
+    _, fronts = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    assert report.fronts == len(fronts) == len(cholesky(reduced).fronts) > 1
+    _, report = solve_direct(synthetic_spd())
+    assert report.fronts == 1
 
 
 def test_nested_dissection_fills_less_than_colamd():
