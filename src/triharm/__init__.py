@@ -17,12 +17,13 @@ from .interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
 from .mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
+from .multigrid import solve_cg
 from .polynomials import Polynomial
 from .reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, build_dual_basis,
     family_from_name, partial_adini,
 )
-from .solver import SolveReport, SolverError, solve_cg, solve_direct
+from .solver import SolveReport, SolverError, solve_direct
 from .space import FeSpace, build_space
 from .verify import SUITES, VerificationReport, run_suite
 

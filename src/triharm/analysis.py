@@ -18,8 +18,9 @@ from .assembly import (
 )
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
+from .multigrid import solve_cg
 from .reference import Family
-from .solver import SolveReport, solve_cg, solve_direct
+from .solver import SolveReport, solve_direct
 from .space import FeSpace, build_space
 
 __all__ = [

@@ -26,7 +26,7 @@ from .space import FeSpace
 
 __all__ = [
     "GaussRule", "gauss_rule", "DATA_Q", "cell_grid", "derivative_multiindices",
-    "element_stiffness", "assemble",
+    "element_stiffness", "group_rows", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
 
@@ -138,16 +138,18 @@ class SparseSymSystem:
         return self.rhs.shape[0]
 
 
-def _cell_groups(space: FeSpace):
-    """Group cells sharing identical half-lengths (one element matrix each)."""
-    half = np.round(space.mesh.cell_half_lengths, 14)
-    keys, first, inverse = np.unique(half, axis=0, return_index=True,
-                                     return_inverse=True)
+def group_rows(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group the rows of ``values`` that agree when rounded to 14 digits.
+
+    Returns ``(key, rows)`` pairs: the rounded row, and the indices of the
+    rows equal to it, ascending.  Groups come in order of their first row.
+    """
+    keys, first, inverse = np.unique(np.round(values, 14), axis=0,
+                                     return_index=True, return_inverse=True)
     inverse = inverse.ravel()   # NumPy 2.0.0 returns it with an extra axis
-    # each group's cells ascending, groups in order of their first cell
-    cells = np.split(np.argsort(inverse, kind="stable"),
-                     np.cumsum(np.bincount(inverse))[:-1])
-    return {tuple(keys[g]): cells[g] for g in np.argsort(first)}
+    rows = np.split(np.argsort(inverse, kind="stable"),
+                    np.cumsum(np.bincount(inverse))[:-1])
+    return [(keys[g], rows[g]) for g in np.argsort(first)]
 
 
 def assemble(space: FeSpace, f) -> SparseSymSystem:
@@ -179,7 +181,8 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     wphi = rule.weights[:, None] * phi0
 
     end = 0
-    for hkey, cells in _cell_groups(space).items():
+    # one element matrix per group of cells with equal half-lengths
+    for hkey, cells in group_rows(mesh.cell_half_lengths):
         k_ref = element_stiffness(hkey, elem)
         jac = float(np.prod(hkey))
         gidx = space.cell_dof_indices[cells]          # [nc, nloc]
@@ -222,16 +225,6 @@ class ReducedSystem:
     boundary_values: np.ndarray
     n_total: int
     space: FeSpace | None = None
-
-    @property
-    def dof_points(self) -> np.ndarray | None:
-        """The anchor point of each free DoF."""
-        return None if self.space is None else self.space.dof_points[self.free]
-
-    @property
-    def axis_nodes(self) -> list[np.ndarray] | None:
-        """The mesh's vertex planes."""
-        return None if self.space is None else self.space.mesh.axis_nodes
 
     def reconstruct(self, x_free: np.ndarray) -> np.ndarray:
         full = np.empty(self.n_total)

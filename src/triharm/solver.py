@@ -1,7 +1,7 @@
-"""Solvers for the reduced symmetric positive definite system.
+"""Direct solver for the reduced symmetric positive definite system.
 
-The default is a multifrontal Cholesky factorization (Duff & Reid 1983;
-Liu 1992) on a geometric nested-dissection tree (George 1973).  Each block
+It is a multifrontal Cholesky factorization (Duff & Reid 1983; Liu 1992)
+on a geometric nested-dissection tree (George 1973).  Each block
 of free DoFs is cut once, at the mesh vertex plane nearest the median of its
 longest extent, and the DoFs on that plane are numbered after the two halves
 they separate.  A block of fewer than ``LEAF_DOFS`` DoFs is not cut, which
@@ -14,11 +14,8 @@ adds slices and calls LAPACK and BLAS (``dpotrf``, ``dtrsm``, ``dsyrk``).
 Only L is stored, its diagonal blocks packed.  A non-positive pivot raises
 SolverError, and a relative residual check of 1e-9 guards every direct solve.
 
-The alternative is conjugate gradients preconditioned by the multigrid
-V-cycle of ``multigrid``, whose coarsest level the same Cholesky factors.
-The tri-harmonic operator conditions like h^-6; the V-cycle keeps the
-iteration count nearly flat under refinement (18 to 34 on the L-shape from
-N=4 to N=32), where diagonal scaling alone needed thousands.
+The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
+in ``multigrid``, which factors its coarsest level with ``cholesky``.
 """
 
 from __future__ import annotations
@@ -28,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .assembly import ReducedSystem
-from .multigrid import VCycle
+from .space import FeSpace
 
-__all__ = ["SolveReport", "solve_direct", "solve_cg", "SolverError", "Front",
-           "Cholesky", "cholesky", "nested_dissection", "separator_split",
-           "symbolic", "LEAF_DOFS"]
+__all__ = ["SolveReport", "solve_direct", "SolverError", "Front", "Cholesky",
+           "cholesky", "nested_dissection", "symbolic", "LEAF_DOFS"]
 
 LEAF_DOFS = 64   # a block of fewer free DoFs is not cut: it is one front
 
@@ -95,32 +90,18 @@ def _cut(coords, axis_nodes: list[np.ndarray]):
     return None
 
 
-def separator_split(points: np.ndarray, axis_nodes: list[np.ndarray]):
-    """Split points at the vertex plane nearest the median of the longest axis.
-
-    Returns index arrays ``(left, right, separator)`` into ``points``, or
-    None when no vertex plane lies strictly inside the points' extent.
-    Every cell lies on one side of a vertex plane, so no cell holds a DoF
-    of ``left`` and one of ``right``: the DoFs on the plane separate them.
-    """
-    cut = _cut(points.T, axis_nodes)
-    if cut is None:
-        return None
-    coord = points[:, cut[0]]
-    return (np.flatnonzero(coord < cut[1]), np.flatnonzero(coord > cut[1]),
-            np.flatnonzero(coord == cut[1]))
-
-
 def nested_dissection(points: np.ndarray, axis_nodes: list[np.ndarray]
                       ) -> tuple[np.ndarray, list[Front]]:
     """Nested-dissection order of the DoFs anchored at ``points``, and its fronts.
 
-    Each block is cut once, by the rule of ``separator_split``; both halves
-    are ordered recursively, then the separator follows them as their parent
-    front.  A block of fewer than ``LEAF_DOFS`` DoFs, one that no vertex
-    plane cuts, or one whose separator has at least as many DoFs as its
-    smaller half is not split: it keeps its natural order and becomes one
-    leaf front.  The fronts are listed in postorder.
+    Each block is cut once, at the vertex plane nearest the median of its
+    longest axis; both halves are ordered recursively, then the DoFs on the
+    plane follow them as their parent front.  Every cell lies on one side of
+    a vertex plane, so no cell holds a DoF of each half.  A block of fewer
+    than ``LEAF_DOFS`` DoFs, one that no vertex plane cuts, or one whose
+    separator has at least as many DoFs as its smaller half is not split: it
+    keeps its natural order and becomes one leaf front.  The fronts are
+    listed in postorder.
 
     A separator's DoFs are then numbered by the cuts its first half made:
     below, on and above each cut plane in turn, recursively.  The part of
@@ -337,21 +318,24 @@ class Cholesky:
         return x
 
 
-def cholesky(system: ReducedSystem) -> Cholesky:
-    """Multifrontal Cholesky of the system's matrix in nested-dissection order.
+def cholesky(matrix: sp.spmatrix, space: FeSpace | None,
+             free: np.ndarray) -> Cholesky:
+    """Multifrontal Cholesky of ``matrix`` on the ``free`` DoFs of ``space``.
 
-    A non-positive pivot raises SolverError.  Systems built without DoF
-    points are factored in natural order, as one dense front.
+    The DoFs are ordered by nested dissection of their anchor points on the
+    mesh's vertex planes.  Without a space, or with no DoFs, the matrix is
+    factored in natural order, as one dense front.  A non-positive pivot
+    raises SolverError.
     """
-    a = system.matrix
-    n = a.shape[0]
-    if system.dof_points is None or n == 0:
+    n = matrix.shape[0]
+    if space is None or n == 0:
         ordering, perm, fronts = "natural", np.arange(n), [Front(0, n)]
     else:
         ordering = "nested-dissection"
-        perm, fronts = nested_dissection(system.dof_points, system.axis_nodes)
+        perm, fronts = nested_dissection(space.dof_points[free],
+                                         space.mesh.axis_nodes)
     t0 = time.perf_counter()
-    rows, runs, entries = symbolic(a, perm, fronts)
+    rows, runs, entries = symbolic(matrix, perm, fronts)
     factors = _factor(fronts, perm, rows, runs, entries)
     return Cholesky(perm, fronts, rows, factors, ordering,
                     time.perf_counter() - t0)
@@ -364,7 +348,7 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     residual above 1e-9.
     """
     t0 = time.perf_counter()
-    factor = cholesky(system)
+    factor = cholesky(system.matrix, system.space, system.free)
     x = factor.solve(system.rhs)
     res = _residual(system.matrix, x, system.rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
@@ -375,43 +359,5 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
         raise SolverError(
             f"direct solve residual {res:.3e} exceeds 1e-9; "
             "system may not be SPD (assembly or BC bug)"
-        )
-    return x, report
-
-
-def solve_cg(system: ReducedSystem, tol: float = 1e-10,
-             maxiter: int = 500) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients preconditioned by a multigrid V-cycle.
-
-    The V-cycle (``multigrid.VCycle``) is built from the system's space, and
-    its coarsest level is factored by ``cholesky``.  Raises SolverError on a
-    non-positive diagonal entry, a non-positive pivot of the coarsest
-    factorization, or no convergence within ``maxiter`` iterations.  A
-    tolerance that is not finite and positive raises ValueError.
-    """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
-    a, b = system.matrix, system.rhs
-    t0 = time.perf_counter()
-    if a.shape[0] == 0:
-        return np.zeros(0), SolveReport("cg", 0, 0.0, time.perf_counter() - t0)
-    if np.any(a.diagonal() <= 0):
-        raise SolverError("non-positive diagonal entry; system not SPD")
-    vcycle = VCycle(system, cholesky)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    m = spla.LinearOperator(a.shape, matvec=vcycle, dtype=float)
-    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=m,
-                      callback=count)
-    res = _residual(a, x, b)
-    report = SolveReport("cg", iters, res, time.perf_counter() - t0)
-    if info != 0 or res > 10 * tol:
-        raise SolverError(
-            f"CG failed to converge (info={info}, residual={res:.3e}); "
-            "use the direct solver"
         )
     return x, report

@@ -1,15 +1,14 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from triharm.assembly import (
-    _cell_groups, apply_dirichlet, assemble, derivative_multiindices,
-    element_stiffness, gauss_rule,
+    apply_dirichlet, assemble, derivative_multiindices, element_stiffness,
+    gauss_rule, group_rows,
 )
 from triharm.cases import case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import canonical_interpolate
@@ -121,14 +120,12 @@ def test_cell_groups_match_a_per_cell_loop():
     rng = np.random.default_rng(3)
     sizes = np.array([[0.25, 0.5], [0.125, 0.5], [0.25, 0.5 + 1e-15]])
     half = sizes[rng.integers(0, 3, size=40)]
-    space = SimpleNamespace(mesh=SimpleNamespace(cell_half_lengths=half))
     want: dict[tuple, list[int]] = {}
     for ci, h in enumerate(half):
         want.setdefault(tuple(np.round(h, 14)), []).append(ci)
-    got = _cell_groups(space)
-    assert list(got) == list(want)
-    for key, cells in want.items():
-        assert got[key].tolist() == cells
+    got = group_rows(half)
+    assert [tuple(key) for key, _ in got] == list(want)
+    assert [cells.tolist() for _, cells in got] == list(want.values())
 
 
 def grammian_stiffness(h, elem, rule):
@@ -153,7 +150,7 @@ def coo_reference(space, f):
     rhs = np.zeros(space.n_dofs)
     wphi = load_rule.weights[:, None] * elem.eval_shape((0,) * elem.dim,
                                                         load_rule.points)
-    for hkey, cells in _cell_groups(space).items():
+    for hkey, cells in group_rows(mesh.cell_half_lengths):
         k_ref = grammian_stiffness(hkey, elem, stiffness_rule)
         gidx = space.cell_dof_indices[cells]
         scale = space.cell_scalings[cells]

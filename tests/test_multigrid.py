@@ -8,10 +8,10 @@ from triharm.assembly import apply_dirichlet, assemble
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
-from triharm.multigrid import VCycle, coarsen, prolongation
+from triharm.multigrid import VCycle, coarsen, prolongation, solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
-from triharm.solver import cholesky, solve_cg, solve_direct
+from triharm.solver import solve_direct
 from triharm.space import build_space
 
 from test_solver import synthetic_spd
@@ -89,7 +89,7 @@ def reduced_system(case, mesh, family):
 
 def test_vcycle_is_symmetric_positive_definite():
     reduced = reduced_system(case_lshape2d(), lshape_mesh(4), ADINI_TYPE)
-    vcycle = VCycle(reduced, cholesky)
+    vcycle = VCycle(reduced)
     assert [a.shape[0] for a in vcycle.matrices] == [165, 25, 0]
     m = np.column_stack([vcycle(e) for e in np.eye(reduced.matrix.shape[0])])
     np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max())
@@ -105,12 +105,29 @@ def test_vcycle_is_symmetric_positive_definite():
 def test_one_level_hierarchy_solves_exactly(build):
     reduced = build()
     assert len(reduced.free) > 0
-    vcycle = VCycle(reduced, cholesky)
+    vcycle = VCycle(reduced)
     assert vcycle.prolongations == [] and len(vcycle.matrices) == 1
     xd, _ = solve_direct(reduced)
     xc, report = solve_cg(reduced, tol=1e-12)
     assert report.iterations == 1
     assert np.abs(xc - xd).max() <= 1e-7 * np.abs(xd).max()
+
+
+@pytest.mark.parametrize("build, sizes, ordering", [
+    (lambda: reduced_system(case_lshape2d(), lshape_mesh(4), MORLEY),
+     [179, 31, 2], "nested-dissection"),
+    (lambda: reduced_system(case_smooth2d(), uniform_mesh(UNIT_SQUARE, (3, 5)),
+                            ADINI_TYPE), [40], "nested-dissection"),
+    (lambda: synthetic_spd(), [50], "natural"),
+    (lambda: reduced_system(case_lshape2d(), lshape_mesh(8), ADINI_TYPE),
+     [805, 165, 25, 0], "natural"),
+], ids=["lshape2d-morley-4", "square-3x5", "no-space", "lshape2d-adini-8"])
+def test_coarsest_level_is_ordered_by_its_own_space(build, sizes, ordering):
+    # nested dissection on the coarsest space's DoFs; natural order without
+    # a space or without DoFs
+    vcycle = VCycle(build())
+    assert [a.shape[0] for a in vcycle.matrices] == sizes
+    assert vcycle.exact.ordering == ordering
 
 
 @pytest.mark.parametrize("case, family, levels", [

@@ -12,11 +12,11 @@ from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
 from triharm.cases import ManufacturedCase, case_lshape2d, case_smooth3d, polynomial_case
 from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import BoxDomain, StructuredMesh
+from triharm.multigrid import solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    SolverError, cholesky, nested_dissection, separator_split, solve_cg,
-    solve_direct, symbolic,
+    LEAF_DOFS, SolverError, cholesky, nested_dissection, solve_direct, symbolic,
 )
 from triharm.space import build_space
 
@@ -128,12 +128,24 @@ def masked_cube_system():
     return system, apply_dirichlet(system, np.zeros(len(space.boundary_dofs())))
 
 
-def assert_split_separates(matrix, points, axis_nodes):
-    left, right, sep = separator_split(points, axis_nodes)
-    assert len(left) and len(right) and len(sep)
-    np.testing.assert_array_equal(
-        np.sort(np.concatenate([left, right, sep])), np.arange(len(points)))
-    assert matrix.tocsr()[left][:, right].nnz == 0
+def free_dissection(reduced):
+    """``nested_dissection`` of the free DoFs, as ``solve_direct`` orders them."""
+    space = reduced.space
+    return nested_dissection(space.dof_points[reduced.free], space.mesh.axis_nodes)
+
+
+def assert_separators_decouple(matrix, points, axis_nodes):
+    """No entry of ``matrix`` couples the two subtrees under any separator."""
+    perm, fronts = nested_dissection(points, axis_nodes)
+    matrix, first, separators = matrix.tocsr(), [], 0
+    for f in fronts:
+        # a subtree's DoFs run from its first leaf's start to its root's stop
+        first.append(first[f.children[0]] if f.children else f.start)
+        if f.children:
+            left, right = (perm[first[c]:fronts[c].stop] for c in f.children)
+            assert matrix[left][:, right].nnz == 0
+            separators += 1
+    assert separators or len(points) < LEAF_DOFS
 
 
 @pytest.mark.parametrize("build", [
@@ -141,12 +153,28 @@ def assert_split_separates(matrix, points, axis_nodes):
     lambda: assembled(case_smooth3d(), MORLEY, 4),
     masked_cube_system,
 ], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley"])
-def test_top_split_decouples_the_halves(build):
+def test_separators_decouple_their_subtrees(build):
     system, reduced = build()
     space = system.space
-    # the split of the free DoFs that solve_direct orders, and of all DoFs
-    assert_split_separates(reduced.matrix, reduced.dof_points, reduced.axis_nodes)
-    assert_split_separates(system.matrix, space.dof_points, space.mesh.axis_nodes)
+    # the dissection of the free DoFs that solve_direct orders, and of all DoFs
+    assert_separators_decouple(reduced.matrix, space.dof_points[reduced.free],
+                               space.mesh.axis_nodes)
+    assert_separators_decouple(system.matrix, space.dof_points,
+                               space.mesh.axis_nodes)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assembled(case_lshape2d(), ADINI_TYPE, 8),
+    lambda: assembled(case_smooth3d(), MORLEY, 4),
+    lambda: assembled(alternating_cubic(2), ADINI_TYPE, (8, 6)),
+    lambda: assembled(alternating_cubic(3), MORLEY, (4, 6, 4)),
+], ids=["lshape2d-adini-8", "smooth3d-morley-4", "alternating2d-adini-8x6",
+        "alternating3d-morley-4x6x4"])
+def test_assembled_matrix_is_symmetric_to_rounding(build):
+    # the reference Grammians are symmetric only up to rounding (measured:
+    # 1.2e-17 to 1.3e-16 relative); symbolic reads each column of L off a row
+    a = build()[0].matrix
+    assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
 @pytest.mark.parametrize("case, family, n", [
@@ -155,7 +183,7 @@ def test_top_split_decouples_the_halves(build):
 ])
 def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
     _, reduced = assembled(case, family, n)
-    perm, _ = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    perm, _ = free_dissection(reduced)
     np.testing.assert_array_equal(np.sort(perm), np.arange(len(reduced.free)))
 
 
@@ -170,7 +198,7 @@ def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
 def test_fronts_form_an_elimination_tree(build):
     _, reduced = build()
     n = reduced.matrix.shape[0]
-    perm, fronts = nested_dissection(reduced.dof_points, reduced.axis_nodes)
+    perm, fronts = free_dissection(reduced)
     # the fronts' ranges cover 0..n-1 once, in list order
     assert [f.start for f in fronts] == [0] + [f.stop for f in fronts[:-1]]
     assert fronts[-1].stop == n
@@ -244,8 +272,9 @@ def test_direct_solve_reproduces_a_cubic_on_unequal_cells(family):
 def test_solve_report_counts_the_fronts():
     _, reduced = assembled(case_lshape2d(), ADINI_TYPE, 8)
     _, report = solve_direct(reduced)
-    _, fronts = nested_dissection(reduced.dof_points, reduced.axis_nodes)
-    assert report.fronts == len(fronts) == len(cholesky(reduced).fronts) > 1
+    _, fronts = free_dissection(reduced)
+    factor = cholesky(reduced.matrix, reduced.space, reduced.free)
+    assert report.fronts == len(fronts) == len(factor.fronts) > 1
     _, report = solve_direct(synthetic_spd())
     assert report.fronts == 1
 
