@@ -115,6 +115,34 @@ def test_lshape_vanishes_on_clamped_rays():
     assert np.abs(case.u(pts)).max() < 1e-12
 
 
+def test_lshape_derivatives_follow_the_branch_in_every_quadrant():
+    # the tensor grid of these nodes has points in all four quadrants, on the
+    # rays theta = pi/2, theta = pi with y = +-0.0, theta = 3 pi/2 with
+    # x = +-0.0, theta = 0, and the origin with every sign of zero
+    xs = np.array([-0.6, -0.0, 0.0, 0.45])
+    ys = np.array([-0.9, -0.0, 0.0, 0.8])
+    grid = np.ix_(xs, ys)
+    x, y = (a.ravel() for a in np.broadcast_arrays(*grid))
+    pts = np.column_stack([x, y])
+    r = np.hypot(x, y)
+    theta = np.mod(np.arctan2(y, x), 2 * math.pi)
+    case = case_lshape2d()
+    for order in range(4):
+        s = 2.5 - order
+        c = math.prod(2.5 - j for j in range(order))
+        # order 3 is singular at the origin: compare away from it
+        at = r > 0 if order == 3 else np.ones(len(r), dtype=bool)
+        modulus = c * r[at] ** s
+        for a, b in _multi_indices(2, order):
+            want = np.imag(1j ** b * modulus * np.exp(1j * s * theta[at]))
+            for got in (case.derivative((a, b), pts),
+                        case.derivative((a, b), grid).ravel()):
+                # relative to |c z^s|: the sine may vanish where z^s does not
+                assert np.all(np.abs(got[at] - want) <= 1e-13 * modulus)
+                if order < 3:
+                    assert np.all(got[r == 0] == 0.0)
+
+
 def test_polynomial_case_source_is_minus_laplacian_cubed():
     x, y = (Polynomial.variable(2, i) for i in range(2))
     u = x ** 6
