@@ -1,8 +1,9 @@
 """Broken-norm errors, single solves, and convergence studies.
 
 The error norms integrate over each cell's tensor grid of Gauss nodes,
-handed to the case as an open grid (``assembly.cell_grid``) one block of
-cells at a time, so their memory does not grow with the mesh.
+handed to the case as an open grid (``assembly.cell_grid`` with the cell
+axis moved last) one block of cells at a time, so their memory does not
+grow with the mesh.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
 
     Cells are taken in blocks of about ``BLOCK_POINTS`` quadrature points,
     so each temporary stays near 1 MB whatever the mesh size.  Within a
-    block every multi-index sees the same open grid, which lets a case
-    reuse work across them (the L-shape keeps r and theta).
+    block every multi-index sees the same open grid, with the cell axis
+    last so that a case's products broadcast over a long axis, which lets
+    a case reuse work across them (the L-shape keeps z and its root).
+    d^alpha u_h is evaluated through the element's monomials that survive
+    d^alpha (``ReferenceElement.monomial_table``).
     """
     mesh = space.mesh
     elem = space.element
@@ -50,7 +54,7 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     half = mesh.cell_half_lengths
     jac = np.prod(half, axis=1)
     ref_coeffs = coeffs[space.cell_dof_indices] * space.cell_scalings
-    terms = [(m, alpha, mult, elem.eval_shape(alpha, rule.points))  # [npts, nloc]
+    terms = [(m, alpha, mult, *elem.monomial_table(alpha, rule.points))
              for m in range(4)
              for alpha, mult in derivative_multiindices(dim, m)]
 
@@ -58,17 +62,18 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     step = max(1, BLOCK_POINTS // len(rule.weights))
     for lo in range(0, mesh.n_cells, step):
         cells = slice(lo, lo + step)
-        grid = cell_grid(mesh.cell_centers[cells], half[cells], rule)
-        full = (len(grid[0]),) + (q,) * dim
-        for m, alpha, mult, d in terms:
+        grid = tuple(np.ascontiguousarray(np.moveaxis(g, 0, -1))
+                     for g in cell_grid(mesh.cell_centers[cells], half[cells], rule))
+        full = (q,) * dim + grid[0].shape[-1:]
+        for m, alpha, mult, table, monomial in terms:
             exact = np.broadcast_to(case.derivative(alpha, grid), full)
-            exact = exact.reshape(full[0], -1)
-            # chain rule h^-alpha folded into the [nb, nloc] coefficients
+            exact = exact.reshape(len(rule.weights), -1)
+            # the chain rule's h^-alpha scales each cell's monomial coefficients
             chain = np.prod(half[cells] ** (-np.array(alpha)), axis=1)
-            diff = (ref_coeffs[cells] * chain[:, None]) @ d.T   # [nb, npts]
+            diff = table @ ((monomial @ ref_coeffs[cells].T) * chain)  # [npts, nb]
             np.subtract(exact, diff, out=diff)
             np.square(diff, out=diff)
-            acc[m] += mult * float(np.sum(jac[cells] * (diff @ rule.weights)))
+            acc[m] += mult * float((rule.weights @ diff) @ jac[cells])
     return tuple(math.sqrt(v) for v in acc)
 
 

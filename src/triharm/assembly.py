@@ -163,8 +163,12 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
 
     The COO triples, one per element-matrix entry, are written in place
     into preallocated int32 index and float value arrays, in a fixed order:
-    groups, then cells, then entries row-major.  ``tocsr`` sums the
-    duplicates in that order and keeps the explicit zeros the sums leave.
+    groups, then cells, then entries row-major.  ``tocsr`` first sorts
+    each row's entries by column with an unstable sort (SciPy's
+    ``csr_sort_indices``), then sums the duplicates in the sorted order, so
+    that order follows from the triple order without being it; any change
+    to the triple order may change the last bits.  It keeps the explicit
+    zeros the sums leave.
     """
     mesh = space.mesh
     elem = space.element

@@ -8,6 +8,10 @@ of shape ``[m]``, or an open grid, a tuple of ``dim`` coordinate arrays that
 broadcast together (as ``np.ix_`` returns), giving values of the broadcast
 shape.  A separable solution evaluates each factor on its own axis array,
 so a tensor grid of q points per axis costs q, not q^dim, evaluations.
+An open grid may carry extra broadcast axes, such as one over cells, and
+they may sit anywhere: ``assembly.cell_grid`` puts the cell axis first,
+``analysis.broken_norms`` last.  A case must work elementwise and not
+assume where such an axis is.
 """
 
 from __future__ import annotations
@@ -99,36 +103,45 @@ def case_smooth3d() -> ManufacturedCase:
 def case_lshape2d() -> ManufacturedCase:
     """Singular harmonic solution r^2.5 sin(2.5 theta) on the L-shape.
 
-    u is the imaginary part of z^{5/2} with the branch theta in [0, 3pi/2]
-    (the cut lies inside the removed quadrant), so f vanishes identically
-    and u sits in H^{3.5 - eps} only.
+    u is the imaginary part of z^{5/2} with the branch theta in [0, 2 pi)
+    of ``mod(arctan2(y, x), 2 pi)`` (the cut lies inside the removed
+    quadrant), so f vanishes identically and u sits in H^{3.5 - eps} only.
     """
     p = 2.5
     # broken_norms asks for 10 multi-indices on one grid, which need only
-    # four powers p - |alpha|: keep r, theta and the powers of the last
-    # points asked for, as long as their coordinates stay the same
+    # the four powers z^(p - |alpha|): keep z, its root w and the powers of
+    # the last points asked for, as long as their coordinates stay the same
     last: dict = {"axes": None}
 
-    def zpow(points, power):
+    def zpow(points, order):
         axes = _axes(points, 2)
         if last["axes"] is None or not all(
                 a.shape == b.shape and np.array_equal(a, b)
                 for a, b in zip(last["axes"], axes)):
             x, y = axes
-            r = np.hypot(x, y)    # not separable: broadcast to the full grid
-            theta = np.mod(np.arctan2(y, x), 2 * math.pi)
-            last.update(axes=tuple(a.copy() for a in axes), r=r, theta=theta,
+            # not separable: broadcast to the full grid; + 0.0 turns
+            # y = -0.0 into +0.0, where theta = pi
+            z = x + 1j * (y + 0.0)
+            # the principal root has theta in (-pi, pi]: negating it below
+            # the x-axis moves theta to [0, 2 pi)
+            w = np.sqrt(z)
+            np.negative(w, out=w, where=np.broadcast_to(y < 0, w.shape))
+            last.update(axes=tuple(a.copy() for a in axes), z=z, w=w,
                         powers={})
-        out = last["powers"].get(power)
+        out = last["powers"].get(order)
         if out is None:
-            r, theta = last["r"], last["theta"]
-            out = np.zeros(r.shape, dtype=complex)
-            pos = r > 0
-            out[pos] = r[pos] ** power * np.exp(1j * power * theta[pos])
-            if power == 0:
-                out[~pos] = 1.0
+            z, w = last["z"], last["w"]
+            if order == 0:
+                out = z * z * w
+            elif order == 1:
+                out = z * w
+            elif order == 2:
+                out = w
+            else:
+                # z^{-1/2} is set to 0 at r = 0
+                out = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
             out.setflags(write=False)
-            last["powers"][power] = out
+            last["powers"][order] = out
         return out
 
     def derivative(alpha, points):
@@ -137,9 +150,11 @@ def case_lshape2d() -> ManufacturedCase:
         coeff = 1.0
         for j in range(order):
             coeff *= p - j
-        # d^a_x d^b_y Im(z^p) = Im(i^b coeff z^{p - a - b})
-        vals = (1j ** b) * coeff * zpow(points, p - order)
-        return np.imag(vals)
+        # d^a_x d^b_y Im(z^p) = Im(i^b coeff z^{p - a - b}), and Im(i^b v)
+        # is Im v, Re v, -Im v, -Re v for b = 0, 1, 2, 3 mod 4
+        v = zpow(points, order)
+        sign = -1.0 if b % 4 >= 2 else 1.0
+        return (sign * coeff) * (v.imag if b % 2 == 0 else v.real)
 
     def source(points):
         return np.zeros(np.broadcast_shapes(*(x.shape for x in _axes(points, 2))))

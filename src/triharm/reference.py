@@ -204,6 +204,7 @@ class ReferenceElement:
     denominator: int
     # caches start empty, also on a dataclasses.replace copy with new coeffs
     _eval_cache: dict = field(default_factory=dict, repr=False, init=False)
+    _table_cache: dict = field(default_factory=dict, repr=False, init=False)
     # reference Grammians of assembly, keyed by derivative multi-index
     grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
@@ -230,13 +231,7 @@ class ReferenceElement:
         powers in axis order, gives bitwise ``Polynomial.eval_grid`` of the
         differentiated basis function.
         """
-        deriv = tuple(int(d) for d in deriv)
-        if len(deriv) != self.dim:
-            raise ValueError("derivative multi-index has wrong length")
-        pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
-        if pts.shape[1] != self.dim:
-            raise ValueError("points have wrong dimension")
-        key = (deriv, pts.shape, pts.tobytes())
+        deriv, pts, key = self._cache_key(deriv, points)
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
@@ -256,6 +251,47 @@ class ReferenceElement:
         out.setflags(write=False)
         self._eval_cache[key] = out
         return out
+
+    def monomial_table(self, deriv: tuple[int, ...], points: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(P, C) with ``P @ C`` equal to ``eval_shape(deriv, points)`` up to
+        rounding, not bitwise.
+
+        Only the shape monomials m >= deriv survive d^deriv: P[p, s] =
+        perm(m_s, deriv) * prod_i x_pi^(m_si - deriv_i) at the points, and C
+        holds the rows coeffs[m_s] / denominator.  A third derivative keeps
+        few monomials, so P C v costs a fraction of the full table's work.
+        """
+        deriv, pts, key = self._cache_key(deriv, points)
+        hit = self._table_cache.get(key)
+        if hit is not None:
+            return hit
+        keep = [s for s, m in enumerate(self.monomials)
+                if all(mi >= ai for mi, ai in zip(m, deriv))]
+        exps = np.array([self.monomials[s] for s in keep],
+                        dtype=int).reshape(len(keep), self.dim) - deriv
+        width = self.max_degree_per_axis() + 1
+        table = np.empty((pts.shape[0], len(keep)))
+        table[...] = [math.prod(map(math.perm, self.monomials[s], deriv))
+                      for s in keep]
+        for x, e in zip(pts.T, exps.T):
+            table *= np.vander(x, width, increasing=True)[:, e]
+        coeffs = np.array([[c / self.denominator for c in self.coeffs[s]]
+                           for s in keep]).reshape(len(keep), self.n_dofs)
+        for arr in (table, coeffs):
+            arr.setflags(write=False)
+        self._table_cache[key] = table, coeffs
+        return table, coeffs
+
+    def _cache_key(self, deriv, points):
+        """(deriv as ints, points as a float [m, dim] array, cache key)."""
+        deriv = tuple(int(d) for d in deriv)
+        if len(deriv) != self.dim:
+            raise ValueError("derivative multi-index has wrong length")
+        pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+        if pts.shape[1] != self.dim:
+            raise ValueError("points have wrong dimension")
+        return deriv, pts, (deriv, pts.shape, pts.tobytes())
 
 
 _element_cache: dict[tuple[Family, int], ReferenceElement] = {}

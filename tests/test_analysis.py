@@ -20,6 +20,7 @@ from triharm.mesh import BoxDomain, uniform_mesh
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.space import build_space
+from test_solver import AlternatingCells
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 
@@ -77,11 +78,27 @@ def solved(case, family, n):
     return space, coeffs
 
 
+def alternating(case, hi=None):
+    """``case`` on cells whose widths alternate 1:2 (``AlternatingCells``),
+    on the box [0, hi] if given, else on the case's own domain."""
+    fields = {f.name: getattr(case, f.name) for f in dataclasses.fields(case)}
+    if hi is not None:
+        fields["domain"] = BoxDomain((0.0,) * case.dim, hi)
+    return AlternatingCells(**fields)
+
+
+ALTERNATING_BOX_3D = (1.0, 0.8, 1.3)
+
+
 @pytest.mark.parametrize("make", [
     lambda: (case_smooth3d(), *solved(case_smooth3d(), MORLEY, 4)),
     lambda: (case_lshape2d(), *solved(case_lshape2d(), ADINI_TYPE, 8)),
     lambda: (quintic_case(), *solved(quintic_case(), ADINI_TYPE, 4)),
-], ids=["smooth3d-morley4", "lshape2d-adini8", "quintic-adini4"])
+    lambda: (alternating(case_smooth3d(), ALTERNATING_BOX_3D),
+             *solved(alternating(case_smooth3d(), ALTERNATING_BOX_3D),
+                     ADINI_TYPE, (4, 6, 4))),
+], ids=["smooth3d-morley4", "lshape2d-adini8", "quintic-adini4",
+        "smooth3d-adini-alternating-4x6x4"])
 def test_broken_norms_match_dense_reference(make, monkeypatch):
     case, space, coeffs = make()
     want = dense_broken_norms(space, coeffs, case)
@@ -188,6 +205,24 @@ def test_convergence_study_orders_and_validation():
         convergence_study(case, ADINI_TYPE, [4])
     with pytest.raises(ValueError):
         convergence_study(case, ADINI_TYPE, [4, 12])
+
+
+@pytest.mark.parametrize("make, sizes, want", [
+    (case_smooth2d, (32, 64), {MORLEY: (2.002, 2.002, 2.003, 1.016),
+                               ADINI_TYPE: (1.999, 2.002, 1.999, 1.001)}),
+    # pre-asymptotic at these sizes (8 -> 16 gives H3 orders 1.13 and 1.04)
+    (case_smooth3d, (4, 8), {MORLEY: (3.631, 3.063, 2.104, 1.407),
+                             ADINI_TYPE: (4.087, 3.090, 2.069, 1.195)}),
+], ids=["smooth2d", "smooth3d"])
+def test_orders_hold_on_cells_of_unequal_widths(make, sizes, want):
+    # every cell's half-lengths differ between axes, so a swap of axes in
+    # the h^alpha scalings or the chain factors would move these orders
+    case = alternating(make())
+    for family, orders in want.items():
+        errs = [broken_norms(*solved(case, family, (n,) * case.dim), case)
+                for n in sizes]
+        got = [math.log2(c / f) for c, f in zip(*errs)]
+        assert got == pytest.approx(orders, abs=0.02)
 
 
 def test_error_report_csv_and_markdown_format():

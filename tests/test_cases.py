@@ -172,14 +172,18 @@ def test_case_mesh_factory():
     np.testing.assert_array_equal(mesh.cell_half_lengths[0], [0.25, 0.5, 1 / 6])
 
 
-def cell_grid(dim, n_cells, q, rng):
+def cell_grid(dim, n_cells, q, rng, cells_last=False):
     """Open grid of q nodes per axis in each of n_cells random cells, in the
-    layout ``broken_norms`` uses: axis i varies along array axis i + 1."""
+    layout of ``assembly.cell_grid`` (axis i varies along array axis i + 1),
+    or with the cell axis moved last, as ``broken_norms`` hands it over."""
     lo = rng.uniform(-0.9, 0.5, size=(n_cells, dim))
     nodes = np.sort(rng.uniform(0.0, 0.4, size=q))
-    return tuple(
+    grid = tuple(
         (lo[:, [i]] + nodes).reshape((n_cells,) + (1,) * i + (q,) + (1,) * (dim - i - 1))
         for i in range(dim))
+    if cells_last:
+        grid = tuple(np.ascontiguousarray(np.moveaxis(g, 0, -1)) for g in grid)
+    return grid
 
 
 def dense(grid):
@@ -199,10 +203,11 @@ OPEN_GRID_CASES = {
 }
 
 
+@pytest.mark.parametrize("cells_last", [False, True], ids=["cells-first", "cells-last"])
 @pytest.mark.parametrize("name", sorted(OPEN_GRID_CASES))
-def test_open_grid_matches_dense_points(name):
+def test_open_grid_matches_dense_points(name, cells_last):
     case = OPEN_GRID_CASES[name]()
-    grid = cell_grid(case.dim, 5, 4, np.random.default_rng(7))
+    grid = cell_grid(case.dim, 5, 4, np.random.default_rng(7), cells_last)
     pts, shape = dense(grid)
     for order in range(4):
         for alpha in _multi_indices(case.dim, order):

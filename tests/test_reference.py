@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from triharm import reference
+from triharm.assembly import derivative_multiindices, gauss_rule
 from triharm.polynomials import Polynomial, det, invert
 from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basis,
@@ -166,3 +167,21 @@ def test_eval_shape_checks_its_arguments():
         elem.eval_shape((0, 0), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="wrong length"):
         elem.eval_shape((0, 0, 0), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monomial_table_times_its_coefficients_is_eval_shape(family, n):
+    # Gauss points, and random points off every symmetry plane, so that a
+    # table with its axes swapped cannot agree
+    elem = build_dual_basis(family, n)
+    pts = np.vstack([gauss_rule(4, n).points,
+                     np.random.default_rng(n).uniform(-1.0, 1.0, size=(9, n))])
+    for order in range(4):
+        for alpha, _ in derivative_multiindices(n, order):
+            table, coeffs = elem.monomial_table(alpha, pts)
+            kept = [m for m in elem.monomials if min(np.subtract(m, alpha)) >= 0]
+            assert table.shape == (len(pts), len(kept))
+            assert coeffs.shape == (len(kept), elem.n_dofs)
+            want = elem.eval_shape(alpha, pts)
+            assert np.abs(table @ coeffs - want).max() <= 1e-13 * np.abs(want).max()
