@@ -266,14 +266,12 @@ class ReferenceElement:
         hit = self._table_cache.get(key)
         if hit is not None:
             return hit
-        keep = [s for s, m in enumerate(self.monomials)
-                if all(mi >= ai for mi, ai in zip(m, deriv))]
-        exps = np.array([self.monomials[s] for s in keep],
-                        dtype=int).reshape(len(keep), self.dim) - deriv
+        factors = [math.prod(map(math.perm, m, deriv)) for m in self.monomials]
+        keep = np.flatnonzero(factors)      # the monomials m >= deriv
+        exps = np.array(self.monomials)[keep] - deriv
         width = self.max_degree_per_axis() + 1
-        table = np.empty((pts.shape[0], len(keep)))
-        table[...] = [math.prod(map(math.perm, self.monomials[s], deriv))
-                      for s in keep]
+        table = np.empty((len(pts), len(keep)))
+        table[...] = np.array(factors, dtype=float)[keep]
         for x, e in zip(pts.T, exps.T):
             table *= np.vander(x, width, increasing=True)[:, e]
         coeffs = np.array([[c / self.denominator for c in self.coeffs[s]]
