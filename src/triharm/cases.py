@@ -120,7 +120,8 @@ def case_lshape2d() -> ManufacturedCase:
                 for a, b in zip(last["axes"], axes)):
             x, y = axes
             # not separable: broadcast to the full grid; + 0.0 turns
-            # y = -0.0 into +0.0, where theta = pi
+            # y = -0.0 into +0.0, where theta = pi, whatever sign of zero
+            # the complex product 1j * y would keep
             z = x + 1j * (y + 0.0)
             # the principal root has theta in (-pi, pi]: negating it below
             # the x-axis moves theta to [0, 2 pi)
