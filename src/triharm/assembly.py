@@ -101,13 +101,9 @@ def _reference_grammian(elem: ReferenceElement, alpha: tuple):
     The integrand has per-axis degree at most 2p for shape degree p per
     axis, so the (p+1)-point Gauss rule (exact to degree 2p+1) is exact.
     """
-    g = elem.grammian_cache.get(alpha)
-    if g is None:
-        rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
-        d = elem.eval_shape(alpha, rule.points)
-        g = d.T @ (rule.weights[:, None] * d)
-        elem.grammian_cache[alpha] = g
-    return g
+    rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
+    d = elem.eval_shape(alpha, rule.points)
+    return d.T @ (rule.weights[:, None] * d)
 
 
 def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:

@@ -130,8 +130,8 @@ def shape_space(family: Family, n: int) -> list[tuple[int, ...]]:
 
     Q1, then Q1 * x_j^(2k) per derivative axis j and k = 1..order, then
     x_j^4 and x_j^5 per axis when the family has face DoFs.  The order is
-    fixed: basis polynomials keep their terms in it, and float evaluation
-    sums them in that order.
+    fixed: basis polynomials keep their terms in it, and monomial tables
+    their columns.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -202,11 +202,8 @@ class ReferenceElement:
     dofs: list[DofFunctional]
     coeffs: list[list[int]]   # [monomial][basis function]
     denominator: int
-    # caches start empty, also on a dataclasses.replace copy with new coeffs
-    _eval_cache: dict = field(default_factory=dict, repr=False, init=False)
+    # starts empty, also on a dataclasses.replace copy with new coeffs
     _table_cache: dict = field(default_factory=dict, repr=False, init=False)
-    # reference Grammians of assembly, keyed by derivative multi-index
-    grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property
     def n_dofs(self) -> int:
@@ -223,44 +220,21 @@ class ReferenceElement:
                 for a in range(self.n_dofs)]
 
     def eval_shape(self, deriv: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-        """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs].
-
-        Basis function a has the coefficient perm(m, deriv) * coeffs[m][a] /
-        denominator at exponent m - deriv, rounded once from ints.  Summing
-        the terms in shape-space order, each a coefficient times per-axis
-        powers in axis order, gives bitwise ``Polynomial.eval_grid`` of the
-        differentiated basis function.
-        """
-        deriv, pts, key = self._cache_key(deriv, points)
-        hit = self._eval_cache.get(key)
-        if hit is not None:
-            return hit
-        # vander fills columns by a running product: the width keeps the bits
-        width = self.max_degree_per_axis() + 1
-        powers = [np.vander(x, width, increasing=True) for x in pts.T]
-        out = np.zeros((pts.shape[0], self.n_dofs))
-        for m, row in zip(self.monomials, self.coeffs):
-            factor = math.prod(map(math.perm, m, deriv))
-            if not factor:
-                continue
-            term = np.array([factor * c / self.denominator for c in row])
-            for i, (mi, ai) in enumerate(zip(m, deriv)):
-                if mi > ai:
-                    term = term * powers[i][:, mi - ai, None]
-            out += term
-        out.setflags(write=False)
-        self._eval_cache[key] = out
-        return out
+        """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs],
+        the product ``P @ C`` of ``monomial_table(deriv, points)``."""
+        table, coeffs = self.monomial_table(deriv, points)
+        return table @ coeffs
 
     def monomial_table(self, deriv: tuple[int, ...], points: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """(P, C) with ``P @ C`` equal to ``eval_shape(deriv, points)`` up to
-        rounding, not bitwise.
+        """(P, C), cached, with ``P @ C`` the d^deriv of the basis at the
+        points.
 
         Only the shape monomials m >= deriv survive d^deriv: P[p, s] =
         perm(m_s, deriv) * prod_i x_pi^(m_si - deriv_i) at the points, and C
-        holds the rows coeffs[m_s] / denominator.  A third derivative keeps
-        few monomials, so P C v costs a fraction of the full table's work.
+        holds the rows coeffs[m_s] / denominator, each rounded once from
+        ints.  A third derivative keeps few monomials, so P C v costs a
+        fraction of the full table's work.
         """
         deriv, pts, key = self._cache_key(deriv, points)
         hit = self._table_cache.get(key)

@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,20 @@ def test_solve_case_reproduces_first_table_row():
     expected = (1.142e-01, 7.092e-01, 8.272e+00, 1.436e+02)
     for got, want in zip(errs, expected):
         assert abs(got - want) / want < 0.1
+    assert report.relative_residual < 1e-9
+
+
+def test_lshape64_errors_stay_inside_the_benchmark_rtol():
+    # the benchmark's tightest correctness check, read from its own file:
+    # a change to the matrix bits moves these errors by up to ~1e-4
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    expected = json.loads(path.read_text())
+    want = expected["solves"]["lshape2d/adini/64"]
+    case = case_lshape2d()
+    space, coeffs, report = solve_case(case, ADINI_TYPE, 64)
+    assert space.n_dofs == want["dofs"]
+    np.testing.assert_allclose(broken_norms(space, coeffs, case), want["errors"],
+                               rtol=expected["rtol"], atol=0)
     assert report.relative_residual < 1e-9
 
 

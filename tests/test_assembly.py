@@ -1,6 +1,8 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +57,41 @@ def test_reference_stiffness_rank_and_quadratic_kernel():
         mono = Polynomial.monomial(2, exps)
         vec = np.array([float(apply_dof(d, mono, 2)) for d in elem.dofs])
         assert np.linalg.norm(k @ vec) < 1e-10 * np.abs(eig).max()
+
+
+def exact_stiffness(h, elem):
+    """The element matrix in rationals: sum over |alpha| = 3 of (3!/alpha!)
+    times the chain-rule and Jacobian factors of h, times the moments
+    int x^(m + m' - 2 alpha) over [-1, 1]^n with their derivative factors,
+    between the integer numerators N on both sides, over d^2."""
+    def moment(k):
+        return Fraction(2, k + 1) if k % 2 == 0 else 0
+
+    h = [Fraction(x) for x in h]
+    mono = elem.monomials
+    gram = np.zeros((len(mono), len(mono)), dtype=object)
+    for alpha, mult in derivative_multiindices(elem.dim, 3):
+        weight = mult * math.prod(hi ** (1 - 2 * ai) for hi, ai in zip(h, alpha))
+        factors = [math.prod(map(math.perm, m, alpha)) for m in mono]
+        for s, t in zip(*np.nonzero(np.outer(factors, factors))):
+            gram[s, t] += weight * factors[s] * factors[t] * math.prod(
+                moment(a + b - 2 * c) for a, b, c in zip(mono[s], mono[t], alpha))
+    # over one common denominator the products stay in Python ints, and
+    # int / int rounds once
+    common = math.lcm(*(Fraction(g).denominator for g in gram.flat))
+    numer = np.array(elem.coeffs, dtype=object)
+    k = numer.T @ np.vectorize(lambda g: int(g * common), otypes=[object])(gram) @ numer
+    return (k / (common * elem.denominator ** 2)).astype(float)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("n", [2, 3])
+def test_element_stiffness_matches_the_exact_rational_matrix(family, n):
+    elem = build_dual_basis(family, n)
+    h = (0.5, 0.125, 0.25)[:n]
+    got = element_stiffness(h, elem)
+    want = exact_stiffness(h, elem)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_stiffness_scaling_law():
@@ -205,7 +242,7 @@ def test_assembly_peak_memory_per_element_entry():
     mesh = uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (8, 8, 8))
     space = build_space(mesh, MORLEY)
     f = case_smooth3d().source
-    assemble(space, f)       # warm the element and grammian caches
+    assemble(space, f)       # warm the element's monomial tables
     tracemalloc.start()
     try:
         assemble(space, f)

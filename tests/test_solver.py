@@ -172,7 +172,7 @@ def test_separators_decouple_their_subtrees(build):
         "alternating3d-morley-4x6x4"])
 def test_assembled_matrix_is_symmetric_to_rounding(build):
     # the reference Grammians are symmetric only up to rounding (measured:
-    # 1.2e-17 to 1.3e-16 relative); symbolic reads each column of L off a row
+    # 2.9e-18 to 1.3e-16 relative); symbolic reads each column of L off a row
     a = build()[0].matrix
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
