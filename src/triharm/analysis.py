@@ -1,9 +1,9 @@
 """Broken-norm errors, single solves, and convergence studies.
 
 The error norms integrate over each cell's tensor grid of Gauss nodes,
-handed to the case as an open grid (``assembly.cell_grid`` with the cell
-axis moved last) one block of cells at a time, so their memory does not
-grow with the mesh.
+handed to the case as the open grids of ``assembly.cell_blocks``, with
+the cell axis last, one block of cells at a time, so their memory does
+not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    DATA_Q, apply_dirichlet, assemble, cell_grid, derivative_multiindices,
+    DATA_Q, apply_dirichlet, assemble, cell_blocks, derivative_multiindices,
     gauss_rule,
 )
 from .cases import ManufacturedCase
@@ -28,9 +28,6 @@ __all__ = [
     "broken_norms", "solve_case", "ErrorReport", "convergence_study",
 ]
 
-# quadrature points per block of cells in broken_norms: 1 MB per float64 array
-BLOCK_POINTS = 1 << 17
-
 
 def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
                  q: int = DATA_Q) -> tuple[float, float, float, float]:
@@ -39,8 +36,8 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     Mixed partials enter with the multinomial multiplicity m!/alpha!, the
     same weighting as the ordered-tuple sums of the bilinear form.
 
-    Cells are taken in blocks of about ``BLOCK_POINTS`` quadrature points,
-    so each temporary stays near 1 MB whatever the mesh size.  Within a
+    Cells are taken in the blocks of ``assembly.cell_blocks``, so each
+    temporary stays near 1 MB whatever the mesh size.  Within a
     block every multi-index sees the same open grid, with the cell axis
     last so that a case's products broadcast over a long axis, which lets
     a case reuse work across them (the L-shape keeps z and its root).
@@ -59,11 +56,7 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
              for alpha, mult in derivative_multiindices(dim, m)]
 
     acc = np.zeros(4)
-    step = max(1, BLOCK_POINTS // len(rule.weights))
-    for lo in range(0, mesh.n_cells, step):
-        cells = slice(lo, lo + step)
-        grid = tuple(np.ascontiguousarray(np.moveaxis(g, 0, -1))
-                     for g in cell_grid(mesh.cell_centers[cells], half[cells], rule))
+    for cells, grid in cell_blocks(mesh, rule):
         full = (q,) * dim + grid[0].shape[-1:]
         for m, alpha, mult, table, monomial in terms:
             exact = np.broadcast_to(case.derivative(alpha, grid), full)

@@ -5,11 +5,12 @@ The form sums the squared third gradient over all ordered index triples;
 assembly loops over distinct third-order multi-indices alpha weighted by the
 multinomial multiplicity 3!/alpha! instead, which is the identical sum.
 
-``cell_grid`` gives the Gauss points of a set of cells as an open grid, one
-coordinate array per axis.  The load here, the quasi-interpolant and the
-error norms all evaluate their data on it, so a separable function costs
-q evaluations per axis and cell rather than q^dim, and no dense
-``[n_cells * q^dim, dim]`` point array is built.
+``cell_blocks`` gives the cells' Gauss points as open grids, the cell axis
+last, in blocks of about ``BLOCK_POINTS`` points.  The load and the
+quasi-interpolant integrate their data on them through ``cell_moments``,
+the error norms theirs, so a separable function costs q evaluations per
+axis and cell rather than q^dim, and no array of point data grows with
+the mesh beyond one block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .reference import ReferenceElement
 from .space import FeSpace
 
 __all__ = [
-    "GaussRule", "gauss_rule", "DATA_Q", "cell_grid", "derivative_multiindices",
+    "GaussRule", "gauss_rule", "DATA_Q", "BLOCK_POINTS", "cell_blocks",
+    "cell_moments", "derivative_multiindices",
     "element_stiffness", "group_rows", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
@@ -43,6 +45,9 @@ class GaussRule:
 # Gauss points per axis for integrals of smooth, non-polynomial data: the
 # load, the quasi-interpolant's projections and the error norms
 DATA_Q = 8
+
+# quadrature points per block of cells in cell_blocks: 1 MB per float64 array
+BLOCK_POINTS = 1 << 17
 
 _rule_cache: dict[tuple[int, int], GaussRule] = {}
 
@@ -64,21 +69,36 @@ def gauss_rule(q: int, n: int) -> GaussRule:
     return rule
 
 
-def cell_grid(centers, half_lengths, rule: GaussRule) -> tuple[np.ndarray, ...]:
-    """The Gauss points of each cell as an open grid.
-
-    ``centers`` is ``[nc, dim]``; ``half_lengths`` is ``[nc, dim]`` or one
-    ``[dim]`` vector shared by all cells.  Axis i of the grid is the array
-    ``center_i + h_i * nodes`` of shape ``[nc, 1, ..., q, ..., 1]``, with q
-    on array axis i + 1, so the full grid ``[nc, q, ..., q]`` flattens per
-    cell in the order of ``rule.points``.
+def cell_blocks(mesh, rule: GaussRule):
+    """Yield ``(cells, grid)``: consecutive slices of the cells, of about
+    ``BLOCK_POINTS`` Gauss points each, and their open grid.  Axis i is
+    ``center_i + h_i * nodes`` of each cell's own centre and half-lengths,
+    of shape ``[1, ..., q, ..., 1, nc]``: q on array axis i, the cells
+    last, so the full grid flattens to ``[q^dim, nc]`` in rule order.
     """
-    half = np.broadcast_to(half_lengths, centers.shape)
-    nc, dim = centers.shape
-    return tuple(
-        (centers[:, [i]] + half[:, [i]] * rule.nodes).reshape(
-            (nc,) + (1,) * i + (rule.q,) + (1,) * (dim - i - 1))
-        for i in range(dim))
+    step = max(1, BLOCK_POINTS // len(rule.weights))
+    for lo in range(0, mesh.n_cells, step):
+        cells = slice(lo, lo + step)
+        centers, half = mesh.cell_centers[cells], mesh.cell_half_lengths[cells]
+        yield cells, tuple(
+            (centers[:, i] + half[:, i] * rule.nodes[:, None]).reshape(
+                (1,) * i + (rule.q,) + (1,) * (mesh.dim - i - 1) + (-1,))
+            for i in range(mesh.dim))
+
+
+def cell_moments(space: FeSpace, f) -> np.ndarray:
+    """``[n_cells, n_local]`` integrals of f(x(xi)) phi_a(xi) over [-1,1]^n
+    by ``DATA_Q`` points per axis.  ``f`` gets the grids of ``cell_blocks``
+    and may return anything that broadcasts to them (a constant, say)."""
+    mesh, elem = space.mesh, space.element
+    rule = gauss_rule(DATA_Q, mesh.dim)
+    wphi = rule.weights[:, None] * elem.eval_shape((0,) * mesh.dim, rule.points)
+    out = np.empty((mesh.n_cells, elem.n_dofs))
+    for cells, grid in cell_blocks(mesh, rule):
+        fv = np.broadcast_to(f(grid), (rule.q,) * mesh.dim + grid[0].shape[-1:])
+        # the points-by-cells operand fixes the last bits of the load
+        out[cells] = fv.reshape(len(rule.weights), -1).T @ wphi
+    return out
 
 
 def derivative_multiindices(n: int, order: int) -> list[tuple[tuple[int, ...], int]]:
@@ -151,11 +171,9 @@ def group_rows(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def assemble(space: FeSpace, f) -> SparseSymSystem:
     """Assemble the global stiffness matrix and load vector.
 
-    ``f`` maps points to values in either form a ``ManufacturedCase``
-    accepts; it is called once per group of equal cells with the open grid
-    of ``cell_grid`` and may return anything that broadcasts to the full
-    grid (a constant, say).  Pass None for a zero right-hand side.  The
-    load is integrated with ``DATA_Q`` Gauss points per axis.
+    The load is ``cell_moments(space, f)`` times each cell's Jacobian and
+    DoF scalings, summed over the cells in mesh order by ``np.bincount``.
+    Pass None for ``f`` for a zero right-hand side.
 
     The COO triples, one per element-matrix entry, are written in place
     into preallocated int32 index and float value arrays, in a fixed order:
@@ -168,23 +186,17 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     """
     mesh = space.mesh
     elem = space.element
-    rule = gauss_rule(DATA_Q, elem.dim)
     nloc = elem.n_dofs
 
     size = mesh.n_cells * nloc * nloc
     rows = np.empty(size, dtype=np.int32)
     cols = np.empty(size, dtype=np.int32)
     vals = np.empty(size)
-    rhs = np.zeros(space.n_dofs)
-
-    phi0 = elem.eval_shape((0,) * elem.dim, rule.points)
-    wphi = rule.weights[:, None] * phi0
 
     end = 0
     # one element matrix per group of cells with equal half-lengths
     for hkey, cells in group_rows(mesh.cell_half_lengths):
         k_ref = element_stiffness(hkey, elem)
-        jac = float(np.prod(hkey))
         gidx = space.cell_dof_indices[cells]          # [nc, nloc]
         scale = space.cell_scalings[cells]            # [nc, nloc]
         start, end = end, end + len(cells) * nloc * nloc
@@ -195,13 +207,12 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
         k *= scale[:, None, :]
         rows[start:end].reshape(shape)[...] = gidx[:, :, None]
         cols[start:end].reshape(shape)[...] = gidx[:, None, :]
-        if f is not None:
-            grid = cell_grid(mesh.cell_centers[cells], hkey, rule)
-            fv = np.broadcast_to(f(grid), (len(cells),) + (rule.q,) * mesh.dim)
-            # one product for the whole group: row chunks of it would round
-            # differently under a blocked BLAS
-            fe = jac * (fv.reshape(len(cells), -1) @ wphi)   # [nc, nloc]
-            np.add.at(rhs, gidx.ravel(), (scale * fe).ravel())
+
+    rhs = np.zeros(space.n_dofs)
+    if f is not None:
+        jac = np.prod(mesh.cell_half_lengths, axis=1)[:, None]
+        fe = space.cell_scalings * (jac * cell_moments(space, f))   # [nc, nloc]
+        rhs = np.bincount(space.cell_dof_indices.ravel(), fe.ravel(), space.n_dofs)
 
     mat = sp.coo_matrix((vals, (rows, cols)),
                         shape=(space.n_dofs, space.n_dofs)).tocsr()

@@ -8,10 +8,9 @@ of shape ``[m]``, or an open grid, a tuple of ``dim`` coordinate arrays that
 broadcast together (as ``np.ix_`` returns), giving values of the broadcast
 shape.  A separable solution evaluates each factor on its own axis array,
 so a tensor grid of q points per axis costs q, not q^dim, evaluations.
-An open grid may carry extra broadcast axes, such as one over cells, and
-they may sit anywhere: ``assembly.cell_grid`` puts the cell axis first,
-``analysis.broken_norms`` last.  A case must work elementwise and not
-assume where such an axis is.
+An open grid may carry extra broadcast axes, such as the cell axis that
+``assembly.cell_blocks`` puts last on every grid the library hands over.
+A case must work elementwise.
 """
 
 from __future__ import annotations

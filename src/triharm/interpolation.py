@@ -1,17 +1,18 @@
 """Interpolation operators onto the global finite element spaces.
 
 ``canonical_interpolate`` matches every DoF of a smooth function (needs its
-derivatives).  ``quasi_interpolate`` needs point values only, taken on the
-open grid of each cell's Gauss points: cell-wise L2 projection onto the
-shape space followed by averaging of shared DoFs over the incident cells,
-with an optional homogeneous-boundary variant.
+derivatives).  ``quasi_interpolate`` needs point values only, taken through
+``assembly.cell_moments`` on the open grids of ``assembly.cell_blocks``,
+as the load is: cell-wise L2 projection onto the shape space followed by
+averaging of shared DoFs over the incident cells, with an optional
+homogeneous-boundary variant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import DATA_Q, cell_grid, gauss_rule
+from .assembly import DATA_Q, cell_moments, gauss_rule
 from .cases import ManufacturedCase
 from .space import FeSpace
 
@@ -43,8 +44,8 @@ def boundary_values_from_case(space: FeSpace, case: ManufacturedCase) -> np.ndar
 def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndarray:
     """Projection-averaging interpolant from point values of ``u``.
 
-    ``u`` is called once, with the open grid of every cell's Gauss points
-    (``assembly.cell_grid``), and may return anything that broadcasts to
+    ``u`` is called on the open grids of ``assembly.cell_blocks`` by
+    ``assembly.cell_moments``, and may return anything that broadcasts to
     the full grid; a ``ManufacturedCase``'s ``u`` accepts it.  Per cell,
     solve the local mass system for the L2 projection onto the shape space;
     every shared DoF is then the plain average of the incident cells' DoF
@@ -61,18 +62,13 @@ def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndar
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular local mass matrix") from exc
 
-    grid = cell_grid(mesh.cell_centers, mesh.cell_half_lengths, rule)
-    uv = np.broadcast_to(u(grid), (mesh.n_cells,) + (rule.q,) * mesh.dim)
-    rhs = uv.reshape(mesh.n_cells, -1) @ (rule.weights[:, None] * phi)  # [nc, nloc]
-    ref_coeffs = rhs @ mass_inv.T                  # reference DoFs of projections
+    ref_coeffs = cell_moments(space, u) @ mass_inv.T   # reference DoFs of projections
 
     # physical DoF reading of the projection = ref coefficient / scaling
     readings = ref_coeffs / space.cell_scalings
-    acc = np.zeros(space.n_dofs)
-    cnt = np.zeros(space.n_dofs)
-    np.add.at(acc, space.cell_dof_indices.ravel(), readings.ravel())
-    np.add.at(cnt, space.cell_dof_indices.ravel(), 1.0)
-    coeffs = acc / cnt
+    dofs = space.cell_dof_indices.ravel()
+    coeffs = (np.bincount(dofs, readings.ravel(), space.n_dofs)
+              / np.bincount(dofs, minlength=space.n_dofs))
     if zero_boundary:
         coeffs[space.boundary_mask] = 0.0
     return coeffs

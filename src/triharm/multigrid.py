@@ -124,13 +124,13 @@ class VCycle:
     """Symmetric V(1,1)-cycle on the hierarchy of ``system``'s mesh.
 
     ``matrices[0]`` is the system's matrix and ``prolongations[i]`` maps the
-    free DoFs of level i + 1 to those of level i; ``restrictions[i]`` is its
-    transpose.  ``exact`` is the Cholesky factor of the coarsest level.
+    free DoFs of level i + 1 to those of level i; its transpose restricts.
+    ``exact`` is the Cholesky factor of the coarsest level.
     """
 
     def __init__(self, system: ReducedSystem):
         self.matrices = [system.matrix]
-        self.prolongations, self.restrictions = [], []
+        self.prolongations = []
         space, free = system.space, system.free
         while space is not None and (mesh := coarsen(space.mesh)) is not None:
             coarse = build_space(mesh, space.element.family)
@@ -139,7 +139,6 @@ class VCycle:
             a = (p.T @ self.matrices[-1] @ p).tocsr()
             a.eliminate_zeros()
             self.prolongations.append(p)
-            self.restrictions.append(p.T.tocsr())
             self.matrices.append(a)
             space, free = coarse, coarse_free
         self.exact = cholesky(self.matrices[-1], space, free)
@@ -151,7 +150,7 @@ class VCycle:
             return self.exact.solve(b)
         a = self.matrices[level]
         x = self._smooth(level, b)
-        coarse = self(self.restrictions[level] @ (b - a @ x), level + 1)
+        coarse = self(self.prolongations[level].T @ (b - a @ x), level + 1)
         x += self.prolongations[level] @ coarse
         return self._smooth(level, b, x)
 

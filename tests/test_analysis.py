@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triharm import analysis
+from triharm import analysis, assembly
 from triharm.analysis import (
     ErrorReport, broken_norms, convergence_study, solve_case,
 )
 from triharm.assembly import DATA_Q, derivative_multiindices, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
-from triharm.interpolation import canonical_interpolate
+from triharm.interpolation import canonical_interpolate, quasi_interpolate
 from triharm.mesh import BoxDomain, uniform_mesh
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
@@ -107,8 +107,8 @@ def test_broken_norms_match_dense_reference(make, monkeypatch):
     assert min(want) > 1e-6    # so that a zero result cannot pass
     # one block at the default size, then blocks of 7 cells, the last short
     assert space.mesh.n_cells % 7 != 0
-    for block_points in (analysis.BLOCK_POINTS, 7 * DATA_Q ** space.dim + 5):
-        monkeypatch.setattr(analysis, "BLOCK_POINTS", block_points)
+    for block_points in (assembly.BLOCK_POINTS, 7 * DATA_Q ** space.dim + 5):
+        monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
         got = broken_norms(space, coeffs, case)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12)
@@ -127,6 +127,62 @@ def test_broken_norms_memory_stays_within_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+def test_quasi_interpolation_memory_stays_within_a_few_blocks():
+    # its moments come block by block as well: one grid over all 4096 cells
+    # of smooth3d Morley N=16 peaked at 21 MB, blocks of 256 cells at 4 MB
+    case = case_smooth3d()
+    space = build_space(case.mesh(16), MORLEY)
+    quasi_interpolate(space, case.u)     # warm the element's tables
+    tracemalloc.start()
+    try:
+        quasi_interpolate(space, case.u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+def test_every_call_sees_the_cells_last_in_blocks_of_own_cells(monkeypatch):
+    # the load of assemble, the u of quasi_interpolate and every derivative
+    # of broken_norms get the grids of cell_blocks: the q nodes of axis i on
+    # array axis i, the cells on the last axis, every cell once and in
+    # order, at its own centre + h * node
+    case = alternating(case_smooth3d(), ALTERNATING_BOX_3D)
+    mesh = case.mesh((4, 6, 4))
+    half = mesh.cell_half_lengths
+    # the 14-digit keys that group the cells for the stiffness differ here
+    # from the cells' own half-lengths
+    assert not np.array_equal(np.round(half, 14), half)
+    block_points = 7 * DATA_Q ** 3 + 5
+    assert mesh.n_cells % 7 != 0
+    monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+
+    seen: dict = {}
+
+    def record(key, points):
+        seen.setdefault(key, []).append(points)
+        return points
+
+    space = build_space(mesh, ADINI_TYPE)
+    assembly.assemble(space, lambda p: case.source(record("load", p)))
+    coeffs = quasi_interpolate(space, lambda p: case.u(record("u", p)))
+    broken_norms(space, coeffs, dataclasses.replace(
+        case, derivative=lambda alpha, p: case.derivative(alpha, record(alpha, p))))
+    assert len(seen) == 2 + 20       # the load, u and 20 multi-indices
+
+    nodes = gauss_rule(DATA_Q, 3).nodes[:, None]
+    for key, grids in seen.items():
+        assert len(grids) == math.ceil(mesh.n_cells / 7), key
+        for grid in grids:
+            assert len(grid) == 3
+            for i, g in enumerate(grid):
+                assert g.shape[:-1] == tuple(DATA_Q if j == i else 1 for j in range(3))
+            assert g.shape[-1] * DATA_Q ** 3 <= block_points
+        for i in range(3):
+            got = np.concatenate([grid[i].reshape(DATA_Q, -1) for grid in grids], axis=1)
+            assert np.array_equal(got, mesh.cell_centers[:, i] + half[:, i] * nodes), key
 
 
 def test_broken_norms_scale_with_an_amplitude_wrapper():

@@ -178,13 +178,13 @@ def grammian_stiffness(h, elem, rule):
 
 def coo_reference(space, f):
     """The former build: per-group int64 COO lists, concatenated once, with
-    the element matrix from the 6-point rule and the load from the 8-point
-    rule."""
+    the element matrix from the 6-point rule; the load from the 8-point rule
+    on each cell's own half-lengths, as one points-by-cells product summed
+    by ``np.bincount``."""
     mesh, elem = space.mesh, space.element
     stiffness_rule, load_rule = gauss_rule(6, mesh.dim), gauss_rule(8, mesh.dim)
     nloc = elem.n_dofs
     rows, cols, vals = [], [], []
-    rhs = np.zeros(space.n_dofs)
     wphi = load_rule.weights[:, None] * elem.eval_shape((0,) * elem.dim,
                                                         load_rule.points)
     for hkey, cells in group_rows(mesh.cell_half_lengths):
@@ -195,11 +195,11 @@ def coo_reference(space, f):
         rows.append(np.repeat(gidx, nloc, axis=1).ravel())
         cols.append(np.tile(gidx, (1, nloc)).ravel())
         vals.append(kscaled.ravel())
-        h = np.asarray(hkey)
-        pts = mesh.cell_centers[cells][:, None, :] + h * load_rule.points[None]
-        fv = f(pts.reshape(-1, mesh.dim)).reshape(len(cells), -1)
-        np.add.at(rhs, gidx.ravel(),
-                  (scale * (float(np.prod(hkey)) * (fv @ wphi))).ravel())
+    half = mesh.cell_half_lengths
+    pts = mesh.cell_centers + half * load_rule.points[:, None, :]   # [npts, nc, dim]
+    fv = f(pts.reshape(-1, mesh.dim)).reshape(len(load_rule.weights), -1)
+    fe = space.cell_scalings * (np.prod(half, axis=1)[:, None] * (fv.T @ wphi))
+    rhs = np.bincount(space.cell_dof_indices.ravel(), fe.ravel(), space.n_dofs)
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(space.n_dofs, space.n_dofs)).tocsr()
@@ -235,10 +235,11 @@ def test_assembly_matches_the_list_build_bit_for_bit(mesh, family, f):
 
 
 def test_assembly_peak_memory_per_element_entry():
-    # 16 bytes per COO triple (two int32 indices and a value), 12 for the
-    # CSR that tocsr builds from them, and the group's load evaluated on
-    # its open grid: ~32 bytes per element-matrix entry; the load on dense
-    # [m, dim] points took ~40, the int64 list build ~68
+    # 16 bytes per COO triple (two int32 indices and a value) and 12 for the
+    # CSR that tocsr builds from them: ~29 bytes per element-matrix entry,
+    # the load on its blocks of cells adding almost nothing; the load of
+    # whole groups of cells took ~32, on dense [m, dim] points ~40, and the
+    # int64 list build ~68
     mesh = uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (8, 8, 8))
     space = build_space(mesh, MORLEY)
     f = case_smooth3d().source
@@ -250,7 +251,7 @@ def test_assembly_peak_memory_per_element_entry():
     finally:
         tracemalloc.stop()
     entries = mesh.n_cells * space.element.n_dofs ** 2
-    assert peak <= 34 * entries
+    assert peak <= 31 * entries
 
 
 def test_dirichlet_reduction_matches_two_row_slices():

@@ -173,9 +173,9 @@ def test_case_mesh_factory():
 
 
 def cell_grid(dim, n_cells, q, rng, cells_last=False):
-    """Open grid of q nodes per axis in each of n_cells random cells, in the
-    layout of ``assembly.cell_grid`` (axis i varies along array axis i + 1),
-    or with the cell axis moved last, as ``broken_norms`` hands it over."""
+    """Open grid of q nodes per axis in each of n_cells random cells, with
+    the cell axis first (axis i varies along array axis i + 1), or moved
+    last, as ``assembly.cell_blocks`` hands it over."""
     lo = rng.uniform(-0.9, 0.5, size=(n_cells, dim))
     nodes = np.sort(rng.uniform(0.0, 0.4, size=q))
     grid = tuple(
