@@ -1,23 +1,21 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Polynomials live in the reference coordinates of an axis-aligned cell and are
-the exact backbone for dual-basis construction, unisolvence determinants and
-the face-integral identity checks.  Polynomial arithmetic is over
+the exact backbone of the closed-form bases, the interpolation checks and
+the face-integral identities.  Polynomial arithmetic is over
 ``fractions.Fraction``; floating-point evaluation is provided separately for
-the runtime (quadrature) paths.  ``det`` and ``invert`` share one
-fraction-free elimination over Python ints, on rational rows scaled to
-integers; ``invert`` returns integer numerators over one denominator.
+the runtime (quadrature) paths.  There is no linear algebra here: the dual
+basis is the certified inverse of ``reference.certified_inverse``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
-__all__ = ["Polynomial", "det", "invert"]
+__all__ = ["Polynomial"]
 
 
 def _as_fraction(value) -> Fraction:
@@ -252,81 +250,3 @@ class Polynomial:
             terms[key] = terms.get(key, Fraction(0)) + c
         return Polynomial(new_dim, terms)
 
-
-# -- exact dense linear algebra: fraction-free elimination over ints -------
-
-def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers by the lcm of its denominators.
-
-    Returns the integer rows and the per-row scales, so that
-    ``rows[i] = scales[i] * matrix[i]``.
-    """
-    rows, scales = [], []
-    for row in matrix:
-        row = [_as_fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    return rows, scales
-
-
-def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place.
-
-    ``rows`` holds an m x m integer matrix A, possibly followed by more
-    columns R.  Each step divides by the previous pivot, which is exact:
-    every intermediate entry is a minor of the input (Bareiss, Math. Comp.
-    22, 1968).  Rows are swapped as the pivots need.  At the end the extra
-    columns hold d * A^-1 R, with d = det(PA) and P the row permutation;
-    columns of A are not updated once eliminated.  Returns (sign of P, d);
-    raises ZeroDivisionError when A is singular.
-    """
-    m = len(rows)
-    sign, prev = 1, 1
-    for k in range(m):
-        pivot = next((r for r in range(k, m) if rows[r][k]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        # columns < k are already eliminated; only k onwards change
-        tail = rows[k][k:]
-        p = tail[0]
-        for i, row in enumerate(rows):
-            f = row[k]
-            if i == k or (not f and p == prev):
-                continue
-            if f:
-                row[k:] = [(p * v - f * w) // prev for v, w in zip(row[k:], tail)]
-            else:
-                row[k:] = [p * v // prev for v in row[k:]]
-        prev = p
-    return sign, prev
-
-
-def det(matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination over Python ints."""
-    rows, scales = _integer_rows(matrix)
-    try:
-        sign, d = _eliminate(rows)
-    except ZeroDivisionError:
-        return Fraction(0)
-    return Fraction(sign * d, math.prod(scales))
-
-
-def invert(matrix) -> tuple[list[list[int]], int]:
-    """Exact inverse as integer numerators N over one denominator d.
-
-    Eliminates [D A | I], D the row scales that make D A integral, to
-    [d I | d (D A)^-1]; then A^-1 = (D A)^-1 D = N / d with N = d (D A)^-1 D.
-    Raises ZeroDivisionError when the matrix is singular.
-    """
-    rows, scales = _integer_rows(matrix)
-    m = len(rows)
-    for i, row in enumerate(rows):
-        row += [int(i == j) for j in range(m)]
-    _, d = _eliminate(rows)
-    return [[v * s for v, s in zip(row[m:], scales)] for row in rows], d

@@ -3,9 +3,11 @@
 Each element family is described by its shape-space monomials and a list of
 degree-of-freedom functionals, each a derivative d^alpha taken at a vertex
 or at a face center.  The DoF-monomial matrix V has integer entries in closed
-form.  Its exact inverse C, the coefficients of the nodal basis dual to the
-DoFs, comes from fraction-free elimination over Python ints as integer
-numerators N over one denominator d (so V N = d I), and is the element's
+form.  Its exact inverse, the coefficients of the nodal basis dual to the
+DoFs, is the float inverse certified in integers: scaled by the smallest
+power of two d = 2^k that makes it integral and rounded to C, it is exact
+when V C = d I holds in int64 (Rump, Acta Numerica 19, 2010).  That one
+product proves unisolvence and duality at once.  C over d is the element's
 only data: every derivative d^alpha of the basis is evaluated from it.
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import Polynomial, det, invert
+from .polynomials import Polynomial
 
 __all__ = [
     "Family", "Q1", "ADINI_CLASSIC", "MORLEY", "ADINI_TYPE",
@@ -31,7 +33,7 @@ __all__ = [
     "DofFunctional", "ReferenceElement",
     "shape_space", "dof_set", "build_dual_basis",
     "morley_closed_form", "q1_closed_form", "dof_matrix",
-    "unisolvence_determinant", "apply_dof", "reference_vertices",
+    "certified_inverse", "is_exact_inverse", "apply_dof", "reference_vertices",
 ]
 
 
@@ -190,11 +192,58 @@ def dof_matrix(family: Family, n: int) -> list[list[int]]:
     return rows
 
 
+# 2^k times the float inverse of a DoF matrix is ~1e-12 from its integers at
+# every n <= 6; a wrong pick of k only costs the certificate (the integer
+# product fails), never its truth.
+_ROUND_TOL = 2.0 ** -20
+
+
+def is_exact_inverse(matrix, numerators, denominator: int) -> bool:
+    """True when ``matrix @ numerators == denominator * I`` exactly.
+
+    The product runs in int64 after a bound rules out overflow: every entry
+    of it, and every partial sum, is at most max row |matrix|_1 * max
+    |numerators| < 2^62.  Entries past that bound are not certified, and
+    neither is a denominator past it.
+    """
+    v, c = np.array(matrix), np.array(numerators)
+    bound = int(np.abs(v).sum(axis=1).max()) * int(np.abs(c).max())
+    if max(bound, abs(denominator)) >= 2 ** 62:
+        return False
+    return np.array_equal(v @ c, denominator * np.eye(len(v), dtype=np.int64))
+
+
+def certified_inverse(matrix) -> tuple[list[list[int]], int]:
+    """Exact inverse of an integer matrix as numerators C over d = 2^k.
+
+    For the smallest k >= 0 at which 2^k times the float inverse rounds to
+    integers C, checks ``is_exact_inverse(matrix, C, 2^k)``.  Raises
+    ``ValueError`` when the matrix is not certified: singular, or with an
+    inverse that is not dyadic.
+    """
+    v = np.array(matrix, dtype=np.int64)
+    try:
+        scaled = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("not certified: singular in floats") from exc
+    d = 1
+    while np.abs(scaled).max() < 2.0 ** 62:    # False on inf and nan too
+        c = np.rint(scaled)
+        if np.abs(scaled - c).max() <= _ROUND_TOL:
+            c = c.astype(np.int64)
+            if is_exact_inverse(v, c, d):
+                return c.tolist(), d
+            break
+        scaled, d = 2.0 * scaled, 2 * d
+    raise ValueError("not certified: no dyadic inverse checks out")
+
+
 @dataclass
 class ReferenceElement:
     """Reference element with nodal basis dual to the DoFs, kept as the exact
     inverse of the DoF matrix: integer numerators ``coeffs[m][a]`` over one
-    ``denominator``, basis function a being sum_m coeffs[m][a] / d * x^m."""
+    ``denominator`` d, basis function a being sum_m coeffs[m][a] / d * x^m.
+    Built elements have d = 2^k, the reduced denominator."""
 
     dim: int
     family: Family
@@ -270,26 +319,21 @@ _element_cache: dict[tuple[Family, int], ReferenceElement] = {}
 
 
 def build_dual_basis(family: Family, n: int) -> ReferenceElement:
-    """Build (and cache) the reference element with its exact nodal basis."""
+    """Build (and cache) the reference element with its certified nodal basis."""
     key = (family, n)
     if key in _element_cache:
         return _element_cache[key]
     try:
-        coeffs, d = invert(dof_matrix(family, n))
-    except ZeroDivisionError as exc:
+        coeffs, d = certified_inverse(dof_matrix(family, n))
+    except ValueError as exc:
         raise ValueError(
-            f"singular DoF matrix for {family} at n={n}: "
-            "shape space and DoF set do not pair"
+            f"DoF matrix for {family} at n={n} is {exc} (shape space and DoF"
+            " set do not pair, or the inverse is not dyadic)"
         ) from exc
     elem = ReferenceElement(n, family, shape_space(family, n), dof_set(family, n),
                             coeffs, d)
     _element_cache[key] = elem
     return elem
-
-
-def unisolvence_determinant(family: Family, n: int) -> Fraction:
-    """Exact determinant of the DoF-monomial matrix."""
-    return det(dof_matrix(family, n))
 
 
 # -- closed forms ----------------------------------------------------------

@@ -94,6 +94,15 @@ def test_verify_suite_output(capsys):
     assert all(line.startswith("[PASS]") for line in out.strip().splitlines())
 
 
+def test_verify_unisolvence_in_five_dimensions(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "unisolvence", "--dims", "5"],
+                           capsys)
+    lines = out.strip().splitlines()
+    assert code == 0
+    assert len(lines) == 9
+    assert all(line.startswith("[PASS]") for line in lines)
+
+
 def test_repeated_dimension_is_verified_once(capsys):
     code, out, _ = run_cli(["verify", "--suite", "unisolvence",
                             "--dims", "2,2"], capsys)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from triharm.analysis import broken_norms
 from triharm.assembly import DATA_Q, gauss_rule
@@ -44,8 +45,9 @@ def test_quasi_interpolation_reproduces_cubics(family):
     space = build_space(uniform_mesh(UNIT_SQUARE, (3, 2)), family)
     coeffs = quasi_interpolate(space, case.u)
     errs = broken_norms(space, coeffs, case)
-    # tolerance reflects the conditioning of the local mass matrix
-    assert all(e < 1e-7 for e in errs)
+    # tolerance reflects the conditioning of the local mass matrix (up to
+    # 5e5 in 2D), which the Cholesky solve meets at ~1e-9 in H3
+    assert all(e < 1e-8 for e in errs)
 
 
 def test_quasi_zero_boundary_variant():
@@ -114,14 +116,16 @@ def test_canonical_makes_the_same_derivative_calls_as_a_per_dof_loop(family):
 def dense_quasi_interpolate(space, u):
     """The projection-averaging interpolant from ``u`` at every cell's
     Gauss points as one dense [m, dim] array, projected by one
-    points-by-cells product and averaged by ``np.bincount``."""
+    points-by-cells product and a Cholesky solve, and averaged by
+    ``np.bincount``."""
     mesh, elem = space.mesh, space.element
     rule = gauss_rule(DATA_Q, mesh.dim)
     phi = elem.eval_shape((0,) * mesh.dim, rule.points)
-    mass_inv = np.linalg.inv(phi.T @ (rule.weights[:, None] * phi))
+    factor = scipy.linalg.cho_factor(phi.T @ (rule.weights[:, None] * phi))
     pts = mesh.cell_centers + mesh.cell_half_lengths * rule.points[:, None, :]
     uv = u(pts.reshape(-1, mesh.dim)).reshape(len(rule.weights), -1)
-    readings = (uv.T @ (rule.weights[:, None] * phi)) @ mass_inv.T / space.cell_scalings
+    moments = uv.T @ (rule.weights[:, None] * phi)
+    readings = scipy.linalg.cho_solve(factor, moments.T).T / space.cell_scalings
     dofs = space.cell_dof_indices.ravel()
     return (np.bincount(dofs, readings.ravel(), space.n_dofs)
             / np.bincount(dofs, minlength=space.n_dofs))

@@ -1,11 +1,11 @@
-"""Exact rational polynomial arithmetic, calculus, and linear algebra."""
+"""Exact rational polynomial arithmetic and calculus."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from triharm.polynomials import Polynomial, det, invert
+from triharm.polynomials import Polynomial
 
 
 def univar(coeffs):
@@ -93,103 +93,3 @@ def test_restrict_reduces_dimension():
     # univariate restriction keeps a dummy variable
     one_d = (Polynomial.variable(1, 0) ** 2).restrict(0, 3)
     assert one_d == Polynomial.constant(1, 9)
-
-
-def test_det_known_values():
-    assert det([[2, 1], [1, 2]]) == 3
-    assert det([[1, 2], [2, 4]]) == 0
-    assert det([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, 4]]) == 6
-    # permutation sign
-    assert det([[0, 1], [1, 0]]) == -1
-
-
-def test_invert_roundtrip_and_singular():
-    m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    inv, d = invert(m)
-    size = len(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)]
-    assert prod == [[d if i == j else 0 for j in range(size)] for i in range(size)]
-    with pytest.raises(ZeroDivisionError):
-        invert([[1, 2], [2, 4]])
-
-
-def gauss_jordan_inverse(matrix):
-    """Oracle: plain Gauss-Jordan elimination over Fractions."""
-    m = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(m)]
-         for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        a[col] = [v / a[col][col] for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[m:] for row in a]
-
-
-def random_rational_matrix(rng, m):
-    return [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-             for _ in range(m)] for _ in range(m)]
-
-
-def test_invert_matches_fraction_gauss_jordan():
-    rng = np.random.default_rng(3)
-    matrices = [random_rational_matrix(rng, m) for m in (1, 2, 3, 5, 8)]
-    # zero leading entries force row swaps, at the first and at later steps
-    matrices += [
-        [[0, 1], [1, 0]],
-        [[0, 2, 1], [0, 1, 3], [4, 0, 1]],
-        [[1, 2, 3, 4], [2, 4, 7, 1], [0, 0, 0, 5], [3, 1, 0, 0]],
-        [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(3, 2), 1, 2], [1, 0, Fraction(5, 7)]],
-    ]
-    for matrix in matrices:
-        assert det(matrix) != 0
-        inv, d = invert(matrix)
-        assert [[Fraction(v, d) for v in row] for row in inv] == \
-            gauss_jordan_inverse(matrix)
-
-
-def test_invert_returns_fractions_of_integer_input():
-    # integer numerators over the one denominator det(A)
-    inv, d = invert([[2, 0], [0, 4]])
-    assert (inv, d) == ([[4, 0], [0, 2]], 8)
-    assert all(type(v) is int for row in inv for v in row)
-    inv, d = invert([[Fraction(1, 2), 0], [0, 4]])
-    assert [[Fraction(v, d) for v in row] for row in inv] == \
-        [[2, 0], [0, Fraction(1, 4)]]
-    assert all(type(v) is int for row in inv for v in row)
-
-
-def test_det_sign_of_row_swaps():
-    m = [[1, 2, 0], [3, 1, 4], [0, Fraction(1, 2), 5]]
-    d = det(m)
-    assert d == -27   # 1 * (5 - 2) - 2 * 15
-    assert det([m[1], m[0], m[2]]) == -d
-    assert det([m[1], m[2], m[0]]) == d
-    # the elimination itself has to swap: zero first pivot, then zero second
-    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-
-
-def test_singular_matrices():
-    singular = [
-        [[0, 0], [0, 0]],
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
-        # full first column, dependent rest: fails only at a later step
-        [[1, 2, 3], [2, 4, 6], [3, 1, 1]],
-    ]
-    for matrix in singular:
-        assert det(matrix) == 0
-        with pytest.raises(ZeroDivisionError):
-            invert(matrix)
-
-
-def test_non_square_matrix_is_rejected():
-    for matrix in ([[1, 2]], [[1, 2], [3]]):
-        with pytest.raises(ValueError):
-            det(matrix)
-        with pytest.raises(ValueError):
-            invert(matrix)

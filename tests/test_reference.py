@@ -6,15 +6,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from triharm import reference
+from triharm import reference, verify
 from triharm.assembly import derivative_multiindices, gauss_rule
-from triharm.polynomials import Polynomial, det, invert
+from triharm.polynomials import Polynomial
 from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basis,
-    dof_matrix, dof_set, family_from_name, morley_closed_form, partial_adini,
-    q1_closed_form, shape_space, unisolvence_determinant,
+    certified_inverse, dof_matrix, dof_set, family_from_name, is_exact_inverse,
+    morley_closed_form, partial_adini, q1_closed_form, shape_space,
 )
 from triharm.verify import _families_for
+
+
+def gauss_jordan_inverse(matrix):
+    """Oracle: plain Gauss-Jordan elimination over Fractions (zero entries
+    are skipped, which keeps the 4D elements to seconds)."""
+    m = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(m)]
+         for i, row in enumerate(matrix)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        a[col] = [v / p if v else v for v in a[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
+    return [row[m:] for row in a]
 
 
 def test_shape_space_sizes():
@@ -81,13 +99,6 @@ def test_value_partition_of_unity():
         assert total == Polynomial.constant(n, 1)
 
 
-def test_unisolvence_determinants_nonzero():
-    for n in range(1, 5):
-        assert unisolvence_determinant(ADINI_TYPE, n) != 0
-    for n in (2, 3, 4):
-        assert unisolvence_determinant(MORLEY, n) != 0
-
-
 def test_family_from_name():
     assert family_from_name("Morley-Type") == MORLEY
     assert family_from_name("adini") == ADINI_TYPE
@@ -108,17 +119,49 @@ def test_dof_matrix_matches_applied_functionals(n):
         assert all(type(v) is int for row in matrix for v in row)
 
 
-def test_adini_4d_inverse_is_exact():
-    vmat = dof_matrix(ADINI_TYPE, 4)
-    inv, d = invert(vmat)
-    m = len(vmat)
-    assert m == 144
-    # the denominator is det(V), and V times the numerators is d I in ints
-    assert det(vmat) == d
-    assert all(type(v) is int for row in inv for v in row)
-    prod = [[sum(vmat[i][k] * inv[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)]
-    assert prod == [[d if i == j else 0 for j in range(m)] for i in range(m)]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certified_inverse_is_the_exact_inverse(n):
+    for family in _families_for(n):
+        matrix = dof_matrix(family, n)
+        coeffs, d = certified_inverse(matrix)
+        assert all(type(v) is int for row in coeffs for v in row)
+        # d is a power of two, and the smallest: some numerator is odd
+        assert d & (d - 1) == 0
+        assert d == 1 or any(v % 2 for row in coeffs for v in row), family
+        exact = [[Fraction(v, d) for v in row] for row in coeffs]
+        assert exact == gauss_jordan_inverse(matrix), family
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_built_float_coefficients_round_the_exact_inverse(n):
+    for family in _families_for(n):
+        elem = build_dual_basis(family, n)
+        exact = gauss_jordan_inverse(dof_matrix(family, n))
+        got = [[v / elem.denominator for v in row] for row in elem.coeffs]
+        assert got == [[float(v) for v in row] for row in exact], family
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [2, 4]], [[2, 1], [1, 2]]],
+                         ids=["singular", "inverse-over-3"])
+def test_a_matrix_without_a_dyadic_inverse_is_not_certified(matrix, monkeypatch):
+    with pytest.raises(ValueError, match="not certified"):
+        certified_inverse(matrix)
+    # as the DoF matrix of every family: no element, and no unisolvence
+    monkeypatch.setattr(reference, "dof_matrix", lambda family, n: matrix)
+    monkeypatch.setattr(reference, "_element_cache", {})
+    with pytest.raises(ValueError, match="not certified"):
+        build_dual_basis(Q1, 1)
+    rep = verify.verify_unisolvence((1,))
+    assert rep.items[0] == ("q1 n=1", False, "not certified")
+    assert not any(ok for _, ok, _ in rep.items)
+
+
+def test_exact_inverse_check_stays_inside_int64():
+    assert is_exact_inverse([[2, 0], [0, 4]], [[2, 0], [0, 1]], 4)
+    assert not is_exact_inverse([[2, 0], [0, 4]], [[2, 0], [0, 1]], 8)
+    # true, but past the bound that rules out overflow: not certified
+    assert not is_exact_inverse([[2 ** 31]], [[2 ** 31]], 2 ** 62)
+    assert not is_exact_inverse([[1]], [[2 ** 70]], 2 ** 70)
 
 
 def test_singular_dof_matrix_does_not_pair(monkeypatch):

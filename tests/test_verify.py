@@ -28,6 +28,17 @@ def test_duality_small_dims():
     _assert_passed(verify_duality((1, 2)))
 
 
+def test_unisolvence_and_duality_at_n5():
+    # 9 families; duality adds the Morley closed form and P3 reproduction
+    # of Morley and Adini to their 9 deltas
+    (uni,) = run_suite("unisolvence", dims=(5,))
+    (dual,) = run_suite("duality", dims=(5,))
+    assert (len(uni.items), len(dual.items)) == (9, 12)
+    _assert_passed(uni)
+    _assert_passed(dual)
+    assert ("morley n=5", True, "d=2^8") in uni.items
+
+
 def test_duality_builds_only_the_requested_dimensions(monkeypatch):
     calls = []
     real = verify.build_dual_basis
