@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Polynomials live in the reference coordinates of an axis-aligned cell and are
-the exact backbone of the closed-form bases, the interpolation checks and
-the face-integral identities.  Polynomial arithmetic is over
-``fractions.Fraction``; floating-point evaluation is provided separately for
-the runtime (quadrature) paths.  There is no linear algebra here: the dual
-basis is the certified inverse of ``reference.certified_inverse``.
+Polynomials live in the reference coordinates of an axis-aligned cell.  They
+give the closed-form bases, the cubic solutions of the patch test and the
+independent oracles of the tests; the exact suites apply integer rows to
+the certified coefficients instead (``reference.functional_row``).
+Arithmetic is over ``fractions.Fraction``; floating-point evaluation is
+provided separately for the runtime (quadrature) paths.
 """
 
 from __future__ import annotations
@@ -230,23 +230,4 @@ class Polynomial:
                 val *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
             total += val
         return total
-
-    def restrict(self, axis: int, value) -> "Polynomial":
-        """Substitute x_axis = value; returns a polynomial in dim-1 variables.
-
-        For dim == 1 the result is a constant polynomial in one dummy
-        variable so that downstream integration still works.
-        """
-        if not 0 <= axis < self.dim:
-            raise ValueError("axis out of range")
-        value = _as_fraction(value)
-        new_dim = max(self.dim - 1, 1)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            c = coeff * value ** exps[axis]
-            key = exps[:axis] + exps[axis + 1:]
-            if self.dim == 1:
-                key = (0,)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return Polynomial(new_dim, terms)
 

@@ -8,7 +8,9 @@ DoFs, is the float inverse certified in integers: scaled by the smallest
 power of two d = 2^k that makes it integral and rounded to C, it is exact
 when V C = d I holds in int64 (Rump, Acta Numerica 19, 2010).  That one
 product proves unisolvence and duality at once.  C over d is the element's
-only data: every derivative d^alpha of the basis is evaluated from it.
+only data: every derivative d^alpha of the basis is evaluated from it, and
+every exact check is an integer row over the monomials (``functional_row``)
+times C, under one overflow guard (``exact_product``).
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
 functionals are recovered at map time by the h-power scalings stored in the
@@ -32,7 +34,8 @@ __all__ = [
     "partial_adini", "family_from_name",
     "DofFunctional", "ReferenceElement",
     "shape_space", "dof_set", "build_dual_basis",
-    "morley_closed_form", "q1_closed_form", "dof_matrix",
+    "morley_closed_form", "q1_closed_form", "dof_matrix", "dof_rows",
+    "mean", "coefficient", "functional_row", "exact_product",
     "certified_inverse", "is_exact_inverse", "apply_dof", "reference_vertices",
 ]
 
@@ -163,14 +166,39 @@ def dof_set(family: Family, n: int) -> list[DofFunctional]:
     return dofs
 
 
-def _monomial_derivative(m: tuple[int, ...], alpha: tuple[int, ...], s) -> int:
-    """d^alpha x^m at s: prod_i m_i! / (m_i - alpha_i)! * s_i^(m_i - alpha_i)."""
-    out = 1
-    for mi, ai, si in zip(m, alpha, s):
-        if mi < ai:
-            return 0
-        out *= math.perm(mi, ai) * si ** (mi - ai)
-    return out
+# -- linear functionals on monomials: on x^m, d^alpha then one factor per
+# axis, each a function of the exponent e that d^alpha leaves on its axis
+
+def mean(degree: int):
+    """Axis factor: the mean of s^e over [-1, 1] times the lcm of the odd
+    numbers up to degree + 1, an integer for e <= degree, which must bound
+    the row's exponents.  Rows compared must share the degree (the scale)."""
+    scale = math.lcm(*range(1, degree + 2, 2))
+    return lambda e: 0 if e % 2 else scale // (e + 1)
+
+
+def coefficient(t: int):
+    """Axis factor: the indicator [e == t], the coefficient of s^t."""
+    return lambda e: int(e == t)
+
+
+def functional_row(alpha, factors, monomials) -> list[int]:
+    """Row over ``monomials`` of x^m -> prod_i perm(m_i, alpha_i) f_i(e_i),
+    e_i = m_i - alpha_i: the functional F(d^alpha x^m) for one axis factor
+    f_i per axis, an int s for the value s^e at s, or a function of e
+    (``mean``, ``coefficient``)."""
+    width = max(map(max, monomials)) + 1
+    tables = [[math.perm(m, a) * (f(m - a) if callable(f) else f ** (m - a))
+               if m >= a else 0 for m in range(width)]
+              for a, f in zip(alpha, factors)]
+    return [math.prod(map(list.__getitem__, tables, m)) for m in monomials]
+
+
+def dof_rows(dofs, monomials, shift) -> list[list[int]]:
+    """Rows over ``monomials`` of the DoF functionals applied after d^shift:
+    dof_j(d^shift x^m)."""
+    return [functional_row(list(map(sum, zip(d.alpha, shift))),
+                           d.anchor(len(shift)), monomials) for d in dofs]
 
 
 def dof_matrix(family: Family, n: int) -> list[list[int]]:
@@ -185,11 +213,7 @@ def dof_matrix(family: Family, n: int) -> list[list[int]]:
         raise ValueError(
             f"{family} at n={n}: {len(monomials)} monomials vs {len(dofs)} DoFs"
         )
-    rows = []
-    for d in dofs:
-        anchor = d.anchor(n)
-        rows.append([_monomial_derivative(m, d.alpha, anchor) for m in monomials])
-    return rows
+    return dof_rows(dofs, monomials, (0,) * n)
 
 
 # 2^k times the float inverse of a DoF matrix is ~1e-12 from its integers at
@@ -198,19 +222,27 @@ def dof_matrix(family: Family, n: int) -> list[list[int]]:
 _ROUND_TOL = 2.0 ** -20
 
 
-def is_exact_inverse(matrix, numerators, denominator: int) -> bool:
-    """True when ``matrix @ numerators == denominator * I`` exactly.
+def exact_product(*factors) -> np.ndarray:
+    """Exact product of integer matrices, left to right (a 1-D factor is
+    diagonal).  A step a @ b runs in int64 when max row |a|_1 * max |b| <
+    2^62 bounds its entries, partial sums and the sum of two such products,
+    else in Python ints (an object array): nothing ever wraps."""
+    out = np.asarray(factors[0])
+    for b in map(np.asarray, factors[1:]):
+        rows = np.abs(out) if out.ndim == 1 else np.abs(out).sum(axis=1)
+        fits = max(int(rows.max()), 1) * int(np.abs(b).max()) < 2 ** 62
+        a, b = (x.astype(np.int64 if fits else object) for x in (out, b))
+        out = a[:, None] * b if a.ndim == 1 else a * b if b.ndim == 1 else a @ b
+    return out
 
-    The product runs in int64 after a bound rules out overflow: every entry
-    of it, and every partial sum, is at most max row |matrix|_1 * max
-    |numerators| < 2^62.  Entries past that bound are not certified, and
-    neither is a denominator past it.
-    """
-    v, c = np.array(matrix), np.array(numerators)
-    bound = int(np.abs(v).sum(axis=1).max()) * int(np.abs(c).max())
-    if max(bound, abs(denominator)) >= 2 ** 62:
-        return False
-    return np.array_equal(v @ c, denominator * np.eye(len(v), dtype=np.int64))
+
+def is_exact_inverse(matrix, numerators, denominator: int) -> bool:
+    """True when ``matrix @ numerators == denominator * I`` exactly, the
+    product taken by ``exact_product``.  A denominator of 2^62 or more is
+    not certified."""
+    return abs(denominator) < 2 ** 62 and np.array_equal(
+        exact_product(matrix, numerators),
+        denominator * np.eye(len(matrix), dtype=np.int64))
 
 
 def certified_inverse(matrix) -> tuple[list[list[int]], int]:
@@ -323,8 +355,9 @@ def build_dual_basis(family: Family, n: int) -> ReferenceElement:
     key = (family, n)
     if key in _element_cache:
         return _element_cache[key]
+    matrix = dof_matrix(family, n)     # n < 1 or unequal sizes raise as they are
     try:
-        coeffs, d = certified_inverse(dof_matrix(family, n))
+        coeffs, d = certified_inverse(matrix)
     except ValueError as exc:
         raise ValueError(
             f"DoF matrix for {family} at n={n} is {exc} (shape space and DoF"

@@ -1,20 +1,18 @@
-"""Numerical and exact verification suites for the element families.
+"""Exact and numerical verification suites for the element families.
 
-Covers unisolvence and duality (one exact integer product V C = d I per
-element, the certificate of ``reference.certified_inverse``), the weak /
+Unisolvence and duality are one integer product V C = d I per element, the
+certificate of ``reference.certified_inverse``.  Every other exact check is
+an integer row over the shape monomials times the certified C: the weak /
 strong continuity of second derivatives across faces, the face-integral
-identities behind the tangential-normal estimates, and polynomial patch
-tests of the full solve pipeline.
+identities behind the tangential-normal estimates and P3 reproduction.
+Cubic patch tests run the full solve pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,9 +21,10 @@ from .cases import polynomial_case
 from .mesh import BoxDomain, uniform_mesh
 from .polynomials import Polynomial
 from .reference import (
-    ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, ReferenceElement, apply_dof,
-    build_dual_basis, dof_matrix, is_exact_inverse,
-    morley_closed_form, partial_adini, shape_space,
+    ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, ReferenceElement,
+    build_dual_basis, coefficient, dof_matrix, dof_rows, exact_product,
+    functional_row, is_exact_inverse, mean, morley_closed_form, partial_adini,
+    shape_space,
 )
 from .space import build_space
 
@@ -92,17 +91,20 @@ def verify_duality(dims=(1, 2, 3, 4)) -> VerificationReport:
     for n in (n for n in dims if n >= 2):
         ok = build_dual_basis(MORLEY, n).basis == morley_closed_form(n)
         rep.add(f"morley closed form n={n}", ok)
-        # P3 reproduction: every cubic monomial is its own interpolant
-        cubics = [Polynomial.monomial(n, exps)
-                  for exps in itertools.product(range(4), repeat=n)
-                  if sum(exps) <= 3]
+        # P3 reproduction, every cubic its own interpolant: C V = d E in
+        # integers, V the DoFs of the cubics and E their shape monomials
+        cubics = [e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]
         for fam in (MORLEY, ADINI_TYPE):
-            ok = all(_interpolate(fam, n, mono) == mono for mono in cubics)
+            elem = build_dual_basis(fam, n)
+            embed = np.array([[int(m == c) for c in cubics] for m in elem.monomials])
+            ok = embed.sum() == len(cubics) and np.array_equal(
+                exact_product(elem.coeffs, dof_rows(elem.dofs, cubics, (0,) * n)),
+                elem.denominator * embed)
             rep.add(f"P3 reproduction {fam} n={n}", ok)
     return rep
 
 
-# -- weak continuity on small meshes (exact rational arithmetic) -----------
+# -- weak continuity on small meshes (exact integer rows) -------------------
 
 def _has_face_dofs(family: Family) -> bool:
     """True for Morley-type elements (face DoFs), False for Adini-type ones
@@ -113,47 +115,49 @@ def _has_face_dofs(family: Family) -> bool:
     return family.faces
 
 
+def _dyadic(values: np.ndarray) -> np.ndarray:
+    """Floats as exact integer numerators over one common power of two."""
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return np.array([p * den // d for p, d in ratios], object).reshape(values.shape)
+
+
 def _exact_setup(family: Family, n: int, subs):
-    """Space over [-1,1]^n with exact per-cell scalings and half-lengths.
-
-    Cell geometry is dyadic, so the float-to-Fraction conversion is exact.
-    """
-    domain = BoxDomain((-1.0,) * n, (1.0,) * n)
-    mesh = uniform_mesh(domain, subs)
+    """Space over [-1,1]^n with its per-cell DoF scalings and half-lengths,
+    each read exactly as integers over one power of two (``_dyadic``)."""
+    mesh = uniform_mesh(BoxDomain((-1.0,) * n, (1.0,) * n), subs)
     space = build_space(mesh, family)
-    scalings = [[Fraction(float(s)) for s in row] for row in space.cell_scalings]
-    halves = [[Fraction(float(h)) for h in row] for row in mesh.cell_half_lengths]
-    return space, scalings, halves
+    return space, _dyadic(space.cell_scalings), _dyadic(mesh.cell_half_lengths)
 
 
-def _face_traces(phi: Polynomial, morley: bool) -> dict:
-    """Checked quantities of one reference basis function on each face
-    (k, side) of the reference cell, before the half-length scaling.
+def _face_row(monomials, axes, k: int, side: int, tangential) -> list[int]:
+    """Row over ``monomials`` of d^alpha x^m (alpha = sum of e_a over
+    ``axes``) on the face x_k = side, read by the axis factors
+    ``tangential`` on the other axes in order."""
+    n, rest = len(monomials[0]), iter(tangential)
+    return functional_row([axes.count(i) for i in range(n)],
+                          [side if i == k else next(rest) for i in range(n)],
+                          monomials)
 
-    A quantity is keyed (a, b, exps): the second derivative along axes
-    a, b, as a face integral (Morley-type: tangential-tangential pairs and
-    (k, k), exps None) or as the coefficient of monomial exps of the trace
-    (Adini-type: (k, k) only).  On a cell it scales by 1 / (h_a h_b).
-    """
-    n = phi.dim
-    box = [-1] * max(n - 1, 1), [1] * max(n - 1, 1)
-    first = [phi.diff(a) for a in range(n)]
-    second = {}
-    out = {}
-    for k in range(n):
-        tang = [t for t in range(n) if t != k] if morley else []
-        pairs = [(a, b) for i, a in enumerate(tang) for b in tang[i:]] + [(k, k)]
-        for side in (-1, 1):
-            quantities = out[k, side] = {}
-            for a, b in pairs:
-                if (a, b) not in second:
-                    second[a, b] = first[a].diff(b)
-                trace = second[a, b].restrict(k, side)
-                if not morley:
-                    quantities.update(((a, b, e), c) for e, c in trace.terms.items())
-                elif mean := trace.integrate_box(*box):
-                    quantities[a, b, None] = mean
-    return out
+
+def _face_quantities(elem: ReferenceElement, k: int, side: int, morley: bool):
+    """Checked quantities on face (k, side) of the reference cell, keyed
+    (a, b, t), and their integer matrix over the basis, rows times C: the
+    second derivative along axes a, b as a face mean (Morley-type: pairs of
+    tangential axes and (k, k), t None) or as the coefficient of monomial t
+    of its trace (Adini-type: (k, k) only), times a positive factor shared
+    by the basis.  On a cell it scales by 1 / (h_a h_b)."""
+    if morley:
+        keys = [(a, b, None) for a in range(elem.dim) for b in range(a, elem.dim)
+                if k not in (a, b)] + [(k, k, None)]
+    else:
+        keys = [(k, k, t) for t in dict.fromkeys(
+            m[:k] + m[k + 1:] for m in elem.monomials if m[k] >= 2)]
+    means = [mean(elem.max_degree_per_axis())] * (elem.dim - 1)
+    rows = [_face_row(elem.monomials, (a, b), k, side,
+                      means if t is None else map(coefficient, t))
+            for a, b, t in keys]
+    return keys, exact_product(rows, elem.coeffs)
 
 
 def verify_weak_continuity(family: Family, n: int) -> VerificationReport:
@@ -166,71 +170,49 @@ def verify_weak_continuity(family: Family, n: int) -> VerificationReport:
     faces in the zero-boundary case.
 
     Every checked quantity is linear in the global coefficient vector, so
-    each face gets one exact row, keyed by (quantity, global DoF): the
-    per-basis-function traces of its cells, scattered through the cell maps
-    and scalings.  An interior row must vanish identically and a boundary
-    row on the free DoFs, which covers every coefficient vector at once.
+    each face gets one integer row per quantity: each cell's quantity
+    matrix times its DoF scalings and the other cell's h_a h_b, scattered
+    through its DoF map.  An interior row must vanish identically and a
+    boundary row on the free DoFs, which covers every coefficient vector.
     """
     morley = _has_face_dofs(family)
     rep = VerificationReport(f"continuity {family} n={n}")
 
-    elem = traces = None   # both meshes share the reference element
     # two meshes: a single shared face, and a grid with an interior vertex
     for subs in ([2] + [1] * (n - 1), [2] * n):
         space, scalings, halves = _exact_setup(family, n, subs)
         mesh = space.mesh
-        free = ~space.boundary_mask
-        if space.element is not elem:
-            elem = space.element
-            traces = [_face_traces(phi, morley) for phi in elem.basis]
-
-        def scatter(row: dict, ci: int, k: int, side: int):
-            h = halves[ci]
-            for li, local in enumerate(traces):
-                gi = int(space.cell_dof_indices[ci, li])
-                c = side * scalings[ci][li]   # jump = lo's (+1) - hi's (-1)
-                for q, v in local[k, side].items():
-                    row[q, gi] = row.get((q, gi), 0) + c * v / (h[q[0]] * h[q[1]])
-
+        faces = {(k, side): _face_quantities(space.element, k, side, morley)
+                 for k in range(n) for side in (-1, 1)}
         interior, boundary = [], []
         for fi in range(mesh.n_faces):
             k = int(mesh.face_axis[fi])
-            row = {}
             lo, hi = (int(c) for c in mesh.face_cells[fi])  # face: lo's +1 side
-            if lo >= 0:
-                scatter(row, lo, k, 1)
-            if hi >= 0:
-                scatter(row, hi, k, -1)
+            keys = faces[k, 1][0]
+            hh = {c: [1 if c < 0 else halves[c, a] * halves[c, b] for a, b, _ in keys]
+                  for c in (lo, hi)}
+            # jump = lo's (+1) - hi's (-1), times h_a h_b of both cells
+            terms = {c: side * exact_product(hh[other], faces[k, side][1], scalings[c])
+                     for side, c, other in ((1, lo, hi), (-1, hi, lo)) if c >= 0}
+            row = np.zeros((len(keys), space.n_dofs), np.result_type(*terms.values()))
+            for c, term in terms.items():
+                row[:, space.cell_dof_indices[c]] += term
+            bad = interior
             if mesh.boundary_face_mask[fi]:
-                boundary += [(fi, q, gi, v) for (q, gi), v in row.items()
-                             if v and free[gi]]
-            else:
-                interior += [(fi, q, gi, v) for (q, gi), v in row.items() if v]
+                bad, row[:, space.boundary_mask] = boundary, 0
+            bad += [f"face {fi}, d{a}{b} {'mean' if t is None else f'x^{t}'},"
+                    f" dof {gi}: {row[q, gi]}"
+                    for q, gi in zip(*np.nonzero(row)) for a, b, t in [keys[q]]]
 
         label = "x".join(map(str, subs))
         for name, bad in (("interior jumps", interior),
                           ("boundary traces", boundary)):
-            detail = ""
-            if bad:
-                fi, (a, b, exps), gi, v = bad[0]
-                term = "mean" if exps is None else f"x^{exps}"
-                detail = (f"{len(bad)} nonzero entries; first: face {fi},"
-                          f" d{a}{b} {term}, dof {gi}: {v}")
-            rep.add(f"mesh {label}: {name}", not bad, detail)
+            first = f"{len(bad)} nonzero; first: {bad[0]} (scaled)" if bad else ""
+            rep.add(f"mesh {label}: {name}", not bad, first)
     return rep
 
 
 # -- face-integral identities of the local interpolation operators ---------
-
-def _interpolate(family: Family, n: int, v: Polynomial) -> Polynomial:
-    """Canonical reference-cell interpolation: x^m gets sum_j N[m][j] dof_j(v) / d."""
-    elem = build_dual_basis(family, n)
-    values = [apply_dof(dof, v, n) for dof in elem.dofs]
-    scale = math.lcm(*(x.denominator for x in values))
-    nums, d = [int(x * scale) for x in values], scale * elem.denominator
-    return Polynomial(n, {m: Fraction(sum(map(operator.mul, row, nums)), d)
-                          for m, row in zip(elem.monomials, elem.coeffs)})
-
 
 def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
     """Exact face integrals of the interpolation residual derivative.
@@ -238,32 +220,33 @@ def verify_local_interpolation(family: Family, n: int) -> VerificationReport:
     For every shape-space monomial v and every face F_j^pm with j != i:
     Morley-type checks d_i(d_i Pi1 v - Pi0 d_i Pi1 v); Adini-type checks
     d_i(d_i v - Pi^{e_i} d_i v).  Both integrate to zero exactly.
+
+    With X the source coefficients of every v (d_AC Pi1 v, or v), C / d the
+    target interpolant (Pi0 or Pi^{e_i}), W its DoFs of d_i x^m and R1, R0
+    the face means of d_i d_i x^m and d_i x^m: R1 X d - R0 C W X = 0.
     """
     morley = _has_face_dofs(family)
     rep = VerificationReport(f"local-interp {family} n={n}")
-    box = [-1] * max(n - 1, 1), [1] * max(n - 1, 1)
-    ok = True
-    worst = ""
-    for exps in shape_space(family, n):
-        v = Polynomial.monomial(n, exps)
-        for i in range(n):
-            if morley:
-                w = _interpolate(ADINI_CLASSIC, n, v)
-                u = w.diff(i)
-                g = u - _interpolate(Q1, n, u)
-            else:
-                u = v.diff(i)
-                g = u - _interpolate(partial_adini(i), n, u)
-            gi = g.diff(i)
-            for j in range(n):
-                if j == i:
-                    continue
-                for side in (-1, 1):
-                    val = gi.restrict(j, side).integrate_box(*box)
-                    if val != 0:
-                        ok = False
-                        worst = f"v={exps} i={i} j={j} side={side} -> {val}"
-    rep.add("all shape-space basis functions", ok, worst)
+    monomials = shape_space(family, n)
+    source, x = monomials, np.eye(len(monomials), dtype=np.int64)
+    if morley:   # d_AC Pi1 v, the Adini-classic interpolant of every v
+        ac = build_dual_basis(ADINI_CLASSIC, n)
+        source = ac.monomials
+        x = exact_product(ac.coeffs, dof_rows(ac.dofs, monomials, (0,) * n))
+    bad = []
+    for i in range(n):
+        target = build_dual_basis(Q1 if morley else partial_adini(i), n)
+        means = [mean(max(map(max, source + target.monomials)))] * (n - 1)
+        faces = [(j, side) for j in range(n) if j != i for side in (-1, 1)]
+        r1, r0 = ([_face_row(mono, axes, j, side, means) for j, side in faces]
+                  for mono, axes in ((source, (i, i)), (target.monomials, (i,))))
+        w = dof_rows(target.dofs, source, shift=[int(a == i) for a in range(n)])
+        residual = (exact_product([target.denominator] * len(faces), r1, x)
+                    - exact_product(r0, target.coeffs, w, x))
+        bad += [f"v={monomials[m]} i={i} j={j} side={side} -> {residual[f, m]}"
+                for f, m in zip(*np.nonzero(residual)) for j, side in [faces[f]]]
+    detail = f"{len(bad)} nonzero; first: {bad[0]} (scaled)" if bad else ""
+    rep.add("all shape-space basis functions", not bad, detail)
     return rep
 
 
@@ -328,14 +311,16 @@ def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
 
     A dimension listed twice runs once, in first-seen order.  The
     continuity, local-interp and patch suites need n >= 2; 'all' skips
-    them for smaller n, and a run that would check nothing, or is given no
-    dimensions, raises ``ValueError``.
+    them for smaller n.  No dimension, one below 1, or nothing to check
+    raises ``ValueError``, before anything is built.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     dims = tuple(dict.fromkeys(dims))
     if not dims:
         raise ValueError("no dimensions given")
+    if low := [n for n in dims if n < 1]:
+        raise ValueError(f"dimensions must be >= 1, got {', '.join(map(str, low))}")
     names = SUITES if name == "all" else (name,)
     reports = [rep for sub in names for rep in _suite_reports(sub, dims)]
     if not any(rep.items for rep in reports):

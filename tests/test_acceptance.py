@@ -114,14 +114,13 @@ def test_acceptance_4_exact_element_construction():
 
 def test_acceptance_5_continuity_lemmas():
     """Weak/pointwise continuity, proved over the local basis for every
-    coefficient vector at n = 2, 3, 4, and the exact face-integral
-    identities of the local interpolation operators at n = 2, 3."""
+    coefficient vector, and the exact face-integral identities of the local
+    interpolation operators, at n = 2, 3, 4."""
     problems = []
     for n in (2, 3, 4):
         for family in (MORLEY, ADINI_TYPE):
-            reps = [verify_weak_continuity(family, n)]
-            if n < 4:
-                reps.append(verify_local_interpolation(family, n))
+            reps = [verify_weak_continuity(family, n),
+                    verify_local_interpolation(family, n)]
             problems += [f"{rep.suite}: {label} {det}"
                          for rep in reps for label, det in rep.failures()]
     _report(5, "continuity lemmas and face-integral identities", problems)

@@ -151,6 +151,12 @@ def test_verify_suite_with_nothing_to_check_is_a_config_error(suite, capsys):
     assert err.startswith("error: ") and "n >= 2" in err
 
 
+@pytest.mark.parametrize("suite", ["unisolvence", "duality", "continuity"])
+def test_verify_below_one_dimension_is_a_config_error(suite, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--dims", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: dimensions must be >= 1, got 0\n")
+
+
 def test_verify_without_dimensions_is_a_config_error(capsys):
     code, out, err = run_cli(["verify", "--suite", "duality", "--dims", ""], capsys)
     assert (code, out, err) == (2, "", "error: no dimensions given\n")

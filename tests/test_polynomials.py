@@ -82,14 +82,3 @@ def test_eval_grid_matches_exact_call():
     exact = [float(p([Fraction(a), Fraction(b)])) for a, b in pts]
     assert np.allclose(p.eval_grid(pts), exact, rtol=1e-14, atol=1e-14)
 
-
-def test_restrict_reduces_dimension():
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    p = x ** 2 * y + y ** 2
-    r = p.restrict(0, Fraction(1, 2))
-    assert r.dim == 1
-    t = Polynomial.variable(1, 0)
-    assert r == Fraction(1, 4) * t + t ** 2
-    # univariate restriction keeps a dummy variable
-    one_d = (Polynomial.variable(1, 0) ** 2).restrict(0, 3)
-    assert one_d == Polynomial.constant(1, 9)

@@ -1,6 +1,7 @@
 """Reference element: shape spaces, DoF sets, dual bases, closed forms."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from triharm.assembly import derivative_multiindices, gauss_rule
 from triharm.polynomials import Polynomial
 from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basis,
-    certified_inverse, dof_matrix, dof_set, family_from_name, is_exact_inverse,
+    certified_inverse, coefficient, dof_matrix, dof_rows, dof_set,
+    exact_product, family_from_name, functional_row, is_exact_inverse, mean,
     morley_closed_form, partial_adini, q1_closed_form, shape_space,
 )
 from triharm.verify import _families_for
@@ -159,9 +161,63 @@ def test_a_matrix_without_a_dyadic_inverse_is_not_certified(matrix, monkeypatch)
 def test_exact_inverse_check_stays_inside_int64():
     assert is_exact_inverse([[2, 0], [0, 4]], [[2, 0], [0, 1]], 4)
     assert not is_exact_inverse([[2, 0], [0, 4]], [[2, 0], [0, 1]], 8)
-    # true, but past the bound that rules out overflow: not certified
+    # true, but with a denominator of 2^62 or more: not certified
     assert not is_exact_inverse([[2 ** 31]], [[2 ** 31]], 2 ** 62)
     assert not is_exact_inverse([[1]], [[2 ** 70]], 2 ** 70)
+    # products past the int64 bound run in Python ints, and certify
+    a = 2 ** 40
+    assert is_exact_inverse([[a, a - 1], [1, 1]], [[1, 1 - a], [-1, a]], 1)
+    assert not is_exact_inverse([[a, a - 1], [1, 1]], [[1, 2 - a], [-1, a]], 1)
+
+
+def test_exact_product_leaves_int64_only_past_the_bound():
+    small = exact_product([[3, -1], [0, 2]], [[1, 0], [5, 7]], [2, 1])
+    assert small.dtype == np.int64 and small.tolist() == [[-4, -7], [20, 14]]
+    # 2^31 * 2^31 = 2^62 is past the bound: Python ints, exact, no wrap
+    big = exact_product([[2 ** 31, 2 ** 31]], [[2 ** 31], [2 ** 31]])
+    assert big.dtype == object and big.tolist() == [[2 ** 63]]
+    # a 1-D factor is a diagonal matrix, on either side
+    assert exact_product([2, 3], [[1, 1], [1, 1]]).tolist() == [[2, 2], [3, 3]]
+    assert exact_product([[2 ** 40]], [2 ** 40]).tolist() == [[2 ** 80]]
+
+
+def test_mean_is_scaled_to_integers_by_its_degree():
+    factor = mean(5)             # lcm(1, 3, 5) = 15
+    assert [factor(e) for e in range(6)] == [15, 0, 5, 0, 3, 0]
+    assert mean(1)(0) == 1 and mean(7)(6) == 105 // 7
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_functional_row_matches_the_polynomial_oracle(family):
+    # F(d^alpha x^m) for F = value at x0 = -1, mean over x1, coefficient of
+    # x2^t, against the exact derivative, evaluation and box integral
+    monomials = shape_space(family, 3)
+    degree = max(map(max, monomials))
+    scale = math.lcm(*range(1, degree + 2, 2))
+    for alpha in ((0, 0, 0), (2, 0, 0), (0, 1, 1), (1, 2, 0)):
+        for t in range(4):
+            row = functional_row(alpha, [-1, mean(degree), coefficient(t)],
+                                 monomials)
+            want = []
+            for m in monomials:
+                d = Polynomial.monomial(3, m).diff_multi(alpha)
+                value = 0
+                for (e0, e1, e2), c in d.terms.items():
+                    line = Polynomial.monomial(1, (e1,))
+                    value += (c * (-1) ** e0 * line.integrate_box([-1], [1]) / 2
+                              * scale * (e2 == t))
+                want.append(value)
+            assert row == want, (alpha, t)
+            assert all(type(v) is int for v in row)
+
+
+def test_dof_rows_shift_the_derivative():
+    elem = build_dual_basis(Q1, 2)
+    cubics = [(3, 0), (1, 2), (0, 0)]
+    shifted = dof_rows(elem.dofs, cubics, (1, 0))
+    want = [[apply_dof(d, Polynomial.monomial(2, m).diff(0), 2) for m in cubics]
+            for d in elem.dofs]
+    assert shifted == want
 
 
 def test_singular_dof_matrix_does_not_pair(monkeypatch):

@@ -11,7 +11,7 @@ from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, build_dual_basis, partial_adini,
 )
 from triharm.verify import (
-    run_suite, verify_duality, verify_local_interpolation, verify_patch_test,
+    SUITES, run_suite, verify_duality, verify_local_interpolation, verify_patch_test,
     verify_unisolvence, verify_weak_continuity,
 )
 
@@ -66,6 +66,19 @@ def test_continuity_2d_short(family):
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_local_interpolation_2d(family):
     _assert_passed(verify_local_interpolation(family, 2))
+
+
+def test_continuity_and_local_interpolation_at_n5():
+    for name, labels in (("continuity", [
+            "mesh 2x1x1x1x1: interior jumps", "mesh 2x1x1x1x1: boundary traces",
+            "mesh 2x2x2x2x2: interior jumps", "mesh 2x2x2x2x2: boundary traces"]),
+            ("local-interp", ["all shape-space basis functions"])):
+        reports = run_suite(name, dims=(5,))
+        assert [rep.suite for rep in reports] == [f"{name} morley n=5",
+                                                  f"{name} adini n=5"]
+        for rep in reports:
+            _assert_passed(rep)
+            assert [label for label, _, _ in rep.items] == labels
 
 
 def test_patch_2d_both_families(monkeypatch):
@@ -125,6 +138,19 @@ def test_run_suite_without_dimensions_says_so(name):
         run_suite(name, dims=())
 
 
+@pytest.mark.parametrize("name", SUITES + ("all",))
+def test_run_suite_rejects_dimensions_below_one(name, monkeypatch):
+    def never(*args):
+        raise AssertionError("built something")
+
+    monkeypatch.setattr(verify, "build_dual_basis", never)
+    monkeypatch.setattr(verify, "build_space", never)
+    with pytest.raises(ValueError, match="^dimensions must be >= 1, got 0$"):
+        run_suite(name, dims=(0,))
+    with pytest.raises(ValueError, match="^dimensions must be >= 1, got 0, -1$"):
+        run_suite(name, dims=(2, 0, -1, 0))
+
+
 def test_run_suite_all_skips_low_dimensions():
     reports = run_suite("all", dims=(1,))
     assert [rep.suite for rep in reports] == ["unisolvence", "duality"]
@@ -142,7 +168,7 @@ def _break_setup(monkeypatch, change):
     monkeypatch.setattr(verify, "_exact_setup", broken)
 
 
-# local DoFs of cell 0 whose scaling, once multiplied by 11/10, breaks a
+# local DoFs of cell 0 whose scaling, once multiplied by 3, breaks a
 # jump or a trace; the others enter no checked quantity of a shared face
 BREAKING_SCALINGS = {MORLEY: {4, 8, 10, 11, 13, 15}, ADINI_TYPE: {9, 13, 18, 19}}
 
@@ -152,7 +178,7 @@ def test_continuity_fails_on_a_wrong_scaling(family, monkeypatch):
     failing = set()
     for li in range(build_dual_basis(family, 2).n_dofs):
         def scale(space, scalings, halves, li=li):
-            scalings[0][li] *= Fraction(11, 10)
+            scalings[0][li] *= 3     # integers over a power of two stay exact
             return space, scalings, halves
 
         with monkeypatch.context() as m:
@@ -160,6 +186,28 @@ def test_continuity_fails_on_a_wrong_scaling(family, monkeypatch):
             if not verify_weak_continuity(family, 2).passed:
                 failing.add(li)
     assert failing == BREAKING_SCALINGS[family]
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_continuity_stays_exact_past_int64(family, monkeypatch):
+    # scalings of 2^61 and half-lengths of 2^40 overflow int64 in the
+    # products: they run in Python ints, so the proof neither wraps nor
+    # loses the broken scaling
+    def huge(space, scalings, halves):
+        return space, scalings * 2 ** 61, halves * 2 ** 40
+
+    _break_setup(monkeypatch, huge)
+    _assert_passed(verify_weak_continuity(family, 2))
+    li = min(BREAKING_SCALINGS[family])
+
+    def broken(space, scalings, halves):
+        space, scalings, halves = huge(space, scalings, halves)
+        scalings[0][li] *= 3
+        return space, scalings, halves
+
+    monkeypatch.undo()
+    _break_setup(monkeypatch, broken)
+    assert not verify_weak_continuity(family, 2).passed
 
 
 def _perturbed(elem, a, exps, delta: Fraction):
@@ -189,7 +237,7 @@ def test_continuity_fails_on_a_perturbed_basis_coefficient(family, monkeypatch):
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_continuity_fails_on_a_wrong_half_length(family, monkeypatch):
     def stretch(space, scalings, halves):
-        halves[0][0] *= Fraction(11, 10)
+        halves[0][0] *= 3
         return space, scalings, halves
 
     _break_setup(monkeypatch, stretch)
@@ -201,3 +249,25 @@ def test_duality_fails_on_a_perturbed_basis_function():
     assert verify._is_dual(elem)
     for a, exps, delta in ((0, (1, 1), Fraction(1, 7)), (5, (0, 4), Fraction(1, 3))):
         assert not verify._is_dual(_perturbed(elem, a, exps, delta))
+
+
+# -- and so must the face-integral identities -------------------------------
+
+@pytest.mark.parametrize("family, target",
+                         [(MORLEY, Q1), (ADINI_TYPE, partial_adini(0))])
+def test_local_interpolation_fails_on_a_perturbed_interpolant(family, target,
+                                                              monkeypatch):
+    # perturb the interpolant whose residual the identity checks; the
+    # Adini-classic one that the Morley-type check starts from only gives
+    # the w, and the identity holds for every w of its space
+    real = verify.build_dual_basis
+
+    def routed(fam, n):
+        elem = real(fam, n)
+        return _perturbed(elem, 0, (1, 1), Fraction(1, 10)) if fam == target else elem
+
+    _assert_passed(verify_local_interpolation(family, 2))
+    monkeypatch.setattr(verify, "build_dual_basis", routed)
+    report = verify_local_interpolation(family, 2)
+    assert not report.passed
+    assert "nonzero; first: v=" in report.failures()[0][1]
