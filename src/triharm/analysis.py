@@ -51,7 +51,7 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     half = mesh.cell_half_lengths
     jac = np.prod(half, axis=1)
     ref_coeffs = coeffs[space.cell_dof_indices] * space.cell_scalings
-    terms = [(m, alpha, mult, *elem.monomial_table(alpha, rule.points))
+    terms = [(m, alpha, mult, *elem.monomial_table(alpha, rule))
              for m in range(4)
              for alpha, mult in derivative_multiindices(dim, m)]
 

@@ -92,7 +92,8 @@ def cell_moments(space: FeSpace, f) -> np.ndarray:
     and may return anything that broadcasts to them (a constant, say)."""
     mesh, elem = space.mesh, space.element
     rule = gauss_rule(DATA_Q, mesh.dim)
-    wphi = rule.weights[:, None] * elem.eval_shape((0,) * mesh.dim, rule.points)
+    phi = np.matmul(*elem.monomial_table((0,) * mesh.dim, rule))
+    wphi = rule.weights[:, None] * phi
     out = np.empty((mesh.n_cells, elem.n_dofs))
     for cells, grid in cell_blocks(mesh, rule):
         fv = np.broadcast_to(f(grid), (rule.q,) * mesh.dim + grid[0].shape[-1:])
@@ -122,22 +123,24 @@ def _reference_grammian(elem: ReferenceElement, alpha: tuple):
     axis, so the (p+1)-point Gauss rule (exact to degree 2p+1) is exact.
     """
     rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
-    d = elem.eval_shape(alpha, rule.points)
+    d = np.matmul(*elem.monomial_table(alpha, rule))
     return d.T @ (rule.weights[:, None] * d)
 
 
 def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:
-    """Element matrix of the tri-harmonic form in physical coordinates.
+    """Element matrix of the tri-harmonic form in physical coordinates:
+    ``[nloc, nloc]`` for half-lengths ``[dim]``, ``[g, nloc, nloc]`` for
+    ``[g, dim]``, each matrix with the bits of its own single call.
 
     Entries are taken against the reference nodal basis; the h^order DoF
     scalings are applied on both sides during global assembly.
     """
     h = np.asarray(cell_half_lengths, dtype=float)
-    jac = float(np.prod(h))
-    k = np.zeros((elem.n_dofs, elem.n_dofs))
+    jac = np.prod(h, axis=-1)
+    k = np.zeros(h.shape[:-1] + (elem.n_dofs, elem.n_dofs))
     for alpha, mult in derivative_multiindices(elem.dim, 3):
-        chain = float(np.prod(h ** (-2 * np.array(alpha))))
-        k += (mult * jac * chain) * _reference_grammian(elem, alpha)
+        chain = np.prod(h ** (-2 * np.array(alpha)), axis=-1)
+        k += (mult * jac * chain)[..., None, None] * _reference_grammian(elem, alpha)
     return k
 
 
@@ -154,18 +157,14 @@ class SparseSymSystem:
         return self.rhs.shape[0]
 
 
-def group_rows(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of ``values`` that agree when rounded to 14 digits.
 
-    Returns ``(key, rows)`` pairs: the rounded row, and the indices of the
-    rows equal to it, ascending.  Groups come in order of their first row.
+    Returns ``(keys, group)``: the distinct rounded rows, sorted, and for
+    each row of ``values`` the index of its key.
     """
-    keys, first, inverse = np.unique(np.round(values, 14), axis=0,
-                                     return_index=True, return_inverse=True)
-    inverse = inverse.ravel()   # NumPy 2.0.0 returns it with an extra axis
-    rows = np.split(np.argsort(inverse, kind="stable"),
-                    np.cumsum(np.bincount(inverse))[:-1])
-    return [(keys[g], rows[g]) for g in np.argsort(first)]
+    keys, group = np.unique(np.round(values, 14), axis=0, return_inverse=True)
+    return keys, group.ravel()   # NumPy 2.0.0 returns it with an extra axis
 
 
 def assemble(space: FeSpace, f) -> SparseSymSystem:
@@ -175,38 +174,28 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     DoF scalings, summed over the cells in mesh order by ``np.bincount``.
     Pass None for ``f`` for a zero right-hand side.
 
-    The COO triples, one per element-matrix entry, are written in place
-    into preallocated int32 index and float value arrays, in a fixed order:
-    groups, then cells, then entries row-major.  ``tocsr`` first sorts
-    each row's entries by column with an unstable sort (SciPy's
-    ``csr_sort_indices``), then sums the duplicates in the sorted order, so
-    that order follows from the triple order without being it; any change
-    to the triple order may change the last bits.  It keeps the explicit
-    zeros the sums leave.
+    Cells whose half-lengths agree to 14 digits (``group_rows``) share one
+    element matrix, built on the rounded half-lengths.  The COO triples,
+    one per element-matrix entry, are int32 index and float value arrays
+    of shape [n_cells, nloc, nloc]: cells in mesh order, then entries
+    row-major.  ``tocsr`` first sorts each row's entries by column with an
+    unstable sort (SciPy's ``csr_sort_indices``), then sums the duplicates
+    in the sorted order, so that order follows from the triple order
+    without being it; any change to the triple order may change the last
+    bits.  It keeps the explicit zeros the sums leave.
     """
     mesh = space.mesh
     elem = space.element
-    nloc = elem.n_dofs
 
-    size = mesh.n_cells * nloc * nloc
-    rows = np.empty(size, dtype=np.int32)
-    cols = np.empty(size, dtype=np.int32)
-    vals = np.empty(size)
-
-    end = 0
-    # one element matrix per group of cells with equal half-lengths
-    for hkey, cells in group_rows(mesh.cell_half_lengths):
-        k_ref = element_stiffness(hkey, elem)
-        gidx = space.cell_dof_indices[cells]          # [nc, nloc]
-        scale = space.cell_scalings[cells]            # [nc, nloc]
-        start, end = end, end + len(cells) * nloc * nloc
-        shape = (len(cells), nloc, nloc)
-        # scaled element matrices (s_a k_ab) s_b, all cells of the group
-        k = vals[start:end].reshape(shape)
-        np.multiply(scale[:, :, None], k_ref, out=k)
-        k *= scale[:, None, :]
-        rows[start:end].reshape(shape)[...] = gidx[:, :, None]
-        cols[start:end].reshape(shape)[...] = gidx[:, None, :]
+    # scaled element matrices (k_ab s_a) s_b, one per cell; the stacked
+    # matrices of the groups are freed before the index arrays are made
+    keys, group = group_rows(mesh.cell_half_lengths)
+    k = element_stiffness(keys, elem)[group]
+    k *= space.cell_scalings[:, :, None]
+    k *= space.cell_scalings[:, None, :]
+    idx = space.cell_dof_indices.astype(np.int32)
+    rows = np.broadcast_to(idx[:, :, None], k.shape).ravel()
+    cols = np.broadcast_to(idx[:, None, :], k.shape).ravel()
 
     rhs = np.zeros(space.n_dofs)
     if f is not None:
@@ -214,7 +203,7 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
         fe = space.cell_scalings * (jac * cell_moments(space, f))   # [nc, nloc]
         rhs = np.bincount(space.cell_dof_indices.ravel(), fe.ravel(), space.n_dofs)
 
-    mat = sp.coo_matrix((vals, (rows, cols)),
+    mat = sp.coo_matrix((k.ravel(), (rows, cols)),
                         shape=(space.n_dofs, space.n_dofs)).tocsr()
     return SparseSymSystem(mat, rhs, space)
 

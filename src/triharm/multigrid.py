@@ -9,8 +9,10 @@ rule fails, and builds the same element family on every level.
 The prolongation maps a coarse DoF vector to the fine space: each fine cell
 reads its DoFs off its parent's polynomial, and a fine DoF shared by
 several fine cells takes the average of their readings, the averaging of
-``quasi_interpolate``.  Restricted to the free DoFs of both levels, it
-gives the Galerkin coarse operator P^T A P.
+``quasi_interpolate``.  It is one pass over all fine cells, whatever their
+sizes: every cell's DoF anchors in its parent's reference coordinates,
+then one ``eval_shape`` per DoF multi-index.  Restricted to the free DoFs
+of both levels, it gives the Galerkin coarse operator P^T A P.
 
 The cycle is a symmetric V(1,1)-cycle: a degree-3 Chebyshev smoother on
 D^-1 A over [lmax / 30, 1.1 lmax], where lmax is estimated from a fixed
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ReducedSystem, group_rows
+from .assembly import ReducedSystem
 from .mesh import StructuredMesh
 from .solver import SolveReport, SolverError, _residual, cholesky
 from .space import FeSpace, build_space
@@ -84,11 +86,11 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
 
     # read[c, a, b]: reference d^alpha_a of parent basis function b at the
     # anchor of the fine cell's local DoF a
+    points = offset[:, None] + ratio[:, None] * anchors    # [nc, nloc, dim]
     read = np.empty((fmesh.n_cells, elem.n_dofs, elem.n_dofs))
-    for key, cells in group_rows(np.hstack([offset, ratio])):
-        points = key[:dim] + key[dim:] * anchors
-        for alpha, local in by_alpha.items():
-            read[np.ix_(cells, local)] = elem.eval_shape(alpha, points[local])
+    for alpha, local in by_alpha.items():
+        values = elem.eval_shape(alpha, points[:, local].reshape(-1, dim))
+        read[:, local] = values.reshape(fmesh.n_cells, len(local), -1)
     # physical DoF values: the coarse reference coefficient of b is
     # scaling_b times the global one, and d^alpha_a in x is h^-alpha_a times
     # the reference derivative; both are the parent's h^alpha scalings

@@ -283,7 +283,8 @@ class ReferenceElement:
     dofs: list[DofFunctional]
     coeffs: list[list[int]]   # [monomial][basis function]
     denominator: int
-    # starts empty, also on a dataclasses.replace copy with new coeffs
+    # (deriv, q, dim) -> (P, C) on that Gauss rule; starts empty, also on
+    # a dataclasses.replace copy with new coeffs
     _table_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property
@@ -302,14 +303,16 @@ class ReferenceElement:
 
     def eval_shape(self, deriv: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs],
-        the product ``P @ C`` of ``monomial_table(deriv, points)``."""
-        table, coeffs = self.monomial_table(deriv, points)
+        the product ``P @ C`` of the monomial tables at the points.  Not
+        cached; on a Gauss rule, ``monomial_table`` is."""
+        table, coeffs = self._tables(deriv, points)
         return table @ coeffs
 
-    def monomial_table(self, deriv: tuple[int, ...], points: np.ndarray
+    def monomial_table(self, deriv: tuple[int, ...], rule
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """(P, C), cached, with ``P @ C`` the d^deriv of the basis at the
-        points.
+        """(P, C) at the points of a Gauss rule, with ``P @ C`` the d^deriv
+        of the basis there, cached per derivative and rule: the cache holds
+        at most one pair per multi-index and rule, whatever the mesh.
 
         Only the shape monomials m >= deriv survive d^deriv: P[p, s] =
         perm(m_s, deriv) * prod_i x_pi^(m_si - deriv_i) at the points, and C
@@ -317,10 +320,20 @@ class ReferenceElement:
         ints.  A third derivative keeps few monomials, so P C v costs a
         fraction of the full table's work.
         """
-        deriv, pts, key = self._cache_key(deriv, points)
+        key = (tuple(map(int, deriv)), rule.q, rule.dim)
         hit = self._table_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._table_cache[key] = self._tables(deriv, rule.points)
+        return hit
+
+    def _tables(self, deriv, points) -> tuple[np.ndarray, np.ndarray]:
+        """(P, C) of ``monomial_table`` at any [m, dim] points, read-only."""
+        deriv = tuple(map(int, deriv))
+        if len(deriv) != self.dim:
+            raise ValueError("derivative multi-index has wrong length")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError("points have wrong dimension")
         factors = [math.prod(map(math.perm, m, deriv)) for m in self.monomials]
         keep = np.flatnonzero(factors)      # the monomials m >= deriv
         exps = np.array(self.monomials)[keep] - deriv
@@ -333,18 +346,7 @@ class ReferenceElement:
                            for s in keep]).reshape(len(keep), self.n_dofs)
         for arr in (table, coeffs):
             arr.setflags(write=False)
-        self._table_cache[key] = table, coeffs
         return table, coeffs
-
-    def _cache_key(self, deriv, points):
-        """(deriv as ints, points as a float [m, dim] array, cache key)."""
-        deriv = tuple(int(d) for d in deriv)
-        if len(deriv) != self.dim:
-            raise ValueError("derivative multi-index has wrong length")
-        pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
-        if pts.shape[1] != self.dim:
-            raise ValueError("points have wrong dimension")
-        return deriv, pts, (deriv, pts.shape, pts.tobytes())
 
 
 _element_cache: dict[tuple[Family, int], ReferenceElement] = {}

@@ -1,10 +1,12 @@
 """Exact and numerical verification suites for the element families.
 
 Unisolvence and duality are one integer product V C = d I per element, the
-certificate of ``reference.certified_inverse``.  Every other exact check is
-an integer row over the shape monomials times the certified C: the weak /
+certificate of ``reference.certified_inverse``.  The other exact checks are
+integer rows over the shape monomials times the certified C: the weak /
 strong continuity of second derivatives across faces, the face-integral
 identities behind the tangential-normal estimates and P3 reproduction.
+One is not: duality compares the Morley basis with its closed form as
+``Fraction`` polynomials, the slowest item of the suite at n = 6.
 Cubic patch tests run the full solve pipeline.
 """
 
@@ -52,6 +54,8 @@ class VerificationReport:
 
 
 def _families_for(n: int) -> list[Family]:
+    if n < 1:
+        raise ValueError(f"dimensions must be >= 1, got {n}")
     fams = [Q1, ADINI_CLASSIC, ADINI_TYPE]
     fams += [partial_adini(i) for i in range(n)]
     if n >= 2:
@@ -63,7 +67,8 @@ def verify_unisolvence(dims=(1, 2, 3, 4)) -> VerificationReport:
     """A certified inverse of the DoF-monomial matrix per family: V C = d I
     in integers, d = 2^k, proves the matrix invertible.  It is the one
     ``build_dual_basis`` checks, so the element is built once for every
-    suite."""
+    suite.  A matrix that is not certified is a failed item; a dimension
+    below 1 raises ``ValueError``."""
     rep = VerificationReport("unisolvence")
     for n in dims:
         for fam in _families_for(n):

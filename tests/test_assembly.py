@@ -157,12 +157,21 @@ def test_cell_groups_match_a_per_cell_loop():
     rng = np.random.default_rng(3)
     sizes = np.array([[0.25, 0.5], [0.125, 0.5], [0.25, 0.5 + 1e-15]])
     half = sizes[rng.integers(0, 3, size=40)]
-    want: dict[tuple, list[int]] = {}
-    for ci, h in enumerate(half):
-        want.setdefault(tuple(np.round(h, 14)), []).append(ci)
-    got = group_rows(half)
-    assert [tuple(key) for key, _ in got] == list(want)
-    assert [cells.tolist() for _, cells in got] == list(want.values())
+    keys, group = group_rows(half)
+    assert sorted({tuple(np.round(h, 14)) for h in half}) == list(map(tuple, keys))
+    for h, g in zip(half, group):
+        assert np.array_equal(keys[g], np.round(h, 14))
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_element_stiffness_matches_single_calls_bit_for_bit(family, n):
+    elem = build_dual_basis(family, n)
+    keys = np.random.default_rng(n).uniform(0.01, 1.0, size=(5, n))
+    batch = element_stiffness(keys, elem)
+    assert batch.shape == (5, elem.n_dofs, elem.n_dofs)
+    for h, k in zip(keys, batch):
+        assert np.array_equal(k, element_stiffness(h, elem))
 
 
 def grammian_stiffness(h, elem, rule):
@@ -177,24 +186,23 @@ def grammian_stiffness(h, elem, rule):
 
 
 def coo_reference(space, f):
-    """The former build: per-group int64 COO lists, concatenated once, with
-    the element matrix from the 6-point rule; the load from the 8-point rule
-    on each cell's own half-lengths, as one points-by-cells product summed
-    by ``np.bincount``."""
+    """A plain build: int64 COO lists, one cell at a time in mesh order,
+    concatenated once, each element matrix from the 6-point rule on the
+    cell's half-lengths rounded to 14 digits; the load from the 8-point
+    rule on each cell's own half-lengths, as one points-by-cells product
+    summed by ``np.bincount``."""
     mesh, elem = space.mesh, space.element
     stiffness_rule, load_rule = gauss_rule(6, mesh.dim), gauss_rule(8, mesh.dim)
     nloc = elem.n_dofs
     rows, cols, vals = [], [], []
     wphi = load_rule.weights[:, None] * elem.eval_shape((0,) * elem.dim,
                                                         load_rule.points)
-    for hkey, cells in group_rows(mesh.cell_half_lengths):
-        k_ref = grammian_stiffness(hkey, elem, stiffness_rule)
-        gidx = space.cell_dof_indices[cells]
-        scale = space.cell_scalings[cells]
-        kscaled = scale[:, :, None] * k_ref[None, :, :] * scale[:, None, :]
-        rows.append(np.repeat(gidx, nloc, axis=1).ravel())
-        cols.append(np.tile(gidx, (1, nloc)).ravel())
-        vals.append(kscaled.ravel())
+    for h, gidx, scale in zip(np.round(mesh.cell_half_lengths, 14),
+                              space.cell_dof_indices, space.cell_scalings):
+        k_ref = grammian_stiffness(h, elem, stiffness_rule)
+        rows.append(np.repeat(gidx, nloc))
+        cols.append(np.tile(gidx, nloc))
+        vals.append((scale[:, None] * k_ref * scale[None, :]).ravel())
     half = mesh.cell_half_lengths
     pts = mesh.cell_centers + half * load_rule.points[:, None, :]   # [npts, nc, dim]
     fv = f(pts.reshape(-1, mesh.dim)).reshape(len(load_rule.weights), -1)
@@ -213,12 +221,19 @@ def masked_cube():
     return StructuredMesh([np.linspace(0.0, 1.0, 3)] * 3, active)
 
 
+def graded_box():
+    """[0,1]^3 with axis nodes t^1.5, 4 cells per axis: 64 distinct cells."""
+    return StructuredMesh([np.linspace(0.0, 1.0, 5) ** 1.5] * 3,
+                          np.ones((4, 4, 4), dtype=bool))
+
+
 @pytest.mark.parametrize("mesh, family, f", [
     (lambda: lshape_mesh(8), ADINI_TYPE, case_smooth2d().source),
     (lambda: uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (4, 4, 4)), MORLEY,
      case_smooth3d().source),
     (masked_cube, ADINI_TYPE, case_smooth3d().source),
-], ids=["lshape8-adini", "smooth3d4-morley", "masked-cube-adini"])
+    (graded_box, MORLEY, case_smooth3d().source),
+], ids=["lshape8-adini", "smooth3d4-morley", "masked-cube-adini", "graded-box-morley"])
 def test_assembly_matches_the_list_build_bit_for_bit(mesh, family, f):
     # the in-place build sums the same triples in the same order and keeps
     # the explicit zeros the sums produce

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used."""
+"""Every import in the package and its tests is used, and every function
+and class the package defines is referenced."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,46 @@ def test_the_scan_sees_unused_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads, attributes it takes, and strings it spells out
+    whole (``getattr(module, "name")``), except where a module-level
+    function or class names itself inside its own body."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) else None)
+            if name is not None and name != own:
+                found.add(name)
+    return found
+
+
+def definitions(source: str) -> list[str]:
+    """Names of the module-level functions and classes of a module."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_the_scan_sees_dead_definitions():
+    source = ("def f(n):\n    return f(n - 1)\n\n"
+              "def g():\n    return h\n\n"
+              "def h():\n    pass\n\n"
+              "class K:\n    pass\n\n"
+              "def unused():\n    pass\n")
+    other = "import m\nm.K()\ngetattr(m, 'g')\n"
+    used = references(source) | references(other)
+    assert [name for name in definitions(source) if name not in used] == ["f", "unused"]
+
+
+def test_no_dead_definitions_in_the_package():
+    # referenced from the package, its tests or the benchmark
+    used = set().union(*(references(p.read_text()) for d in ("src", "tests", "bench")
+                         for p in (ROOT / d).rglob("*.py")))
+    dead = {str(p.relative_to(ROOT)): names for p in (ROOT / "src").rglob("*.py")
+            if (names := [n for n in definitions(p.read_text()) if n not in used])}
+    assert dead == {}

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from triharm.analysis import solve_case
-from triharm.assembly import apply_dirichlet, assemble
+from triharm.analysis import broken_norms, solve_case
+from triharm.assembly import DATA_Q, apply_dirichlet, assemble, derivative_multiindices
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
@@ -157,3 +157,27 @@ def test_cg_is_deterministic():
                                 for _ in range(2))
     np.testing.assert_array_equal(x1, x2)
     assert r1.iterations == r2.iterations
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_graded_meshes_leave_the_table_cache_bounded(family, monkeypatch):
+    # every cell of a graded mesh has its own size and offset in its
+    # parent; the element still caches at most one table pair per
+    # multi-index and Gauss rule, and a second mesh adds none
+    case = case_smooth2d()
+    elem = build_space(uniform_mesh(UNIT_SQUARE, 2), family).element
+    monkeypatch.setattr(elem, "_table_cache", {})
+    keys = []
+    for mesh in (FINE_MESHES["graded-square"](),
+                 StructuredMesh([np.linspace(0.0, 1.0, 9) ** 3] * 2,
+                                np.ones((8, 8), dtype=bool))):
+        space = build_space(mesh, family)
+        prolongation(space, build_space(coarsen(mesh), family))
+        assemble(space, case.source)
+        broken_norms(space, np.zeros(space.n_dofs), case)
+        keys.append(list(elem._table_cache))
+    n_alpha = sum(len(derivative_multiindices(2, m)) for m in range(4))
+    rules = {elem.max_degree_per_axis() + 1, DATA_Q}
+    assert keys[1] == keys[0]
+    assert len(keys[0]) <= n_alpha * len(rules)
+    assert {q for _, q, _ in keys[0]} == rules

@@ -273,12 +273,24 @@ def test_eval_shape_checks_its_arguments():
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_monomial_table_keeps_the_monomials_past_alpha(family, n):
-    # its values are those of eval_shape, checked against the exact basis
+    # its product is eval_shape at the rule's points, checked against the
+    # exact basis above
     elem = build_dual_basis(family, n)
-    pts = gauss_rule(4, n).points
+    rule = gauss_rule(4, n)
     for order in range(4):
         for alpha, _ in derivative_multiindices(n, order):
-            table, coeffs = elem.monomial_table(alpha, pts)
+            table, coeffs = elem.monomial_table(alpha, rule)
             kept = [m for m in elem.monomials if min(np.subtract(m, alpha)) >= 0]
-            assert table.shape == (len(pts), len(kept))
+            assert table.shape == (len(rule.points), len(kept))
             assert coeffs.shape == (len(kept), elem.n_dofs)
+            assert np.array_equal(table @ coeffs, elem.eval_shape(alpha, rule.points))
+            assert elem.monomial_table(alpha, rule)[0] is table
+
+
+def test_eval_shape_at_fresh_points_adds_no_cache_entry():
+    elem = build_dual_basis(ADINI_TYPE, 2)
+    before = list(elem._table_cache)
+    rng = np.random.default_rng(11)
+    for alpha in [(0, 0), (1, 2), (3, 0)]:
+        elem.eval_shape(alpha, rng.uniform(-1.0, 1.0, size=(9, 2)))
+    assert list(elem._table_cache) == before

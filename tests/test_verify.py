@@ -24,6 +24,22 @@ def test_unisolvence_small_dims():
     _assert_passed(verify_unisolvence((1, 2, 3)))
 
 
+def test_unisolvence_fails_only_on_a_certificate(monkeypatch):
+    # a dimension below 1 is an error, not a failed item; a matrix that is
+    # not certified is a failed item
+    for check in (verify_unisolvence, verify_duality):
+        with pytest.raises(ValueError, match="^dimensions must be >= 1, got 0$"):
+            check((0,))
+
+    def uncertified(family, n):
+        raise ValueError(f"DoF matrix for {family} at n={n} is not certified")
+
+    monkeypatch.setattr(verify, "build_dual_basis", uncertified)
+    report = verify_unisolvence((2,))
+    assert report.items and not any(ok for _, ok, _ in report.items)
+    assert {detail for _, detail in report.failures()} == {"not certified"}
+
+
 def test_duality_small_dims():
     _assert_passed(verify_duality((1, 2)))
 
