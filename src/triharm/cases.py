@@ -6,8 +6,9 @@ three (vectorized over point arrays), and the source f = (-Delta)^3 u.
 Points come in one of two forms: a dense ``[m, dim]`` array, giving values
 of shape ``[m]``, or an open grid, a tuple of ``dim`` coordinate arrays that
 broadcast together (as ``np.ix_`` returns), giving values of the broadcast
-shape.  A separable solution evaluates each factor on its own axis array,
-so a tensor grid of q points per axis costs q, not q^dim, evaluations.
+shape.  A separable solution, such as a cosine product or each monomial of
+a polynomial, evaluates each factor on its own axis array, so a tensor grid
+of q points per axis costs q, not q^dim, evaluations of a factor.
 An open grid may carry extra broadcast axes, such as the cell axis that
 ``assembly.cell_blocks`` puts last on every grid the library hands over.
 A case must work elementwise.
@@ -169,37 +170,24 @@ def polynomial_case(poly: Polynomial, domain: BoxDomain,
     lap = lambda q: sum((q.diff(i, 2) for i in range(dim)), Polynomial.zero(dim))
     lap3 = lap(lap(lap(poly)))
 
-    deriv_cache: dict[tuple, Polynomial] = {}
-
-    def evaluate(q: Polynomial, points):
-        # broadcast an open grid to the full grid, evaluate, restore its shape
-        grid = np.broadcast_arrays(*_axes(points, dim))
-        flat = np.stack([x.ravel() for x in grid], axis=1)
-        return q.eval_grid(flat).reshape(grid[0].shape)
-
     def derivative(alpha, points):
-        alpha = tuple(alpha)
-        q = deriv_cache.get(alpha)
-        if q is None:
-            q = poly.diff_multi(alpha)
-            deriv_cache[alpha] = q
-        return evaluate(q, points)
+        return poly.diff_multi(alpha)(_axes(points, dim))
 
     def source(points):
-        return -evaluate(lap3, points)
+        return -lap3(_axes(points, dim))
 
     return ManufacturedCase(name, dim, domain, source, derivative)
 
 
-CASE_NAMES = ("smooth2d", "lshape2d", "smooth3d")
+_CASES = {
+    "smooth2d": case_smooth2d,
+    "lshape2d": case_lshape2d,
+    "smooth3d": case_smooth3d,
+}
+CASE_NAMES = tuple(_CASES)
 
 
 def get_case(name: str) -> ManufacturedCase:
-    table = {
-        "smooth2d": case_smooth2d,
-        "lshape2d": case_lshape2d,
-        "smooth3d": case_smooth3d,
-    }
-    if name not in table:
+    if name not in _CASES:
         raise ValueError(f"unknown case {name!r}; choose from {CASE_NAMES}")
-    return table[name]()
+    return _CASES[name]()

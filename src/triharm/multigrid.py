@@ -99,7 +99,9 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     rows = fine.cell_dof_indices
     incident = np.bincount(rows.ravel(), minlength=fine.n_dofs)
     read /= incident[rows][:, :, None]
-    cols = coarse.cell_dof_indices[parent]
+    # int32 COO indices, as in ``assembly.assemble``
+    rows = rows.astype(np.int32)
+    cols = coarse.cell_dof_indices[parent].astype(np.int32)
     shape = read.shape
     p = sp.coo_matrix(
         (read.ravel(), (np.broadcast_to(rows[:, :, None], shape).ravel(),

@@ -4,8 +4,9 @@ Polynomials live in the reference coordinates of an axis-aligned cell.  They
 give the closed-form bases, the cubic solutions of the patch test and the
 independent oracles of the tests; the exact suites apply integer rows to
 the certified coefficients instead (``reference.functional_row``).
-Arithmetic is over ``fractions.Fraction``; floating-point evaluation is
-provided separately for the runtime (quadrature) paths.
+Arithmetic is over ``fractions.Fraction``.  One call evaluates: exactly at
+rational points, and in float64 on the coordinate arrays of the runtime
+(quadrature) paths.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class Polynomial:
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, axis: int) -> int:
-        return max((e[axis] for e in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -178,42 +176,29 @@ class Polynomial:
         return out
 
     def __call__(self, point):
-        """Evaluate at one point; exact when the coordinates are rational."""
+        """Evaluate at one point, exactly, or at arrays of points in float64.
+
+        Rational coordinates give the exact ``Fraction``.  Otherwise the
+        coordinates are arrays that broadcast together, such as an open grid
+        or the columns of a dense ``[m, dim]`` array, and the values come in
+        float64 of the broadcast shape.  Each power is taken on its own axis
+        array, so an open grid of q nodes per axis costs q powers, not q^dim.
+        """
         if len(point) != self.dim:
             raise ValueError("point has wrong length")
-        total = None
+        exact = all(isinstance(x, Rational) for x in point)
+        if exact:
+            xs, total = point, Fraction(0)
+        else:
+            xs = [np.asarray(x, dtype=float) for x in point]
+            total = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
         for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
+            val = coeff if exact else float(coeff)
+            for x, e in zip(xs, exps):
                 if e:
                     val = val * x ** e
-            total = val if total is None else total + val
-        if total is None:
-            return Fraction(0) if all(isinstance(x, Rational) for x in point) else 0.0
+            total += val
         return total
-
-    def eval_grid(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized floating evaluation at ``points`` of shape (m, dim)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise ValueError("points have wrong dimension")
-        out = np.zeros(pts.shape[0])
-        if not self.terms:
-            return out
-        max_exp = [self.degree_in(i) for i in range(self.dim)]
-        powers = [
-            np.vander(pts[:, i], max_exp[i] + 1, increasing=True)
-            for i in range(self.dim)
-        ]
-        for exps, coeff in self.terms.items():
-            term = np.full(pts.shape[0], float(coeff))
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers[i][:, e]
-            out += term
-        return out
 
     def integrate_box(self, lo, hi) -> Fraction:
         """Exact integral over the box [lo, hi] via monomial antiderivatives."""

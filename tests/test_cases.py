@@ -192,6 +192,14 @@ def dense(grid):
     return np.stack([x.ravel() for x in full], axis=1), full[0].shape
 
 
+def _cubic_case():
+    # the patch test's 3D cubic, whose d^3/dz^3 is the constant 6, plus x^7
+    # for a source (-Delta)^3 u = -5040 x that is not zero
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    u = x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1 + x ** 7
+    return polynomial_case(u, BoxDomain((0.0,) * 3, (1.0,) * 3))
+
+
 OPEN_GRID_CASES = {
     "smooth2d": case_smooth2d,
     "smooth3d": case_smooth3d,
@@ -200,6 +208,7 @@ OPEN_GRID_CASES = {
         Polynomial.variable(3, 0) ** 4 * Polynomial.variable(3, 1)
         - 3 * Polynomial.variable(3, 1) * Polynomial.variable(3, 2) ** 2 + 2,
         BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
+    "polynomial-cubic": _cubic_case,
 }
 
 

@@ -73,12 +73,32 @@ def test_diff_multi_and_degree():
     assert p.diff(0, 4).is_zero()
 
 
-def test_eval_grid_matches_exact_call():
+def test_call_on_arrays_matches_exact_values_in_broadcast_shape():
     x, y = (Polynomial.variable(2, i) for i in range(2))
-    p = x ** 4 - 3 * x * y + Fraction(2, 3) * y ** 2
+    p = x ** 4 - 3 * x * y + Fraction(3, 4) * y ** 2 + 5
     rng = np.random.default_rng(0)
-    # dyadic rationals are exact in binary floating point
+    # dyadic points and coefficients: every float operation is exact
     pts = rng.integers(-64, 65, size=(50, 2)) / 64.0
-    exact = [float(p([Fraction(a), Fraction(b)])) for a, b in pts]
-    assert np.allclose(p.eval_grid(pts), exact, rtol=1e-14, atol=1e-14)
+    exact = [p((Fraction(a), Fraction(b))) for a, b in pts]
+    assert all(isinstance(v, Fraction) for v in exact)
+    got = p(tuple(pts.T))
+    assert got.dtype == np.float64 and got.shape == (50,)
+    assert got.tolist() == exact
+
+    # an open grid of 3 x 4 nodes in each of 5 cells, the cell axis last
+    lo = rng.integers(-8, 8, size=(2, 5)) / 8.0
+    grid = ((lo[0] + np.arange(3)[:, None] / 16.0)[:, None, :],
+            (lo[1] + np.arange(4)[:, None] / 16.0)[None, :, :])
+    got = p(grid)
+    assert got.shape == (3, 4, 5)
+    xs, ys = (a.ravel() for a in np.broadcast_arrays(*grid))
+    assert got.ravel().tolist() == [p((Fraction(a), Fraction(b)))
+                                    for a, b in zip(xs, ys)]
+
+    # no term, or no variable: still one value per point
+    zero, const = Polynomial.zero(2), Polynomial.constant(2, Fraction(3, 2))
+    assert zero(grid).shape == const(grid).shape == (3, 4, 5)
+    assert not zero(grid).any() and (const(grid) == 1.5).all()
+    assert zero(tuple(pts.T)).shape == (50,)
+    assert zero((Fraction(1), 2)) == 0 and isinstance(zero((1, 2)), Fraction)
 
