@@ -152,10 +152,6 @@ class SparseSymSystem:
     rhs: np.ndarray
     space: FeSpace
 
-    @property
-    def n(self) -> int:
-        return self.rhs.shape[0]
-
 
 def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of ``values`` that agree when rounded to 14 digits.
@@ -193,7 +189,7 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     k = element_stiffness(keys, elem)[group]
     k *= space.cell_scalings[:, :, None]
     k *= space.cell_scalings[:, None, :]
-    idx = space.cell_dof_indices.astype(np.int32)
+    idx = space.cell_dof_indices
     rows = np.broadcast_to(idx[:, :, None], k.shape).ravel()
     cols = np.broadcast_to(idx[:, None, :], k.shape).ravel()
 
@@ -210,26 +206,27 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
 
 @dataclass
 class ReducedSystem:
-    """System restricted to free DoFs after symmetric boundary elimination.
+    """System restricted to the free DoFs of ``space`` after symmetric
+    boundary elimination.
 
     ``space`` is the space the system was assembled on.  Its DoF anchors and
     vertex planes let the direct solver order the unknowns by nested
-    dissection, and its mesh lets CG build a multigrid hierarchy.  A system
-    without one is factored as one dense front in natural order.
+    dissection, and its mesh lets CG build a multigrid hierarchy.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    free: np.ndarray
-    boundary: np.ndarray
     boundary_values: np.ndarray
-    n_total: int
-    space: FeSpace | None = None
+    space: FeSpace
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.space.free_dofs()
 
     def reconstruct(self, x_free: np.ndarray) -> np.ndarray:
-        full = np.empty(self.n_total)
+        full = np.empty(self.space.n_dofs)
         full[self.free] = x_free
-        full[self.boundary] = self.boundary_values
+        full[self.space.boundary_dofs()] = self.boundary_values
         return full
 
 
@@ -248,13 +245,4 @@ def apply_dirichlet(system: SparseSymSystem,
         raise ValueError("boundary value vector has wrong length")
     rows = system.matrix[free]
     rhs = system.rhs[free] - rows[:, bd] @ g
-    return ReducedSystem(
-        matrix=rows[:, free].tocsr(),
-        rhs=rhs,
-        free=free,
-        boundary=bd,
-        boundary_values=g,
-        n_total=system.n,
-        space=space,
-    )
-
+    return ReducedSystem(rows[:, free].tocsr(), rhs, g, space)

@@ -17,8 +17,9 @@ of both levels, it gives the Galerkin coarse operator P^T A P.
 The cycle is a symmetric V(1,1)-cycle: a degree-3 Chebyshev smoother on
 D^-1 A over [lmax / 30, 1.1 lmax], where lmax is estimated from a fixed
 start vector, before and after the coarse correction, and an exact solve by
-``solver.cholesky`` on the coarsest level.  A system without a space, or
-one whose mesh does not coarsen, has one level, and the preconditioner is
+``solver.cholesky`` on the coarsest level, assembled on the coarsest space:
+a Galerkin product couples DoFs across nested dissection's separators.  A
+system whose mesh does not coarsen has one level, and the preconditioner is
 then its exact solve.  For the smoother see Adams, Brezina, Hu and
 Tuminaro, JCP 188 (2003); for nonconforming multigrid, Brenner, Math.
 Comp. 68 (1999).
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ReducedSystem
+from .assembly import BLOCK_POINTS, ReducedSystem, assemble
 from .mesh import StructuredMesh
 from .solver import SolveReport, SolverError, _residual, cholesky
 from .space import FeSpace, build_space
@@ -70,9 +71,11 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     DoF j reading of coarse basis function J on the cell's parent: its
     d^alpha at the DoF's anchor, in physical coordinates.  Both spaces must
     hold the same element, on ``coarsen(fine.mesh)`` for the coarse one.
+    The fine cells are read in blocks of ``BLOCK_POINTS`` readings, and
+    only the nonzero readings are kept as COO triples.
     """
     elem = fine.element
-    dim = elem.dim
+    dim, nloc = elem.dim, elem.n_dofs
     fmesh, cmesh = fine.mesh, coarse.mesh
     parent = cmesh.cell_index[tuple((np.argwhere(fmesh.active) // 2).T)]
     half = cmesh.cell_half_lengths[parent]
@@ -84,29 +87,29 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     for a, d in enumerate(elem.dofs):
         by_alpha.setdefault(d.alpha, []).append(a)
 
-    # read[c, a, b]: reference d^alpha_a of parent basis function b at the
-    # anchor of the fine cell's local DoF a
     points = offset[:, None] + ratio[:, None] * anchors    # [nc, nloc, dim]
-    read = np.empty((fmesh.n_cells, elem.n_dofs, elem.n_dofs))
-    for alpha, local in by_alpha.items():
-        values = elem.eval_shape(alpha, points[:, local].reshape(-1, dim))
-        read[:, local] = values.reshape(fmesh.n_cells, len(local), -1)
-    # physical DoF values: the coarse reference coefficient of b is
-    # scaling_b times the global one, and d^alpha_a in x is h^-alpha_a times
-    # the reference derivative; both are the parent's h^alpha scalings
     scal = coarse.cell_scalings[parent]
-    read *= scal[:, None, :] / scal[:, :, None]
-    rows = fine.cell_dof_indices
-    incident = np.bincount(rows.ravel(), minlength=fine.n_dofs)
-    read /= incident[rows][:, :, None]
-    # int32 COO indices, as in ``assembly.assemble``
-    rows = rows.astype(np.int32)
-    cols = coarse.cell_dof_indices[parent].astype(np.int32)
-    shape = read.shape
-    p = sp.coo_matrix(
-        (read.ravel(), (np.broadcast_to(rows[:, :, None], shape).ravel(),
-                        np.broadcast_to(cols[:, None, :], shape).ravel())),
-        shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    rows, cols = fine.cell_dof_indices, coarse.cell_dof_indices[parent]
+    incident = np.bincount(rows.ravel(), minlength=fine.n_dofs)[rows]
+    triples, step = [], max(1, BLOCK_POINTS // nloc ** 2)
+    for lo in range(0, fmesh.n_cells, step):
+        cells = slice(lo, lo + step)
+        # read[c, a, b]: reference d^alpha_a of parent basis function b at
+        # the anchor of the fine cell's local DoF a
+        read = np.empty((len(points[cells]), nloc, nloc))
+        for alpha, local in by_alpha.items():
+            values = elem.eval_shape(alpha, points[cells, local].reshape(-1, dim))
+            read[:, local] = values.reshape(len(read), len(local), -1)
+        # physical DoF values: the coarse reference coefficient of b is scaling_b
+        # times the global one, and d^alpha_a in x is h^-alpha_a times the
+        # reference derivative; both are the parent's h^alpha scalings
+        read *= scal[cells, None, :] / scal[cells, :, None]
+        read /= incident[cells, :, None]
+        c, a, b = np.nonzero(read)
+        triples.append((read[c, a, b], rows[cells][c, a], cols[cells][c, b]))
+    values, rows, cols = (np.concatenate(t) for t in zip(*triples))
+    p = sp.coo_matrix((values, (rows, cols)),
+                      shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
     p.eliminate_zeros()
     return p
 
@@ -129,23 +132,26 @@ class VCycle:
 
     ``matrices[0]`` is the system's matrix and ``prolongations[i]`` maps the
     free DoFs of level i + 1 to those of level i; its transpose restricts.
-    ``exact`` is the Cholesky factor of the coarsest level.
+    The levels between are Galerkin products, the coarsest is assembled on
+    its space, and ``exact`` is its Cholesky factor.
     """
 
     def __init__(self, system: ReducedSystem):
-        self.matrices = [system.matrix]
-        self.prolongations = []
-        space, free = system.space, system.free
-        while space is not None and (mesh := coarsen(space.mesh)) is not None:
+        space, self.prolongations = system.space, []
+        while (mesh := coarsen(space.mesh)) is not None:
             coarse = build_space(mesh, space.element.family)
-            coarse_free = coarse.free_dofs()
-            p = prolongation(space, coarse)[free][:, coarse_free]
+            p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
+            self.prolongations.append(p)
+            space = coarse
+        self.matrices = [system.matrix]
+        for p in self.prolongations[:-1]:
             a = (p.T @ self.matrices[-1] @ p).tocsr()
             a.eliminate_zeros()
-            self.prolongations.append(p)
             self.matrices.append(a)
-            space, free = coarse, coarse_free
-        self.exact = cholesky(self.matrices[-1], space, free)
+        if self.prolongations:
+            free = space.free_dofs()
+            self.matrices.append(assemble(space, None).matrix[free][:, free])
+        self.exact = cholesky(self.matrices[-1], space)
         self.dinv = [1.0 / a.diagonal() for a in self.matrices[:-1]]
         self.lmax = [_lmax(a, d) for a, d in zip(self.matrices, self.dinv)]
 
@@ -185,7 +191,7 @@ def solve_cg(system: ReducedSystem, tol: float = 1e-10,
     """Conjugate gradients preconditioned by a multigrid V-cycle.
 
     The V-cycle is built from the system's space, and its coarsest level is
-    factored by ``solver.cholesky``.  Raises SolverError on a non-positive
+    assembled and factored by ``solver.cholesky``.  Raises SolverError on a non-positive
     diagonal entry, a non-positive pivot of the coarsest factorization, or
     no convergence within ``maxiter`` iterations.  A tolerance that is not
     finite and positive raises ValueError.

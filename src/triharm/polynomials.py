@@ -84,9 +84,6 @@ class Polynomial:
             return self.dim == other.dim and self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"

@@ -15,7 +15,9 @@ Only L is stored, its diagonal blocks packed.  A non-positive pivot raises
 SolverError, and a relative residual check of 1e-9 guards every direct solve.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
-in ``multigrid``, which factors its coarsest level with ``cholesky``.
+in ``multigrid``, which assembles its coarsest level to factor it with
+``cholesky``: only an assembled matrix is decoupled by the separators, and
+``symbolic`` rejects a pattern that crosses one, as P^T A P does.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class SolveReport:
     iterations: int | None
     relative_residual: float
     seconds: float
-    ordering: str | None = None      # direct: "nested-dissection" or "natural"
+    ordering: str | None = None      # direct: "nested-dissection"
     fill: int | None = None          # direct: entries of L the fronts store
     factor_seconds: float | None = None  # direct: time spent in the factorization
     fronts: int | None = None        # direct: fronts of the elimination tree
@@ -161,6 +163,8 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
       parent (own range first), never crossing into its update rows;
     - ``entries[f]``: ``(positions, values)`` of front f's entries on and
       below the diagonal in its flat C-ordered ``(k + m, k)`` block.
+    A child's update row before its parent's range crosses the parent's
+    separator: ValueError.
     """
     n, nf = len(perm), len(fronts)
     inverse = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
@@ -178,6 +182,11 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
     rows, entries, parent = [], [], np.full(nf, -1)
     at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
     for f, front in enumerate(fronts):
+        for c in front.children:
+            if len(rows[c]) and rows[c][0] < front.start:
+                raise ValueError(f"front {f} (rows {front.start}:{front.stop}) gets"
+                                 f" row {rows[c][0]} from child {c}: the pattern"
+                                 " crosses a separator")
         k, own = front.stop - front.start, i[bounds[f]:bounds[f + 1]]
         x = np.concatenate([own[own >= front.stop]] + [
             rows[c][rows[c].searchsorted(front.stop):] for c in front.children])
@@ -304,7 +313,6 @@ class Cholesky:
     fronts: list[Front]
     rows: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
-    ordering: str
     seconds: float          # spent in the factorization, after the ordering
 
     @property
@@ -318,27 +326,20 @@ class Cholesky:
         return x
 
 
-def cholesky(matrix: sp.spmatrix, space: FeSpace | None,
-             free: np.ndarray) -> Cholesky:
-    """Multifrontal Cholesky of ``matrix`` on the ``free`` DoFs of ``space``.
+def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
+    """Multifrontal Cholesky of ``matrix``, assembled on the free DoFs of ``space``.
 
     The DoFs are ordered by nested dissection of their anchor points on the
-    mesh's vertex planes.  Without a space, or with no DoFs, the matrix is
-    factored in natural order, as one dense front.  A non-positive pivot
-    raises SolverError.
+    mesh's vertex planes; a system with no DoFs is one empty front.  A
+    pattern that crosses a separator raises ValueError, a non-positive
+    pivot SolverError.
     """
-    n = matrix.shape[0]
-    if space is None or n == 0:
-        ordering, perm, fronts = "natural", np.arange(n), [Front(0, n)]
-    else:
-        ordering = "nested-dissection"
-        perm, fronts = nested_dissection(space.dof_points[free],
-                                         space.mesh.axis_nodes)
+    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
+                                     space.mesh.axis_nodes)
     t0 = time.perf_counter()
     rows, runs, entries = symbolic(matrix, perm, fronts)
     factors = _factor(fronts, perm, rows, runs, entries)
-    return Cholesky(perm, fronts, rows, factors, ordering,
-                    time.perf_counter() - t0)
+    return Cholesky(perm, fronts, rows, factors, time.perf_counter() - t0)
 
 
 def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
@@ -348,11 +349,11 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     residual above 1e-9.
     """
     t0 = time.perf_counter()
-    factor = cholesky(system.matrix, system.space, system.free)
+    factor = cholesky(system.matrix, system.space)
     x = factor.solve(system.rhs)
     res = _residual(system.matrix, x, system.rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
-                         ordering=factor.ordering, fill=factor.fill,
+                         ordering="nested-dissection", fill=factor.fill,
                          factor_seconds=factor.seconds,
                          fronts=len(factor.fronts))
     if not np.isfinite(res) or res > 1e-9:

@@ -24,7 +24,7 @@ class FeSpace:
     mesh: StructuredMesh
     element: ReferenceElement
     n_dofs: int
-    cell_dof_indices: np.ndarray   # [n_cells, n_local]
+    cell_dof_indices: np.ndarray   # [n_cells, n_local] int32
     cell_scalings: np.ndarray      # [n_cells, n_local]
     boundary_mask: np.ndarray      # [n_dofs]
     dof_alpha: list[tuple[int, ...]]  # per global dof: derivative multi-index
@@ -65,7 +65,7 @@ def build_space(mesh: StructuredMesh, family: Family) -> FeSpace:
         bmask.append(mesh.boundary_face_mask)
 
     # local->global map; local ordering matches the reference DoF ordering
-    idx = np.empty((mesh.n_cells, elem.n_dofs), dtype=np.int64)
+    idx = np.empty((mesh.n_cells, elem.n_dofs), dtype=np.int32)
     for li, dof in enumerate(elem.dofs):
         if dof.face:
             axis, side = dof.face

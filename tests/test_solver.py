@@ -1,18 +1,19 @@
-"""Direct and iterative solvers on synthetic and assembled systems."""
+"""Direct and iterative solvers on assembled systems."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from triharm.analysis import broken_norms
 from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
-from triharm.cases import ManufacturedCase, case_lshape2d, case_smooth3d, polynomial_case
+from triharm.cases import (
+    ManufacturedCase, case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case,
+)
 from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import BoxDomain, StructuredMesh
-from triharm.multigrid import solve_cg
+from triharm.multigrid import coarsen, prolongation, solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
@@ -21,16 +22,20 @@ from triharm.solver import (
 from triharm.space import build_space
 
 
-def synthetic_spd(n=50, seed=0) -> ReducedSystem:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    a = sp.csr_matrix(m.T @ m + np.eye(n))
-    b = rng.standard_normal(n)
-    return ReducedSystem(a, b, np.arange(n), np.arange(0), np.zeros(0), n)
+def small_system() -> ReducedSystem:
+    """smooth2d Adini on 3 x 5 cells: 40 free DoFs, a mesh that does not coarsen."""
+    return assembled(case_smooth2d(), ADINI_TYPE, (3, 5))[1]
 
 
-def test_direct_residual_on_random_spd():
-    system = synthetic_spd()
+def with_matrix(system: ReducedSystem, edit) -> ReducedSystem:
+    """``system`` with ``edit`` applied to a LIL copy of its matrix."""
+    a = system.matrix.tolil()
+    edit(a)
+    return dataclasses.replace(system, matrix=a.tocsr())
+
+
+def test_direct_residual_on_a_small_assembled_system():
+    system = small_system()
     x, report = solve_direct(system)
     assert report.method == "direct"
     assert report.relative_residual <= 1e-10
@@ -39,7 +44,7 @@ def test_direct_residual_on_random_spd():
 
 
 def test_cg_agrees_with_direct():
-    system = synthetic_spd()
+    system = small_system()
     xd, _ = solve_direct(system)
     xc, report = solve_cg(system, tol=1e-12)
     assert report.method == "cg"
@@ -48,11 +53,10 @@ def test_cg_agrees_with_direct():
 
 
 def test_cg_rejects_indefinite_diagonal():
-    a = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
-    system = ReducedSystem(a, np.ones(3), np.arange(3),
-                           np.arange(0), np.zeros(0), 3)
-    with pytest.raises(SolverError):
-        solve_cg(system)
+    def negate(a):
+        a[5, 5] = -a[5, 5]
+    with pytest.raises(SolverError, match="diagonal"):
+        solve_cg(with_matrix(small_system(), negate))
 
 
 def test_cg_nonconvergence_raises():
@@ -65,23 +69,27 @@ def test_cg_nonconvergence_raises():
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_cg_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        solve_cg(synthetic_spd(n=10), tol=tol)
+        solve_cg(small_system(), tol=tol)
 
 
 def test_empty_system():
-    empty = ReducedSystem(sp.csr_matrix((0, 0)), np.zeros(0),
-                          np.arange(0), np.arange(3), np.ones(3), 3)
-    x, report = solve_direct(empty)
-    assert x.size == 0
-    np.testing.assert_array_equal(empty.reconstruct(x), np.ones(3))
+    # one cell: every DoF lies on the boundary
+    _, empty = assembled(case_smooth2d(), ADINI_TYPE, 1)
+    assert empty.matrix.shape == (0, 0) and len(empty.free) == 0
+    for solve in (solve_direct, solve_cg):
+        x, report = solve(empty)
+        assert x.size == 0 and report.relative_residual == 0.0
+    np.testing.assert_array_equal(empty.reconstruct(x), empty.boundary_values)
 
 
 def test_reconstruct_scatters_both_blocks():
-    system = ReducedSystem(sp.csr_matrix(np.eye(2)), np.ones(2),
-                           np.array([0, 2]), np.array([1, 3]),
-                           np.array([5.0, 6.0]), 4)
-    full = system.reconstruct(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(full, [1.0, 5.0, 2.0, 6.0])
+    system = small_system()
+    space = system.space
+    x = np.arange(1.0, len(system.free) + 1)
+    full = system.reconstruct(x)
+    assert len(full) == space.n_dofs
+    np.testing.assert_array_equal(full[space.free_dofs()], x)
+    np.testing.assert_array_equal(full[space.boundary_dofs()], system.boundary_values)
 
 
 def assembled(case, family, n):
@@ -273,9 +281,9 @@ def test_solve_report_counts_the_fronts():
     _, reduced = assembled(case_lshape2d(), ADINI_TYPE, 8)
     _, report = solve_direct(reduced)
     _, fronts = free_dissection(reduced)
-    factor = cholesky(reduced.matrix, reduced.space, reduced.free)
+    factor = cholesky(reduced.matrix, reduced.space)
     assert report.fronts == len(fronts) == len(factor.fronts) > 1
-    _, report = solve_direct(synthetic_spd())
+    _, report = solve_direct(small_system())
     assert report.fronts == 1
 
 
@@ -287,28 +295,41 @@ def test_nested_dissection_fills_less_than_colamd():
     assert 0 < report.fill < lu.L.nnz
 
 
-def test_system_without_points_is_factored_in_natural_order():
-    _, report = solve_direct(synthetic_spd())
-    assert report.ordering == "natural"
-    assert report.fill > 0
-    _, report = solve_cg(synthetic_spd())
+def test_cg_report_has_no_factorization():
+    _, report = solve_cg(small_system())
     assert (report.ordering, report.fill, report.factor_seconds) == (None, None, None)
 
 
 def test_singular_matrix_raises():
-    system = synthetic_spd()
-    a = system.matrix.tolil()
-    a[7, :] = 0.0
-    a[:, 7] = 0.0
-    system.matrix = a.tocsr()
+    def drop(a):
+        a[7, :] = 0.0
+        a[:, 7] = 0.0
     with pytest.raises(SolverError):
-        solve_direct(system)
+        solve_direct(with_matrix(small_system(), drop))
 
 
 def test_indefinite_matrix_fails_in_the_cholesky():
-    # positive diagonal, eigenvalues 5, -1 and 1: the second pivot is -2.5
-    a = sp.csr_matrix(np.array([[2.0, 3.0, 0.0], [3.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
-    system = ReducedSystem(a, np.ones(3), np.arange(3), np.arange(0), np.zeros(0), 3)
-    with pytest.raises(SolverError, match="pivot 1 .*not positive") as err:
-        solve_direct(system)
+    # the earlier pivots are those of the SPD matrix; the pivot of the
+    # negated diagonal entry is at most that entry
+    system = small_system()
+    perm, _ = free_dissection(system)
+    dof = 11
+    pivot = int(np.flatnonzero(perm == dof)[0])
+
+    def negate(a):
+        a[dof, dof] = -a[dof, dof]
+    with pytest.raises(SolverError, match=rf"pivot {pivot} \(free DoF {dof}\) is not "
+                       "positive") as err:
+        solve_direct(with_matrix(system, negate))
     assert "residual" not in str(err.value)
+
+
+def test_symbolic_rejects_a_pattern_that_crosses_a_separator():
+    # a Galerkin operator P^T A P couples DoFs two coarse cells apart, across
+    # the vertex planes that separate the coarse space's assembled matrix
+    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 14)
+    space = reduced.space
+    coarse = build_space(coarsen(space.mesh), ADINI_TYPE)
+    p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
+    with pytest.raises(ValueError, match=r"front \d+ .* row \d+ .*crosses a separator"):
+        cholesky((p.T @ reduced.matrix @ p).tocsr(), coarse)
