@@ -171,36 +171,51 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     Pass None for ``f`` for a zero right-hand side.
 
     Cells whose half-lengths agree to 14 digits (``group_rows``) share one
-    element matrix, built on the rounded half-lengths.  The COO triples,
-    one per element-matrix entry, are int32 index and float value arrays
-    of shape [n_cells, nloc, nloc]: cells in mesh order, then entries
-    row-major.  ``tocsr`` first sorts each row's entries by column with an
-    unstable sort (SciPy's ``csr_sort_indices``), then sums the duplicates
-    in the sorted order, so that order follows from the triple order
-    without being it; any change to the triple order may change the last
-    bits.  It keeps the explicit zeros the sums leave.
+    element matrix, built on the rounded half-lengths and scaled as
+    ``(k_ab s_a) s_b`` by the cells' DoF scalings.  The matrix is filled
+    as CSR arrays with duplicates, in blocks of about ``BLOCK_POINTS``
+    element-matrix entries: row r holds, for each cell that has r as its
+    local row a, in mesh order, that cell's row a in local column order.
+    This is the order in which SciPy's ``coo_tocsr`` would give each row
+    the entries of COO triples listed by cell, then row-major.  SciPy's
+    ``sum_duplicates`` then sorts each row by column with an unstable sort
+    (``csr_sort_indices``) and sums the duplicates in the sorted order, so
+    that order follows from the fill order without being it; any change
+    to the fill order may change the last bits.  The explicit zeros the
+    sums leave are kept, and the indices are int32 while the entry count
+    fits, as ``tocsr`` would pick them.
     """
     mesh = space.mesh
     elem = space.element
+    idx, scale = space.cell_dof_indices, space.cell_scalings
+    nloc, n = elem.n_dofs, space.n_dofs
 
-    # scaled element matrices (k_ab s_a) s_b, one per cell; the stacked
-    # matrices of the groups are freed before the index arrays are made
-    keys, group = group_rows(mesh.cell_half_lengths)
-    k = element_stiffness(keys, elem)[group]
-    k *= space.cell_scalings[:, :, None]
-    k *= space.cell_scalings[:, None, :]
-    idx = space.cell_dof_indices
-    rows = np.broadcast_to(idx[:, :, None], k.shape).ravel()
-    cols = np.broadcast_to(idx[:, None, :], k.shape).ravel()
-
-    rhs = np.zeros(space.n_dofs)
+    rhs = np.zeros(n)
     if f is not None:
         jac = np.prod(mesh.cell_half_lengths, axis=1)[:, None]
-        fe = space.cell_scalings * (jac * cell_moments(space, f))   # [nc, nloc]
-        rhs = np.bincount(space.cell_dof_indices.ravel(), fe.ravel(), space.n_dofs)
+        fe = scale * (jac * cell_moments(space, f))   # [nc, nloc]
+        rhs = np.bincount(idx.ravel(), fe.ravel(), n)
 
-    mat = sp.coo_matrix((k.ravel(), (rows, cols)),
-                        shape=(space.n_dofs, space.n_dofs)).tocsr()
+    keys, group = group_rows(mesh.cell_half_lengths)
+    k = element_stiffness(keys, elem)
+    entries = idx.size * nloc
+    itype = np.int32 if max(entries, n) <= np.iinfo(np.int32).max else np.int64
+    # a stable sort of the (cell, local row) pairs by DoF lists each row's
+    # pairs in mesh order, so pair p fills slots p * nloc onwards
+    order = np.argsort(idx, axis=None, kind="stable")
+    indptr = np.zeros(n + 1, dtype=itype)
+    indptr[1:] = np.cumsum(np.bincount(idx.ravel(), minlength=n) * nloc)
+    data = np.empty((len(order), nloc))
+    indices = np.empty((len(order), nloc), dtype=itype)
+    step = max(1, BLOCK_POINTS // nloc)
+    for lo in range(0, len(order), step):
+        cell, a = np.divmod(order[lo:lo + step], nloc)
+        block = np.multiply(k[group[cell], a], scale[cell, a][:, None],
+                            out=data[lo:lo + step])
+        block *= scale[cell]
+        indices[lo:lo + step] = idx[cell]
+    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
+    mat.sum_duplicates()
     return SparseSymSystem(mat, rhs, space)
 
 

@@ -1,15 +1,18 @@
 """Command-line frontend: convergence studies, single solves, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure (solver breakdown or non-finite results), 141 when the
+3 numerical failure (solver breakdown or non-finite results), 4 internal
+error (any other exception, a bug: its traceback is printed), 141 when the
 reader closes stdout early (128 + SIGPIPE, as a shell reports for ``cat``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -17,23 +20,28 @@ from .analysis import broken_norms, convergence_study, solve_case
 from .cases import CASE_NAMES, get_case
 from .reference import family_from_name
 from .solver import SolverError
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_dims
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "ConfigError"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 
+class ConfigError(ValueError):
+    """A command line or config file the CLI rejects: exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse whose errors reach ``main`` as ValueError, after the usage."""
+    """argparse whose errors reach ``main`` as ConfigError, after the usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ValueError(message)
+        raise ConfigError(message)
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,10 +103,34 @@ def _config_flags(path: str) -> list[str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"bad line in config {path}: {line!r}")
+            raise ConfigError(f"bad line in config {path}: {line!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
         flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
+
+
+def _check(args) -> None:
+    """The CLI's own checks of the parsed values, before any work is done:
+    a level, tolerance or dimension the run would reject raises
+    ConfigError.  The parser's choices check the case and element."""
+    if args.command == "verify":
+        try:
+            suite_dims(args.suite, args.dims)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return
+    if args.command == "convergence":
+        levels = args.levels
+        if len(levels) < 2:
+            raise ConfigError("need at least two refinement levels")
+        if any(b != 2 * a for a, b in zip(levels, levels[1:])):
+            raise ConfigError("levels must double: got " + repr(levels))
+    else:
+        levels = [args.n]
+    if min(levels) < 1:
+        raise ConfigError(f"cells per unit length must be >= 1, got {min(levels)}")
+    if args.solver == "cg" and not 0 < args.tol < math.inf:
+        raise ConfigError(f"CG tolerance must be finite and > 0, got {args.tol}")
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:
@@ -205,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             # right after the subcommand, so explicit flags that follow win
             rest[1:1] = _config_flags(known.config)
         args = build_parser().parse_args(rest)
+        _check(args)
         status = COMMANDS[args.command](args)
         sys.stdout.flush()   # a closed stdout shows here, not at shutdown
         return status
@@ -212,12 +245,16 @@ def main(argv: list[str] | None = None) -> int:
         # quiet the interpreter's final flush into the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except SolverError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.write("internal error: this is a bug in triharm\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -194,8 +194,9 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
         rows.append(x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x)
         slot[front.start:front.stop] = count[:k]
         slot[rows[f]] = count[k:k + len(rows[f])]
+        # its own copy of the values, so that a factored front frees them
         entries.append((slot[own] * k + j[bounds[f]:bounds[f + 1]] - front.start,
-                        values[bounds[f]:bounds[f + 1]]))
+                        values[bounds[f]:bounds[f + 1]].copy()))
         for c in front.children:
             at[c], parent[c] = slot[rows[c]], f
     # a run ends where the child, the contiguity or the parent's part changes

@@ -33,7 +33,8 @@ from .space import build_space
 __all__ = [
     "VerificationReport",
     "verify_unisolvence", "verify_duality", "verify_weak_continuity",
-    "verify_local_interpolation", "verify_patch_test", "run_suite", "SUITES",
+    "verify_local_interpolation", "verify_patch_test", "run_suite", "suite_dims",
+    "SUITES",
 ]
 
 
@@ -316,14 +317,11 @@ def _suite_reports(name: str, dims) -> list[VerificationReport]:
     return [check(fam, n) for n in dims if n >= 2 for fam in (MORLEY, ADINI_TYPE)]
 
 
-def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
-    """Run one named suite (or 'all') over the requested dimensions.
-
-    A dimension listed twice runs once, in first-seen order.  The
-    continuity, local-interp and patch suites need n >= 2; 'all' skips
-    them for smaller n.  No dimension, one below 1, or nothing to check
-    raises ``ValueError``, before anything is built.
-    """
+def suite_dims(name: str, dims) -> tuple[int, ...]:
+    """The dimensions ``run_suite(name, dims)`` checks: each once, in
+    first-seen order.  An unknown suite, no dimension, one below 1, or
+    nothing to check (continuity, local-interp and patch need n >= 2)
+    raises ``ValueError``."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     dims = tuple(dict.fromkeys(dims))
@@ -331,9 +329,20 @@ def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
         raise ValueError("no dimensions given")
     if low := [n for n in dims if n < 1]:
         raise ValueError(f"dimensions must be >= 1, got {', '.join(map(str, low))}")
-    names = SUITES if name == "all" else (name,)
-    reports = [rep for sub in names for rep in _suite_reports(sub, dims)]
-    if not any(rep.items for rep in reports):
+    if name not in ("all", "unisolvence", "duality") and max(dims) < 2:
         raise ValueError(f"suite {name!r} checks nothing for dims={dims}"
                          " (continuity, local-interp and patch need n >= 2)")
-    return reports
+    return dims
+
+
+def run_suite(name: str, dims=(2, 3)) -> list[VerificationReport]:
+    """Run one named suite (or 'all') over the requested dimensions.
+
+    A dimension listed twice runs once, in first-seen order.  The
+    continuity, local-interp and patch suites need n >= 2; 'all' skips
+    them for smaller n.  Arguments that ``suite_dims`` rejects raise
+    ``ValueError`` before anything is built.
+    """
+    dims = suite_dims(name, dims)
+    names = SUITES if name == "all" else (name,)
+    return [rep for sub in names for rep in _suite_reports(sub, dims)]

@@ -310,6 +310,13 @@ def test_error_report_csv_and_markdown_format():
     assert md.count("|") > 10 and "2.00" in md
 
 
+def test_convergence_study_reports_the_largest_cell_width_as_h():
+    # h is twice the largest half-length: 1/N on the unit square
+    report = convergence_study(case_smooth2d(), MORLEY, [4, 8])
+    assert report.h == [0.25, 0.125]
+    assert report.to_csv().splitlines()[1].startswith("4,2.500000e-01,")
+
+
 def test_unknown_solver_rejected():
     with pytest.raises(ValueError):
         solve_case(case_smooth2d(), ADINI_TYPE, 2, solver="gmres")

@@ -123,6 +123,21 @@ def test_exit_code_config_errors(capsys):
     assert run_cli(["verify", "--suite", "continuity", "--trials", "0"], capsys)[0] == 2
 
 
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
+    # a bug inside the library exits 4 with its traceback, where it used to
+    # read as a configuration error
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("triharm.cli.solve_case", broken)
+    code, out, err = run_cli(["solve", "--n", "2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert "ValueError: operands could not be broadcast together" in err
+    assert err.splitlines()[-1].startswith("internal error:")
+
+
 def test_parser_errors_print_the_usage_and_one_error_line(capsys):
     code, out, err = run_cli(["verify", "--suite", "bogus"], capsys)
     assert (code, out) == (2, "")

@@ -17,7 +17,8 @@ from triharm.multigrid import coarsen, prolongation, solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    LEAF_DOFS, SolverError, cholesky, nested_dissection, solve_direct, symbolic,
+    LEAF_DOFS, Cholesky, SolverError, cholesky, nested_dissection, solve_direct,
+    symbolic,
 )
 from triharm.space import build_space
 
@@ -306,6 +307,20 @@ def test_singular_matrix_raises():
         a[:, 7] = 0.0
     with pytest.raises(SolverError):
         solve_direct(with_matrix(small_system(), drop))
+
+
+def test_residual_above_the_bound_raises(monkeypatch):
+    # a factor whose solutions are off by 1e-6 relative leaves a residual
+    # of about 1e-6: far above 1e-9, far below anything a pivot would show
+    exact = Cholesky.solve
+    monkeypatch.setattr(Cholesky, "solve",
+                        lambda self, b: exact(self, b) * (1 + 1e-6))
+    system = small_system()
+    x = cholesky(system.matrix, system.space).solve(system.rhs)
+    res = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
+    assert 1e-9 < res < 1e-3
+    with pytest.raises(SolverError, match="residual"):
+        solve_direct(system)
 
 
 def test_indefinite_matrix_fails_in_the_cholesky():
