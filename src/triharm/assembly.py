@@ -183,7 +183,8 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     that order follows from the fill order without being it; any change
     to the fill order may change the last bits.  The explicit zeros the
     sums leave are kept, and the indices are int32 while the entry count
-    fits, as ``tocsr`` would pick them.
+    fits, as ``tocsr`` would pick them.  The matrix's ``indices`` and
+    ``data`` are arrays of their own of exactly nnz entries.
     """
     mesh = space.mesh
     elem = space.element
@@ -215,7 +216,13 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
         block *= scale[cell]
         indices[lo:lo + step] = idx[cell]
     mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
+    del data, indices, order
     mat.sum_duplicates()
+    # SciPy keeps the pre-sum arrays under its results when the sums leave
+    # more than half of the entries; copying the indices before the data
+    # frees the first pre-sum array before the larger copy is made
+    mat.indices = mat.indices.copy()
+    mat.data = mat.data.copy()
     return SparseSymSystem(mat, rhs, space)
 
 

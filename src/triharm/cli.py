@@ -198,6 +198,7 @@ def cmd_solve(args) -> int:
 
     print(f"solver={rep.method} ordering={show(rep.ordering)} "
           f"fill={show(rep.fill)} fronts={show(rep.fronts)} "
+          f"factored={show(rep.factored)} "
           f"iterations={show(rep.iterations)} "
           f"residual={rep.relative_residual:.3e} "
           f"factor_seconds={show(rep.factor_seconds, '.2f')} "

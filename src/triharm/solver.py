@@ -9,10 +9,13 @@ merges the smallest fronts into one leaf.  Each separator, and each block
 left whole, is a front: a range of the permuted numbering whose columns of L
 are computed together in dense blocks.  ``symbolic`` works out, once, each
 front's update rows, where its matrix entries go, and how each child's
-update matrix maps into its parent.  The numeric loop then only allocates,
-adds slices and calls LAPACK and BLAS (``dpotrf``, ``dtrsm``, ``dsyrk``).
-Only L is stored, its diagonal blocks packed.  A non-positive pivot raises
-SolverError, and a relative residual check of 1e-9 guards every direct solve.
+update matrix maps into its parent.  Fronts that repeat one another, bit
+for bit, fall into one class (``_classify``), and the numeric loop factors
+one front per class: it only allocates, adds slices and calls LAPACK and
+BLAS (``dpotrf``, ``dtrsm``, ``dsyrk``).  Only L is stored, its diagonal
+blocks packed, and the fronts of a class share theirs.  A non-positive
+pivot raises SolverError, and a relative residual check of 1e-9 guards
+every direct solve.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which assembles its coarsest level to factor it with
@@ -49,9 +52,10 @@ class SolveReport:
     relative_residual: float
     seconds: float
     ordering: str | None = None      # direct: "nested-dissection"
-    fill: int | None = None          # direct: entries of L the fronts store
+    fill: int | None = None          # direct: entries of L, counted per front
     factor_seconds: float | None = None  # direct: time spent in the factorization
     fronts: int | None = None        # direct: fronts of the elimination tree
+    factored: int | None = None      # direct: fronts factored, the others repeat one
 
 
 @dataclass(frozen=True)
@@ -234,40 +238,68 @@ def _extend_add(l11, l21, f22, update, runs, own: bool) -> None:
                 update[lo_r:hi_r, lo_c:hi_c]
 
 
-def _factor(fronts, perm, rows, runs, entries):
+def _classify(fronts, rows, runs, entries) -> list[int]:
+    """Each front's class: the first front in postorder that it repeats.
+
+    Two fronts repeat each other when they have equal ``k`` and ``m``, the
+    same entries at the same positions, bit for bit, and children of equal
+    classes with equal runs, in order: equal inputs to the same operations,
+    so their factors and update matrices are equal bit for bit.  Fronts are
+    bucketed by shape and children, then matched against each class of the
+    bucket by their arrays, never by a hash alone.  A repeat's entries are
+    dropped from ``entries``.
+    """
+    classes, buckets = [], {}
+    for f, front in enumerate(fronts):
+        pos, val = entries[f]
+        key = (front.stop - front.start, len(rows[f]), len(pos),
+               tuple((classes[c], tuple(runs[c])) for c in front.children))
+        bucket = buckets.setdefault(key, [])
+        for r in bucket:
+            # compared as bits, so that 0.0 and -0.0 differ
+            if (np.array_equal(entries[r][0], pos)
+                    and np.array_equal(entries[r][1].view(np.int64),
+                                       val.view(np.int64))):
+                classes.append(r)
+                entries[f] = None
+                break
+        else:
+            bucket.append(f)
+            classes.append(f)
+    return classes
+
+
+def _factor(fronts, perm, rows, runs, entries, classes):
     """Multifrontal Cholesky: ``(L11, L21)`` of each front, L11 packed.
 
-    A front gathers its entries (dropping them from ``entries``) and its
-    children's updates in its own columns, factors them, forms its update
-    matrix with ``dsyrk``, then adds its children's updates past its range.
-    Blocks are C-ordered lower triangles, which LAPACK and BLAS see as
-    Fortran-ordered upper ones; L11 is kept in ``dtpsv``'s packed form.
-    Update matrices lie on two stacks at the ends of one buffer, for fronts
-    of even and odd depth: a front pushes its own onto one stack while its
-    children's are on top of the other, then pops theirs.
+    Only the first front of each class is factored; a repeat shares its
+    ``(L11, L21)``, and its parent reads the class's update matrix.  A
+    factored front gathers its entries (dropping them from ``entries``) and
+    its children's updates in its own columns, factors them, forms its
+    update matrix with ``dsyrk``, then adds its children's updates past its
+    range.  A class's update matrix lives until the last factored front
+    that reads it.  Blocks are C-ordered lower triangles, which LAPACK and
+    BLAS see as Fortran-ordered upper ones; L11 is kept in ``dtpsv``'s
+    packed form.
     """
-    depth, sizes = [0] * len(fronts), [len(r) ** 2 for r in rows]
-    for f in reversed(range(len(fronts))):
-        for c in fronts[f].children:
-            depth[c] = depth[f] + 1
-    place, tops, size = [], [0, 0], 0
+    last = {}       # class -> the last factored front that reads its update
     for f, front in enumerate(fronts):
-        place.append(tops[depth[f] % 2])
-        tops[depth[f] % 2] += sizes[f]
-        size = max(size, sum(tops))
-        tops[1 - depth[f] % 2] -= sum(sizes[c] for c in front.children)
-    work, factors, updates, tri = np.zeros(size), [], [], {}
+        if classes[f] == f:
+            for c in front.children:
+                last[classes[c]] = f
+    factors, updates, tri = [], {}, {}
     for i, (front, upd) in enumerate(zip(fronts, rows)):
+        if classes[i] != i:
+            factors.append(factors[classes[i]])
+            continue
         k, m = front.stop - front.start, len(upd)
-        at = place[i] if depth[i] % 2 == 0 else size - place[i] - sizes[i]
-        f22 = work[at:at + sizes[i]].reshape(m, m)
-        l11, l21 = np.zeros((k, k)), np.zeros((m, k))
+        l11, l21, f22 = np.zeros((k, k)), np.zeros((m, k)), np.zeros((m, m))
         (pos, val), entries[i] = entries[i], None
         low = pos < k * k
         l11.reshape(-1)[pos[low]] = val[low]
         l21.reshape(-1)[pos[~low] - k * k] = val[~low]
-        for child in front.children:
-            _extend_add(l11, l21, f22, updates[child], runs[child], True)
+        for c in front.children:
+            _extend_add(l11, l21, f22, updates[classes[c]], runs[c], True)
         if k:
             _, info = lapack.dpotrf(l11.T, lower=0, clean=0, overwrite_a=1)
             if info > 0:
@@ -278,14 +310,16 @@ def _factor(fronts, perm, rows, runs, entries):
             if m:
                 blas.dtrsm(1.0, l11.T, l21.T, trans_a=1, overwrite_b=1)
                 blas.dsyrk(-1.0, l21.T, c=f22.T, trans=1, overwrite_c=1)
-        else:
-            f22.fill(0.0)
-        for child in front.children:
-            _extend_add(l11, l21, f22, updates[child], runs[child], False)
+        for c in front.children:
+            _extend_add(l11, l21, f22, updates[classes[c]], runs[c], False)
+        for c in front.children:
+            if last[classes[c]] == i:
+                updates.pop(classes[c], None)
         if k not in tri:
             tri[k] = np.tri(k, dtype=bool)
         factors.append((l11[tri[k]], l21))
-        updates.append(f22)
+        if i in last:
+            updates[i] = f22
     return factors
 
 
@@ -308,17 +342,27 @@ def _substitute(factors, fronts, rows, b) -> np.ndarray:
 
 @dataclass
 class Cholesky:
-    """``P A P^T = L L^T``, with L kept front by front as ``(L11, L21)``."""
+    """``P A P^T = L L^T``, with L kept front by front as ``(L11, L21)``.
+
+    The fronts of one class share one ``(L11, L21)``.
+    """
 
     perm: np.ndarray
     fronts: list[Front]
     rows: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
+    classes: list[int]      # each front's class: the first front it repeats
     seconds: float          # spent in the factorization, after the ordering
 
     @property
     def fill(self) -> int:
+        """Entries of L, a repeated front's counted with each repeat."""
         return sum(l11.size + l21.size for l11, l21 in self.factors)
+
+    @property
+    def factored(self) -> int:
+        """Fronts factored: one per class."""
+        return len(set(self.classes))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty(len(self.perm))
@@ -339,8 +383,9 @@ def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
                                      space.mesh.axis_nodes)
     t0 = time.perf_counter()
     rows, runs, entries = symbolic(matrix, perm, fronts)
-    factors = _factor(fronts, perm, rows, runs, entries)
-    return Cholesky(perm, fronts, rows, factors, time.perf_counter() - t0)
+    classes = _classify(fronts, rows, runs, entries)
+    factors = _factor(fronts, perm, rows, runs, entries, classes)
+    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
 
 
 def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
@@ -356,7 +401,7 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
                          ordering="nested-dissection", fill=factor.fill,
                          factor_seconds=factor.seconds,
-                         fronts=len(factor.fronts))
+                         fronts=len(factor.fronts), factored=factor.factored)
     if not np.isfinite(res) or res > 1e-9:
         raise SolverError(
             f"direct solve residual {res:.3e} exceeds 1e-9; "

@@ -254,12 +254,28 @@ def test_assembly_matches_the_list_build_bit_for_bit(mesh, family, f):
     assert np.array_equal(system.rhs, rhs)
 
 
+@pytest.mark.parametrize("mesh, family", [
+    (lambda: lshape_mesh(8), ADINI_TYPE),
+    (lambda: uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (4, 4, 4)), MORLEY),
+], ids=["lshape8-adini", "smooth3d4-morley"])
+def test_assembled_arrays_own_exactly_nnz_entries(mesh, family):
+    # SciPy's sum_duplicates leaves views of the pre-sum arrays when more
+    # than half of the entries remain, as they do on both meshes
+    space = build_space(mesh(), family)
+    matrix = assemble(space, None).matrix
+    assert 2 * matrix.nnz > len(space.cell_dof_indices.ravel()) * space.element.n_dofs
+    for name in ("data", "indices"):
+        array = getattr(matrix, name)
+        assert array.base is None and array.size == matrix.nnz, name
+
+
 def test_assembly_peak_memory_per_element_entry():
     # 12 bytes per element-matrix entry for the CSR arrays with duplicates
     # (an int32 index and a value), summed in place, plus one block of
-    # cells: ~14 bytes per entry; COO triples and the CSR that tocsr built
-    # from them took ~29, the load of whole groups of cells ~32, on dense
-    # [m, dim] points ~40, and the int64 list build ~68
+    # cells: ~14 bytes per entry, ~15 while the summed indices and then
+    # values are copied to arrays of their own; COO triples and the CSR
+    # that tocsr built from them took ~29, the load of whole groups of
+    # cells ~32, on dense [m, dim] points ~40, and the int64 list build ~68
     mesh = uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (8, 8, 8))
     space = build_space(mesh, MORLEY)
     f = case_smooth3d().source

@@ -26,7 +26,8 @@ def test_solve_prints_norms(capsys):
     assert "H3  error" in out and "solver=direct" in out
     assert "ordering=nested-dissection fill=" in out
     fronts = int(out.split(" fronts=")[1].split()[0])
-    assert fronts >= 1
+    factored = int(out.split(" fronts=")[1].split()[1].removeprefix("factored="))
+    assert fronts >= factored >= 1
 
 
 def test_solve_with_cg_marks_direct_only_fields(capsys):
@@ -34,7 +35,7 @@ def test_solve_with_cg_marks_direct_only_fields(capsys):
         ["solve", "--case", "smooth2d", "--element", "morley", "--n", "4",
          "--solver", "cg"], capsys)
     assert code == 0
-    assert "solver=cg ordering=- fill=- fronts=- iterations=" in out
+    assert "solver=cg ordering=- fill=- fronts=- factored=- iterations=" in out
     assert "factor_seconds=- " in out
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from triharm.analysis import broken_norms
 from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
@@ -17,8 +18,8 @@ from triharm.multigrid import coarsen, prolongation, solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    LEAF_DOFS, Cholesky, SolverError, cholesky, nested_dissection, solve_direct,
-    symbolic,
+    LEAF_DOFS, Cholesky, SolverError, _extend_add, cholesky, nested_dissection,
+    solve_direct, symbolic,
 )
 from triharm.space import build_space
 
@@ -288,6 +289,99 @@ def test_solve_report_counts_the_fronts():
     assert report.fronts == 1
 
 
+SHARING = [
+    (case_smooth2d(), ADINI_TYPE, 32, 127, 71),
+    (case_lshape2d(), ADINI_TYPE, 16, 89, 62),
+    (case_smooth3d(), MORLEY, 8, 63, 63),
+]
+SHARING_IDS = ["smooth2d-adini-32", "lshape2d-adini-16", "smooth3d-morley-8"]
+
+
+def reference_factors(matrix, space):
+    """``(L11, L21)`` of every front, each front factored on its own: the
+    numeric loop of ``cholesky`` without classes, the update matrices kept."""
+    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
+                                     space.mesh.axis_nodes)
+    rows, runs, entries = symbolic(matrix, perm, fronts)
+    factors, updates = [], []
+    for front, upd, (pos, val) in zip(fronts, rows, entries):
+        k, m = front.stop - front.start, len(upd)
+        l11, l21, f22 = np.zeros((k, k)), np.zeros((m, k)), np.zeros((m, m))
+        low = pos < k * k
+        l11.reshape(-1)[pos[low]] = val[low]
+        l21.reshape(-1)[pos[~low] - k * k] = val[~low]
+        for c in front.children:
+            _extend_add(l11, l21, f22, updates[c], runs[c], True)
+        if k:
+            assert lapack.dpotrf(l11.T, lower=0, clean=0, overwrite_a=1)[1] == 0
+            if m:
+                blas.dtrsm(1.0, l11.T, l21.T, trans_a=1, overwrite_b=1)
+                blas.dsyrk(-1.0, l21.T, c=f22.T, trans=1, overwrite_c=1)
+        for c in front.children:
+            _extend_add(l11, l21, f22, updates[c], runs[c], False)
+        factors.append((l11[np.tri(k, dtype=bool)], l21))
+        updates.append(f22)
+    return factors
+
+
+def assert_factors_equal(factor, want):
+    assert len(factor.factors) == len(want)
+    for got, ref in zip(factor.factors, want):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case, family, n, fronts, factored", SHARING, ids=SHARING_IDS)
+def test_solve_report_counts_the_factored_fronts(case, family, n, fronts, factored):
+    _, reduced = assembled(case, family, n)
+    _, report = solve_direct(reduced)
+    assert (report.fronts, report.factored) == (fronts, factored)
+
+
+@pytest.mark.parametrize("case, family, n, fronts, factored", SHARING, ids=SHARING_IDS)
+def test_shared_fronts_equal_a_per_front_factorization_bit_for_bit(
+        case, family, n, fronts, factored):
+    _, reduced = assembled(case, family, n)
+    factor = cholesky(reduced.matrix, reduced.space)
+    assert_factors_equal(factor, reference_factors(reduced.matrix, reduced.space))
+    # a repeat shares its class's blocks, and fill still counts them per front
+    for f, c in enumerate(factor.classes):
+        assert c <= f and factor.classes[c] == c
+        assert factor.factors[f] is factor.factors[c]
+    assert (len(factor.fronts), len(set(factor.classes))) == (fronts, factored)
+    assert factor.factored == factored
+    assert factor.fill == sum(a.size for pair in factor.factors for a in pair)
+
+
+def test_a_nudged_value_splits_its_front_and_the_ancestors_off():
+    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 32)
+    factor = cholesky(reduced.matrix, reduced.space)
+    fronts, classes = factor.fronts, factor.classes
+    parent = {c: f for f, front in enumerate(fronts) for c in front.children}
+    # a repeated front with columns, and the fronts on its path to the root
+    front = next(f for f, c in enumerate(classes)
+                 if c != f and fronts[f].stop > fronts[f].start)
+    path = [front]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    dof = factor.perm[fronts[front].start]
+    matrix = reduced.matrix.copy()
+    matrix[dof, dof] = np.nextafter(matrix[dof, dof], np.inf)
+    nudged = cholesky(matrix, reduced.space)
+    for f in path:
+        assert nudged.classes.count(f) == 1 and nudged.classes[f] == f
+    assert nudged.factored > factor.factored
+    assert_factors_equal(nudged, reference_factors(matrix, reduced.space))
+
+
+def test_distinct_blocks_of_l_are_smaller_than_the_fill():
+    # repeats hold 39% of L at smooth2d Adini N=32; only one copy is stored
+    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 32)
+    factor = cholesky(reduced.matrix, reduced.space)
+    stored = {id(a): a.nbytes for pair in factor.factors for a in pair}
+    assert sum(stored.values()) < 0.7 * factor.fill * 8
+
+
 def test_nested_dissection_fills_less_than_colamd():
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     _, report = solve_direct(reduced)
@@ -298,7 +392,8 @@ def test_nested_dissection_fills_less_than_colamd():
 
 def test_cg_report_has_no_factorization():
     _, report = solve_cg(small_system())
-    assert (report.ordering, report.fill, report.factor_seconds) == (None, None, None)
+    assert (report.ordering, report.fill, report.factor_seconds, report.fronts,
+            report.factored) == (None,) * 5
 
 
 def test_singular_matrix_raises():
