@@ -7,6 +7,8 @@ vertices and faces get deterministic lexicographic global ids.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,10 @@ class BoxDomain:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi length mismatch")
-        if any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("domain sides must have positive length")
+        if not all(math.isfinite(a) and math.isfinite(b) and a < b
+                   for a, b in zip(self.lo, self.hi)):
+            raise ValueError("domain bounds must be finite with lo < hi, got"
+                             f" lo={self.lo}, hi={self.hi}")
 
     @property
     def dim(self) -> int:
@@ -123,9 +127,18 @@ class StructuredMesh:
         self.boundary_face_mask = (self.face_cells < 0).any(axis=1)
 
 
+def _count(value) -> int:
+    """A cell count as an int; a count that is not an integer (2.5, or the
+    float 2.0) raises ValueError where ``int`` would round it down."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"cell counts must be integers, got {value!r}") from None
+
+
 def uniform_mesh(domain: BoxDomain, subdivisions) -> StructuredMesh:
     """Uniform tensor grid with N_i cells along axis i."""
-    subs = [int(s) for s in np.atleast_1d(subdivisions)]
+    subs = [_count(s) for s in np.atleast_1d(subdivisions)]
     if len(subs) == 1:
         subs = subs * domain.dim
     if len(subs) != domain.dim:
@@ -144,7 +157,7 @@ def lshape_mesh(n_per_unit: int) -> StructuredMesh:
 
     ``n_per_unit`` cells per unit length, so 3 N^2 active cells.
     """
-    n = int(n_per_unit)
+    n = _count(n_per_unit)
     if n < 1:
         raise ValueError("need at least one cell per unit length")
     nodes = np.linspace(-1.0, 1.0, 2 * n + 1)

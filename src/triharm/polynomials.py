@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Polynomials live in the reference coordinates of an axis-aligned cell.  They
-give the closed-form bases, the cubic solutions of the patch test and the
+give the closed-form bases, the cubic monomials of the patch test and the
 independent oracles of the tests; the exact suites apply integer rows to
 the certified coefficients instead (``reference.functional_row``).
 Arithmetic is over ``fractions.Fraction``.  One call evaluates: exactly at

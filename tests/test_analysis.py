@@ -197,6 +197,17 @@ def test_broken_norms_scale_with_an_amplitude_wrapper():
         assert g == pytest.approx(c * e, rel=1e-12)
 
 
+def test_a_fractional_level_is_rejected_not_rounded():
+    # solve_case(case, family, 3.9) used to solve N=3, and the study below
+    # passed its doubling check with a row labelled 2.5 solved at N=2
+    with pytest.raises(ValueError, match="integers"):
+        solve_case(case_smooth2d(), MORLEY, 3.9)
+    with pytest.raises(ValueError, match="integers"):
+        convergence_study(case_smooth2d(), MORLEY, [2.5, 5])
+    with pytest.raises(ValueError, match="integers"):
+        solve_case(case_lshape2d(), ADINI_TYPE, 2.7)
+
+
 def test_solve_case_reproduces_first_table_row():
     case = case_smooth2d()
     space, coeffs, report = solve_case(case, ADINI_TYPE, 4)

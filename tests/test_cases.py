@@ -166,7 +166,7 @@ def test_case_mesh_factory():
     assert get_case("smooth2d").mesh(4).n_cells == 16
     assert get_case("lshape2d").mesh(4).n_cells == 48
     assert get_case("smooth3d").mesh(2).n_cells == 8
-    # one count per axis, as the patch test passes them to solve_case
+    # one count per axis
     mesh = get_case("smooth3d").mesh((2, 1, 3))
     assert mesh.n_cells == 6
     np.testing.assert_array_equal(mesh.cell_half_lengths[0], [0.25, 0.5, 1 / 6])
@@ -193,7 +193,7 @@ def dense(grid):
 
 
 def _cubic_case():
-    # the patch test's 3D cubic, whose d^3/dz^3 is the constant 6, plus x^7
+    # a 3D cubic, whose d^3/dz^3 is the constant 6, plus x^7
     # for a source (-Delta)^3 u = -5040 x that is not zero
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     u = x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1 + x ** 7

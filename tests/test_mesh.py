@@ -88,6 +88,31 @@ def test_validation_errors():
         lshape_mesh(0)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ((0.0, np.nan), (1.0, 1.0)),
+    ((0.0, 0.0), (np.inf, 1.0)),
+    ((-np.inf, 0.0), (1.0, 1.0)),
+    ((0.0, 0.0), (1.0, np.nan)),
+])
+def test_domain_bounds_must_be_finite(lo, hi):
+    # NaN compares False with everything, so lo >= hi alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        BoxDomain(lo, hi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: uniform_mesh(BoxDomain((0.0, 0.0), (1.0, 1.0)), n),
+    lambda n: uniform_mesh(BoxDomain((0.0, 0.0), (1.0, 1.0)), (2, n)),
+    lshape_mesh,
+])
+def test_cell_counts_must_be_integers(make):
+    # int() would build 2 cells for 2.5 and 2.7; a float 2.0 is no count either
+    for n in (2.5, 2.7, 2.0):
+        with pytest.raises(ValueError, match="integers"):
+            make(n)
+    assert make(np.int64(2)).n_cells == make(2).n_cells
+
+
 
 def test_masked_cube_with_one_cell_removed():
     # [0,1]^3 split 2x2x2 without the cell at grid position (1,1,1): the

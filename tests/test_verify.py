@@ -1,6 +1,8 @@
 """Verification suite drivers (small, fast configurations)."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,22 +99,52 @@ def test_continuity_and_local_interpolation_at_n5():
             assert [label for label, _, _ in rep.items] == labels
 
 
+# free DoFs of the patch meshes (2,)*n and (4,)+(2,)*(n-1)
+PATCH_FREE_DOFS = {
+    (MORLEY, 2): [7, 19], (MORLEY, 3): [16, 40], (MORLEY, 4): [37, 87],
+    (ADINI_TYPE, 2): [5, 15], (ADINI_TYPE, 3): [7, 21], (ADINI_TYPE, 4): [9, 27],
+}
+
+
+def _check_patch_proof(family, n, monkeypatch):
+    """Run the patch test, recording per mesh the free DoFs its factor
+    sees and the monomials it solves for."""
+    meshes = []
+    real_cholesky, real_case = verify.cholesky, verify.polynomial_case
+
+    def cholesky(matrix, space):
+        meshes.append((matrix.shape[0], []))
+        return real_cholesky(matrix, space)
+
+    def case(poly, domain, **kwargs):
+        [exps] = poly.terms      # one monomial with coefficient 1
+        assert poly.terms[exps] == 1
+        meshes[-1][1].append(exps)
+        return real_case(poly, domain, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "cholesky", cholesky)
+        m.setattr(verify, "polynomial_case", case)
+        report = verify_patch_test(family, n)
+    _assert_passed(report)
+    # one item and one factor per mesh, shared by all C(n+3, 3) cubic monomials
+    assert len(report.items) == len(meshes) == 2
+    assert [free for free, _ in meshes] == PATCH_FREE_DOFS[family, n]
+    cubics = {e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3}
+    assert len(cubics) == math.comb(n + 3, 3)
+    for _, checked in meshes:
+        assert len(checked) == len(cubics) and set(checked) == cubics
+
+
 def test_patch_2d_both_families(monkeypatch):
-    calls = []
-    real = verify.solve_case
-
-    def recording(case, family, n, **kwargs):
-        calls.append(n)
-        return real(case, family, n, **kwargs)
-
-    # the patch test solves through the same pipeline as a user's solve
-    monkeypatch.setattr(verify, "solve_case", recording)
     for family in (MORLEY, ADINI_TYPE):
-        calls.clear()
-        report = verify_patch_test(family, 2)
-        _assert_passed(report)
-        assert len(calls) == len(report.items) == 9
-        assert set(calls) == {(2, 1), (2, 2), (4, 2)}
+        _check_patch_proof(family, 2, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_patch_proof_in_3d_and_4d(family, n, monkeypatch):
+    _check_patch_proof(family, n, monkeypatch)
 
 
 def test_suite_rejects_wrong_family():
@@ -287,3 +319,30 @@ def test_local_interpolation_fails_on_a_perturbed_interpolant(family, target,
     report = verify_local_interpolation(family, 2)
     assert not report.passed
     assert "nonzero; first: v=" in report.failures()[0][1]
+
+
+# -- and so must the patch test ---------------------------------------------
+
+@pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 10**7)])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_patch_fails_on_a_perturbed_basis(family, n, delta, monkeypatch):
+    # the element's last shape monomial has a nonzero third derivative; a
+    # quadratic, as in the continuity test, leaves every element stiffness
+    # matrix unchanged, and no energy-based patch test can see it.  The
+    # small delta moves u_h by 1e-7 to 5e-6, which only a tight tolerance
+    # catches.
+    real = verify.build_space
+
+    def routed(mesh, fam):
+        space = real(mesh, fam)
+        elem = space.element
+        return dataclasses.replace(
+            space, element=_perturbed(elem, 0, elem.monomials[-1], delta))
+
+    monkeypatch.setattr(verify, "build_space", routed)
+    report = verify_patch_test(family, n)
+    assert len(report.items) == 2
+    assert not any(ok for _, ok, _ in report.items), report.items
+    for _, detail in report.failures():
+        assert detail.startswith("worst x^(")
