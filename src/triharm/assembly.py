@@ -121,10 +121,15 @@ def _reference_grammian(elem: ReferenceElement, alpha: tuple):
 
     The integrand has per-axis degree at most 2p for shape degree p per
     axis, so the (p+1)-point Gauss rule (exact to degree 2p+1) is exact.
+    Cached on the element per alpha, read-only.
     """
-    rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
-    d = np.matmul(*elem.monomial_table(alpha, rule))
-    return d.T @ (rule.weights[:, None] * d)
+    hit = elem._grammian_cache.get(alpha)
+    if hit is None:
+        rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
+        d = np.matmul(*elem.monomial_table(alpha, rule))
+        hit = elem._grammian_cache[alpha] = d.T @ (rule.weights[:, None] * d)
+        hit.setflags(write=False)
+    return hit
 
 
 def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:

@@ -11,11 +11,13 @@ a polynomial, evaluates each factor on its own axis array, so a tensor grid
 of q points per axis costs q, not q^dim, evaluations of a factor.
 An open grid may carry extra broadcast axes, such as the cell axis that
 ``assembly.cell_blocks`` puts last on every grid the library hands over.
-A case must work elementwise.
+A case must work elementwise; ``monomials_case``, whose values carry one
+trailing column per monomial, is for ``canonical_interpolate`` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +29,7 @@ from .polynomials import Polynomial
 
 __all__ = [
     "ManufacturedCase", "case_smooth2d", "case_lshape2d", "case_smooth3d",
-    "polynomial_case", "get_case", "CASE_NAMES",
+    "polynomial_case", "monomials_case", "get_case", "CASE_NAMES",
 ]
 
 # a dense [m, dim] array, or an open grid of dim broadcasting coordinate arrays
@@ -165,18 +167,56 @@ def case_lshape2d() -> ManufacturedCase:
 
 def polynomial_case(poly: Polynomial, domain: BoxDomain,
                     name: str = "polynomial") -> ManufacturedCase:
-    """Wrap an exact polynomial u; source computed as (-Delta)^3 u exactly."""
+    """Wrap an exact polynomial u; source (-Delta)^3 u, computed exactly on
+    the first ``source`` call."""
     dim = poly.dim
-    lap = lambda q: sum((q.diff(i, 2) for i in range(dim)), Polynomial.zero(dim))
-    lap3 = lap(lap(lap(poly)))
+
+    @functools.cache
+    def lap3() -> Polynomial:
+        lap = lambda q: sum((q.diff(i, 2) for i in range(dim)), Polynomial.zero(dim))
+        return lap(lap(lap(poly)))
 
     def derivative(alpha, points):
         return poly.diff_multi(alpha)(_axes(points, dim))
 
     def source(points):
-        return -lap3(_axes(points, dim))
+        return -lap3()(_axes(points, dim))
 
     return ManufacturedCase(name, dim, domain, source, derivative)
+
+
+def monomials_case(exponents, domain: BoxDomain) -> ManufacturedCase:
+    """The monomials x^e, e in ``exponents``, at once: values carry one
+    trailing column per monomial, in order, so the case is not elementwise
+    and only ``interpolation.canonical_interpolate`` takes it.
+
+    d^alpha x^e = prod_i e_i! / (e_i - alpha_i)! x_i^(e_i - alpha_i), the
+    integer factor first and then the powers in axis order, as
+    ``polynomial_case(x^e)`` evaluates it, so each column has its bits.
+    Every monomial has degree at most 5, which (-Delta)^3 annihilates: the
+    source is zero."""
+    exps = np.array(exponents).reshape(len(exponents), -1)
+    dim = exps.shape[1]
+    if exps.sum(axis=1).max() > 5:
+        raise ValueError("monomials_case takes monomials of degree at most 5")
+
+    def derivative(alpha, points):
+        xs = _axes(points, dim)
+        factor = [math.prod(map(math.perm, e, alpha)) for e in exps.tolist()]
+        out = np.broadcast_to(np.array(factor, dtype=float),
+                              np.broadcast_shapes(*(x.shape for x in xs))
+                              + (len(exps),))
+        for x, a, e in zip(xs, alpha, exps.T):
+            powers = np.stack([x ** p for p in range(max(e.max() - a, 0) + 1)],
+                              axis=-1)
+            out = out * powers[..., np.maximum(e - a, 0)]
+        return out + 0.0    # as polynomial_case sums from +0.0: no -0.0
+
+    def source(points):
+        return np.zeros(np.broadcast_shapes(*(x.shape for x in _axes(points, dim)))
+                        + (len(exps),))
+
+    return ManufacturedCase("monomials", dim, domain, source, derivative)
 
 
 _CASES = {

@@ -22,9 +22,10 @@ __all__ = ["canonical_interpolate", "quasi_interpolate", "boundary_values_from_c
 
 def canonical_interpolate(space: FeSpace, case: ManufacturedCase) -> np.ndarray:
     """Coefficient vector whose global DoFs equal the physical functionals
-    of the exact solution: d^alpha at each DoF's anchor point.
+    of the exact solution: d^alpha at each DoF's anchor point.  Trailing
+    axes of the case's values are kept: a case with one column per
+    function (``cases.monomials_case``) gives one coefficient column each.
     """
-    coeffs = np.empty(space.n_dofs)
     # group dofs by alpha so each derivative is evaluated in one call;
     # groups in order of first appearance, each group's dofs ascending
     alphas = {alpha: code for code, alpha in enumerate(dict.fromkeys(space.dof_alpha))}
@@ -32,8 +33,11 @@ def canonical_interpolate(space: FeSpace, case: ManufacturedCase) -> np.ndarray:
                         count=space.n_dofs)
     groups = np.split(np.argsort(codes, kind="stable"),
                       np.cumsum(np.bincount(codes))[:-1])
-    for alpha, idx in zip(alphas, groups):
-        coeffs[idx] = case.derivative(alpha, space.dof_points[idx])
+    values = [case.derivative(alpha, space.dof_points[idx])
+              for alpha, idx in zip(alphas, groups)]
+    coeffs = np.empty((space.n_dofs,) + np.shape(values[0])[1:])
+    for idx, v in zip(groups, values):
+        coeffs[idx] = v
     return coeffs
 
 

@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Polynomials live in the reference coordinates of an axis-aligned cell.  They
-give the closed-form bases, the cubic monomials of the patch test and the
-independent oracles of the tests; the exact suites apply integer rows to
-the certified coefficients instead (``reference.functional_row``).
+give ``cases.polynomial_case``, the Q1 closed form and the independent
+oracles of the tests; no verification suite builds one: the exact suites
+apply integer rows to the certified coefficients instead
+(``reference.functional_rows``).
 Arithmetic is over ``fractions.Fraction``.  One call evaluates: exactly at
 rational points, and in float64 on the coordinate arrays of the runtime
 (quadrature) paths.

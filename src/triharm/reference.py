@@ -9,7 +9,7 @@ power of two d = 2^k that makes it integral and rounded to C, it is exact
 when V C = d I holds in int64 (Rump, Acta Numerica 19, 2010).  That one
 product proves unisolvence and duality at once.  C over d is the element's
 only data: every derivative d^alpha of the basis is evaluated from it, and
-every exact check is an integer row over the monomials (``functional_row``)
+every exact check is an integer row over the monomials (``functional_rows``)
 times C, under one overflow guard (``exact_product``).
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
@@ -35,7 +35,7 @@ __all__ = [
     "DofFunctional", "ReferenceElement",
     "shape_space", "dof_set", "build_dual_basis",
     "morley_closed_form", "q1_closed_form", "dof_matrix", "dof_rows",
-    "mean", "coefficient", "functional_row", "exact_product",
+    "mean", "coefficient", "functional_rows", "exact_product",
     "certified_inverse", "is_exact_inverse", "apply_dof", "reference_vertices",
 ]
 
@@ -182,23 +182,33 @@ def coefficient(t: int):
     return lambda e: int(e == t)
 
 
-def functional_row(alpha, factors, monomials) -> list[int]:
-    """Row over ``monomials`` of x^m -> prod_i perm(m_i, alpha_i) f_i(e_i),
-    e_i = m_i - alpha_i: the functional F(d^alpha x^m) for one axis factor
-    f_i per axis, an int s for the value s^e at s, or a function of e
-    (``mean``, ``coefficient``)."""
-    width = max(map(max, monomials)) + 1
-    tables = [[math.perm(m, a) * (f(m - a) if callable(f) else f ** (m - a))
-               if m >= a else 0 for m in range(width)]
-              for a, f in zip(alpha, factors)]
-    return [math.prod(map(list.__getitem__, tables, m)) for m in monomials]
+def functional_rows(functionals, monomials) -> list[list[int]]:
+    """Rows over ``monomials`` of the functionals ``(alpha, factors)``, row
+    j taking x^m -> prod_i perm(m_i, alpha_i) f_i(e_i), e_i = m_i - alpha_i:
+    the functional F(d^alpha x^m) for one axis factor f_i per axis, an int
+    s for the value s^e at s, or a function of e (``mean``,
+    ``coefficient``).  Each row is the product over the axes of one table
+    per axis factor, gathered at the monomials' exponents: in int64 when
+    the product of the tables' largest entries fits, else in Python ints.
+    The entries are Python ints either way."""
+    mono = np.array(monomials).reshape(len(monomials), -1)
+    width, axes = int(mono.max()) + 1, np.arange(mono.shape[1])
+    rows = []
+    for alpha, factors in functionals:
+        tables = [[math.perm(m, a) * (f(m - a) if callable(f) else f ** (m - a))
+                   if m >= a else 0 for m in range(width)]
+                  for a, f in zip(alpha, factors)]
+        fits = math.prod(max(map(abs, t)) for t in tables) < 2 ** 63
+        gathered = np.array(tables, np.int64 if fits else object)[axes, mono]
+        rows.append(np.prod(gathered, axis=1).tolist())
+    return rows
 
 
 def dof_rows(dofs, monomials, shift) -> list[list[int]]:
     """Rows over ``monomials`` of the DoF functionals applied after d^shift:
     dof_j(d^shift x^m)."""
-    return [functional_row(list(map(sum, zip(d.alpha, shift))),
-                           d.anchor(len(shift)), monomials) for d in dofs]
+    return functional_rows([(list(map(sum, zip(d.alpha, shift))),
+                             d.anchor(len(shift))) for d in dofs], monomials)
 
 
 def dof_matrix(family: Family, n: int) -> list[list[int]]:
@@ -286,6 +296,8 @@ class ReferenceElement:
     # (deriv, q, dim) -> (P, C) on that Gauss rule; starts empty, also on
     # a dataclasses.replace copy with new coeffs
     _table_cache: dict = field(default_factory=dict, repr=False, init=False)
+    # alpha -> reference Grammian of d^alpha, filled by assembly
+    _grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property
     def n_dofs(self) -> int:
@@ -384,38 +396,40 @@ def q1_closed_form(n: int) -> list[Polynomial]:
     return out
 
 
-def morley_closed_form(n: int) -> list[Polynomial]:
-    """Closed-form Morley-type nodal basis with unit half-lengths.
+def morley_closed_form(n: int) -> list[list[tuple[np.ndarray, ...]]]:
+    """Closed-form Morley-type nodal basis with unit half-lengths, as
+    integer numerators over 2^(n+3): basis function a is 2^-(n+3) times the
+    sum over its terms of prod_k p_k(xi_k), each term a tuple of n int64
+    coefficient vectors p_k in increasing powers of xi_k, built from
+    (1 + s xi_k), (xi_k^2 - 1)^2 and xi_k.
 
     Returned in the same order as ``dof_set(MORLEY, n)``: per vertex
     [value, grad_1..grad_n], then face functions per axis (-, +).
     """
     if n < 2:
         raise ValueError("Morley-type closed form needs n >= 2")
-    one = Polynomial.constant(n, 1)
-    xis = [Polynomial.variable(n, k) for k in range(n)]
-    basis: list[Polynomial] = []
+    ones = [np.array([1])] * n
+    bump = np.array([1, 0, -2, 0, 1])     # (xi^2 - 1)^2
+
+    def term(k, p, rest):
+        """p on axis k, rest[i] on every other axis i."""
+        return tuple(p if i == k else rest[i] for i in range(n))
+
+    basis = []
     for signs in reference_vertices(n):
-        prod = one
-        for k, s in enumerate(signs):
-            prod = prod * (one + s * xis[k])
-        head = Polynomial.constant(n, 2)
-        for k, s in enumerate(signs):
-            head = head + s * xis[k] - xis[k] * xis[k]
-        p0 = Fraction(1, 2 ** (n + 1)) * (head * prod)
-        for k, s in enumerate(signs):
-            bump = (xis[k] * xis[k] - one) ** 2
-            p0 = p0 + Fraction(3 * s, 2 ** (n + 3)) * (xis[k] * bump)
-        basis.append(p0)
-        for j, sj in enumerate(signs):
-            w = (xis[j] * xis[j] - one)
-            pj = Fraction(sj, 2 ** (n + 1)) * (w * prod)
-            corr = (Polynomial.constant(n, sj) + 3 * xis[j]) * (w * w)
-            pj = pj - Fraction(1, 2 ** (n + 3)) * corr
-            basis.append(pj)
-    for k in range(n):
-        for side in (-1, 1):
-            w = (xis[k] + one) ** 2 * (xis[k] - one) ** 2
-            r = Fraction(side, 16) * (w * (xis[k] + side * one))
-            basis.append(r)
+        lins = [np.array([1, s]) for s in signs]     # prod of (1 + s_k xi_k)
+        # 2^(n+3) p0 = 4 (2 + sum_k (s_k xi_k - xi_k^2)) prod
+        #              + sum_k 3 s_k xi_k (xi_k^2 - 1)^2
+        basis.append([term(0, 8 * lins[0], lins)]
+                     + [term(k, 4 * np.convolve([0, s, -1], lins[k]), lins)
+                        for k, s in enumerate(signs)]
+                     + [term(k, 3 * s * np.convolve([0, 1], bump), ones)
+                        for k, s in enumerate(signs)])
+        # 2^(n+3) p_j = 4 s_j (xi_j^2 - 1) prod - (s_j + 3 xi_j) (xi_j^2 - 1)^2
+        for j, s in enumerate(signs):
+            basis.append([term(j, 4 * s * np.convolve([-1, 0, 1], lins[j]), lins),
+                          term(j, -np.convolve([s, 3], bump), ones)])
+    # 2^(n+3) r = 2^(n-1) side (xi_k^2 - 1)^2 (xi_k + side)
+    basis += [[term(k, 2 ** (n - 1) * side * np.convolve([side, 1], bump), ones)]
+              for k in range(n) for side in (-1, 1)]
     return basis

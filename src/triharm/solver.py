@@ -245,15 +245,19 @@ def _classify(fronts, rows, runs, entries) -> list[int]:
     same entries at the same positions, bit for bit, and children of equal
     classes with equal runs, in order: equal inputs to the same operations,
     so their factors and update matrices are equal bit for bit.  Fronts are
-    bucketed by shape and children, then matched against each class of the
-    bucket by their arrays, never by a hash alone.  A repeat's entries are
+    bucketed by shape, children and a hash of the bytes of about eight of
+    their entries, evenly strided (hashing all of them costs as much as the
+    comparisons it saves), then matched against each class of the bucket
+    by their arrays, never by a hash alone.  A repeat's entries are
     dropped from ``entries``.
     """
     classes, buckets = [], {}
     for f, front in enumerate(fronts):
         pos, val = entries[f]
+        step = max(1, len(pos) // 8)
         key = (front.stop - front.start, len(rows[f]), len(pos),
-               tuple((classes[c], tuple(runs[c])) for c in front.children))
+               tuple((classes[c], tuple(runs[c])) for c in front.children),
+               hash(pos[::step].tobytes()), hash(val[::step].tobytes()))
         bucket = buckets.setdefault(key, [])
         for r in bucket:
             # compared as bits, so that 0.0 and -0.0 differ

@@ -1,5 +1,6 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -289,6 +290,26 @@ def test_assembly_peak_memory_per_element_entry():
     entries = mesh.n_cells * space.element.n_dofs ** 2
     assert entries > 4 * BLOCK_POINTS    # streamed in several blocks
     assert peak <= 20 * entries
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_a_second_assembly_computes_no_grammian(family, monkeypatch):
+    # the Grammians are cached on the element per multi-index; a copy of
+    # the element starts with none, and computes each one once
+    space = build_space(uniform_mesh(UNIT_SQUARE, (3, 2)), family)
+    elem = dataclasses.replace(space.element)
+    space = dataclasses.replace(space, element=elem)
+    first = assemble(space, None).matrix
+    assert len(elem._grammian_cache) == len(derivative_multiindices(2, 3))
+
+    def refuse(*args):
+        raise AssertionError("computed a Grammian")
+
+    monkeypatch.setattr(elem, "monomial_table", refuse)
+    second = assemble(space, None).matrix
+    for a, b in ((first.indptr, second.indptr), (first.indices, second.indices),
+                 (first.data.view(np.int64), second.data.view(np.int64))):
+        assert np.array_equal(a, b)
 
 
 def test_dirichlet_reduction_matches_two_row_slices():

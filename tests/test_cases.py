@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from triharm.cases import (
-    case_lshape2d, case_smooth2d, case_smooth3d, get_case, polynomial_case,
+    case_lshape2d, case_smooth2d, case_smooth3d, get_case, monomials_case,
+    polynomial_case,
 )
 from triharm.mesh import BoxDomain
 from triharm.polynomials import Polynomial
@@ -152,6 +153,55 @@ def test_polynomial_case_source_is_minus_laplacian_cubed():
     np.testing.assert_allclose(case.source(pts), -720.0)
     np.testing.assert_allclose(case.derivative((2, 0), pts),
                                30 * pts[:, 0] ** 4, rtol=1e-13)
+
+
+def test_polynomial_case_builds_its_source_on_the_first_source_call(monkeypatch):
+    # (-Delta)^3 u takes 18 second derivatives in 3D; a case that is only
+    # differentiated takes none of them
+    calls = []
+    real = Polynomial.diff
+
+    def counting(self, axis, order=1):
+        calls.append(order)
+        return real(self, axis, order)
+
+    monkeypatch.setattr(Polynomial, "diff", counting)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    case = polynomial_case(x ** 7 * y + z ** 2, BoxDomain((0.0,) * 3, (1.0,) * 3))
+    pts = np.array([[0.3, 0.7, 0.2], [0.5, 0.5, 0.9]])
+    case.u(pts)
+    case.derivative((1, 0, 0), pts)
+    assert calls == [1]
+    want = -5040.0 * pts[:, 0] * pts[:, 1]      # (-Delta)^3 x^7 y
+    np.testing.assert_allclose(case.source(pts), want, rtol=1e-14)
+    built = len(calls)
+    assert built > 1
+    np.testing.assert_allclose(case.source(pts), want, rtol=1e-14)
+    assert len(calls) == built
+
+
+def test_monomials_case_has_the_bits_of_each_polynomial_case():
+    # one column per monomial, on dense points and on an open grid with the
+    # cells last, bit for bit (no -0.0 either) against polynomial_case
+    exps = [(0, 0, 0), (3, 0, 0), (1, 2, 0), (0, 1, 1), (1, 1, 1), (2, 0, 3)]
+    box = BoxDomain((-1.0,) * 3, (1.0,) * 3)
+    case = monomials_case(exps, box)
+    grid = cell_grid(3, 5, 4, np.random.default_rng(3), cells_last=True)
+    pts, shape = dense(grid)
+    for points, size in ((pts, (len(pts),)), (grid, shape)):
+        for order in range(4):
+            for alpha in _multi_indices(3, order):
+                got = case.derivative(alpha, points)
+                assert got.shape == size + (len(exps),)
+                for j, e in enumerate(exps):
+                    want = polynomial_case(Polynomial.monomial(3, e),
+                                           box).derivative(alpha, points)
+                    assert np.array_equal(got[..., j].view(np.int64),
+                                          np.broadcast_to(want, size).view(np.int64))
+        assert not case.source(points).any()
+        assert case.source(points).shape == size + (len(exps),)
+    with pytest.raises(ValueError, match="degree at most 5"):
+        monomials_case([(3, 3, 0)], box)
 
 
 def test_case_registry():

@@ -1,6 +1,7 @@
 """Canonical and projection-averaging interpolation operators."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.linalg
 from triharm.analysis import broken_norms
 from triharm.assembly import DATA_Q, gauss_rule
 from triharm.cases import (
-    case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case,
+    case_lshape2d, case_smooth2d, case_smooth3d, monomials_case, polynomial_case,
 )
 from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
@@ -69,6 +70,23 @@ def test_canonical_matches_derivative_functionals():
     for gi, alpha in enumerate(space.dof_alpha):
         pt = space.dof_points[gi][None, :]
         assert coeffs[gi] == pytest.approx(float(case.derivative(alpha, pt)[0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_one_call_gives_every_cubic_monomial_interpolant_bit_for_bit(family, n):
+    # the patch test's table: a column per monomial, each the bits of its
+    # own interpolation through polynomial_case, on both patch meshes
+    box = BoxDomain((0.0,) * n, (1.0,) * n)
+    cubics = [e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]
+    for subs in ((2,) * n, (4,) + (2,) * (n - 1)):
+        space = build_space(uniform_mesh(box, subs), family)
+        table = canonical_interpolate(space, monomials_case(cubics, box))
+        assert table.shape == (space.n_dofs, len(cubics))
+        for column, e in zip(table.T, cubics):
+            want = canonical_interpolate(
+                space, polynomial_case(Polynomial.monomial(n, e), box))
+            assert np.array_equal(column.view(np.int64), want.view(np.int64)), e
 
 
 def test_boundary_values_ordering():

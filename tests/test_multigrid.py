@@ -192,6 +192,7 @@ def test_graded_meshes_leave_the_table_cache_bounded(family, monkeypatch):
     case = case_smooth2d()
     elem = build_space(uniform_mesh(UNIT_SQUARE, 2), family).element
     monkeypatch.setattr(elem, "_table_cache", {})
+    monkeypatch.setattr(elem, "_grammian_cache", {})   # which reads the tables
     keys = []
     for mesh in (FINE_MESHES["graded-square"](),
                  StructuredMesh([np.linspace(0.0, 1.0, 9) ** 3] * 2,

@@ -13,7 +13,7 @@ from triharm.polynomials import Polynomial
 from triharm.reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basis,
     certified_inverse, coefficient, dof_matrix, dof_rows, dof_set,
-    exact_product, family_from_name, functional_row, is_exact_inverse, mean,
+    exact_product, family_from_name, functional_rows, is_exact_inverse, mean,
     morley_closed_form, partial_adini, q1_closed_form, shape_space,
 )
 from triharm.verify import _families_for
@@ -63,11 +63,30 @@ def test_q1_closed_form_is_nodal():
         assert all(a == b for a, b in zip(elem.basis, closed))
 
 
+def closed_form_polynomials(functions, n):
+    """The integer closed form as exact polynomials: each function the sum
+    of its terms' products of univariate factors, over 2^(n+3)."""
+    out = []
+    for terms in functions:
+        total = Polynomial.zero(n)
+        for factors in terms:
+            product = Polynomial.constant(n, Fraction(1, 2 ** (n + 3)))
+            for k, p in enumerate(factors):
+                product = product * Polynomial(n, {
+                    tuple(e * (i == k) for i in range(n)): int(c)
+                    for e, c in enumerate(p)})
+            total = total + product
+        out.append(total)
+    return out
+
+
 def test_morley_closed_form_matches_dual_basis():
     for n in (2, 3):
         elem = build_dual_basis(MORLEY, n)
         closed = morley_closed_form(n)
-        assert all(a == b for a, b in zip(elem.basis, closed))
+        assert len(closed) == elem.n_dofs
+        assert all(p.dtype == np.int64 for terms in closed for t in terms for p in t)
+        assert closed_form_polynomials(closed, n) == elem.basis
 
 
 def test_morley_face_function_formula():
@@ -196,8 +215,8 @@ def test_functional_row_matches_the_polynomial_oracle(family):
     scale = math.lcm(*range(1, degree + 2, 2))
     for alpha in ((0, 0, 0), (2, 0, 0), (0, 1, 1), (1, 2, 0)):
         for t in range(4):
-            row = functional_row(alpha, [-1, mean(degree), coefficient(t)],
-                                 monomials)
+            [row] = functional_rows(
+                [(alpha, [-1, mean(degree), coefficient(t)])], monomials)
             want = []
             for m in monomials:
                 d = Polynomial.monomial(3, m).diff_multi(alpha)
@@ -209,6 +228,29 @@ def test_functional_row_matches_the_polynomial_oracle(family):
                 want.append(value)
             assert row == want, (alpha, t)
             assert all(type(v) is int for v in row)
+
+
+def loop_row(alpha, factors, monomials):
+    """Reference: one functional's row, a Python product per monomial."""
+    width = max(map(max, monomials)) + 1
+    tables = [[math.perm(m, a) * (f(m - a) if callable(f) else f ** (m - a))
+               if m >= a else 0 for m in range(width)]
+              for a, f in zip(alpha, factors)]
+    return [math.prod(map(list.__getitem__, tables, m)) for m in monomials]
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_functional_rows_match_a_loop_in_int64_and_past_it(family):
+    # the values 2^30 and -3^20 at a point push the products past int64,
+    # which the rows must carry in Python ints, not wrap
+    monomials = shape_space(family, 3)
+    functionals = [((0, 0, 0), [-1, 0, 1]), ((1, 0, 2), [1, mean(5), coefficient(1)]),
+                   ((0, 2, 0), [2 ** 30, 2 ** 30, -3 ** 20]),
+                   ((2, 1, 0), [mean(5), -3 ** 20, 2 ** 30])]
+    rows = functional_rows(functionals, monomials)
+    assert rows == [loop_row(a, f, monomials) for a, f in functionals]
+    assert max(abs(v) for v in rows[2]) >= 2 ** 63
+    assert all(type(v) is int for row in rows for v in row)
 
 
 def test_dof_rows_shift_the_derivative():

@@ -4,13 +4,16 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from triharm import verify
 from triharm.polynomials import Polynomial
 from triharm.reference import (
-    ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, build_dual_basis, partial_adini,
+    ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, build_dual_basis, morley_closed_form,
+    partial_adini,
 )
 from triharm.verify import (
     SUITES, run_suite, verify_duality, verify_local_interpolation, verify_patch_test,
@@ -72,6 +75,82 @@ def test_duality_builds_only_the_requested_dimensions(monkeypatch):
     assert "P3 reproduction adini n=2" in [label for label, _, _ in report.items]
 
 
+def _closed_form_item(dims, change):
+    """Verdicts of duality's closed-form items with the closed form
+    routed through ``change``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "morley_closed_form", lambda n: change(morley_closed_form(n)))
+        report = verify_duality(dims)
+    return [ok for label, ok, _ in report.items if "closed form" in label]
+
+
+def test_closed_form_fails_on_a_numerator_off_by_one():
+    assert _closed_form_item((2, 3), lambda f: f) == [True, True]
+    for a, t, k, e in ((0, 0, 0, 0), (1, 1, 0, 5), (-1, 0, -1, 5)):
+        def nudge(functions):
+            functions[a][t][k][e] += 1
+            return functions
+
+        assert _closed_form_item((2, 3), nudge) == [False, False], (a, t, k, e)
+
+
+def test_closed_form_fails_on_a_monomial_outside_the_shape_space():
+    # x0^2 x1^2 is not a Morley shape monomial, nor is x0^6.  Each extra
+    # term comes with one that takes its value back on the shape monomial
+    # an unchecked key would alias it to (the last one, x_{n-1}^5, for a
+    # missing key; x1 for the exponent 6 of base-6 keys), so the shape
+    # monomials read right and only the check of the terms' reach fails it
+    def extra(functions):
+        n = len(functions[0][0])
+        ones = (np.array([1]),) * n
+        last, x1 = np.zeros(6, np.int64), np.array([0, -1])
+        last[5] = -1
+        return [((np.array([0, 0, 1]), np.array([0, 0, 1])) + ones[2:],
+                 ones[:n - 1] + (last,)),
+                ((np.array([0, 0, 0, 0, 0, 0, 1]),) + ones[1:],
+                 ones[:1] + (x1,) + ones[2:])]
+
+    for case in (0, 1):
+        def add(functions, case=case):
+            functions[1] += extra(functions)[case]
+            return functions
+
+        assert _closed_form_item((2, 3), add) == [False, False]
+
+
+SUITE_REPORTS = Path(__file__).resolve().parent / "suite_reports.txt"
+
+
+def test_every_suite_report_keeps_its_items():
+    # every item of every suite at n = 2..5 as recorded while the closed
+    # form was compared as Fraction polynomials and the patch test built a
+    # case per monomial: suite, label, verdict and detail.  A patch detail
+    # is a rounding error of the solve, which depends on the BLAS build:
+    # it is left out here, and the interpolants under it are checked bit
+    # for bit in test_interpolation.
+    lines = []
+    for n in (2, 3, 4, 5):
+        for name in SUITES:
+            for rep in run_suite(name, (n,)):
+                for label, ok, detail in rep.items:
+                    if name == "patch":
+                        detail = ""
+                    lines.append(f"{rep.suite} | {label} | {'pass' if ok else 'FAIL'}"
+                                 + (f" | {detail}" if detail else ""))
+    assert lines == SUITE_REPORTS.read_text().splitlines()
+
+
+def test_the_suites_build_no_polynomial(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a Polynomial")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a Polynomial"):
+        Polynomial.zero(2)
+    for rep in run_suite("all", (2, 3)):
+        _assert_passed(rep)
+
+
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 def test_continuity_2d_short(family):
     report = verify_weak_continuity(family, 2)
@@ -108,32 +187,39 @@ PATCH_FREE_DOFS = {
 
 def _check_patch_proof(family, n, monkeypatch):
     """Run the patch test, recording per mesh the free DoFs its factor
-    sees and the monomials it solves for."""
+    sees and the monomials its one interpolation gives columns for."""
     meshes = []
-    real_cholesky, real_case = verify.cholesky, verify.polynomial_case
+    real_cholesky, real_case = verify.cholesky, verify.monomials_case
+    real_interpolate = verify.canonical_interpolate
 
     def cholesky(matrix, space):
-        meshes.append((matrix.shape[0], []))
+        meshes.append((matrix.shape[0], [], []))
         return real_cholesky(matrix, space)
 
-    def case(poly, domain, **kwargs):
-        [exps] = poly.terms      # one monomial with coefficient 1
-        assert poly.terms[exps] == 1
-        meshes[-1][1].append(exps)
-        return real_case(poly, domain, **kwargs)
+    def case(exponents, domain):
+        meshes[-1][1].extend(exponents)
+        return real_case(exponents, domain)
+
+    def interpolate(space, case):
+        table = real_interpolate(space, case)
+        meshes[-1][2].append(table.shape)
+        return table
 
     with monkeypatch.context() as m:
         m.setattr(verify, "cholesky", cholesky)
-        m.setattr(verify, "polynomial_case", case)
+        m.setattr(verify, "monomials_case", case)
+        m.setattr(verify, "canonical_interpolate", interpolate)
         report = verify_patch_test(family, n)
     _assert_passed(report)
-    # one item and one factor per mesh, shared by all C(n+3, 3) cubic monomials
+    # one item, one factor and one interpolation per mesh, shared by all
+    # C(n+3, 3) cubic monomials
     assert len(report.items) == len(meshes) == 2
-    assert [free for free, _ in meshes] == PATCH_FREE_DOFS[family, n]
+    assert [free for free, _, _ in meshes] == PATCH_FREE_DOFS[family, n]
     cubics = {e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3}
     assert len(cubics) == math.comb(n + 3, 3)
-    for _, checked in meshes:
-        assert len(checked) == len(cubics) and set(checked) == cubics
+    for _, checked, shapes in meshes:
+        assert len(checked) == len(cubics) and set(map(tuple, checked)) == cubics
+        assert len(shapes) == 1 and shapes[0][1:] == (len(cubics),)
 
 
 def test_patch_2d_both_families(monkeypatch):
