@@ -28,7 +28,7 @@ from .space import FeSpace
 __all__ = [
     "GaussRule", "gauss_rule", "DATA_Q", "BLOCK_POINTS", "cell_blocks",
     "cell_moments", "derivative_multiindices",
-    "element_stiffness", "group_rows", "assemble",
+    "element_stiffness", "group_rows", "scatter", "assemble",
     "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
 ]
 
@@ -159,13 +159,59 @@ class SparseSymSystem:
 
 
 def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of ``values`` that agree when rounded to 14 digits.
-
-    Returns ``(keys, group)``: the distinct rounded rows, sorted, and for
-    each row of ``values`` the index of its key.
+    """Group the rows of ``values`` that agree when rounded to 14 digits
+    of s = 2^floor(log2 max |values|), one grid for all columns, so keys
+    scale with the values and are exact on dyadic ones.  Returns ``(keys,
+    group)``: the distinct keys, sorted, and each row's index into them.
     """
-    keys, group = np.unique(np.round(values, 14), axis=0, return_inverse=True)
+    s = np.ldexp(1.0, np.frexp(np.abs(values).max())[1] - 1)
+    keys, group = np.unique(np.round(values / s, 14) * s, axis=0,
+                            return_inverse=True)
     return keys, group.ravel()   # NumPy 2.0.0 returns it with an extra axis
+
+
+def scatter(local: np.ndarray, group: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray, shape: tuple[int, int], weigh) -> sp.csr_matrix:
+    """Sum the cells' local matrices into a CSR matrix of ``shape``: row a
+    of ``local[group[c]]``, scaled in place by ``weigh(block, cells, a)``,
+    goes to global row ``rows[c, a]`` and columns ``cols[c]``.
+
+    Row r is filled, in blocks of about ``BLOCK_POINTS`` entries, with the
+    row a of each cell that has r as its local row a, in mesh order: the
+    order ``coo_tocsr`` gives COO triples listed by cell, then row-major.
+    SciPy's ``sum_duplicates`` sorts each row by column with an unstable
+    sort (``csr_sort_indices``) and sums in the sorted order, so the last
+    bits of A and P follow from the fill order without being it.  The
+    sums' explicit zeros are kept, the indices are int32 while the entries
+    fit, as ``tocsr`` picks them, and ``indices`` and ``data`` are arrays
+    of their own of exactly nnz entries.
+    """
+    nloc = rows.shape[1]
+    entries = rows.size * nloc
+    itype = (np.int32 if max(entries, *shape) <= np.iinfo(np.int32).max
+             else np.int64)
+    # a stable sort of the (cell, local row) pairs by global row lists each
+    # row's pairs in mesh order, so pair p fills slots p * nloc onwards
+    order = np.argsort(rows, axis=None, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=itype)
+    indptr[1:] = np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * nloc)
+    data = np.empty((len(order), nloc))
+    indices = np.empty((len(order), nloc), dtype=itype)
+    step = max(1, BLOCK_POINTS // nloc)
+    for lo in range(0, len(order), step):
+        cell, a = np.divmod(order[lo:lo + step], nloc)
+        data[lo:lo + step] = local[group[cell], a]
+        weigh(data[lo:lo + step], cell, a)
+        indices[lo:lo + step] = cols[cell]
+    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
+    del data, indices, order
+    mat.sum_duplicates()
+    # SciPy keeps the pre-sum arrays under its results when the sums leave
+    # more than half of the entries; copying the indices before the data
+    # frees the first pre-sum array before the larger copy is made
+    mat.indices = mat.indices.copy()
+    mat.data = mat.data.copy()
+    return mat
 
 
 def assemble(space: FeSpace, f) -> SparseSymSystem:
@@ -175,26 +221,11 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     DoF scalings, summed over the cells in mesh order by ``np.bincount``.
     Pass None for ``f`` for a zero right-hand side.
 
-    Cells whose half-lengths agree to 14 digits (``group_rows``) share one
-    element matrix, built on the rounded half-lengths and scaled as
-    ``(k_ab s_a) s_b`` by the cells' DoF scalings.  The matrix is filled
-    as CSR arrays with duplicates, in blocks of about ``BLOCK_POINTS``
-    element-matrix entries: row r holds, for each cell that has r as its
-    local row a, in mesh order, that cell's row a in local column order.
-    This is the order in which SciPy's ``coo_tocsr`` would give each row
-    the entries of COO triples listed by cell, then row-major.  SciPy's
-    ``sum_duplicates`` then sorts each row by column with an unstable sort
-    (``csr_sort_indices``) and sums the duplicates in the sorted order, so
-    that order follows from the fill order without being it; any change
-    to the fill order may change the last bits.  The explicit zeros the
-    sums leave are kept, and the indices are int32 while the entry count
-    fits, as ``tocsr`` would pick them.  The matrix's ``indices`` and
-    ``data`` are arrays of their own of exactly nnz entries.
+    Cells share one element matrix per group of their half-lengths
+    (``group_rows``), scaled as ``(k_ab s_a) s_b``; ``scatter`` sums them.
     """
     mesh = space.mesh
-    elem = space.element
-    idx, scale = space.cell_dof_indices, space.cell_scalings
-    nloc, n = elem.n_dofs, space.n_dofs
+    idx, scale, n = space.cell_dof_indices, space.cell_scalings, space.n_dofs
 
     rhs = np.zeros(n)
     if f is not None:
@@ -202,33 +233,13 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
         fe = scale * (jac * cell_moments(space, f))   # [nc, nloc]
         rhs = np.bincount(idx.ravel(), fe.ravel(), n)
 
-    keys, group = group_rows(mesh.cell_half_lengths)
-    k = element_stiffness(keys, elem)
-    entries = idx.size * nloc
-    itype = np.int32 if max(entries, n) <= np.iinfo(np.int32).max else np.int64
-    # a stable sort of the (cell, local row) pairs by DoF lists each row's
-    # pairs in mesh order, so pair p fills slots p * nloc onwards
-    order = np.argsort(idx, axis=None, kind="stable")
-    indptr = np.zeros(n + 1, dtype=itype)
-    indptr[1:] = np.cumsum(np.bincount(idx.ravel(), minlength=n) * nloc)
-    data = np.empty((len(order), nloc))
-    indices = np.empty((len(order), nloc), dtype=itype)
-    step = max(1, BLOCK_POINTS // nloc)
-    for lo in range(0, len(order), step):
-        cell, a = np.divmod(order[lo:lo + step], nloc)
-        block = np.multiply(k[group[cell], a], scale[cell, a][:, None],
-                            out=data[lo:lo + step])
+    def weigh(block, cell, a):
+        block *= scale[cell, a][:, None]
         block *= scale[cell]
-        indices[lo:lo + step] = idx[cell]
-    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
-    del data, indices, order
-    mat.sum_duplicates()
-    # SciPy keeps the pre-sum arrays under its results when the sums leave
-    # more than half of the entries; copying the indices before the data
-    # frees the first pre-sum array before the larger copy is made
-    mat.indices = mat.indices.copy()
-    mat.data = mat.data.copy()
-    return SparseSymSystem(mat, rhs, space)
+
+    keys, group = group_rows(mesh.cell_half_lengths)
+    k = element_stiffness(keys, space.element)
+    return SparseSymSystem(scatter(k, group, idx, idx, (n, n), weigh), rhs, space)
 
 
 @dataclass

@@ -54,8 +54,18 @@ class StructuredMesh:
     def __init__(self, axis_nodes: list[np.ndarray], active: np.ndarray):
         self.dim = len(axis_nodes)
         self.axis_nodes = [np.asarray(a, dtype=float) for a in axis_nodes]
+        for k, a in enumerate(self.axis_nodes):
+            # a repeated node would give a zero half-length, a decreasing
+            # one a negative half-length
+            if not (a.ndim == 1 and len(a) > 1 and np.isfinite(a).all()
+                    and (np.diff(a) > 0).all()):
+                raise ValueError(f"axis {k} needs at least two finite, strictly"
+                                 f" increasing nodes, got {a}")
         shape = tuple(len(a) - 1 for a in self.axis_nodes)
-        self.active = np.asarray(active, dtype=bool).reshape(shape)
+        self.active = np.asarray(active, dtype=bool)
+        if self.active.shape != shape:
+            raise ValueError(f"active mask has shape {self.active.shape},"
+                             f" the cell grid {shape}")
         if not self.active.any():
             raise ValueError("mesh has no active cells")
         self._build()

@@ -9,10 +9,11 @@ rule fails, and builds the same element family on every level.
 The prolongation maps a coarse DoF vector to the fine space: each fine cell
 reads its DoFs off its parent's polynomial, and a fine DoF shared by
 several fine cells takes the average of their readings, the averaging of
-``quasi_interpolate``.  It is one pass over all fine cells, whatever their
-sizes: every cell's DoF anchors in its parent's reference coordinates,
-then one ``eval_shape`` per DoF multi-index.  Restricted to the free DoFs
-of both levels, it gives the Galerkin coarse operator P^T A P.
+``quasi_interpolate``.  A fine cell's map depends only on its offset and
+ratio in its parent (2^n maps on a uniform mesh): each group's map is read
+once, and ``assembly.scatter`` sums the maps as it sums element matrices.
+Restricted to the free DoFs of both levels, P gives the Galerkin coarse
+operator P^T A P.
 
 The cycle is a symmetric V(1,1)-cycle: a degree-3 Chebyshev smoother on
 D^-1 A over [lmax / 30, 1.1 lmax], where lmax is estimated from a fixed
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BLOCK_POINTS, ReducedSystem, assemble
+from .assembly import ReducedSystem, assemble, group_rows, scatter
 from .mesh import StructuredMesh
 from .solver import SolveReport, SolverError, _residual, cholesky
 from .space import FeSpace, build_space
@@ -71,8 +72,8 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     DoF j reading of coarse basis function J on the cell's parent: its
     d^alpha at the DoF's anchor, in physical coordinates.  Both spaces must
     hold the same element, on ``coarsen(fine.mesh)`` for the coarse one.
-    The fine cells are read in blocks of ``BLOCK_POINTS`` readings, and
-    only the nonzero readings are kept as COO triples.
+    Fine cells share one reference map per group of their offset and ratio
+    in the parent (``group_rows``), read at its key; ``scatter`` sums them.
     """
     elem = fine.element
     dim, nloc = elem.dim, elem.n_dofs
@@ -81,35 +82,27 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     half = cmesh.cell_half_lengths[parent]
     # fine reference point xi sits at offset + ratio * xi in its parent's
     offset = (fmesh.cell_centers - cmesh.cell_centers[parent]) / half
-    ratio = fmesh.cell_half_lengths / half
+    keys, group = group_rows(np.hstack([offset, fmesh.cell_half_lengths / half]))
     anchors = np.array([d.anchor(dim) for d in elem.dofs], dtype=float)
-    by_alpha = {}
-    for a, d in enumerate(elem.dofs):
-        by_alpha.setdefault(d.alpha, []).append(a)
-
-    points = offset[:, None] + ratio[:, None] * anchors    # [nc, nloc, dim]
+    points = keys[:, None, :dim] + keys[:, None, dim:] * anchors   # [g, nloc, dim]
+    # read[g, a, b]: d^alpha_a of parent basis function b at group g's anchor a
+    read = np.empty((len(keys), nloc, nloc))
+    for alpha in {d.alpha for d in elem.dofs}:
+        local = [a for a, d in enumerate(elem.dofs) if d.alpha == alpha]
+        values = elem.eval_shape(alpha, points[:, local].reshape(-1, dim))
+        read[:, local] = values.reshape(len(keys), len(local), nloc)
     scal = coarse.cell_scalings[parent]
-    rows, cols = fine.cell_dof_indices, coarse.cell_dof_indices[parent]
+    rows = fine.cell_dof_indices
     incident = np.bincount(rows.ravel(), minlength=fine.n_dofs)[rows]
-    triples, step = [], max(1, BLOCK_POINTS // nloc ** 2)
-    for lo in range(0, fmesh.n_cells, step):
-        cells = slice(lo, lo + step)
-        # read[c, a, b]: reference d^alpha_a of parent basis function b at
-        # the anchor of the fine cell's local DoF a
-        read = np.empty((len(points[cells]), nloc, nloc))
-        for alpha, local in by_alpha.items():
-            values = elem.eval_shape(alpha, points[cells, local].reshape(-1, dim))
-            read[:, local] = values.reshape(len(read), len(local), -1)
-        # physical DoF values: the coarse reference coefficient of b is scaling_b
-        # times the global one, and d^alpha_a in x is h^-alpha_a times the
-        # reference derivative; both are the parent's h^alpha scalings
-        read *= scal[cells, None, :] / scal[cells, :, None]
-        read /= incident[cells, :, None]
-        c, a, b = np.nonzero(read)
-        triples.append((read[c, a, b], rows[cells][c, a], cols[cells][c, b]))
-    values, rows, cols = (np.concatenate(t) for t in zip(*triples))
-    p = sp.coo_matrix((values, (rows, cols)),
-                      shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+
+    def weigh(block, cell, a):
+        # physical DoF values: the parent's reference coefficient of b is
+        # s_b times the global one, and d^alpha_a in x is d^alpha_a in xi / s_a
+        block *= scal[cell] / scal[cell, a][:, None]
+        block /= incident[cell, a][:, None]
+
+    p = scatter(read, group, rows, coarse.cell_dof_indices[parent],
+                (fine.n_dofs, coarse.n_dofs), weigh)
     p.eliminate_zeros()
     return p
 

@@ -164,6 +164,18 @@ def test_cell_groups_match_a_per_cell_loop():
         assert np.array_equal(keys[g], np.round(h, 14))
 
 
+@pytest.mark.parametrize("power", [-30, -1, 30])
+def test_cell_groups_scale_by_powers_of_two(power):
+    # 14 digits of the largest value, not 14 decimals: a box scaled by
+    # 2^power groups its cells alike, on keys scaled exactly
+    half = np.random.default_rng(5).uniform(0.01, 1.0, size=(40, 3))
+    half[::3] = 0.5 / 7   # non-dyadic, several rows agreeing exactly
+    keys, group = group_rows(half)
+    scaled_keys, scaled_group = group_rows(np.ldexp(half, power))
+    assert np.array_equal(scaled_group, group)
+    assert np.array_equal(scaled_keys, np.ldexp(keys, power))
+
+
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
 @pytest.mark.parametrize("n", [2, 3])
 def test_batched_element_stiffness_matches_single_calls_bit_for_bit(family, n):
@@ -189,16 +201,17 @@ def grammian_stiffness(h, elem, rule):
 def coo_reference(space, f):
     """A plain build: int64 COO lists, one cell at a time in mesh order,
     concatenated once, each element matrix from the 6-point rule on the
-    cell's half-lengths rounded to 14 digits; the load from the 8-point
-    rule on each cell's own half-lengths, as one points-by-cells product
-    summed by ``np.bincount``."""
+    cell's half-lengths rounded to 14 digits of s = 2^floor(log2 max h);
+    the load from the 8-point rule on each cell's own half-lengths, as one
+    points-by-cells product summed by ``np.bincount``."""
     mesh, elem = space.mesh, space.element
     stiffness_rule, load_rule = gauss_rule(6, mesh.dim), gauss_rule(8, mesh.dim)
     nloc = elem.n_dofs
     rows, cols, vals = [], [], []
     wphi = load_rule.weights[:, None] * elem.eval_shape((0,) * elem.dim,
                                                         load_rule.points)
-    for h, gidx, scale in zip(np.round(mesh.cell_half_lengths, 14),
+    s = 2.0 ** np.floor(np.log2(mesh.cell_half_lengths.max()))
+    for h, gidx, scale in zip(np.round(mesh.cell_half_lengths / s, 14) * s,
                               space.cell_dof_indices, space.cell_scalings):
         k_ref = grammian_stiffness(h, elem, stiffness_rule)
         rows.append(np.repeat(gidx, nloc))

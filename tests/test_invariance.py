@@ -2,9 +2,11 @@
 
 Permuting the axes, reflecting or translating the box moves the solution
 with it and leaves every broken-norm error unchanged.  Scaling the box by
-2 scales the order-m error by 2^(3/2 - m) in 3D.  Each moved problem is a
-separate solve on a separate mesh, so an orientation, sign or scaling slip
-anywhere in the pipeline shows up as an error that does not match.
+s scales the order-m error by s^(3/2 - m) in 3D; s = 2^-30 and 2^30 show
+any rounding or tolerance that depends on the box's size.  Each moved
+problem is a separate solve on a separate mesh, so an orientation, sign or
+scaling slip anywhere in the pipeline shows up as an error that does not
+match.
 """
 
 import functools
@@ -56,17 +58,19 @@ def translated(cells, shift=(1.0, -2.0, 0.5)):
     return (lo, hi, cells, FREQS, phases), 1.0
 
 
-def scaled(cells):
-    # x -> 2x halves k; the order-m error gains 2^(3/2) from the volume
-    # and 2^-m from the derivatives
-    moved = (tuple(2 * a for a in LO), tuple(2 * b for b in HI), cells,
-             tuple(k / 2 for k in FREQS), PHASES)
-    return moved, 2.0 ** (1.5 - np.arange(4))
+def scaled(cells, s):
+    # x -> s x divides k by s; the order-m error gains s^(3/2) from the
+    # volume and s^-m from the derivatives
+    moved = (tuple(s * a for a in LO), tuple(s * b for b in HI), cells,
+             tuple(k / s for k in FREQS), PHASES)
+    return moved, s ** (1.5 - np.arange(4))
 
 
 MOVES = {f"permute{''.join(map(str, p))}": functools.partial(permuted, perm=p)
          for p in itertools.permutations(range(3)) if p != (0, 1, 2)}
-MOVES.update(reflect0=reflected, translate=translated, scale2=scaled)
+MOVES.update(reflect0=reflected, translate=translated,
+             scale2=functools.partial(scaled, s=2.0))
+MOVES.update({f"scale2^{e}": functools.partial(scaled, s=2.0 ** e) for e in (-30, 30)})
 
 
 @pytest.mark.parametrize("move", list(MOVES))

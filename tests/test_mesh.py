@@ -113,6 +113,27 @@ def test_cell_counts_must_be_integers(make):
     assert make(np.int64(2)).n_cells == make(2).n_cells
 
 
+@pytest.mark.parametrize("nodes", [
+    [0.0, 0.5, 0.5, 1.0], [0.0, 0.75, 0.5, 1.0], [1.0, 0.5, 0.0],
+    [0.0, np.nan, 1.0], [0.0, np.inf], [0.0],
+], ids=["repeated", "decreasing", "reversed", "nan", "inf", "one-node"])
+def test_malformed_axis_nodes_are_rejected(nodes):
+    # they would give zero, negative or NaN half-lengths, and the solve
+    # would fail late with a misleading SolverError
+    good = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="axis 1 needs"):
+        StructuredMesh([good, np.array(nodes)], np.ones((3, len(nodes) - 1), dtype=bool))
+
+
+def test_active_mask_must_have_the_grid_shape():
+    # a mask of the grid's size but another shape was reshaped silently
+    nodes = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="active mask has shape"):
+        StructuredMesh([nodes, nodes[:3]], np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="active mask has shape"):
+        StructuredMesh([nodes, nodes[:3]], np.ones(6, dtype=bool))
+
+
 
 def test_masked_cube_with_one_cell_removed():
     # [0,1]^3 split 2x2x2 without the cell at grid position (1,1,1): the

@@ -1,10 +1,15 @@
 """Mesh coarsening, prolongation and the V-cycle that preconditions CG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from triharm.analysis import broken_norms, solve_case
-from triharm.assembly import DATA_Q, apply_dirichlet, assemble, derivative_multiindices
+from triharm.assembly import (
+    BLOCK_POINTS, DATA_Q, apply_dirichlet, assemble, derivative_multiindices,
+)
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
@@ -77,6 +82,82 @@ def test_prolongation_maps_the_coarse_interpolant_of_a_cubic_to_the_fine_one(nam
     assert p.shape == (fine.n_dofs, coarse.n_dofs)
     np.testing.assert_allclose(p @ canonical_interpolate(coarse, case),
                                canonical_interpolate(fine, case), rtol=0, atol=1e-12)
+
+
+def coo_prolongation(fine, coarse):
+    """A plain build: each fine cell's DoF anchors from its own offset and
+    ratio in the parent, one ``eval_shape`` per DoF multi-index over all
+    cells, and the nonzero readings as COO triples summed by ``tocsr``."""
+    elem = fine.element
+    dim, nloc = elem.dim, elem.n_dofs
+    fmesh, cmesh = fine.mesh, coarse.mesh
+    parent = cmesh.cell_index[tuple((np.argwhere(fmesh.active) // 2).T)]
+    half = cmesh.cell_half_lengths[parent]
+    offset = (fmesh.cell_centers - cmesh.cell_centers[parent]) / half
+    ratio = fmesh.cell_half_lengths / half
+    anchors = np.array([d.anchor(dim) for d in elem.dofs], dtype=float)
+    points = offset[:, None] + ratio[:, None] * anchors
+    read = np.empty((fmesh.n_cells, nloc, nloc))
+    for alpha in {d.alpha for d in elem.dofs}:
+        local = [a for a, d in enumerate(elem.dofs) if d.alpha == alpha]
+        values = elem.eval_shape(alpha, points[:, local].reshape(-1, dim))
+        read[:, local] = values.reshape(fmesh.n_cells, len(local), nloc)
+    scal = coarse.cell_scalings[parent]
+    rows, cols = fine.cell_dof_indices, coarse.cell_dof_indices[parent]
+    read *= scal[:, None, :] / scal[:, :, None]
+    read /= np.bincount(rows.ravel(), minlength=fine.n_dofs)[rows][:, :, None]
+    c, a, b = np.nonzero(read)
+    p = sp.coo_matrix((read[c, a, b], (rows[c, a], cols[c, b])),
+                      shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    p.eliminate_zeros()
+    return p
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE], ids=str)
+@pytest.mark.parametrize("mesh", [
+    FINE_MESHES["square-4"], FINE_MESHES["lshape-2"], lambda: lshape_mesh(4),
+    FINE_MESHES["cube-4x2x2"],
+], ids=["square-4", "lshape-2", "lshape-4", "cube-4x2x2"])
+def test_prolongation_matches_the_per_cell_build_bit_for_bit(mesh, family):
+    # on dyadic meshes the group keys are every cell's exact offset and
+    # ratio, and scatter lists each row's readings in the triples' order
+    mesh = mesh()
+    fine, coarse = build_space(mesh, family), build_space(coarsen(mesh), family)
+    got, want = prolongation(fine, coarse), coo_prolongation(fine, coarse)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE], ids=str)
+def test_prolongation_stores_no_readings_of_inexact_offsets(family):
+    # at h = 1/28 a fine cell's own offset in its parent reads
+    # 0.49999999999999994 for 0.5, and its anchors then read ~1e-16 where
+    # the exact value is zero; at h = 1 the offsets are exact.  Per-cell
+    # offsets stored 1.65x (Morley) and 2.93x (Adini) the entries there
+    def nnz(domain):
+        mesh = uniform_mesh(domain, 28)
+        return prolongation(build_space(mesh, family),
+                            build_space(coarsen(mesh), family)).nnz
+
+    assert nnz(UNIT_SQUARE) <= 1.05 * nnz(BoxDomain((0.0, 0.0), (28.0, 28.0)))
+
+
+def test_prolongation_peak_memory_per_fine_cell_map_entry():
+    # 12 bytes per map entry for the CSR arrays with duplicates (an int32
+    # index and a value), summed in place, plus one block and the copies
+    # of the summed arrays: ~16; the per-cell readings and the int64 COO
+    # triples of their nonzeros took ~24
+    mesh = uniform_mesh(UNIT_CUBE, 8)
+    fine, coarse = build_space(mesh, MORLEY), build_space(coarsen(mesh), MORLEY)
+    tracemalloc.start()
+    try:
+        prolongation(fine, coarse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = mesh.n_cells * fine.element.n_dofs ** 2
+    assert entries > 4 * BLOCK_POINTS    # filled in several blocks
+    assert peak <= 18 * entries
 
 
 def reduced_system(case, mesh, family):
