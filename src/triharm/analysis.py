@@ -8,6 +8,7 @@ not grow with the mesh.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,18 +75,24 @@ def solve_case(case: ManufacturedCase, family: Family, n: int,
                solver: str = "direct", cg_tol: float = 1e-10,
                ) -> tuple[FeSpace, np.ndarray, SolveReport]:
     """Assemble, impose exact-DoF boundary data, and solve one refinement."""
-    space = build_space(case.mesh(n), family)
-    system = assemble(space, case.source)
-    reduced = apply_dirichlet(system, boundary_values_from_case(space, case))
-    # the unreduced matrix is not needed again: free it before factoring
-    del system
     if solver == "direct":
-        x, report = solve_direct(reduced)
+        solve = solve_direct
     elif solver == "cg":
-        x, report = solve_cg(reduced, tol=cg_tol)
+        solve = functools.partial(solve_cg, tol=cg_tol)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return space, reduced.reconstruct(x), report
+    space = build_space(case.mesh(n), family)
+    g = boundary_values_from_case(space, case)
+    # no name holds a system, so A is freed once it is reduced, and the
+    # reduced A once solve_direct has read it, before the numeric factor.
+    # The second needs CPython 3.11 or later, whose calls move their
+    # arguments into the callee: on 3.10, and under a wrapper that holds
+    # its arguments (the benchmark's tracer), it lives through the solve
+    x, report = solve(apply_dirichlet(assemble(space, case.source), g))
+    coeffs = np.empty(space.n_dofs)
+    coeffs[space.free_dofs()] = x
+    coeffs[space.boundary_dofs()] = g
+    return space, coeffs, report
 
 
 @dataclass

@@ -207,7 +207,7 @@ def solve_cg(system: ReducedSystem, tol: float = 1e-10,
     m = spla.LinearOperator(a.shape, matvec=vcycle, dtype=float)
     x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=m,
                       callback=count)
-    res = _residual(a, x, b)
+    res = _residual(a @ x, b)
     report = SolveReport("cg", iters, res, time.perf_counter() - t0)
     if info != 0 or res > 10 * tol:
         raise SolverError(

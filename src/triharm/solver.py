@@ -9,13 +9,23 @@ merges the smallest fronts into one leaf.  Each separator, and each block
 left whole, is a front: a range of the permuted numbering whose columns of L
 are computed together in dense blocks.  ``symbolic`` works out, once, each
 front's update rows, where its matrix entries go, and how each child's
-update matrix maps into its parent.  Fronts that repeat one another, bit
-for bit, fall into one class (``_classify``), and the numeric loop factors
-one front per class: it only allocates, adds slices and calls LAPACK and
-BLAS (``dpotrf``, ``dtrsm``, ``dsyrk``).  Only L is stored, its diagonal
-blocks packed, and the fronts of a class share theirs.  A non-positive
-pivot raises SolverError, and a relative residual check of 1e-9 guards
-every direct solve.
+update matrix maps into its parent, reading the permuted rows a chunk of
+fronts at a time.  Fronts that repeat one another, bit for bit, fall into
+one class (``_classify``), and the numeric loop factors one front per
+class: it only allocates, adds slices and calls LAPACK and BLAS
+(``dpotrf``, ``dtrsm``, ``dsyrk``).  Only L is stored, its diagonal blocks
+packed, and the fronts of a class share theirs.  A non-positive pivot
+raises SolverError, and a relative residual check of 1e-9 guards every
+direct solve.
+
+The residual check applies the element matrices cell by cell
+(``assembly.apply_stiffness``), so ``solve_direct`` needs the reduced
+matrix only until ``symbolic`` has read it.  ``analysis.solve_case`` keeps
+no reference to it, so it is freed before the numeric factor on CPython
+3.11 and later; on 3.10, and under a wrapper that holds the call's
+arguments, it lives until the solve returns.  The peak of a 3D solve then
+sits in the numeric factor (L and the update stack); an L-shape solve
+peaks in ``apply_dirichlet``, where A and its reduced copy coexist.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which assembles its coarsest level to factor it with
@@ -32,7 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .assembly import ReducedSystem
+from . import assembly
+from .assembly import ReducedSystem, apply_stiffness
 from .space import FeSpace
 
 __all__ = ["SolveReport", "solve_direct", "SolverError", "Front", "Cholesky",
@@ -71,11 +82,12 @@ class Front:
     children: tuple[int, ...] = ()
 
 
-def _residual(a, x, b) -> float:
+def _residual(ax, b) -> float:
+    """``|A x - b| / |b|`` from the product ``ax``, or ``|A x|`` when b is zero."""
     nb = np.linalg.norm(b)
     if nb == 0:
-        return float(np.linalg.norm(a @ x))
-    return float(np.linalg.norm(a @ x - b) / nb)
+        return float(np.linalg.norm(ax))
+    return float(np.linalg.norm(ax - b) / nb)
 
 
 def _cut(coords, axis_nodes: list[np.ndarray]):
@@ -166,43 +178,58 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
       ``lo:hi`` of its update matrix are rows ``at:at + hi - lo`` of its
       parent (own range first), never crossing into its update rows;
     - ``entries[f]``: ``(positions, values)`` of front f's entries on and
-      below the diagonal in its flat C-ordered ``(k + m, k)`` block.
+      below the diagonal in its flat C-ordered ``(k + m, k)`` block, the
+      positions int32 while ``(k + m) k`` fits.
     A child's update row before its parent's range crosses the parent's
     separator: ValueError.
+
+    The rows of A are read in chunks of consecutive fronts, a chunk for
+    every ``assembly.BLOCK_POINTS`` stored entries, so no permuted copy of
+    A is made beyond one chunk.
     """
     n, nf = len(perm), len(fronts)
     inverse = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
     inverse[perm] = np.arange(n)
-    b = a.tocsr()[perm]     # row j of it is column j of P A P^T
-    b.sum_duplicates()
-    i = inverse[b.indices]
-    j = np.repeat(np.arange(n, dtype=inverse.dtype), np.diff(b.indptr))
-    keep = i >= j
-    i, j, values = i[keep], j[keep], b.data[keep]
-    del b, keep
-    bounds = np.searchsorted(j, np.array([f.start for f in fronts], dtype=j.dtype))
-    bounds = bounds.tolist() + [len(j)]
+    a = a.tocsr()
+    starts = np.array([f.start for f in fronts], dtype=inverse.dtype)
+    # fronts whose first entry falls in the same BLOCK_POINTS entries of
+    # P A P^T form one chunk
+    before = np.concatenate(([0], np.cumsum(np.diff(a.indptr)[perm])))[starts]
+    chunks = np.flatnonzero(np.diff(before // assembly.BLOCK_POINTS)) + 1
     slot, count = np.empty(n, dtype=np.intp), np.arange(n + 1)  # row in front
     rows, entries, parent = [], [], np.full(nf, -1)
     at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
-    for f, front in enumerate(fronts):
-        for c in front.children:
-            if len(rows[c]) and rows[c][0] < front.start:
-                raise ValueError(f"front {f} (rows {front.start}:{front.stop}) gets"
-                                 f" row {rows[c][0]} from child {c}: the pattern"
-                                 " crosses a separator")
-        k, own = front.stop - front.start, i[bounds[f]:bounds[f + 1]]
-        x = np.concatenate([own[own >= front.stop]] + [
-            rows[c][rows[c].searchsorted(front.stop):] for c in front.children])
-        x.sort()
-        rows.append(x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x)
-        slot[front.start:front.stop] = count[:k]
-        slot[rows[f]] = count[k:k + len(rows[f])]
-        # its own copy of the values, so that a factored front frees them
-        entries.append((slot[own] * k + j[bounds[f]:bounds[f + 1]] - front.start,
-                        values[bounds[f]:bounds[f + 1]].copy()))
-        for c in front.children:
-            at[c], parent[c] = slot[rows[c]], f
+    for first, stop in zip([0, *chunks.tolist()], [*chunks.tolist(), nf]):
+        lo, hi = fronts[first].start, fronts[stop - 1].stop
+        b = a[perm[lo:hi]]      # row j of it is column lo + j of P A P^T
+        b.sum_duplicates()
+        i = inverse[b.indices]
+        j = np.repeat(np.arange(lo, hi, dtype=inverse.dtype), np.diff(b.indptr))
+        keep = i >= j
+        i, j, values = i[keep], j[keep], b.data[keep]
+        del b, keep
+        bounds = np.searchsorted(j, starts[first:stop]).tolist() + [len(j)]
+        for f in range(first, stop):
+            front, own = fronts[f], i[bounds[f - first]:bounds[f - first + 1]]
+            for c in front.children:
+                if len(rows[c]) and rows[c][0] < front.start:
+                    raise ValueError(f"front {f} (rows {front.start}:{front.stop})"
+                                     f" gets row {rows[c][0]} from child {c}: the"
+                                     " pattern crosses a separator")
+            k = front.stop - front.start
+            x = np.concatenate([own[own >= front.stop]] + [
+                rows[c][rows[c].searchsorted(front.stop):] for c in front.children])
+            x.sort()
+            rows.append(x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x)
+            slot[front.start:front.stop] = count[:k]
+            slot[rows[f]] = count[k:k + len(rows[f])]
+            itype = np.int32 if (k + len(rows[f])) * k < 2**31 else np.intp
+            part = slice(bounds[f - first], bounds[f - first + 1])
+            # its own copy of the values, so that a factored front frees them
+            entries.append(((slot[own] * k + j[part] - front.start).astype(itype),
+                            values[part].copy()))
+            for c in front.children:
+                at[c], parent[c] = slot[rows[c]], f
     # a run ends where the child, the contiguity or the parent's part changes
     m = np.array([len(r) for r in rows])
     k = np.array([f.stop - f.start for f in fronts])
@@ -375,6 +402,23 @@ class Cholesky:
         return x
 
 
+def _analyse(matrix: sp.spmatrix, space: FeSpace):
+    """The ordering and the symbolic phase of ``cholesky``: the arguments of
+    ``_numeric``, which no longer refer to ``matrix``."""
+    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
+                                     space.mesh.axis_nodes)
+    t0 = time.perf_counter()
+    return perm, fronts, symbolic(matrix, perm, fronts), t0
+
+
+def _numeric(perm, fronts, pattern, t0) -> Cholesky:
+    """The numeric phase of ``cholesky``; ``t0`` is when the symbolic began."""
+    rows, runs, entries = pattern
+    classes = _classify(fronts, rows, runs, entries)
+    factors = _factor(fronts, perm, rows, runs, entries, classes)
+    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
+
+
 def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
     """Multifrontal Cholesky of ``matrix``, assembled on the free DoFs of ``space``.
 
@@ -383,25 +427,28 @@ def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
     pattern that crosses a separator raises ValueError, a non-positive
     pivot SolverError.
     """
-    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
-                                     space.mesh.axis_nodes)
-    t0 = time.perf_counter()
-    rows, runs, entries = symbolic(matrix, perm, fronts)
-    classes = _classify(fronts, rows, runs, entries)
-    factors = _factor(fronts, perm, rows, runs, entries, classes)
-    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
+    return _numeric(*_analyse(matrix, space))
 
 
 def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     """Multifrontal Cholesky in nested-dissection order, with a residual check.
 
-    A non-positive pivot raises SolverError, and so does a relative
-    residual above 1e-9.
+    The residual is taken with ``apply_stiffness`` on the system's space,
+    not with ``system.matrix``, so the system is dropped after the
+    symbolic phase: its matrix is freed during the numeric factor unless
+    the caller still holds it.  A non-positive pivot raises SolverError,
+    and so does a relative residual above 1e-9.
     """
     t0 = time.perf_counter()
-    factor = cholesky(system.matrix, system.space)
-    x = factor.solve(system.rhs)
-    res = _residual(system.matrix, x, system.rhs)
+    space, rhs = system.space, system.rhs
+    analysed = _analyse(system.matrix, space)
+    del system
+    factor = _numeric(*analysed)
+    x = factor.solve(rhs)
+    free = space.free_dofs()
+    full = np.zeros(space.n_dofs)
+    full[free] = x
+    res = _residual(apply_stiffness(space, full)[free], rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
                          ordering="nested-dissection", fill=factor.fill,
                          factor_seconds=factor.seconds,

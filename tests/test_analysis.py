@@ -4,14 +4,14 @@ import dataclasses
 import gc
 import json
 import math
-import tracemalloc
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triharm import analysis, assembly
+from triharm import analysis, assembly, solver
 from triharm.analysis import (
     ErrorReport, broken_norms, convergence_study, solve_case,
 )
@@ -114,34 +114,22 @@ def test_broken_norms_match_dense_reference(make, monkeypatch):
             assert g == pytest.approx(w, rel=1e-12)
 
 
-def test_broken_norms_memory_stays_within_a_few_blocks():
+def test_broken_norms_memory_stays_within_a_few_blocks(traced_peak):
     # smooth3d Morley N=16 has 4096 cells and 2M quadrature points: one
     # float64 array over all of them is 16 MB, a block's is 1 MB
     case = case_smooth3d()
     space = build_space(case.mesh(16), MORLEY)
     coeffs = np.zeros(space.n_dofs)
-    tracemalloc.start()
-    try:
-        broken_norms(space, coeffs, case)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20
+    assert traced_peak(lambda: broken_norms(space, coeffs, case)) <= 12 * 2 ** 20
 
 
-def test_quasi_interpolation_memory_stays_within_a_few_blocks():
+def test_quasi_interpolation_memory_stays_within_a_few_blocks(traced_peak):
     # its moments come block by block as well: one grid over all 4096 cells
     # of smooth3d Morley N=16 peaked at 21 MB, blocks of 256 cells at 4 MB
     case = case_smooth3d()
     space = build_space(case.mesh(16), MORLEY)
     quasi_interpolate(space, case.u)     # warm the element's tables
-    tracemalloc.start()
-    try:
-        quasi_interpolate(space, case.u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert traced_peak(lambda: quasi_interpolate(space, case.u)) <= 8 * 2 ** 20
 
 
 def test_every_call_sees_the_cells_last_in_blocks_of_own_cells(monkeypatch):
@@ -266,6 +254,30 @@ def test_solve_case_frees_the_unreduced_matrix_before_factoring(monkeypatch):
     monkeypatch.setattr(analysis, "solve_direct", solve_direct)
     _, _, report = solve_case(case_smooth2d(), MORLEY, 4)
     assert report.relative_residual < 1e-9
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "on CPython 3.10 a call's arguments stay on the caller's stack until it "
+    "returns, so solve_case's reduced system lives through solve_direct"))
+def test_solve_case_frees_the_reduced_matrix_before_the_numeric_factor(monkeypatch):
+    reduced, factored = [], []
+
+    def apply_dirichlet(*args, **kwargs):
+        system = real_apply_dirichlet(*args, **kwargs)
+        reduced.append(weakref.ref(system.matrix))
+        return system
+
+    def factor(*args):
+        gc.collect()
+        assert len(reduced) == 1 and reduced[0]() is None
+        factored.append(True)
+        return real_factor(*args)
+
+    real_apply_dirichlet, real_factor = analysis.apply_dirichlet, solver._factor
+    monkeypatch.setattr(analysis, "apply_dirichlet", apply_dirichlet)
+    monkeypatch.setattr(solver, "_factor", factor)
+    _, _, report = solve_case(case_smooth2d(), MORLEY, 4)
+    assert factored and report.relative_residual < 1e-9
 
 
 def test_solve_case_cg_matches_direct():

@@ -2,16 +2,17 @@
 
 import dataclasses
 import math
-import tracemalloc
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from triharm import assembly
 from triharm.assembly import (
-    BLOCK_POINTS, apply_dirichlet, assemble, derivative_multiindices,
-    element_stiffness, gauss_rule, group_rows,
+    BLOCK_POINTS, apply_dirichlet, apply_stiffness, assemble,
+    derivative_multiindices, element_stiffness, gauss_rule, group_rows,
 )
 from triharm.cases import case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import canonical_interpolate
@@ -21,6 +22,7 @@ from triharm.reference import ADINI_TYPE, MORLEY, Q1, apply_dof, build_dual_basi
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+UNIT_CUBE = BoxDomain((0.0,) * 3, (1.0,) * 3)
 
 
 def test_gauss_rule_polynomial_exactness():
@@ -283,7 +285,7 @@ def test_assembled_arrays_own_exactly_nnz_entries(mesh, family):
         assert array.base is None and array.size == matrix.nnz, name
 
 
-def test_assembly_peak_memory_per_element_entry():
+def test_assembly_peak_memory_per_element_entry(traced_peak):
     # 12 bytes per element-matrix entry for the CSR arrays with duplicates
     # (an int32 index and a value), summed in place, plus one block of
     # cells: ~14 bytes per entry, ~15 while the summed indices and then
@@ -294,12 +296,7 @@ def test_assembly_peak_memory_per_element_entry():
     space = build_space(mesh, MORLEY)
     f = case_smooth3d().source
     assemble(space, f)       # warm the element's monomial tables
-    tracemalloc.start()
-    try:
-        assemble(space, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: assemble(space, f))
     entries = mesh.n_cells * space.element.n_dofs ** 2
     assert entries > 4 * BLOCK_POINTS    # streamed in several blocks
     assert peak <= 20 * entries
@@ -336,3 +333,71 @@ def test_dirichlet_reduction_matches_two_row_slices():
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(reduced.matrix, name), getattr(want, name))
     assert np.array_equal(reduced.rhs, system.rhs[free] - a[free][:, bd] @ g)
+
+
+@pytest.mark.parametrize("mesh, family", [
+    (lambda: uniform_mesh(UNIT_SQUARE, 6), MORLEY),
+    (lambda: uniform_mesh(UNIT_SQUARE, 6), ADINI_TYPE),
+    (lambda: uniform_mesh(UNIT_CUBE, 4), MORLEY),
+    (lambda: uniform_mesh(UNIT_CUBE, 4), ADINI_TYPE),
+    (lambda: lshape_mesh(8), ADINI_TYPE),
+    (graded_box, MORLEY),
+    (graded_box, ADINI_TYPE),
+    (lambda: uniform_mesh(UNIT_SQUARE, 1), ADINI_TYPE),
+], ids=["square6-morley", "square6-adini", "cube4-morley", "cube4-adini",
+        "lshape8-adini", "graded-box-morley", "graded-box-adini", "no-free-dof-adini"])
+def test_apply_stiffness_matches_the_reduced_matrix(mesh, family, monkeypatch):
+    space = build_space(mesh(), family)
+    reduced = apply_dirichlet(assemble(space, None), np.zeros(len(space.boundary_dofs())))
+    free = space.free_dofs()
+    x = np.zeros(space.n_dofs)
+    x[free] = np.random.default_rng(7).standard_normal(len(free))
+    want = reduced.matrix @ x[free]
+    # one block, then blocks of 5 cells, the last one short
+    assert space.mesh.n_cells % 5 != 0
+    for block_points in (BLOCK_POINTS, 5 * space.element.n_dofs ** 2):
+        monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+        got = apply_stiffness(space, x)
+        assert got.shape == (space.n_dofs,)
+        assert np.linalg.norm(got[free] - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_apply_stiffness_gathers_one_block_of_element_matrices(traced_peak):
+    # cube Adini N=8: the 512 cells' 56 x 56 element matrices are 12 MB as
+    # one stack, a block's 1 MB; measured 1.25 MB in all
+    space = build_space(uniform_mesh(UNIT_CUBE, 8), ADINI_TYPE)
+    x = np.ones(space.n_dofs)
+    apply_stiffness(space, x)      # warm the element's Grammians
+    assert space.mesh.n_cells * space.element.n_dofs ** 2 > 8 * BLOCK_POINTS
+    assert traced_peak(lambda: apply_stiffness(space, x)) <= 2 * 8 * BLOCK_POINTS
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_apply_stiffness_runs_the_same_bytecode_for_any_number_of_groups(
+        family, monkeypatch):
+    # 64 cells in one group and in 64: a loop over the groups would run
+    # more of its own bytecode on the graded box
+    def opcodes(mesh):
+        space = build_space(mesh, family)
+        x = np.ones(space.n_dofs)
+        apply_stiffness(space, x)      # warm the element's Grammians
+        count = [0]
+
+        def local(frame, event, arg):
+            count[0] += event == "opcode"
+            return local
+
+        def trace(frame, event, arg):
+            frame.f_trace_opcodes = True
+            return local
+        sys.settrace(trace)
+        try:
+            apply_stiffness(space, x)
+        finally:
+            sys.settrace(None)
+        return count[0]
+
+    monkeypatch.setattr(assembly, "BLOCK_POINTS", 5 * 56 ** 2)
+    uniform, graded = uniform_mesh(UNIT_CUBE, 4), graded_box()
+    assert len(group_rows(graded.cell_half_lengths)[0]) == graded.n_cells == 64
+    assert opcodes(graded) == opcodes(uniform)

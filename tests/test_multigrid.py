@@ -1,7 +1,5 @@
 """Mesh coarsening, prolongation and the V-cycle that preconditions CG."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -142,19 +140,14 @@ def test_prolongation_stores_no_readings_of_inexact_offsets(family):
     assert nnz(UNIT_SQUARE) <= 1.05 * nnz(BoxDomain((0.0, 0.0), (28.0, 28.0)))
 
 
-def test_prolongation_peak_memory_per_fine_cell_map_entry():
+def test_prolongation_peak_memory_per_fine_cell_map_entry(traced_peak):
     # 12 bytes per map entry for the CSR arrays with duplicates (an int32
     # index and a value), summed in place, plus one block and the copies
     # of the summed arrays: ~16; the per-cell readings and the int64 COO
     # triples of their nonzeros took ~24
     mesh = uniform_mesh(UNIT_CUBE, 8)
     fine, coarse = build_space(mesh, MORLEY), build_space(coarsen(mesh), MORLEY)
-    tracemalloc.start()
-    try:
-        prolongation(fine, coarse)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: prolongation(fine, coarse))
     entries = mesh.n_cells * fine.element.n_dofs ** 2
     assert entries > 4 * BLOCK_POINTS    # filled in several blocks
     assert peak <= 18 * entries

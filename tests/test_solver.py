@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
+from triharm import assembly
 from triharm.analysis import broken_norms
 from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
 from triharm.cases import (
@@ -18,7 +19,8 @@ from triharm.multigrid import coarsen, prolongation, solve_cg
 from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    LEAF_DOFS, Cholesky, SolverError, _extend_add, cholesky, nested_dissection,
+    LEAF_DOFS, Cholesky, SolverError, _classify, _extend_add, cholesky,
+    nested_dissection,
     solve_direct, symbolic,
 )
 from triharm.space import build_space
@@ -443,3 +445,77 @@ def test_symbolic_rejects_a_pattern_that_crosses_a_separator():
     p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
     with pytest.raises(ValueError, match=r"front \d+ .* row \d+ .*crosses a separator"):
         cholesky((p.T @ reduced.matrix @ p).tocsr(), coarse)
+
+
+def one_pass_symbolic(a, perm, fronts):
+    """``symbolic``'s rows, runs and entries from one permuted copy of all of A."""
+    n, nf = len(perm), len(fronts)
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[perm] = np.arange(n)
+    b = a.tocsr()[perm]
+    b.sum_duplicates()
+    i = inverse[b.indices]
+    j = np.repeat(np.arange(n, dtype=np.int32), np.diff(b.indptr))
+    keep = i >= j
+    i, j, values = i[keep], j[keep], b.data[keep]
+    bounds = np.searchsorted(j, [f.start for f in fronts]).tolist() + [len(j)]
+    slot, rows, entries, parent = np.empty(n, dtype=np.intp), [], [], np.full(nf, -1)
+    at = [np.zeros(0, dtype=np.intp)] * nf
+    for f, front in enumerate(fronts):
+        k, own = front.stop - front.start, i[bounds[f]:bounds[f + 1]]
+        x = np.unique(np.concatenate([own[own >= front.stop]] + [
+            rows[c][rows[c] >= front.stop] for c in front.children]))
+        rows.append(x)
+        slot[front.start:front.stop] = np.arange(k)
+        slot[x] = np.arange(k, k + len(x))
+        entries.append((slot[own] * k + j[bounds[f]:bounds[f + 1]] - front.start,
+                        values[bounds[f]:bounds[f + 1]]))
+        for c in front.children:
+            at[c], parent[c] = slot[rows[c]], f
+    runs = [[] for _ in fronts]
+    for c, f in enumerate(parent.tolist()):
+        for t, row in enumerate(at[c].tolist()):
+            k = fronts[f].stop - fronts[f].start
+            if t and row == at[c][t - 1] + 1 and row != k:
+                at_, lo, _ = runs[c][-1]
+                runs[c][-1] = (at_, lo, t + 1)
+            else:
+                runs[c].append((row, t, t + 1))
+    return rows, runs, entries
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assembled(case_lshape2d(), ADINI_TYPE, 16),
+    lambda: assembled(case_smooth3d(), MORLEY, 4),
+], ids=["lshape2d-adini-16", "smooth3d-morley-4"])
+def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
+    _, reduced = build()
+    perm, fronts = free_dissection(reduced)
+    want = one_pass_symbolic(reduced.matrix, perm, fronts)
+    classes = _classify(fronts, *want[:2], list(want[2]))
+    # a chunk per front, chunks of a few fronts, one chunk of all of them
+    nnz = reduced.matrix.nnz
+    for block_points in (1, nnz // 5, nnz + 1):
+        monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+        rows, runs, entries = symbolic(reduced.matrix, perm, fronts)
+        assert len(rows) == len(want[0]) and runs == want[1]
+        for got, ref in zip(rows, want[0]):
+            np.testing.assert_array_equal(got, ref)
+        for (pos, val), (ref_pos, ref_val) in zip(entries, want[2]):
+            assert pos.dtype == np.int32
+            np.testing.assert_array_equal(pos, ref_pos)
+            assert val.tobytes() == ref_val.tobytes()
+        assert _classify(fronts, rows, runs, entries) == classes
+
+
+def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
+    # 12 bytes per lower entry kept (an int32 position and a value) plus one
+    # chunk of rows: 39 at smooth3d Morley N=8 (18 at N=16); a permuted
+    # copy of the whole matrix and int64 positions took 58
+    _, reduced = assembled(case_smooth3d(), MORLEY, 8)
+    perm, fronts = free_dissection(reduced)
+    out = []
+    peak = traced_peak(lambda: out.append(symbolic(reduced.matrix, perm, fronts)))
+    lower = sum(len(pos) for pos, _ in out[0][2])
+    assert reduced.matrix.nnz > assembly.BLOCK_POINTS      # several chunks
+    assert peak <= 45 * lower
