@@ -18,7 +18,6 @@ from .interpolation import (
 )
 from .mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from .multigrid import solve_cg
-from .polynomials import Polynomial
 from .reference import (
     ADINI_CLASSIC, ADINI_TYPE, MORLEY, Q1, Family, build_dual_basis,
     family_from_name, partial_adini,
@@ -32,7 +31,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ADINI_CLASSIC", "ADINI_TYPE", "MORLEY", "Q1",
     "BoxDomain", "CASE_NAMES", "ErrorReport", "Family", "FeSpace",
-    "ManufacturedCase", "Polynomial", "SUITES", "SolveReport", "SolverError",
+    "ManufacturedCase", "SUITES", "SolveReport", "SolverError",
     "StructuredMesh", "VerificationReport",
     "apply_dirichlet", "assemble", "boundary_values_from_case",
     "broken_norms", "build_dual_basis", "build_space",

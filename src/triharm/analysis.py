@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import (
     DATA_Q, apply_dirichlet, assemble, cell_blocks, derivative_multiindices,
-    gauss_rule,
+    gauss_rule, reconstruct,
 )
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
@@ -26,7 +26,8 @@ from .solver import SolveReport, solve_direct
 from .space import FeSpace, build_space
 
 __all__ = [
-    "broken_norms", "solve_case", "ErrorReport", "convergence_study",
+    "broken_norms", "solve_case", "ErrorReport", "check_levels",
+    "convergence_study",
 ]
 
 
@@ -89,10 +90,19 @@ def solve_case(case: ManufacturedCase, family: Family, n: int,
     # arguments into the callee: on 3.10, and under a wrapper that holds
     # its arguments (the benchmark's tracer), it lives through the solve
     x, report = solve(apply_dirichlet(assemble(space, case.source), g))
-    coeffs = np.empty(space.n_dofs)
-    coeffs[space.free_dofs()] = x
-    coeffs[space.boundary_dofs()] = g
-    return space, coeffs, report
+    return space, reconstruct(space, x, g), report
+
+
+def check_levels(levels, study: bool = True) -> None:
+    """Raise ``ValueError`` unless every level is at least 1 cell per unit
+    length and, for a convergence ``study``, there are at least two levels,
+    each doubling the last."""
+    if study and len(levels) < 2:
+        raise ValueError("need at least two refinement levels")
+    if study and any(b != 2 * a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must double: got " + repr(levels))
+    if min(levels) < 1:
+        raise ValueError(f"cells per unit length must be >= 1, got {min(levels)}")
 
 
 @dataclass
@@ -151,11 +161,7 @@ def convergence_study(case: ManufacturedCase, family: Family,
                       levels: list[int], solver: str = "direct",
                       cg_tol: float = 1e-10, progress=None) -> ErrorReport:
     """Solve a refinement sequence and collect errors and observed orders."""
-    if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
-    for a, b in zip(levels, levels[1:]):
-        if b != 2 * a:
-            raise ValueError("levels must double: got " + repr(levels))
+    check_levels(levels)
     report = ErrorReport(case.name, str(family))
     for n in levels:
         space, coeffs, solve_report = solve_case(case, family, n, solver=solver,

@@ -30,6 +30,7 @@ __all__ = [
     "cell_moments", "derivative_multiindices",
     "element_stiffness", "group_rows", "scatter", "assemble",
     "apply_stiffness", "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
+    "reconstruct",
 ]
 
 
@@ -288,12 +289,6 @@ class ReducedSystem:
     def free(self) -> np.ndarray:
         return self.space.free_dofs()
 
-    def reconstruct(self, x_free: np.ndarray) -> np.ndarray:
-        full = np.empty(self.space.n_dofs)
-        full[self.free] = x_free
-        full[self.space.boundary_dofs()] = self.boundary_values
-        return full
-
 
 def apply_dirichlet(system: SparseSymSystem,
                     boundary_values: np.ndarray) -> ReducedSystem:
@@ -311,3 +306,14 @@ def apply_dirichlet(system: SparseSymSystem,
     rows = system.matrix[free]
     rhs = system.rhs[free] - rows[:, bd] @ g
     return ReducedSystem(rows[:, free].tocsr(), rhs, g, space)
+
+
+def reconstruct(space: FeSpace, x_free: np.ndarray,
+                boundary_values: np.ndarray) -> np.ndarray:
+    """The coefficient vector of all DoFs of ``space``: ``x_free`` on the
+    free DoFs and ``boundary_values`` on the boundary DoFs, each in the
+    order of ``space.free_dofs()`` and ``space.boundary_dofs()``."""
+    full = np.empty(space.n_dofs)
+    full[space.free_dofs()] = x_free
+    full[space.boundary_dofs()] = boundary_values
+    return full

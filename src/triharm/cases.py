@@ -18,6 +18,7 @@ trailing column per monomial, is for ``canonical_interpolate`` alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
-from .polynomials import Polynomial
 
 __all__ = [
     "ManufacturedCase", "case_smooth2d", "case_lshape2d", "case_smooth3d",
@@ -165,58 +165,75 @@ def case_lshape2d() -> ManufacturedCase:
     return ManufacturedCase("lshape2d", 2, None, source, derivative)
 
 
-def polynomial_case(poly: Polynomial, domain: BoxDomain,
-                    name: str = "polynomial") -> ManufacturedCase:
-    """Wrap an exact polynomial u; source (-Delta)^3 u, computed exactly on
-    the first ``source`` call."""
-    dim = poly.dim
+def _laplacian(terms: dict, dim: int) -> dict:
+    """Delta of the polynomial {exponent tuple: coefficient}, exactly: the
+    terms of d_0^2, then those of d_1^2, ... added in, a coefficient that
+    cancels dropped after each axis."""
+    out = {}
+    for i in range(dim):
+        for e, c in terms.items():
+            if e[i] >= 2:
+                key = e[:i] + (e[i] - 2,) + e[i + 1:]
+                out[key] = out.get(key, 0) + c * e[i] * (e[i] - 1)
+        out = {e: c for e, c in out.items() if c}
+    return out
+
+
+def _polynomials_case(polys: list[dict], domain: BoxDomain, name: str,
+                      columns: bool) -> ManufacturedCase:
+    """The case of the polynomials {exponent tuple: coefficient}: one
+    trailing column per polynomial with ``columns``, else of the one alone.
+
+    d^alpha of a term c x^e is the factor c prod_i perm(e_i, alpha_i),
+    exact and rounded once, times x_i^(e_i - alpha_i) axis by axis, for all
+    terms at once; each polynomial sums its terms' values left to right
+    from +0.0.  The source is -(Delta^3 u), negated after that sum, with
+    Delta^3 u built exactly on the first ``source`` call."""
+    dim = domain.dim
+    # a zero coefficient leaves no term, as in the exact polynomial
+    polys = [{tuple(map(int, e)): c for e, c in p.items() if c} for p in polys]
 
     @functools.cache
-    def lap3() -> Polynomial:
-        lap = lambda q: sum((q.diff(i, 2) for i in range(dim)), Polynomial.zero(dim))
-        return lap(lap(lap(poly)))
+    def lap3() -> list[dict]:
+        return [_laplacian(_laplacian(_laplacian(p, dim), dim), dim) for p in polys]
 
-    def derivative(alpha, points):
-        return poly.diff_multi(alpha)(_axes(points, dim))
+    def evaluate(of: list[dict], alpha, points) -> np.ndarray:
+        xs = _axes(points, dim)
+        # block k holds term k of every polynomial, 0 x^0 past one's end
+        blocks = itertools.zip_longest(*map(dict.items, of), fillvalue=((0,) * dim, 0))
+        terms = [t for block in blocks for t in block]
+        exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), dim)
+        factor = [float(c * math.prod(map(math.perm, e, alpha))) for e, c in terms]
+        shape = np.broadcast_shapes(*(x.shape for x in xs))
+        values = np.broadcast_to(np.array(factor, dtype=float), shape + (len(terms),))
+        for x, a, e in zip(xs, alpha, exps.T):
+            powers = np.stack([x ** p for p in range(max(e.max(initial=0) - a, 0) + 1)],
+                              axis=-1)
+            values = values * powers[..., np.maximum(e - a, 0)]
+        out = np.zeros(shape + (len(of),))
+        for k in range(0, len(terms), len(of)):
+            out += values[..., k:k + len(of)]
+        return out if columns else out[..., 0]
 
-    def source(points):
-        return -lap3()(_axes(points, dim))
+    return ManufacturedCase(name, dim, domain,
+                            lambda points: -evaluate(lap3(), (0,) * dim, points),
+                            functools.partial(evaluate, polys))
 
-    return ManufacturedCase(name, dim, domain, source, derivative)
+
+def polynomial_case(terms: dict, domain: BoxDomain,
+                    name: str = "polynomial") -> ManufacturedCase:
+    """u = sum c x^e over ``terms`` {exponent tuple: coefficient}, each
+    coefficient an int or an exact rational; source (-Delta)^3 u."""
+    return _polynomials_case([terms], domain, name, columns=False)
 
 
 def monomials_case(exponents, domain: BoxDomain) -> ManufacturedCase:
     """The monomials x^e, e in ``exponents``, at once: values carry one
     trailing column per monomial, in order, so the case is not elementwise
-    and only ``interpolation.canonical_interpolate`` takes it.
-
-    d^alpha x^e = prod_i e_i! / (e_i - alpha_i)! x_i^(e_i - alpha_i), the
-    integer factor first and then the powers in axis order, as
-    ``polynomial_case(x^e)`` evaluates it, so each column has its bits.
-    Every monomial has degree at most 5, which (-Delta)^3 annihilates: the
-    source is zero."""
-    exps = np.array(exponents).reshape(len(exponents), -1)
-    dim = exps.shape[1]
-    if exps.sum(axis=1).max() > 5:
-        raise ValueError("monomials_case takes monomials of degree at most 5")
-
-    def derivative(alpha, points):
-        xs = _axes(points, dim)
-        factor = [math.prod(map(math.perm, e, alpha)) for e in exps.tolist()]
-        out = np.broadcast_to(np.array(factor, dtype=float),
-                              np.broadcast_shapes(*(x.shape for x in xs))
-                              + (len(exps),))
-        for x, a, e in zip(xs, alpha, exps.T):
-            powers = np.stack([x ** p for p in range(max(e.max() - a, 0) + 1)],
-                              axis=-1)
-            out = out * powers[..., np.maximum(e - a, 0)]
-        return out + 0.0    # as polynomial_case sums from +0.0: no -0.0
-
-    def source(points):
-        return np.zeros(np.broadcast_shapes(*(x.shape for x in _axes(points, dim)))
-                        + (len(exps),))
-
-    return ManufacturedCase("monomials", dim, domain, source, derivative)
+    and only ``interpolation.canonical_interpolate`` takes it.  Each column
+    has the bits of ``polynomial_case({e: 1})``."""
+    return _polynomials_case([{tuple(e): 1} for e in exponents], domain,
+                             "monomials", columns=True)
 
 
 _CASES = {

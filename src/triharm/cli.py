@@ -16,7 +16,7 @@ import traceback
 
 import numpy as np
 
-from .analysis import broken_norms, convergence_study, solve_case
+from .analysis import broken_norms, check_levels, convergence_study, solve_case
 from .cases import CASE_NAMES, get_case
 from .reference import family_from_name
 from .solver import SolverError
@@ -113,22 +113,14 @@ def _check(args) -> None:
     """The CLI's own checks of the parsed values, before any work is done:
     a level, tolerance or dimension the run would reject raises
     ConfigError.  The parser's choices check the case and element."""
-    if args.command == "verify":
-        try:
+    study = args.command == "convergence"
+    try:
+        if args.command == "verify":
             suite_dims(args.suite, args.dims)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return
-    if args.command == "convergence":
-        levels = args.levels
-        if len(levels) < 2:
-            raise ConfigError("need at least two refinement levels")
-        if any(b != 2 * a for a, b in zip(levels, levels[1:])):
-            raise ConfigError("levels must double: got " + repr(levels))
-    else:
-        levels = [args.n]
-    if min(levels) < 1:
-        raise ConfigError(f"cells per unit length must be >= 1, got {min(levels)}")
+            return
+        check_levels(args.levels if study else [args.n], study)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.solver == "cg" and not 0 < args.tol < math.inf:
         raise ConfigError(f"CG tolerance must be finite and > 0, got {args.tol}")
 

@@ -22,21 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
-
-from .polynomials import Polynomial
 
 __all__ = [
     "Family", "Q1", "ADINI_CLASSIC", "MORLEY", "ADINI_TYPE",
     "partial_adini", "family_from_name",
     "DofFunctional", "ReferenceElement",
     "shape_space", "dof_set", "build_dual_basis",
-    "morley_closed_form", "q1_closed_form", "dof_matrix", "dof_rows",
+    "morley_closed_form", "dof_matrix", "dof_rows",
     "mean", "coefficient", "functional_rows", "exact_product",
-    "certified_inverse", "is_exact_inverse", "apply_dof", "reference_vertices",
+    "certified_inverse", "is_exact_inverse", "reference_vertices",
 ]
 
 
@@ -115,11 +111,6 @@ def reference_vertices(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product((-1, 1), repeat=n))
 
 
-def apply_dof(dof: DofFunctional, poly: Polynomial, n: int) -> Fraction:
-    """Apply a reference DoF functional to a polynomial, exactly."""
-    return poly.diff_multi(dof.alpha)(dof.anchor(n))
-
-
 # -- shape spaces ----------------------------------------------------------
 
 def _derivative_axes(family: Family, n: int) -> list[int]:
@@ -135,8 +126,8 @@ def shape_space(family: Family, n: int) -> list[tuple[int, ...]]:
 
     Q1, then Q1 * x_j^(2k) per derivative axis j and k = 1..order, then
     x_j^4 and x_j^5 per axis when the family has face DoFs.  The order is
-    fixed: basis polynomials keep their terms in it, and monomial tables
-    their columns.
+    fixed: the rows of the coefficients and the columns of monomial tables
+    follow it.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -306,13 +297,6 @@ class ReferenceElement:
     def max_degree_per_axis(self) -> int:
         return max(max(m) for m in self.monomials)
 
-    @cached_property
-    def basis(self) -> list[Polynomial]:
-        """The nodal basis as exact polynomials, terms in shape-space order."""
-        return [Polynomial(self.dim, {m: Fraction(row[a], self.denominator)
-                                      for m, row in zip(self.monomials, self.coeffs)})
-                for a in range(self.n_dofs)]
-
     def eval_shape(self, deriv: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """Evaluate d^deriv of every basis function: matrix [n_points, n_dofs],
         the product ``P @ C`` of the monomial tables at the points.  Not
@@ -383,18 +367,7 @@ def build_dual_basis(family: Family, n: int) -> ReferenceElement:
     return elem
 
 
-# -- closed forms ----------------------------------------------------------
-
-def q1_closed_form(n: int) -> list[Polynomial]:
-    """Multilinear nodal basis p_0i = 2^-n prod(1 + s_ij xi_j)."""
-    out = []
-    for signs in reference_vertices(n):
-        p = Polynomial.constant(n, Fraction(1, 2 ** n))
-        for j, s in enumerate(signs):
-            p = p * (Polynomial.constant(n, 1) + s * Polynomial.variable(n, j))
-        out.append(p)
-    return out
-
+# -- closed form -----------------------------------------------------------
 
 def morley_closed_form(n: int) -> list[list[tuple[np.ndarray, ...]]]:
     """Closed-form Morley-type nodal basis with unit half-lengths, as

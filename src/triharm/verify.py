@@ -7,7 +7,7 @@ strong continuity of second derivatives across faces, the face-integral
 identities behind the tangential-normal estimates and P3 reproduction.
 The Morley basis meets its closed form as integers too: the closed form's
 numerators, summed over every monomial its terms touch, against C.  No
-exact suite builds a ``Polynomial``.
+suite does rational arithmetic.
 The patch test is a float proof: one Cholesky factor per mesh solves for
 every cubic monomial, each solution compared with its interpolant, all of
 them interpolated in one call.

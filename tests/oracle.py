@@ -1,23 +1,18 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
-
-Polynomials live in the reference coordinates of an axis-aligned cell.  They
-give ``cases.polynomial_case``, the Q1 closed form and the independent
-oracles of the tests; no verification suite builds one: the exact suites
-apply integer rows to the certified coefficients instead
-(``reference.functional_rows``).
-Arithmetic is over ``fractions.Fraction``.  One call evaluates: exactly at
-rational points, and in float64 on the coordinate arrays of the runtime
-(quadrature) paths.
+"""The tests' independent exact oracle: sparse multivariate polynomials
+over ``fractions.Fraction``, and from them the reference element's nodal
+basis, its DoF functionals and the Q1 closed form.  One call evaluates a
+polynomial: exactly at rational points, in float64 on coordinate arrays.
+The package does no rational arithmetic: its exact checks are integer rows
+times the certified coefficients (``reference.functional_rows``).
 """
 
-from __future__ import annotations
-
+import math
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
-__all__ = ["Polynomial"]
+from triharm.reference import DofFunctional, ReferenceElement, reference_vertices
 
 
 def _as_fraction(value) -> Fraction:
@@ -214,3 +209,21 @@ class Polynomial:
             total += val
         return total
 
+
+def apply_dof(dof: DofFunctional, poly: Polynomial, n: int) -> Fraction:
+    """Apply a reference DoF functional to a polynomial, exactly."""
+    return poly.diff_multi(dof.alpha)(dof.anchor(n))
+
+
+def basis(elem: ReferenceElement) -> list[Polynomial]:
+    """The nodal basis of ``elem`` as exact polynomials."""
+    return [Polynomial(elem.dim, {m: Fraction(row[a], elem.denominator)
+                                  for m, row in zip(elem.monomials, elem.coeffs)})
+            for a in range(elem.n_dofs)]
+
+
+def q1_closed_form(n: int) -> list[Polynomial]:
+    """Multilinear nodal basis p_0i = 2^-n prod(1 + s_ij xi_j)."""
+    return [math.prod((1 + s * Polynomial.variable(n, j) for j, s in enumerate(signs)),
+                      start=Polynomial.constant(n, Fraction(1, 2 ** n)))
+            for signs in reference_vertices(n)]

@@ -13,13 +13,12 @@ import pytest
 
 from triharm import analysis, assembly, solver
 from triharm.analysis import (
-    ErrorReport, broken_norms, convergence_study, solve_case,
+    ErrorReport, broken_norms, check_levels, convergence_study, solve_case,
 )
 from triharm.assembly import DATA_Q, derivative_multiindices, gauss_rule
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import canonical_interpolate, quasi_interpolate
 from triharm.mesh import BoxDomain, uniform_mesh
-from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.space import build_space
 from test_solver import AlternatingCells
@@ -29,8 +28,7 @@ UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 
 def test_broken_norms_of_known_polynomial():
     # coeffs = 0 turns the error norms into norms of u itself
-    x = Polynomial.variable(2, 0)
-    case = polynomial_case(x, UNIT_SQUARE)
+    case = polynomial_case({(1, 0): 1}, UNIT_SQUARE)
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), ADINI_TYPE)
     l2, h1, h2, h3 = broken_norms(space, np.zeros(space.n_dofs), case)
     assert l2 == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
@@ -41,8 +39,7 @@ def test_broken_norms_of_known_polynomial():
 
 def test_broken_norms_mixed_multiplicity():
     # u = xy: |u|_2^2 integrates 2 (d_xy u)^2 = 2 via the 2!/(1!1!) weight
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    case = polynomial_case(x * y, UNIT_SQUARE)
+    case = polynomial_case({(1, 1): 1}, UNIT_SQUARE)
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), ADINI_TYPE)
     h2 = broken_norms(space, np.zeros(space.n_dofs), case)[2]
     assert h2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -71,8 +68,7 @@ def dense_broken_norms(space, coeffs, case, q=8):
 def quintic_case():
     # not in the Adini space: its errors (7e-4 ... 3.7 at N=4) lie far above
     # pytest.approx's absolute floor of 1e-12
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    return polynomial_case(x ** 5 - 3 * x ** 2 * y ** 3 + y ** 2, UNIT_SQUARE)
+    return polynomial_case({(5, 0): 1, (2, 3): -3, (0, 2): 1}, UNIT_SQUARE)
 
 
 def solved(case, family, n):
@@ -296,10 +292,12 @@ def test_convergence_study_orders_and_validation():
     orders = report.orders()
     assert orders[0] == (None,) * 4
     assert orders[1][3] == pytest.approx(1.04, abs=0.1)
-    with pytest.raises(ValueError):
-        convergence_study(case, ADINI_TYPE, [4])
-    with pytest.raises(ValueError):
-        convergence_study(case, ADINI_TYPE, [4, 12])
+    # the one level rule, which the CLI reports as a configuration error
+    for levels, message in (([4], "two"), ([4, 12], "must double"), ([0, 0], ">= 1")):
+        with pytest.raises(ValueError, match=message):
+            convergence_study(case, ADINI_TYPE, levels)
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        check_levels([0], study=False)
 
 
 @pytest.mark.parametrize("make, sizes, want", [

@@ -1,16 +1,22 @@
 """Manufactured solutions: sources, derivatives, finite-difference oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracle import Polynomial
+from triharm import cases
+from triharm.assembly import derivative_multiindices
 from triharm.cases import (
     case_lshape2d, case_smooth2d, case_smooth3d, get_case, monomials_case,
     polynomial_case,
 )
 from triharm.mesh import BoxDomain
-from triharm.polynomials import Polynomial
+
+UNIT_CUBE = BoxDomain((0.0,) * 3, (1.0,) * 3)
+BOX = BoxDomain((-1.0,) * 3, (1.0,) * 3)
 
 
 def finite_difference(case, alpha, pts, step=1e-5):
@@ -50,13 +56,7 @@ def test_all_partials_match_finite_differences(case_fn):
 
 
 def _multi_indices(dim, order):
-    if dim == 1:
-        return [(order,)]
-    out = []
-    for first in range(order + 1):
-        for rest in _multi_indices(dim - 1, order - first):
-            out.append((first,) + rest)
-    return out
+    return [alpha for alpha, _ in derivative_multiindices(dim, order)]
 
 
 def test_smooth2d_source_and_third_derivative():
@@ -145,9 +145,7 @@ def test_lshape_derivatives_follow_the_branch_in_every_quadrant():
 
 
 def test_polynomial_case_source_is_minus_laplacian_cubed():
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    u = x ** 6
-    case = polynomial_case(u, BoxDomain((0.0, 0.0), (1.0, 1.0)))
+    case = polynomial_case({(6, 0): 1}, BoxDomain((0.0, 0.0), (1.0, 1.0)))
     pts = np.array([[0.3, 0.7], [0.5, 0.5]])
     # Delta^3 x^6 = 720, so (-Delta)^3 u = -720
     np.testing.assert_allclose(case.source(pts), -720.0)
@@ -156,52 +154,72 @@ def test_polynomial_case_source_is_minus_laplacian_cubed():
 
 
 def test_polynomial_case_builds_its_source_on_the_first_source_call(monkeypatch):
-    # (-Delta)^3 u takes 18 second derivatives in 3D; a case that is only
+    # (-Delta)^3 u takes three Laplacians; a case that is only
     # differentiated takes none of them
-    calls = []
-    real = Polynomial.diff
-
-    def counting(self, axis, order=1):
-        calls.append(order)
-        return real(self, axis, order)
-
-    monkeypatch.setattr(Polynomial, "diff", counting)
-    x, y, z = (Polynomial.variable(3, i) for i in range(3))
-    case = polynomial_case(x ** 7 * y + z ** 2, BoxDomain((0.0,) * 3, (1.0,) * 3))
+    calls, real = [], cases._laplacian
+    monkeypatch.setattr(cases, "_laplacian",
+                        lambda terms, dim: calls.append(terms) or real(terms, dim))
+    case = polynomial_case({(7, 1, 0): 1, (0, 0, 2): 1}, UNIT_CUBE)
     pts = np.array([[0.3, 0.7, 0.2], [0.5, 0.5, 0.9]])
     case.u(pts)
     case.derivative((1, 0, 0), pts)
-    assert calls == [1]
+    assert calls == []
     want = -5040.0 * pts[:, 0] * pts[:, 1]      # (-Delta)^3 x^7 y
-    np.testing.assert_allclose(case.source(pts), want, rtol=1e-14)
-    built = len(calls)
-    assert built > 1
-    np.testing.assert_allclose(case.source(pts), want, rtol=1e-14)
-    assert len(calls) == built
+    for _ in range(2):      # built once
+        np.testing.assert_allclose(case.source(pts), want, rtol=1e-14)
+        assert len(calls) == 3
 
 
-def test_monomials_case_has_the_bits_of_each_polynomial_case():
-    # one column per monomial, on dense points and on an open grid with the
-    # cells last, bit for bit (no -0.0 either) against polynomial_case
-    exps = [(0, 0, 0), (3, 0, 0), (1, 2, 0), (0, 1, 1), (1, 1, 1), (2, 0, 3)]
-    box = BoxDomain((-1.0,) * 3, (1.0,) * 3)
-    case = monomials_case(exps, box)
+def laplacian_cubed(poly: Polynomial) -> Polynomial:
+    lap = lambda q: sum((q.diff(i, 2) for i in range(q.dim)), Polynomial.zero(q.dim))
+    return lap(lap(lap(poly)))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# int and Fraction coefficients; the harmonic part of the third cancels in
+# the Laplacian, and x^2 comes back on the last axis
+POLYNOMIALS = [
+    {(4, 1, 0): 1, (0, 1, 2): -3, (0, 0, 0): 2},
+    {(3, 0, 0): 1, (1, 1, 1): -2, (0, 2, 1): 1, (0, 0, 3): 1, (1, 0, 0): -1,
+     (0, 0, 0): 1, (7, 0, 0): 1},
+    {(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1, (2, 0, 2): 1, (1, 1, 1): 5, (2, 0, 0): 3},
+    {(8, 1, 0): Fraction(1, 3), (2, 1, 3): Fraction(-5, 7), (0, 0, 6): Fraction(2, 9),
+     (1, 0, 0): Fraction(1, 10)},
+]
+
+
+@pytest.mark.parametrize("terms", POLYNOMIALS, ids=range(len(POLYNOMIALS)))
+def test_polynomial_cases_have_the_oracles_bits(terms):
+    # every derivative of order <= 3 and the source, on dense points and on
+    # an open grid with the cells last, bit for bit (-0.0 included) against
+    # the oracle's float evaluation, which rounds each exact coefficient once
+    case, columns = polynomial_case(terms, BOX), monomials_case(list(terms), BOX)
+    poly, monomials = Polynomial(3, terms), [Polynomial.monomial(3, e) for e in terms]
     grid = cell_grid(3, 5, 4, np.random.default_rng(3), cells_last=True)
-    pts, shape = dense(grid)
-    for points, size in ((pts, (len(pts),)), (grid, shape)):
-        for order in range(4):
-            for alpha in _multi_indices(3, order):
-                got = case.derivative(alpha, points)
-                assert got.shape == size + (len(exps),)
-                for j, e in enumerate(exps):
-                    want = polynomial_case(Polynomial.monomial(3, e),
-                                           box).derivative(alpha, points)
-                    assert np.array_equal(got[..., j].view(np.int64),
-                                          np.broadcast_to(want, size).view(np.int64))
-        assert not case.source(points).any()
-        assert case.source(points).shape == size + (len(exps),)
-    with pytest.raises(ValueError, match="degree at most 5"):
-        monomials_case([(3, 3, 0)], box)
+    pts = dense(grid)[0]
+    for points, xs in ((pts, tuple(pts.T)), (grid, grid)):
+        for alpha in (a for order in range(4) for a in _multi_indices(3, order)):
+            assert same_bits(case.derivative(alpha, points), poly.diff_multi(alpha)(xs))
+            want = np.stack([m.diff_multi(alpha)(xs) for m in monomials], axis=-1)
+            assert same_bits(columns.derivative(alpha, points), want)
+        # the source is negated after the sum: -0.0 where it vanishes
+        assert same_bits(case.source(points), -laplacian_cubed(poly)(xs))
+
+
+def test_monomials_case_sources_past_degree_five_are_exact():
+    # at dyadic points, where the values of degree 6 to 8 are exact in floats
+    exps = [(6, 0, 0), (4, 2, 0), (2, 2, 2), (3, 3, 1), (0, 8, 0), (5, 1, 2), (1, 1, 1)]
+    case = monomials_case(exps, BOX)
+    dyadic = [(Fraction(1, 4), Fraction(-1, 2), Fraction(3, 8)),
+              (Fraction(-3, 4), Fraction(5, 16), Fraction(1)), (Fraction(0),) * 3]
+    got = case.source(np.array(dyadic, dtype=float))
+    assert got.tolist() == [[-laplacian_cubed(Polynomial.monomial(3, e))(p) for e in exps]
+                            for p in dyadic]
+    # Delta^3 of x^6, x^4 y^2 and x^2 y^2 z^2 is 720, 144 and 48
+    assert (got[:, :3] == [-720.0, -144.0, -48.0]).all()
 
 
 def test_case_registry():
@@ -242,23 +260,14 @@ def dense(grid):
     return np.stack([x.ravel() for x in full], axis=1), full[0].shape
 
 
-def _cubic_case():
-    # a 3D cubic, whose d^3/dz^3 is the constant 6, plus x^7
-    # for a source (-Delta)^3 u = -5040 x that is not zero
-    x, y, z = (Polynomial.variable(3, i) for i in range(3))
-    u = x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1 + x ** 7
-    return polynomial_case(u, BoxDomain((0.0,) * 3, (1.0,) * 3))
-
-
 OPEN_GRID_CASES = {
     "smooth2d": case_smooth2d,
     "smooth3d": case_smooth3d,
     "lshape2d": case_lshape2d,
-    "polynomial": lambda: polynomial_case(
-        Polynomial.variable(3, 0) ** 4 * Polynomial.variable(3, 1)
-        - 3 * Polynomial.variable(3, 1) * Polynomial.variable(3, 2) ** 2 + 2,
-        BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
-    "polynomial-cubic": _cubic_case,
+    "polynomial": lambda: polynomial_case(POLYNOMIALS[0], UNIT_CUBE),
+    # a 3D cubic, whose d^3/dz^3 is the constant 6, plus x^7 for a source
+    # (-Delta)^3 u = -5040 x that is not zero
+    "polynomial-cubic": lambda: polynomial_case(POLYNOMIALS[1], UNIT_CUBE),
 }
 
 
@@ -283,8 +292,7 @@ def test_open_grid_matches_dense_points(name, cells_last):
 
 def test_open_grid_from_ix_and_zero_results_keep_the_broadcast_shape():
     # x y has vanishing third derivatives and source: still one value a point
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    case = polynomial_case(x * y, BoxDomain((0.0, 0.0), (1.0, 1.0)))
+    case = polynomial_case({(1, 1): 1}, BoxDomain((0.0, 0.0), (1.0, 1.0)))
     grid = np.ix_(np.linspace(0.1, 0.9, 3), np.linspace(0.2, 0.8, 5))
     assert case.derivative((3, 0), grid).shape == (3, 5)
     assert case.source(grid).shape == (3, 5)

@@ -1,5 +1,6 @@
-"""Every import in the package and its tests is used, and every function
-and class the package defines is referenced."""
+"""Every import in the package and its tests is used, every function and
+class the package defines is referenced, and the package imports neither
+``fractions`` nor the tests."""
 
 import ast
 from pathlib import Path
@@ -10,18 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
+def imports(source: str) -> list[tuple[str, str, int]]:
+    """(name bound, top-level module or "." for a relative one, line) of
+    every import but ``__future__``'s."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.split(".")[0]
+                out.append((alias.asname or module, module, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." if node.level else node.module.split(".")[0]
+            out += [(alias.asname or alias.name, module, node.lineno) for alias in node.names]
+    return out
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import and never read; a name listed in
     ``__all__`` counts as read (a package re-exports it)."""
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+    imported = {name: line for name, _, line in imports(source)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
@@ -35,6 +44,8 @@ def test_the_scan_sees_unused_imports():
     source = ("import os, sys\nfrom math import pi as tau, e\n"
               "import numpy.linalg\n__all__ = ['e']\nprint(sys)\n")
     assert unused_imports(source) == ["line 1: os", "line 2: tau", "line 3: numpy"]
+    modules = {module for _, module, _ in imports(source + "from .mesh import BoxDomain\n")}
+    assert modules == {"os", "sys", "math", "numpy", "."}
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -83,3 +94,11 @@ def test_no_dead_definitions_in_the_package():
     dead = {str(p.relative_to(ROOT)): names for p in (ROOT / "src").rglob("*.py")
             if (names := [n for n in definitions(p.read_text()) if n not in used])}
     assert dead == {}
+
+
+def test_the_package_imports_no_fractions_and_no_tests():
+    # exact rational arithmetic is the tests' oracle; the package proves
+    # in integers and evaluates in floats
+    forbidden = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests", "fractions"}
+    for path in (ROOT / "src").rglob("*.py"):
+        assert not {m for _, m, _ in imports(path.read_text())} & forbidden, path

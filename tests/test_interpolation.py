@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from test_solver import CUBICS
 from triharm.analysis import broken_norms
 from triharm.assembly import DATA_Q, gauss_rule
 from triharm.cases import (
@@ -16,7 +17,6 @@ from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
 from triharm.mesh import BoxDomain, lshape_mesh, uniform_mesh
-from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.space import build_space
 
@@ -24,9 +24,7 @@ UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 
 
 def cubic_case():
-    x, y = (Polynomial.variable(2, i) for i in range(2))
-    u = x ** 3 - 2 * x ** 2 * y + x * y + y ** 3 - 1
-    return polynomial_case(u, UNIT_SQUARE)
+    return polynomial_case(CUBICS[2], UNIT_SQUARE)
 
 
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
@@ -84,8 +82,7 @@ def test_one_call_gives_every_cubic_monomial_interpolant_bit_for_bit(family, n):
         table = canonical_interpolate(space, monomials_case(cubics, box))
         assert table.shape == (space.n_dofs, len(cubics))
         for column, e in zip(table.T, cubics):
-            want = canonical_interpolate(
-                space, polynomial_case(Polynomial.monomial(n, e), box))
+            want = canonical_interpolate(space, polynomial_case({e: 1}, box))
             assert np.array_equal(column.view(np.int64), want.view(np.int64)), e
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from test_solver import CUBICS
 from triharm.analysis import broken_norms, solve_case
 from triharm.assembly import (
     BLOCK_POINTS, DATA_Q, apply_dirichlet, assemble, derivative_multiindices,
@@ -12,7 +13,6 @@ from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomia
 from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.multigrid import VCycle, coarsen, prolongation, solve_cg
-from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import nested_dissection, solve_direct
 from triharm.space import build_space
@@ -30,13 +30,7 @@ def masked_cube():
 
 
 def cubic_case(dim):
-    if dim == 2:
-        x, y = (Polynomial.variable(2, i) for i in range(2))
-        return polynomial_case(x ** 3 - 2 * x ** 2 * y + x * y + y ** 3 - 1,
-                               UNIT_SQUARE)
-    x, y, z = (Polynomial.variable(3, i) for i in range(3))
-    return polynomial_case(x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1,
-                           UNIT_CUBE)
+    return polynomial_case(CUBICS[dim], UNIT_SQUARE if dim == 2 else UNIT_CUBE)
 
 
 FINE_MESHES = {

@@ -1,11 +1,11 @@
-"""Exact rational polynomial arithmetic and calculus."""
+"""The tests' oracle: exact rational polynomial arithmetic and calculus."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from triharm.polynomials import Polynomial
+from oracle import Polynomial
 
 
 def univar(coeffs):

@@ -9,14 +9,13 @@ from scipy.linalg import blas, lapack
 
 from triharm import assembly
 from triharm.analysis import broken_norms
-from triharm.assembly import ReducedSystem, apply_dirichlet, assemble
+from triharm.assembly import ReducedSystem, apply_dirichlet, assemble, reconstruct
 from triharm.cases import (
     ManufacturedCase, case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case,
 )
 from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import BoxDomain, StructuredMesh
 from triharm.multigrid import coarsen, prolongation, solve_cg
-from triharm.polynomials import Polynomial
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
     LEAF_DOFS, Cholesky, SolverError, _classify, _extend_add, cholesky,
@@ -83,14 +82,15 @@ def test_empty_system():
     for solve in (solve_direct, solve_cg):
         x, report = solve(empty)
         assert x.size == 0 and report.relative_residual == 0.0
-    np.testing.assert_array_equal(empty.reconstruct(x), empty.boundary_values)
+    np.testing.assert_array_equal(reconstruct(empty.space, x, empty.boundary_values),
+                                  empty.boundary_values)
 
 
 def test_reconstruct_scatters_both_blocks():
     system = small_system()
     space = system.space
     x = np.arange(1.0, len(system.free) + 1)
-    full = system.reconstruct(x)
+    full = reconstruct(space, x, system.boundary_values)
     assert len(full) == space.n_dofs
     np.testing.assert_array_equal(full[space.free_dofs()], x)
     np.testing.assert_array_equal(full[space.boundary_dofs()], system.boundary_values)
@@ -116,16 +116,16 @@ class AlternatingCells(ManufacturedCase):
         return StructuredMesh(nodes, np.ones(tuple(n), dtype=bool))
 
 
+# x^3 - 2 x^2 y + x y + y^3 - 1 and x^3 - 2 x y z + y^2 z + z^3 - x + 1
+CUBICS = {2: {(3, 0): 1, (2, 1): -2, (1, 1): 1, (0, 3): 1, (0, 0): -1},
+          3: {(3, 0, 0): 1, (1, 1, 1): -2, (0, 2, 1): 1, (0, 0, 3): 1, (1, 0, 0): -1,
+              (0, 0, 0): 1}}
+
+
 def alternating_cubic(dim):
     """A cubic on a box with a different length per axis, on AlternatingCells."""
-    if dim == 2:
-        x, y = (Polynomial.variable(2, i) for i in range(2))
-        u, box = x ** 3 - 2 * x ** 2 * y + x * y + y ** 3 - 1, ((0.0, 0.0), (1.0, 0.7))
-    else:
-        x, y, z = (Polynomial.variable(3, i) for i in range(3))
-        u = x ** 3 - 2 * x * y * z + y ** 2 * z + z ** 3 - x + 1
-        box = ((0.0, 0.0, 0.0), (1.0, 0.8, 1.3))
-    case = polynomial_case(u, BoxDomain(*box))
+    box = ((0.0, 0.0), (1.0, 0.7)) if dim == 2 else ((0.0, 0.0, 0.0), (1.0, 0.8, 1.3))
+    case = polynomial_case(CUBICS[dim], BoxDomain(*box))
     return AlternatingCells(**{f.name: getattr(case, f.name)
                                for f in dataclasses.fields(case)})
 
@@ -278,7 +278,8 @@ def test_direct_solve_reproduces_a_cubic_on_unequal_cells(family):
     system = apply_dirichlet(assemble(space, case.source),
                              boundary_values_from_case(space, case))
     x, _ = solve_direct(system)
-    assert max(broken_norms(space, system.reconstruct(x), case)) <= 1e-10
+    assert max(broken_norms(space, reconstruct(space, x, system.boundary_values),
+                            case)) <= 1e-10
 
 
 def test_solve_report_counts_the_fronts():
