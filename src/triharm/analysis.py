@@ -84,11 +84,11 @@ def solve_case(case: ManufacturedCase, family: Family, n: int,
         raise ValueError(f"unknown solver {solver!r}")
     space = build_space(case.mesh(n), family)
     g = boundary_values_from_case(space, case)
-    # no name holds a system, so A is freed once it is reduced, and the
-    # reduced A once solve_direct has read it, before the numeric factor.
-    # The second needs CPython 3.11 or later, whose calls move their
-    # arguments into the callee: on 3.10, and under a wrapper that holds
-    # its arguments (the benchmark's tracer), it lives through the solve
+    # no name holds a system, and the reduced system holds A itself, so A
+    # is freed once solve_direct has read it, before the numeric factor.
+    # That needs CPython 3.11 or later, whose calls move their arguments
+    # into the callee: on 3.10, and under a wrapper that holds its
+    # arguments (the benchmark's tracer), A lives through the solve
     x, report = solve(apply_dirichlet(assemble(space, case.source), g))
     return space, reconstruct(space, x, g), report
 

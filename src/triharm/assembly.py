@@ -163,12 +163,18 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of ``values`` that agree when rounded to 14 digits
     of s = 2^floor(log2 max |values|), one grid for all columns, so keys
     scale with the values and are exact on dyadic ones.  Returns ``(keys,
-    group)``: the distinct keys, sorted, and each row's index into them.
+    group)``: the distinct keys, sorted by their first column, then the
+    next, and each row's index into them.
     """
     s = np.ldexp(1.0, np.frexp(np.abs(values).max())[1] - 1)
-    keys, group = np.unique(np.round(values / s, 14) * s, axis=0,
-                            return_inverse=True)
-    return keys, group.ravel()   # NumPy 2.0.0 returns it with an extra axis
+    rounded = np.round(values / s, 14) * s
+    order = np.lexsort(rounded.T[::-1])     # the last key sorts first
+    rounded = rounded[order]
+    new = np.ones(len(rounded), dtype=bool)
+    new[1:] = (rounded[1:] != rounded[:-1]).any(axis=1)
+    group = np.empty(len(rounded), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return rounded[new], group
 
 
 def scatter(local: np.ndarray, group: np.ndarray, rows: np.ndarray,
@@ -272,11 +278,15 @@ def apply_stiffness(space: FeSpace, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReducedSystem:
-    """System restricted to the free DoFs of ``space`` after symmetric
-    boundary elimination.
+    """The system on the free DoFs of ``space`` after symmetric boundary
+    elimination.
 
-    ``space`` is the space the system was assembled on.  Its DoF anchors and
-    vertex planes let the direct solver order the unknowns by nested
+    ``matrix`` is the stiffness matrix A that ``assemble`` built, on all
+    DoFs of ``space``, neither sliced nor copied: the system's matrix is
+    its principal submatrix on the free DoFs, which the direct solver
+    reads from A row by row and ``free_block`` copies out for CG.
+    ``space`` is the space the system was assembled on.  Its DoF anchors
+    and vertex planes let the direct solver order the unknowns by nested
     dissection, and its mesh lets CG build a multigrid hierarchy.
     """
 
@@ -289,23 +299,33 @@ class ReducedSystem:
     def free(self) -> np.ndarray:
         return self.space.free_dofs()
 
+    def free_block(self) -> sp.csr_matrix:
+        """A CSR copy of the system's matrix, A on the free DoFs, built anew
+        on every call."""
+        free = self.free
+        return self.matrix[free][:, free].tocsr()
+
 
 def apply_dirichlet(system: SparseSymSystem,
                     boundary_values: np.ndarray) -> ReducedSystem:
     """Eliminate boundary DoFs symmetrically.
 
     ``boundary_values`` holds one value per boundary DoF, in the order of
-    ``space.boundary_dofs()``.
+    ``space.boundary_dofs()``.  The reduced system holds ``system.matrix``
+    itself.  Its right-hand side is ``rhs - A g`` on the free DoFs, with g
+    extended by zero: the zeros add only +-0.0 to each row's sum, which
+    therefore has the bits of the sum over A's boundary columns alone.
     """
     space = system.space
     bd = space.boundary_dofs()
-    free = space.free_dofs()
     g = np.asarray(boundary_values, dtype=float)
     if g.shape != bd.shape:
         raise ValueError("boundary value vector has wrong length")
-    rows = system.matrix[free]
-    rhs = system.rhs[free] - rows[:, bd] @ g
-    return ReducedSystem(rows[:, free].tocsr(), rhs, g, space)
+    g_full = np.zeros(space.n_dofs)
+    g_full[bd] = g
+    free = space.free_dofs()
+    rhs = system.rhs[free] - (system.matrix @ g_full)[free]
+    return ReducedSystem(system.matrix, rhs, g, space)
 
 
 def reconstruct(space: FeSpace, x_free: np.ndarray,

@@ -123,10 +123,12 @@ def _lmax(a: sp.csr_matrix, dinv: np.ndarray) -> float:
 class VCycle:
     """Symmetric V(1,1)-cycle on the hierarchy of ``system``'s mesh.
 
-    ``matrices[0]`` is the system's matrix and ``prolongations[i]`` maps the
-    free DoFs of level i + 1 to those of level i; its transpose restricts.
-    The levels between are Galerkin products, the coarsest is assembled on
-    its space, and ``exact`` is its Cholesky factor.
+    ``prolongations[i]`` maps the free DoFs of level i + 1 to those of
+    level i; its transpose restricts.  ``matrices[i]`` is level i's matrix
+    on its free DoFs for each smoothed level, the system's ``free_block()``
+    and then Galerkin products; a one-level hierarchy keeps the first, the
+    operator CG iterates on.  ``exact`` factors the coarsest level, A as
+    ``assemble`` builds it on its space.
     """
 
     def __init__(self, system: ReducedSystem):
@@ -136,17 +138,16 @@ class VCycle:
             p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
             self.prolongations.append(p)
             space = coarse
-        self.matrices = [system.matrix]
+        self.matrices = [system.free_block()]
         for p in self.prolongations[:-1]:
             a = (p.T @ self.matrices[-1] @ p).tocsr()
             a.eliminate_zeros()
             self.matrices.append(a)
-        if self.prolongations:
-            free = space.free_dofs()
-            self.matrices.append(assemble(space, None).matrix[free][:, free])
-        self.exact = cholesky(self.matrices[-1], space)
-        self.dinv = [1.0 / a.diagonal() for a in self.matrices[:-1]]
-        self.lmax = [_lmax(a, d) for a, d in zip(self.matrices, self.dinv)]
+        coarsest = assemble(space, None).matrix if self.prolongations else system.matrix
+        self.exact = cholesky(coarsest, space)
+        smoothed = self.matrices[:len(self.prolongations)]
+        self.dinv = [1.0 / a.diagonal() for a in smoothed]
+        self.lmax = [_lmax(a, d) for a, d in zip(smoothed, self.dinv)]
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.prolongations):
@@ -184,20 +185,23 @@ def solve_cg(system: ReducedSystem, tol: float = 1e-10,
     """Conjugate gradients preconditioned by a multigrid V-cycle.
 
     The V-cycle is built from the system's space, and its coarsest level is
-    assembled and factored by ``solver.cholesky``.  Raises SolverError on a non-positive
-    diagonal entry, a non-positive pivot of the coarsest factorization, or
-    no convergence within ``maxiter`` iterations.  A tolerance that is not
-    finite and positive raises ValueError.
+    assembled and factored by ``solver.cholesky``; CG iterates on the
+    system's ``free_block()``, the V-cycle's finest matrix.  Raises
+    SolverError on a non-positive diagonal entry, a non-positive pivot of
+    the coarsest factorization, or no convergence within ``maxiter``
+    iterations.  A tolerance that is not finite and positive raises
+    ValueError.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
-    a, b = system.matrix, system.rhs
+    b = system.rhs
     t0 = time.perf_counter()
-    if a.shape[0] == 0:
+    if len(b) == 0:
         return np.zeros(0), SolveReport("cg", 0, 0.0, time.perf_counter() - t0)
-    if np.any(a.diagonal() <= 0):
+    if np.any(system.matrix.diagonal()[system.free] <= 0):
         raise SolverError("non-positive diagonal entry; system not SPD")
     vcycle = VCycle(system)
+    a = vcycle.matrices[0]
     iters = 0
 
     def count(_):

@@ -1,4 +1,4 @@
-"""Direct solver for the reduced symmetric positive definite system.
+"""Direct solver for the symmetric positive definite system on the free DoFs.
 
 It is a multifrontal Cholesky factorization (Duff & Reid 1983; Liu 1992)
 on a geometric nested-dissection tree (George 1973).  Each block
@@ -18,14 +18,15 @@ packed, and the fronts of a class share theirs.  A non-positive pivot
 raises SolverError, and a relative residual check of 1e-9 guards every
 direct solve.
 
-The residual check applies the element matrices cell by cell
-(``assembly.apply_stiffness``), so ``solve_direct`` needs the reduced
-matrix only until ``symbolic`` has read it.  ``analysis.solve_case`` keeps
-no reference to it, so it is freed before the numeric factor on CPython
-3.11 and later; on 3.10, and under a wrapper that holds the call's
-arguments, it lives until the solve returns.  The peak of a 3D solve then
-sits in the numeric factor (L and the update stack); an L-shape solve
-peaks in ``apply_dirichlet``, where A and its reduced copy coexist.
+The matrix is A as ``assemble`` built it, on all DoFs: ``symbolic`` reads
+the free block's rows straight from A, and no reduced copy is made.  The
+residual check applies the element matrices cell by cell
+(``assembly.apply_stiffness``), so ``solve_direct`` needs A only until
+``symbolic`` has read it.  ``analysis.solve_case`` keeps no reference to
+it, so it is freed before the numeric factor on CPython 3.11 and later; on
+3.10, and under a wrapper that holds the call's arguments, it lives until
+the solve returns.  The peak of a solve then sits in the numeric factor,
+L and the update matrices: at its end for the L-shape, during it for 3D.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which assembles its coarsest level to factor it with
@@ -168,7 +169,9 @@ def nested_dissection(points: np.ndarray, axis_nodes: list[np.ndarray]
 def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
     """The pattern of ``P A P^T = L L^T`` on the fronts, computed once.
 
-    Row i of ``P A P^T`` is row perm[i] of the symmetric matrix A.  Front f
+    Row and column i of ``P A P^T`` are row and column perm[i] of the
+    symmetric matrix A: ``perm`` selects a principal submatrix of A, whose
+    other columns are dropped as its rows are read.  Front f
     holds k columns of L on its own range and its m update rows: the sorted
     rows past its range that its entries or its children's update rows
     reach.  Returns ``(rows, runs, entries)``:
@@ -187,8 +190,9 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
     every ``assembly.BLOCK_POINTS`` stored entries, so no permuted copy of
     A is made beyond one chunk.
     """
-    n, nf = len(perm), len(fronts)
-    inverse = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
+    n, nf, size = len(perm), len(fronts), a.shape[0]
+    # -1 off perm, so that keep = i >= j drops the columns perm leaves out
+    inverse = np.full(size, -1, dtype=np.int32 if size < 2**31 else np.intp)
     inverse[perm] = np.arange(n)
     a = a.tocsr()
     starts = np.array([f.start for f in fronts], dtype=inverse.dtype)
@@ -203,11 +207,15 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
         lo, hi = fronts[first].start, fronts[stop - 1].stop
         b = a[perm[lo:hi]]      # row j of it is column lo + j of P A P^T
         b.sum_duplicates()
-        i = inverse[b.indices]
-        j = np.repeat(np.arange(lo, hi, dtype=inverse.dtype), np.diff(b.indptr))
+        # one filtered array at a time, each input freed once it is read
+        i, values, counts = inverse[b.indices], b.data, np.diff(b.indptr)
+        del b
+        j = np.repeat(np.arange(lo, hi, dtype=inverse.dtype), counts)
         keep = i >= j
-        i, j, values = i[keep], j[keep], b.data[keep]
-        del b, keep
+        values = values[keep]
+        i = i[keep]
+        j = j[keep]
+        del keep
         bounds = np.searchsorted(j, starts[first:stop]).tolist() + [len(j)]
         for f in range(first, stop):
             front, own = fronts[f], i[bounds[f - first]:bounds[f - first + 1]]
@@ -405,10 +413,10 @@ class Cholesky:
 def _analyse(matrix: sp.spmatrix, space: FeSpace):
     """The ordering and the symbolic phase of ``cholesky``: the arguments of
     ``_numeric``, which no longer refer to ``matrix``."""
-    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
-                                     space.mesh.axis_nodes)
+    free = space.free_dofs()
+    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     t0 = time.perf_counter()
-    return perm, fronts, symbolic(matrix, perm, fronts), t0
+    return perm, fronts, symbolic(matrix, free[perm], fronts), t0
 
 
 def _numeric(perm, fronts, pattern, t0) -> Cholesky:
@@ -420,12 +428,15 @@ def _numeric(perm, fronts, pattern, t0) -> Cholesky:
 
 
 def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
-    """Multifrontal Cholesky of ``matrix``, assembled on the free DoFs of ``space``.
+    """Multifrontal Cholesky of ``matrix`` on the free DoFs of ``space``.
 
-    The DoFs are ordered by nested dissection of their anchor points on the
-    mesh's vertex planes; a system with no DoFs is one empty front.  A
+    ``matrix`` is assembled on all DoFs of ``space``; its block on the free
+    DoFs is factored where it lies, without a copy.  The free DoFs are
+    ordered by nested dissection of their anchor points on the mesh's
+    vertex planes; a system with no free DoFs is one empty front.  A
     pattern that crosses a separator raises ValueError, a non-positive
-    pivot SolverError.
+    pivot SolverError.  ``solve`` takes and returns vectors on the free
+    DoFs, in the order of ``space.free_dofs()``.
     """
     return _numeric(*_analyse(matrix, space))
 
@@ -435,8 +446,8 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
 
     The residual is taken with ``apply_stiffness`` on the system's space,
     not with ``system.matrix``, so the system is dropped after the
-    symbolic phase: its matrix is freed during the numeric factor unless
-    the caller still holds it.  A non-positive pivot raises SolverError,
+    symbolic phase: A is freed during the numeric factor unless the
+    caller still holds it.  A non-positive pivot raises SolverError,
     and so does a relative residual above 1e-9.
     """
     t0 = time.perf_counter()

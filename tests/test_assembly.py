@@ -15,8 +15,8 @@ from triharm.assembly import (
     BLOCK_POINTS, apply_dirichlet, apply_stiffness, assemble,
     derivative_multiindices, element_stiffness, gauss_rule, group_rows, reconstruct,
 )
-from triharm.cases import case_smooth2d, case_smooth3d, polynomial_case
-from triharm.interpolation import canonical_interpolate
+from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
+from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.reference import ADINI_TYPE, MORLEY, Q1, build_dual_basis
 from triharm.space import build_space
@@ -149,8 +149,9 @@ def test_dirichlet_elimination_readback():
     system = assemble(space, case.source)
     bvals = canonical_interpolate(space, case)[space.boundary_dofs()]
     reduced = apply_dirichlet(system, bvals)
-    assert reduced.matrix.shape[0] == len(space.free_dofs())
-    full = reconstruct(space, np.zeros(reduced.matrix.shape[0]), reduced.boundary_values)
+    assert reduced.matrix is system.matrix
+    assert reduced.free_block().shape == (len(space.free_dofs()),) * 2
+    full = reconstruct(space, np.zeros(len(reduced.free)), reduced.boundary_values)
     np.testing.assert_array_equal(full[space.boundary_dofs()], bvals)
 
 
@@ -175,6 +176,39 @@ def test_cell_groups_scale_by_powers_of_two(power):
     scaled_keys, scaled_group = group_rows(np.ldexp(half, power))
     assert np.array_equal(scaled_group, group)
     assert np.array_equal(scaled_keys, np.ldexp(keys, power))
+
+
+def unique_groups(values):
+    """``group_rows`` by ``np.unique(axis=0)``, as it was first written."""
+    s = np.ldexp(1.0, np.frexp(np.abs(values).max())[1] - 1)
+    keys, group = np.unique(np.round(values / s, 14) * s, axis=0, return_inverse=True)
+    return keys, group.ravel()
+
+
+def graded_square():
+    """[0,1]^2 with x nodes t^1.5 and uniform y, 6 x 4 cells: 6 groups of 4
+    equal rows, all tied on y."""
+    return StructuredMesh([np.linspace(0.0, 1.0, 7) ** 1.5, np.linspace(0.0, 1.0, 5)],
+                          np.ones((6, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("half", [
+    lambda: uniform_mesh(UNIT_SQUARE, 6).cell_half_lengths,
+    lambda: lshape_mesh(8).cell_half_lengths,
+    lambda: graded_box().cell_half_lengths,
+    lambda: graded_square().cell_half_lengths,
+    lambda: np.ldexp(graded_square().cell_half_lengths, -30),
+    lambda: np.ldexp(graded_square().cell_half_lengths, 30),
+    # equal up to the rounding, in random order
+    lambda: np.array([[0.25, 0.5], [0.125, 0.5], [0.25, 0.5 + 1e-15]])[
+        np.random.default_rng(3).integers(0, 3, size=40)],
+], ids=["square", "lshape", "graded-box", "graded-square", "graded-square-2^-30",
+        "graded-square-2^30", "rounded"])
+def test_cell_groups_match_np_unique(half):
+    keys, group = group_rows(half())
+    want_keys, want_group = unique_groups(half())
+    assert keys.shape == want_keys.shape and keys.tobytes() == want_keys.tobytes()
+    assert group.shape == want_group.shape and np.array_equal(group, want_group)
 
 
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
@@ -328,10 +362,25 @@ def test_dirichlet_reduction_matches_two_row_slices():
     g = canonical_interpolate(space, case)[space.boundary_dofs()]
     reduced = apply_dirichlet(system, g)
     a, free, bd = system.matrix, space.free_dofs(), space.boundary_dofs()
-    want = a[free][:, free].tocsr()
+    assert reduced.matrix is a
+    want, got = a[free][:, free].tocsr(), reduced.free_block()
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(reduced.matrix, name), getattr(want, name))
+        assert np.array_equal(getattr(got, name), getattr(want, name))
     assert np.array_equal(reduced.rhs, system.rhs[free] - a[free][:, bd] @ g)
+
+
+def test_dirichlet_elimination_allocates_no_matrix(traced_peak):
+    # the reduced system holds A itself: 4.7 float vectors of n_dofs
+    # entries, where the two slices of A took 115
+    case = case_lshape2d()
+    space = build_space(case.mesh(16), ADINI_TYPE)
+    system = assemble(space, case.source)
+    g = boundary_values_from_case(space, case)
+    reduced = []
+    peak = traced_peak(lambda: reduced.append(apply_dirichlet(system, g)))
+    assert reduced[0].matrix is system.matrix
+    assert 12 * system.matrix.nnz > 40 * 8 * space.n_dofs
+    assert peak <= 6 * 8 * space.n_dofs
 
 
 @pytest.mark.parametrize("mesh, family", [
@@ -351,7 +400,7 @@ def test_apply_stiffness_matches_the_reduced_matrix(mesh, family, monkeypatch):
     free = space.free_dofs()
     x = np.zeros(space.n_dofs)
     x[free] = np.random.default_rng(7).standard_normal(len(free))
-    want = reduced.matrix @ x[free]
+    want = reduced.free_block() @ x[free]
     # one block, then blocks of 5 cells, the last one short
     assert space.mesh.n_cells % 5 != 0
     for block_points in (BLOCK_POINTS, 5 * space.element.n_dofs ** 2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from test_solver import CUBICS
+from test_solver import CUBICS, assert_factors_equal
 from triharm.analysis import broken_norms, solve_case
 from triharm.assembly import (
     BLOCK_POINTS, DATA_Q, apply_dirichlet, assemble, derivative_multiindices,
@@ -14,7 +14,7 @@ from triharm.interpolation import boundary_values_from_case, canonical_interpola
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.multigrid import VCycle, coarsen, prolongation, solve_cg
 from triharm.reference import ADINI_TYPE, MORLEY
-from triharm.solver import nested_dissection, solve_direct
+from triharm.solver import cholesky, nested_dissection, solve_direct
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -156,8 +156,9 @@ def reduced_system(case, mesh, family):
 def test_vcycle_is_symmetric_positive_definite():
     reduced = reduced_system(case_lshape2d(), lshape_mesh(4), ADINI_TYPE)
     vcycle = VCycle(reduced)
-    assert [a.shape[0] for a in vcycle.matrices] == [165, 25, 0]
-    m = np.column_stack([vcycle(e) for e in np.eye(reduced.matrix.shape[0])])
+    assert [a.shape[0] for a in vcycle.matrices] == [165, 25]
+    assert len(vcycle.exact.perm) == 0
+    m = np.column_stack([vcycle(e) for e in np.eye(len(reduced.free))])
     np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max())
     assert np.linalg.eigvalsh((m + m.T) / 2)[0] > 0
 
@@ -190,7 +191,12 @@ def test_coarsest_level_is_ordered_by_its_own_space(build, sizes):
     # assembled on the coarsest space, in nested-dissection order of its DoFs
     reduced = build()
     vcycle = VCycle(reduced)
-    assert [a.shape[0] for a in vcycle.matrices] == sizes
+    levels = len(vcycle.prolongations)
+    free_dofs = [p.shape[0] for p in vcycle.prolongations] + [len(vcycle.exact.perm)]
+    assert free_dofs == sizes
+    # the smoothed levels; a one-level hierarchy keeps the operator of CG
+    assert [a.shape[0] for a in vcycle.matrices] == sizes[:max(levels, 1)]
+    assert (vcycle.matrices[0] != reduced.free_block()).nnz == 0
     for p, fine, coarse in zip(vcycle.prolongations[:-1], vcycle.matrices,
                                vcycle.matrices[1:]):
         assert (coarse != p.T @ fine @ p).nnz == 0
@@ -199,9 +205,8 @@ def test_coarsest_level_is_ordered_by_its_own_space(build, sizes):
         mesh = coarser
     space = build_space(mesh, reduced.space.element.family)
     free = space.free_dofs()
-    assembled = assemble(space, None).matrix[free][:, free]
-    assert vcycle.matrices[-1].shape == assembled.shape
-    assert (vcycle.matrices[-1] != assembled).nnz == 0
+    assert_factors_equal(vcycle.exact,
+                         cholesky(assemble(space, None).matrix, space).factors)
     perm, _ = nested_dissection(space.dof_points[free], mesh.axis_nodes)
     np.testing.assert_array_equal(vcycle.exact.perm, perm)
 

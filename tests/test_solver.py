@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
@@ -31,9 +32,10 @@ def small_system() -> ReducedSystem:
 
 
 def with_matrix(system: ReducedSystem, edit) -> ReducedSystem:
-    """``system`` with ``edit`` applied to a LIL copy of its matrix."""
+    """``system`` with ``edit(a, free)`` applied to a LIL copy of its matrix
+    A, on all DoFs, and its free DoFs."""
     a = system.matrix.tolil()
-    edit(a)
+    edit(a, system.free)
     return dataclasses.replace(system, matrix=a.tocsr())
 
 
@@ -42,7 +44,7 @@ def test_direct_residual_on_a_small_assembled_system():
     x, report = solve_direct(system)
     assert report.method == "direct"
     assert report.relative_residual <= 1e-10
-    resid = np.linalg.norm(system.matrix @ x - system.rhs)
+    resid = np.linalg.norm(system.free_block() @ x - system.rhs)
     assert resid <= 1e-10 * np.linalg.norm(system.rhs)
 
 
@@ -56,8 +58,8 @@ def test_cg_agrees_with_direct():
 
 
 def test_cg_rejects_indefinite_diagonal():
-    def negate(a):
-        a[5, 5] = -a[5, 5]
+    def negate(a, free):
+        a[free[5], free[5]] = -a[free[5], free[5]]
     with pytest.raises(SolverError, match="diagonal"):
         solve_cg(with_matrix(small_system(), negate))
 
@@ -78,7 +80,8 @@ def test_cg_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 def test_empty_system():
     # one cell: every DoF lies on the boundary
     _, empty = assembled(case_smooth2d(), ADINI_TYPE, 1)
-    assert empty.matrix.shape == (0, 0) and len(empty.free) == 0
+    assert empty.free_block().shape == (0, 0) and len(empty.free) == 0
+    assert empty.matrix.shape == (empty.space.n_dofs,) * 2
     for solve in (solve_direct, solve_cg):
         x, report = solve(empty)
         assert x.size == 0 and report.relative_residual == 0.0
@@ -169,7 +172,7 @@ def test_separators_decouple_their_subtrees(build):
     system, reduced = build()
     space = system.space
     # the dissection of the free DoFs that solve_direct orders, and of all DoFs
-    assert_separators_decouple(reduced.matrix, space.dof_points[reduced.free],
+    assert_separators_decouple(reduced.free_block(), space.dof_points[reduced.free],
                                space.mesh.axis_nodes)
     assert_separators_decouple(system.matrix, space.dof_points,
                                space.mesh.axis_nodes)
@@ -209,7 +212,7 @@ def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
         "alternating2d-adini-8x6", "alternating3d-morley-4x6x4"])
 def test_fronts_form_an_elimination_tree(build):
     _, reduced = build()
-    n = reduced.matrix.shape[0]
+    n = len(reduced.free)
     perm, fronts = free_dissection(reduced)
     # the fronts' ranges cover 0..n-1 once, in list order
     assert [f.start for f in fronts] == [0] + [f.stop for f in fronts[:-1]]
@@ -225,9 +228,10 @@ def test_fronts_form_an_elimination_tree(build):
         size.append(i - end + 1)
     assert size[-1] == len(fronts)
 
-    rows, runs, entries = symbolic(reduced.matrix, perm, fronts)
+    dofs = reduced.free[perm]
+    rows, runs, entries = symbolic(reduced.matrix, dofs, fronts)
     assert len(rows[-1]) == 0
-    dense = reduced.matrix.toarray()[perm][:, perm]
+    dense = reduced.matrix.toarray()[dofs][:, dofs]
     lower = np.zeros_like(dense)
 
     def front_rows(i):
@@ -264,7 +268,8 @@ def test_direct_agrees_with_colamd_lu(case, family, n):
     x, report = solve_direct(reduced)
     assert report.ordering == "nested-dissection"
     assert 0 < report.factor_seconds <= report.seconds
-    reference = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD").solve(reduced.rhs)
+    lu = spla.splu(reduced.free_block().tocsc(), permc_spec="COLAMD")
+    reference = lu.solve(reduced.rhs)
     err = np.abs(x - reference).max() / np.abs(reference).max()
     assert err <= 1e-10
 
@@ -303,9 +308,9 @@ SHARING_IDS = ["smooth2d-adini-32", "lshape2d-adini-16", "smooth3d-morley-8"]
 def reference_factors(matrix, space):
     """``(L11, L21)`` of every front, each front factored on its own: the
     numeric loop of ``cholesky`` without classes, the update matrices kept."""
-    perm, fronts = nested_dissection(space.dof_points[space.free_dofs()],
-                                     space.mesh.axis_nodes)
-    rows, runs, entries = symbolic(matrix, perm, fronts)
+    free = space.free_dofs()
+    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
+    rows, runs, entries = symbolic(matrix, free[perm], fronts)
     factors, updates = [], []
     for front, upd, (pos, val) in zip(fronts, rows, entries):
         k, m = front.stop - front.start, len(upd)
@@ -367,7 +372,7 @@ def test_a_nudged_value_splits_its_front_and_the_ancestors_off():
     path = [front]
     while path[-1] in parent:
         path.append(parent[path[-1]])
-    dof = factor.perm[fronts[front].start]
+    dof = reduced.free[factor.perm[fronts[front].start]]
     matrix = reduced.matrix.copy()
     matrix[dof, dof] = np.nextafter(matrix[dof, dof], np.inf)
     nudged = cholesky(matrix, reduced.space)
@@ -388,7 +393,7 @@ def test_distinct_blocks_of_l_are_smaller_than_the_fill():
 def test_nested_dissection_fills_less_than_colamd():
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     _, report = solve_direct(reduced)
-    lu = spla.splu(reduced.matrix.tocsc(), permc_spec="COLAMD")
+    lu = spla.splu(reduced.free_block().tocsc(), permc_spec="COLAMD")
     # the Cholesky factor L alone against the L half of COLAMD's LU
     assert 0 < report.fill < lu.L.nnz
 
@@ -400,9 +405,9 @@ def test_cg_report_has_no_factorization():
 
 
 def test_singular_matrix_raises():
-    def drop(a):
-        a[7, :] = 0.0
-        a[:, 7] = 0.0
+    def drop(a, free):
+        a[free[7], :] = 0.0
+        a[:, free[7]] = 0.0
     with pytest.raises(SolverError):
         solve_direct(with_matrix(small_system(), drop))
 
@@ -415,7 +420,8 @@ def test_residual_above_the_bound_raises(monkeypatch):
                         lambda self, b: exact(self, b) * (1 + 1e-6))
     system = small_system()
     x = cholesky(system.matrix, system.space).solve(system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
+    res = (np.linalg.norm(system.free_block() @ x - system.rhs)
+           / np.linalg.norm(system.rhs))
     assert 1e-9 < res < 1e-3
     with pytest.raises(SolverError, match="residual"):
         solve_direct(system)
@@ -429,8 +435,8 @@ def test_indefinite_matrix_fails_in_the_cholesky():
     dof = 11
     pivot = int(np.flatnonzero(perm == dof)[0])
 
-    def negate(a):
-        a[dof, dof] = -a[dof, dof]
+    def negate(a, free):
+        a[free[dof], free[dof]] = -a[free[dof], free[dof]]
     with pytest.raises(SolverError, match=rf"pivot {pivot} \(free DoF {dof}\) is not "
                        "positive") as err:
         solve_direct(with_matrix(system, negate))
@@ -444,8 +450,12 @@ def test_symbolic_rejects_a_pattern_that_crosses_a_separator():
     space = reduced.space
     coarse = build_space(coarsen(space.mesh), ADINI_TYPE)
     p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
+    # on all of the coarse space's DoFs, the shape cholesky takes, with no
+    # entry in a boundary row or column
+    embed = sp.identity(coarse.n_dofs, format="csr")[:, coarse.free_dofs()]
+    galerkin = embed @ (p.T @ reduced.free_block() @ p) @ embed.T
     with pytest.raises(ValueError, match=r"front \d+ .* row \d+ .*crosses a separator"):
-        cholesky((p.T @ reduced.matrix @ p).tocsr(), coarse)
+        cholesky(galerkin.tocsr(), coarse)
 
 
 def one_pass_symbolic(a, perm, fronts):
@@ -490,15 +500,16 @@ def one_pass_symbolic(a, perm, fronts):
     lambda: assembled(case_smooth3d(), MORLEY, 4),
 ], ids=["lshape2d-adini-16", "smooth3d-morley-4"])
 def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
+    # the reference reads a copy of the free block; symbolic reads A
     _, reduced = build()
     perm, fronts = free_dissection(reduced)
-    want = one_pass_symbolic(reduced.matrix, perm, fronts)
+    want = one_pass_symbolic(reduced.free_block(), perm, fronts)
     classes = _classify(fronts, *want[:2], list(want[2]))
     # a chunk per front, chunks of a few fronts, one chunk of all of them
     nnz = reduced.matrix.nnz
     for block_points in (1, nnz // 5, nnz + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries = symbolic(reduced.matrix, perm, fronts)
+        rows, runs, entries = symbolic(reduced.matrix, reduced.free[perm], fronts)
         assert len(rows) == len(want[0]) and runs == want[1]
         for got, ref in zip(rows, want[0]):
             np.testing.assert_array_equal(got, ref)
@@ -515,8 +526,30 @@ def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
     # copy of the whole matrix and int64 positions took 58
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     perm, fronts = free_dissection(reduced)
-    out = []
-    peak = traced_peak(lambda: out.append(symbolic(reduced.matrix, perm, fronts)))
+    dofs, out = reduced.free[perm], []
+    peak = traced_peak(lambda: out.append(symbolic(reduced.matrix, dofs, fronts)))
     lower = sum(len(pos) for pos, _ in out[0][2])
     assert reduced.matrix.nnz > assembly.BLOCK_POINTS      # several chunks
     assert peak <= 45 * lower
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("case, n", [
+    (case_smooth2d(), 8), (case_smooth3d(), 4), (case_lshape2d(), 8),
+], ids=["square-8", "cube-4", "lshape-8"])
+def test_symbolic_reads_the_free_block_of_a_as_its_copy(case, n, family, monkeypatch):
+    # rows, runs, positions and values, bit for bit, from A itself and from
+    # a copy of its free block, with a chunk per front and one chunk in all
+    _, reduced = assembled(case, family, n)
+    perm, fronts = free_dissection(reduced)
+    block = reduced.free_block()
+    for block_points in (1, reduced.matrix.nnz + 1):
+        monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+        rows, runs, entries = symbolic(reduced.matrix, reduced.free[perm], fronts)
+        want_rows, want_runs, want_entries = symbolic(block, perm, fronts)
+        assert runs == want_runs and len(rows) == len(want_rows) == len(fronts)
+        for got, ref in zip(rows, want_rows):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for (pos, val), (ref_pos, ref_val) in zip(entries, want_entries):
+            assert pos.dtype == ref_pos.dtype and np.array_equal(pos, ref_pos)
+            assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
