@@ -15,6 +15,7 @@ the mesh beyond one block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,24 +51,19 @@ DATA_Q = 8
 # quadrature points per block of cells in cell_blocks: 1 MB per float64 array
 BLOCK_POINTS = 1 << 17
 
-_rule_cache: dict[tuple[int, int], GaussRule] = {}
 
-
+@functools.cache
 def gauss_rule(q: int, n: int) -> GaussRule:
-    """Tensor product of the q-point 1D Gauss-Legendre rule on [-1,1]^n."""
+    """Tensor product of the q-point 1D Gauss-Legendre rule on [-1,1]^n,
+    one cached object per (q, n)."""
     if q < 1:
         raise ValueError("need at least one point per axis")
-    key = (q, n)
-    if key in _rule_cache:
-        return _rule_cache[key]
     x, w = np.polynomial.legendre.leggauss(q)
     pts = np.array(list(itertools.product(x, repeat=n)))
     wts = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
     for arr in (pts, wts, x):
         arr.setflags(write=False)
-    rule = GaussRule(n, q, pts, wts, x)
-    _rule_cache[key] = rule
-    return rule
+    return GaussRule(n, q, pts, wts, x)
 
 
 def cell_blocks(mesh, rule: GaussRule):
@@ -117,36 +113,22 @@ def derivative_multiindices(n: int, order: int) -> list[tuple[tuple[int, ...], i
     return out
 
 
-def _reference_grammian(elem: ReferenceElement, alpha: tuple):
-    """G[a, b] = integral of d^alpha phi_a d^alpha phi_b over [-1,1]^n.
-
-    The integrand has per-axis degree at most 2p for shape degree p per
-    axis, so the (p+1)-point Gauss rule (exact to degree 2p+1) is exact.
-    Cached on the element per alpha, read-only.
-    """
-    hit = elem._grammian_cache.get(alpha)
-    if hit is None:
-        rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
-        d = np.matmul(*elem.monomial_table(alpha, rule))
-        hit = elem._grammian_cache[alpha] = d.T @ (rule.weights[:, None] * d)
-        hit.setflags(write=False)
-    return hit
-
-
 def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:
     """Element matrix of the tri-harmonic form in physical coordinates:
     ``[nloc, nloc]`` for half-lengths ``[dim]``, ``[g, nloc, nloc]`` for
     ``[g, dim]``, each matrix with the bits of its own single call.
 
     Entries are taken against the reference nodal basis; the h^order DoF
-    scalings are applied on both sides during global assembly.
+    scalings are applied on both sides during global assembly.  The
+    (p+1)-point rule integrates the Grammians, of degree 2p per axis, exactly.
     """
+    rule = gauss_rule(elem.max_degree_per_axis() + 1, elem.dim)
     h = np.asarray(cell_half_lengths, dtype=float)
     jac = np.prod(h, axis=-1)
     k = np.zeros(h.shape[:-1] + (elem.n_dofs, elem.n_dofs))
     for alpha, mult in derivative_multiindices(elem.dim, 3):
         chain = np.prod(h ** (-2 * np.array(alpha)), axis=-1)
-        k += (mult * jac * chain)[..., None, None] * _reference_grammian(elem, alpha)
+        k += (mult * jac * chain)[..., None, None] * elem.grammian(alpha, rule)
     return k
 
 

@@ -42,7 +42,10 @@ def _axes(points: Points, dim: int) -> tuple[np.ndarray, ...]:
         if len(points) != dim:
             raise ValueError(f"open grid has {len(points)} axes, need {dim}")
         return tuple(np.asarray(x, dtype=float) for x in points)
-    return tuple(np.asarray(points, dtype=float).reshape(-1, dim).T)
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (dim,):
+        raise ValueError(f"points of shape {points.shape}, need [m, {dim}]")
+    return tuple(points.reshape(-1, dim).T)
 
 
 @dataclass

@@ -9,7 +9,6 @@ reader closes stdout early (128 + SIGPIPE, as a shell reports for ``cat``).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import traceback
@@ -18,6 +17,7 @@ import numpy as np
 
 from .analysis import broken_norms, check_levels, convergence_study, solve_case
 from .cases import CASE_NAMES, get_case
+from .multigrid import check_tolerance
 from .reference import family_from_name
 from .solver import SolverError
 from .verify import SUITES, run_suite, suite_dims
@@ -119,10 +119,10 @@ def _check(args) -> None:
             suite_dims(args.suite, args.dims)
             return
         check_levels(args.levels if study else [args.n], study)
+        if args.solver == "cg":
+            check_tolerance(args.tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.solver == "cg" and not 0 < args.tol < math.inf:
-        raise ConfigError(f"CG tolerance must be finite and > 0, got {args.tol}")
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:

@@ -5,7 +5,8 @@ derivatives).  ``quasi_interpolate`` needs point values only, taken through
 ``assembly.cell_moments`` on the open grids of ``assembly.cell_blocks``,
 as the load is: cell-wise L2 projection onto the shape space followed by
 averaging of shared DoFs over the incident cells, with an optional
-homogeneous-boundary variant.
+homogeneous-boundary variant.  The mass matrix is the element's
+``grammian`` of the values on the ``DATA_Q`` rule.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ def quasi_interpolate(space: FeSpace, u, zero_boundary: bool = False) -> np.ndar
     ~1e4-1e6, so the moments go through its Cholesky factor, never through
     an explicit inverse.
     """
-    mesh = space.mesh
-    elem = space.element
-    rule = gauss_rule(DATA_Q, mesh.dim)
-    phi = np.matmul(*elem.monomial_table((0,) * mesh.dim, rule))
-    mass = phi.T @ (rule.weights[:, None] * phi)  # reference cell; Jacobian cancels
+    dim = space.mesh.dim
+    # on the reference cell, the Jacobian cancels
+    mass = space.element.grammian((0,) * dim, gauss_rule(DATA_Q, dim))
     try:
         factor = scipy.linalg.cho_factor(mass)
     except np.linalg.LinAlgError as exc:

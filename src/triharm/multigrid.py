@@ -41,11 +41,12 @@ import scipy.sparse.linalg as spla
 
 from .assembly import ReducedSystem, assemble, group_rows, scatter
 from .mesh import StructuredMesh
-from .solver import SolveReport, SolverError, _residual, cholesky
+from .solver import SolveReport, SolverError, cholesky, relative_residual
 from .space import FeSpace, build_space
 
-__all__ = ["coarsen", "prolongation", "VCycle", "solve_cg"]
+__all__ = ["coarsen", "prolongation", "VCycle", "solve_cg", "check_tolerance"]
 
+CG_MAXITER = 500         # CG iterations before solve_cg gives up
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 30.0   # smoothing interval [lmax / 30, 1.1 lmax]
 LMAX_MARGIN = 1.1
@@ -180,20 +181,24 @@ class VCycle:
         return x + d
 
 
-def solve_cg(system: ReducedSystem, tol: float = 1e-10,
-             maxiter: int = 500) -> tuple[np.ndarray, SolveReport]:
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless the CG tolerance is finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
+
+
+def solve_cg(system: ReducedSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients preconditioned by a multigrid V-cycle.
 
     The V-cycle is built from the system's space, and its coarsest level is
     assembled and factored by ``solver.cholesky``; CG iterates on the
     system's ``free_block()``, the V-cycle's finest matrix.  Raises
     SolverError on a non-positive diagonal entry, a non-positive pivot of
-    the coarsest factorization, or no convergence within ``maxiter``
+    the coarsest factorization, or no convergence within ``CG_MAXITER``
     iterations.  A tolerance that is not finite and positive raises
-    ValueError.
+    ValueError (``check_tolerance``).
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
+    check_tolerance(tol)
     b = system.rhs
     t0 = time.perf_counter()
     if len(b) == 0:
@@ -209,9 +214,9 @@ def solve_cg(system: ReducedSystem, tol: float = 1e-10,
         iters += 1
 
     m = spla.LinearOperator(a.shape, matvec=vcycle, dtype=float)
-    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=m,
+    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=CG_MAXITER, M=m,
                       callback=count)
-    res = _residual(a @ x, b)
+    res = relative_residual(a @ x, b)
     report = SolveReport("cg", iters, res, time.perf_counter() - t0)
     if info != 0 or res > 10 * tol:
         raise SolverError(

@@ -8,9 +8,10 @@ DoFs, is the float inverse certified in integers: scaled by the smallest
 power of two d = 2^k that makes it integral and rounded to C, it is exact
 when V C = d I holds in int64 (Rump, Acta Numerica 19, 2010).  That one
 product proves unisolvence and duality at once.  C over d is the element's
-only data: every derivative d^alpha of the basis is evaluated from it, and
-every exact check is an integer row over the monomials (``functional_rows``)
-times C, under one overflow guard (``exact_product``).
+only data: every derivative d^alpha of the basis and every Grammian
+(``grammian``) is evaluated from it, and every exact check is an integer
+row over the monomials (``functional_rows``) times C, under one overflow
+guard (``exact_product``).
 
 Reference DoFs use xi-derivatives (unit half-lengths); the physical
 functionals are recovered at map time by the h-power scalings stored in the
@@ -19,6 +20,7 @@ finite element space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -284,10 +286,9 @@ class ReferenceElement:
     dofs: list[DofFunctional]
     coeffs: list[list[int]]   # [monomial][basis function]
     denominator: int
-    # (deriv, q, dim) -> (P, C) on that Gauss rule; starts empty, also on
-    # a dataclasses.replace copy with new coeffs
+    # (deriv, q, dim) -> (P, C) and -> Grammian on that Gauss rule; both
+    # start empty, also on a dataclasses.replace copy with new coeffs
     _table_cache: dict = field(default_factory=dict, repr=False, init=False)
-    # alpha -> reference Grammian of d^alpha, filled by assembly
     _grammian_cache: dict = field(default_factory=dict, repr=False, init=False)
 
     @property
@@ -322,6 +323,18 @@ class ReferenceElement:
             hit = self._table_cache[key] = self._tables(deriv, rule.points)
         return hit
 
+    def grammian(self, deriv: tuple[int, ...], rule) -> np.ndarray:
+        """``d.T @ (w d)`` for ``d = P @ C`` of ``monomial_table`` and the
+        rule's weights w, cached per derivative and rule, read-only: the
+        stiffness's Grammians and, for deriv 0, the L2 mass matrix."""
+        key = (tuple(map(int, deriv)), rule.q, rule.dim)
+        hit = self._grammian_cache.get(key)
+        if hit is None:
+            d = np.matmul(*self.monomial_table(deriv, rule))
+            hit = self._grammian_cache[key] = d.T @ (rule.weights[:, None] * d)
+            hit.setflags(write=False)
+        return hit
+
     def _tables(self, deriv, points) -> tuple[np.ndarray, np.ndarray]:
         """(P, C) of ``monomial_table`` at any [m, dim] points, read-only."""
         deriv = tuple(map(int, deriv))
@@ -345,14 +358,9 @@ class ReferenceElement:
         return table, coeffs
 
 
-_element_cache: dict[tuple[Family, int], ReferenceElement] = {}
-
-
+@functools.cache
 def build_dual_basis(family: Family, n: int) -> ReferenceElement:
     """Build (and cache) the reference element with its certified nodal basis."""
-    key = (family, n)
-    if key in _element_cache:
-        return _element_cache[key]
     matrix = dof_matrix(family, n)     # n < 1 or unequal sizes raise as they are
     try:
         coeffs, d = certified_inverse(matrix)
@@ -361,10 +369,8 @@ def build_dual_basis(family: Family, n: int) -> ReferenceElement:
             f"DoF matrix for {family} at n={n} is {exc} (shape space and DoF"
             " set do not pair, or the inverse is not dyadic)"
         ) from exc
-    elem = ReferenceElement(n, family, shape_space(family, n), dof_set(family, n),
+    return ReferenceElement(n, family, shape_space(family, n), dof_set(family, n),
                             coeffs, d)
-    _element_cache[key] = elem
-    return elem
 
 
 # -- closed form -----------------------------------------------------------

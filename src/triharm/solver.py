@@ -48,7 +48,8 @@ from .assembly import ReducedSystem, apply_stiffness
 from .space import FeSpace
 
 __all__ = ["SolveReport", "solve_direct", "SolverError", "Front", "Cholesky",
-           "cholesky", "nested_dissection", "symbolic", "LEAF_DOFS"]
+           "cholesky", "nested_dissection", "symbolic", "relative_residual",
+           "LEAF_DOFS"]
 
 LEAF_DOFS = 64   # a block of fewer free DoFs is not cut: it is one front
 
@@ -83,7 +84,7 @@ class Front:
     children: tuple[int, ...] = ()
 
 
-def _residual(ax, b) -> float:
+def relative_residual(ax, b) -> float:
     """``|A x - b| / |b|`` from the product ``ax``, or ``|A x|`` when b is zero."""
     nb = np.linalg.norm(b)
     if nb == 0:
@@ -459,7 +460,7 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     free = space.free_dofs()
     full = np.zeros(space.n_dofs)
     full[free] = x
-    res = _residual(apply_stiffness(space, full)[free], rhs)
+    res = relative_residual(apply_stiffness(space, full)[free], rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
                          ordering="nested-dissection", fill=factor.fill,
                          factor_seconds=factor.seconds,

@@ -1,5 +1,6 @@
 """Quadrature, element matrices, and global assembly of the sixth-order form."""
 
+import collections
 import dataclasses
 import math
 import sys
@@ -16,7 +17,9 @@ from triharm.assembly import (
     derivative_multiindices, element_stiffness, gauss_rule, group_rows, reconstruct,
 )
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
-from triharm.interpolation import boundary_values_from_case, canonical_interpolate
+from triharm.interpolation import (
+    boundary_values_from_case, canonical_interpolate, quasi_interpolate,
+)
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.reference import ADINI_TYPE, MORLEY, Q1, build_dual_basis
 from triharm.space import build_space
@@ -40,6 +43,17 @@ def test_gauss_rule_tensor_weights():
     # points are the tensor product of the nodes, last axis fastest
     grid = np.stack(np.meshgrid(*[rule.nodes] * 3, indexing="ij"), axis=-1)
     np.testing.assert_array_equal(rule.points, grid.reshape(-1, 3))
+
+
+def test_gauss_rule_is_one_object_per_rule_and_caches_no_failure():
+    rule = gauss_rule(5, 2)
+    assert gauss_rule(5, 2) is rule
+    assert gauss_rule(5, 3) is not rule and gauss_rule(4, 2) is not rule
+    size = gauss_rule.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least one point"):
+            gauss_rule(0, 2)
+    assert gauss_rule.cache_info().currsize == size
 
 
 def test_derivative_multiindices_order3():
@@ -353,6 +367,36 @@ def test_a_second_assembly_computes_no_grammian(family, monkeypatch):
     for a, b in ((first.indptr, second.indptr), (first.indices, second.indices),
                  (first.data.view(np.int64), second.data.view(np.int64))):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_assembly_and_quasi_interpolation_read_the_elements_grammians(family,
+                                                                     monkeypatch):
+    # the stiffness and the L2 mass are Grammians of the element, which a
+    # copy computes once per (alpha, rule), each with one monomial_table
+    # call; cell_moments reads the values' table once per quasi-interpolant
+    space = build_space(uniform_mesh(UNIT_SQUARE, (3, 2)), family)
+    elem = dataclasses.replace(space.element)
+    space = dataclasses.replace(space, element=elem)
+    calls = collections.Counter()
+    table = elem.monomial_table
+
+    def counted(deriv, rule):
+        calls[tuple(deriv), rule.q] += 1
+        return table(deriv, rule)
+
+    monkeypatch.setattr(elem, "monomial_table", counted)
+    u = case_smooth2d().u
+    first = (assemble(space, None).matrix.data, quasi_interpolate(space, u))
+    for _ in range(2):
+        again = (assemble(space, None).matrix.data, quasi_interpolate(space, u))
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                   for a, b in zip(first, again))
+    stiffness_q = elem.max_degree_per_axis() + 1
+    want = {(alpha, stiffness_q): 1 for alpha, _ in derivative_multiindices(2, 3)}
+    want[(0, 0), assembly.DATA_Q] = 1 + 3
+    assert calls == want
+    assert {(a, q) for a, q, _ in elem._grammian_cache} == set(want)
 
 
 def test_dirichlet_reduction_matches_two_row_slices():

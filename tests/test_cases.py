@@ -1,6 +1,7 @@
 """Manufactured solutions: sources, derivatives, finite-difference oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -300,6 +301,24 @@ def test_open_grid_from_ix_and_zero_results_keep_the_broadcast_shape():
     assert case_lshape2d().source(grid).shape == (3, 5)
     with pytest.raises(ValueError):
         case.derivative((0, 0), grid + (grid[0],))
+
+
+WIDTH_CASES = {
+    "smooth2d": case_smooth2d,
+    "lshape2d": case_lshape2d,
+    "polynomial": lambda: polynomial_case({(2, 1): 1}, BoxDomain((0.0, 0.0), (1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (4, 1), (5,)])
+@pytest.mark.parametrize("name", sorted(WIDTH_CASES))
+def test_dense_points_of_the_wrong_width_raise(name, shape):
+    # a dense array is [m, dim]: a [4, 3] or [3, 4] array is not six 2D points
+    case = WIDTH_CASES[name]()
+    for fn in (case.u, case.source, lambda pts: case.derivative((1, 2), pts)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            fn(np.zeros(shape))
+    assert case.u(np.full((4, 2), 0.5)).shape == (4,)
 
 
 def test_lshape_reuses_polar_data_with_bit_identical_values():

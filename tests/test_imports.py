@@ -1,6 +1,7 @@
 """Every import in the package and its tests is used, every function and
-class the package defines is referenced, and the package imports neither
-``fractions`` nor the tests."""
+class the package defines is referenced, no package module reads another
+module's private names, and the package imports neither ``fractions`` nor
+the tests."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,41 @@ def test_no_dead_definitions_in_the_package():
     dead = {str(p.relative_to(ROOT)): names for p in (ROOT / "src").rglob("*.py")
             if (names := [n for n in definitions(p.read_text()) if n not in used])}
     assert dead == {}
+
+
+def private_reads(source: str) -> list[str]:
+    """The ``_``-prefixed names a module imports, and the ``_``-prefixed
+    attributes it reads of anything but ``self`` or ``cls``; dunder names
+    such as ``__name__`` are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in (
+                "self", "cls"):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scan_sees_private_names_of_other_modules():
+    source = ("from __future__ import annotations\n"
+              "from .solver import _residual, cholesky\n"
+              "x = elem._cache.get(self._key)\n"
+              "y = cls._made, type(x).__name__, f()._last\n")
+    assert private_reads(source) == ["line 2: _residual", "line 3: _cache",
+                                     "line 4: _last"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_reads_another_modules_private_names(path):
+    # a module's private names are its own: what another module needs is
+    # public, under a name it can be held to
+    assert private_reads(path.read_text()) == []
 
 
 def test_the_package_imports_no_fractions_and_no_tests():

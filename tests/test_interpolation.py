@@ -17,7 +17,7 @@ from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
 from triharm.mesh import BoxDomain, lshape_mesh, uniform_mesh
-from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.reference import ADINI_TYPE, MORLEY, build_dual_basis
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -126,6 +126,27 @@ def test_canonical_makes_the_same_derivative_calls_as_a_per_dof_loop(family):
         np.testing.assert_array_equal(points, space.dof_points[idx])
         want[idx] = case_lshape2d().derivative(alpha, points)
     np.testing.assert_array_equal(coeffs, want)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_mass_matrix_is_the_elements_grammian_of_the_values(family, n,
+                                                                monkeypatch):
+    # quasi_interpolate factors the element's cached Grammian, which has the
+    # bits of phi^T (w phi) on the DATA_Q rule
+    elem, rule = build_dual_basis(family, n), gauss_rule(DATA_Q, n)
+    phi = np.matmul(*elem.monomial_table((0,) * n, rule))
+    mass = elem.grammian((0,) * n, rule)
+    want = phi.T @ (rule.weights[:, None] * phi)
+    assert np.array_equal(mass.view(np.int64), want.view(np.int64))
+    assert not mass.flags.writeable
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda a: factored.append(a) or cho_factor(a))
+    space = build_space(uniform_mesh(BoxDomain((0.0,) * n, (1.0,) * n), 2), family)
+    quasi_interpolate(space, lambda grid: 1.0)
+    assert len(factored) == 1 and factored[0] is mass
 
 
 def dense_quasi_interpolate(space, u):

@@ -19,6 +19,15 @@ from triharm.reference import (
 from triharm.verify import _families_for
 
 
+@pytest.fixture
+def fresh_elements():
+    """An empty element cache, so a patched build is not read from it,
+    emptied again afterwards, so no patched element outlives the test."""
+    build_dual_basis.cache_clear()
+    yield
+    build_dual_basis.cache_clear()
+
+
 def gauss_jordan_inverse(matrix):
     """Oracle: plain Gauss-Jordan elimination over Fractions (zero entries
     are skipped, which keeps the 4D elements to seconds)."""
@@ -158,12 +167,12 @@ def test_built_float_coefficients_round_the_exact_inverse(n):
 
 @pytest.mark.parametrize("matrix", [[[1, 2], [2, 4]], [[2, 1], [1, 2]]],
                          ids=["singular", "inverse-over-3"])
-def test_a_matrix_without_a_dyadic_inverse_is_not_certified(matrix, monkeypatch):
+def test_a_matrix_without_a_dyadic_inverse_is_not_certified(matrix, monkeypatch,
+                                                           fresh_elements):
     with pytest.raises(ValueError, match="not certified"):
         certified_inverse(matrix)
     # as the DoF matrix of every family: no element, and no unisolvence
     monkeypatch.setattr(reference, "dof_matrix", lambda family, n: matrix)
-    monkeypatch.setattr(reference, "_element_cache", {})
     with pytest.raises(ValueError, match="not certified"):
         build_dual_basis(Q1, 1)
     rep = verify.verify_unisolvence((1,))
@@ -256,7 +265,7 @@ def test_dof_rows_shift_the_derivative():
     assert shifted == want
 
 
-def test_singular_dof_matrix_does_not_pair(monkeypatch):
+def test_singular_dof_matrix_does_not_pair(monkeypatch, fresh_elements):
     real = reference.shape_space
 
     def repeated(family, n):
@@ -264,7 +273,6 @@ def test_singular_dof_matrix_does_not_pair(monkeypatch):
         return mono[:-1] + mono[:1]
 
     monkeypatch.setattr(reference, "shape_space", repeated)
-    monkeypatch.setattr(reference, "_element_cache", {})
     with pytest.raises(ValueError, match="do not pair"):
         build_dual_basis(MORLEY, 2)
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from triharm import assembly
+from triharm import assembly, multigrid
 from triharm.analysis import broken_norms
 from triharm.assembly import ReducedSystem, apply_dirichlet, assemble, reconstruct
 from triharm.cases import (
@@ -64,11 +64,12 @@ def test_cg_rejects_indefinite_diagonal():
         solve_cg(with_matrix(small_system(), negate))
 
 
-def test_cg_nonconvergence_raises():
+def test_cg_nonconvergence_raises(monkeypatch):
     # an assembled system: on a one-level hierarchy the V-cycle is an exact solve
     _, system = assembled(case_lshape2d(), ADINI_TYPE, 8)
+    monkeypatch.setattr(multigrid, "CG_MAXITER", 2)
     with pytest.raises(SolverError, match="failed to converge"):
-        solve_cg(system, tol=1e-14, maxiter=2)
+        solve_cg(system, tol=1e-14)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
