@@ -8,7 +8,7 @@ elements' unisolvence, weak-continuity, and patch-test properties.
 """
 
 from .analysis import ErrorReport, broken_norms, convergence_study, solve_case
-from .assembly import apply_dirichlet, assemble, gauss_rule
+from .assembly import apply_dirichlet, assemble, gauss_rule, load_vector
 from .cases import (
     CASE_NAMES, ManufacturedCase, case_lshape2d, case_smooth2d, case_smooth3d,
     get_case, polynomial_case,
@@ -37,7 +37,7 @@ __all__ = [
     "broken_norms", "build_dual_basis", "build_space",
     "canonical_interpolate", "case_lshape2d", "case_smooth2d",
     "case_smooth3d", "convergence_study", "family_from_name", "gauss_rule",
-    "get_case", "lshape_mesh", "partial_adini", "polynomial_case",
+    "get_case", "load_vector", "lshape_mesh", "partial_adini", "polynomial_case",
     "quasi_interpolate", "run_suite", "solve_case", "solve_cg",
     "solve_direct", "uniform_mesh",
 ]

@@ -8,7 +8,6 @@ not grow with the mesh.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .assembly import (
     DATA_Q, apply_dirichlet, assemble, cell_blocks, derivative_multiindices,
-    gauss_rule, reconstruct,
+    gauss_rule, load_vector, reconstruct,
 )
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
@@ -75,21 +74,20 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
 def solve_case(case: ManufacturedCase, family: Family, n: int,
                solver: str = "direct", cg_tol: float = 1e-10,
                ) -> tuple[FeSpace, np.ndarray, SolveReport]:
-    """Assemble, impose exact-DoF boundary data, and solve one refinement."""
-    if solver == "direct":
-        solve = solve_direct
-    elif solver == "cg":
-        solve = functools.partial(solve_cg, tol=cg_tol)
-    else:
+    """Impose exact-DoF boundary data on one refinement and solve it.
+
+    The direct solver builds the stiffness matrix's rows where it reads
+    them, so only CG assembles the matrix on all DoFs."""
+    if solver not in ("direct", "cg"):
         raise ValueError(f"unknown solver {solver!r}")
     space = build_space(case.mesh(n), family)
     g = boundary_values_from_case(space, case)
-    # no name holds a system, and the reduced system holds A itself, so A
-    # is freed once solve_direct has read it, before the numeric factor.
-    # That needs CPython 3.11 or later, whose calls move their arguments
-    # into the callee: on 3.10, and under a wrapper that holds its
-    # arguments (the benchmark's tracer), A lives through the solve
-    x, report = solve(apply_dirichlet(assemble(space, case.source), g))
+    if solver == "direct":
+        x, report = solve_direct(apply_dirichlet(space, load_vector(space, case.source), g))
+    else:
+        system = assemble(space, case.source)
+        x, report = solve_cg(apply_dirichlet(space, system.rhs, g), system.matrix,
+                             tol=cg_tol)
     return space, reconstruct(space, x, g), report
 
 

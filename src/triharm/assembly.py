@@ -11,6 +11,12 @@ quasi-interpolant integrate their data on them through ``cell_moments``,
 the error norms theirs, so a separable function costs q evaluations per
 axis and cell rather than q^dim, and no array of point data grows with
 the mesh beyond one block.
+
+The stiffness matrix A's entries are formed in one place, the row builder
+of ``stiffness_rows``: any set of A's rows, built from the element
+matrices with the bits of the same rows of A built at once.  ``assemble``
+builds all of them for CG; the direct solver and the Dirichlet
+elimination build only the rows they read, a block at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from .space import FeSpace
 __all__ = [
     "GaussRule", "gauss_rule", "DATA_Q", "BLOCK_POINTS", "cell_blocks",
     "cell_moments", "derivative_multiindices",
-    "element_stiffness", "group_rows", "scatter", "assemble",
-    "apply_stiffness", "SparseSymSystem", "ReducedSystem", "apply_dirichlet",
-    "reconstruct",
+    "element_stiffness", "group_rows", "block_bounds", "RowBuilder",
+    "stiffness_rows", "load_vector", "assemble", "apply_stiffness",
+    "SparseSymSystem", "ReducedSystem", "apply_dirichlet", "reconstruct",
 ]
 
 
@@ -134,7 +140,7 @@ def element_stiffness(cell_half_lengths, elem: ReferenceElement) -> np.ndarray:
 
 @dataclass
 class SparseSymSystem:
-    """Assembled global system prior to boundary elimination."""
+    """The stiffness matrix A on all DoFs of ``space``, and the load."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -159,75 +165,131 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rounded[new], group
 
 
-def scatter(local: np.ndarray, group: np.ndarray, rows: np.ndarray,
-            cols: np.ndarray, shape: tuple[int, int], weigh) -> sp.csr_matrix:
-    """Sum the cells' local matrices into a CSR matrix of ``shape``: row a
-    of ``local[group[c]]``, scaled in place by ``weigh(block, cells, a)``,
-    goes to global row ``rows[c, a]`` and columns ``cols[c]``.
+def block_bounds(before: np.ndarray) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges of consecutive items, one for every
+    ``BLOCK_POINTS`` entries: the items whose first entry falls in the same
+    block form one range, where ``before[i]`` counts the entries before
+    item i."""
+    cuts = (np.flatnonzero(np.diff(before // BLOCK_POINTS)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(before)]))
 
-    Row r is filled, in blocks of about ``BLOCK_POINTS`` entries, with the
-    row a of each cell that has r as its local row a, in mesh order: the
-    order ``coo_tocsr`` gives COO triples listed by cell, then row-major.
-    SciPy's ``sum_duplicates`` sorts each row by column with an unstable
-    sort (``csr_sort_indices``) and sums in the sorted order, so the last
-    bits of A and P follow from the fill order without being it.  The
-    sums' explicit zeros are kept, the indices are int32 while the entries
-    fit, as ``tocsr`` picks them, and ``indices`` and ``data`` are arrays
-    of their own of exactly nnz entries.
+
+class RowBuilder:
+    """Rows of the CSR matrix of ``shape`` that sums the cells' local
+    matrices: row a of ``local[group[c]]``, scaled in place by
+    ``weigh(block, cells, a)``, goes to global row ``rows[c, a]`` and
+    columns ``cols[c]``.
+
+    ``builder(r)`` fills row r[i] with the row a of each cell that has
+    r[i] as its local row a, in mesh order: the order ``coo_tocsr`` gives
+    COO triples listed by cell, then row-major.  SciPy's ``sum_duplicates``
+    then sorts each row by column with an unstable sort
+    (``csr_sort_indices``) and sums in the sorted order, row by row, so a
+    row's last bits follow from its own fill.  SciPy skips the sort only
+    when every row is sorted already; the builder tells it whether every
+    row of the whole matrix is, so any set of rows has the bits of the
+    same rows built all at once.  The sums' explicit zeros are kept, and
+    the indices are int32 while all entries fit, as ``tocsr`` picks them.
+    ``entries[r]`` counts row r's entries before the sum.
     """
-    nloc = rows.shape[1]
-    entries = rows.size * nloc
-    itype = (np.int32 if max(entries, *shape) <= np.iinfo(np.int32).max
-             else np.int64)
-    # a stable sort of the (cell, local row) pairs by global row lists each
-    # row's pairs in mesh order, so pair p fills slots p * nloc onwards
-    order = np.argsort(rows, axis=None, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=itype)
-    indptr[1:] = np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * nloc)
-    data = np.empty((len(order), nloc))
-    indices = np.empty((len(order), nloc), dtype=itype)
-    step = max(1, BLOCK_POINTS // nloc)
-    for lo in range(0, len(order), step):
-        cell, a = np.divmod(order[lo:lo + step], nloc)
-        data[lo:lo + step] = local[group[cell], a]
-        weigh(data[lo:lo + step], cell, a)
-        indices[lo:lo + step] = cols[cell]
-    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
-    del data, indices, order
-    mat.sum_duplicates()
-    # SciPy keeps the pre-sum arrays under its results when the sums leave
-    # more than half of the entries; copying the indices before the data
-    # frees the first pre-sum array before the larger copy is made
-    mat.indices = mat.indices.copy()
-    mat.data = mat.data.copy()
-    return mat
+
+    def __init__(self, local: np.ndarray, group: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, shape: tuple[int, int], weigh):
+        self.local, self.group, self.shape, self.weigh = local, group, shape, weigh
+        self.nloc = rows.shape[1]
+        self.itype = (np.int32 if max(rows.size * self.nloc, *shape)
+                      <= np.iinfo(np.int32).max else np.int64)
+        self.cols = cols.astype(self.itype)
+        # a stable sort of the (cell, local row) pairs by global row lists
+        # each row's pairs in mesh order: row r's are order[start[r]:start[r + 1]]
+        self.order = np.argsort(rows, axis=None, kind="stable")
+        count = np.bincount(rows.ravel(), minlength=shape[0])
+        self.start = np.concatenate(([0], np.cumsum(count)))
+        self.entries = count * self.nloc
+        # a row is sorted when each of its cells' columns ascend and each
+        # cell's last column is at most the next cell's first
+        row, cell = rows.ravel()[self.order], self.order // self.nloc
+        self.sorted = bool((np.diff(cols, axis=1) >= 0).all() and np.all(
+            (cols[cell[:-1], -1] <= cols[cell[1:], 0]) | (row[1:] != row[:-1])))
+
+    def __call__(self, r: np.ndarray) -> sp.csr_matrix:
+        """Rows ``r`` as a CSR matrix of ``(len(r), shape[1])``, summed."""
+        first, count = self.start[r], self.start[r + 1] - self.start[r]
+        ends = np.cumsum(count)
+        at = (np.arange(ends[-1] if len(ends) else 0)
+              + np.repeat(first - ends + count, count))
+        cell, a = np.divmod(self.order[at], self.nloc)
+        data = self.local[self.group[cell], a]
+        self.weigh(data, cell, a)
+        indptr = np.zeros(len(r) + 1, dtype=self.itype)
+        indptr[1:] = ends * self.nloc
+        mat = sp.csr_matrix((data.ravel(), self.cols[cell].ravel(), indptr),
+                            shape=(len(r), self.shape[1]))
+        mat.has_sorted_indices = self.sorted
+        mat.sum_duplicates()
+        return mat
+
+    def blocks(self, r: np.ndarray) -> list[tuple[int, int]]:
+        """``(lo, hi)`` slices of ``r`` of about ``BLOCK_POINTS`` entries
+        before the sum each (``block_bounds``)."""
+        return block_bounds(np.concatenate(([0], np.cumsum(self.entries[r])))[:-1])
+
+    def matrix(self) -> sp.csr_matrix:
+        """All rows, built a block at a time (``blocks``); ``indices`` and
+        ``data`` are arrays of their own of exactly nnz entries."""
+        indptr = np.zeros(self.shape[0] + 1, dtype=self.itype)
+        indices, data = [], []
+        for lo, hi in self.blocks(np.arange(self.shape[0])):
+            b = self(np.arange(lo, hi))
+            indptr[lo + 1:hi + 1] = indptr[lo] + b.indptr[1:]
+            # copies of the sums alone, so that no block's pre-sum arrays
+            # outlive it
+            indices.append(b.indices.copy())
+            data.append(b.data.copy())
+        indices = np.concatenate(indices)
+        data = np.concatenate(data)
+        mat = sp.csr_matrix((data, indices, indptr), shape=self.shape)
+        # SciPy's constructor keeps views of the arrays it is given
+        mat.indices, mat.data = indices, data
+        mat.has_canonical_format = True
+        return mat
 
 
-def assemble(space: FeSpace, f) -> SparseSymSystem:
-    """Assemble the global stiffness matrix and load vector.
-
-    The load is ``cell_moments(space, f)`` times each cell's Jacobian and
-    DoF scalings, summed over the cells in mesh order by ``np.bincount``.
-    Pass None for ``f`` for a zero right-hand side.
+def stiffness_rows(space: FeSpace) -> RowBuilder:
+    """The row builder of the stiffness matrix A on ``space``, the one
+    place A's entries are formed.
 
     Cells share one element matrix per group of their half-lengths
-    (``group_rows``), scaled as ``(k_ab s_a) s_b``; ``scatter`` sums them.
+    (``group_rows``), scaled as ``(k_ab s_a) s_b``.
     """
-    mesh = space.mesh
-    idx, scale, n = space.cell_dof_indices, space.cell_scalings, space.n_dofs
-
-    rhs = np.zeros(n)
-    if f is not None:
-        jac = np.prod(mesh.cell_half_lengths, axis=1)[:, None]
-        fe = scale * (jac * cell_moments(space, f))   # [nc, nloc]
-        rhs = np.bincount(idx.ravel(), fe.ravel(), n)
+    idx, scale = space.cell_dof_indices, space.cell_scalings
 
     def weigh(block, cell, a):
         block *= scale[cell, a][:, None]
         block *= scale[cell]
 
     k, group = _grouped_stiffness(space)
-    return SparseSymSystem(scatter(k, group, idx, idx, (n, n), weigh), rhs, space)
+    return RowBuilder(k, group, idx, idx, (space.n_dofs,) * 2, weigh)
+
+
+def load_vector(space: FeSpace, f) -> np.ndarray:
+    """The load: ``cell_moments(space, f)`` times each cell's Jacobian and
+    DoF scalings, summed over the cells in mesh order by ``np.bincount``;
+    zero for ``f`` None."""
+    if f is None:
+        return np.zeros(space.n_dofs)
+    jac = np.prod(space.mesh.cell_half_lengths, axis=1)[:, None]
+    fe = space.cell_scalings * (jac * cell_moments(space, f))   # [nc, nloc]
+    return np.bincount(space.cell_dof_indices.ravel(), fe.ravel(), space.n_dofs)
+
+
+def assemble(space: FeSpace, f) -> SparseSymSystem:
+    """The stiffness matrix A on all DoFs, every row of ``stiffness_rows``
+    built a block at a time, and the load (``load_vector``).  Only CG
+    iterates on A; the direct solver builds its rows where it reads them.
+    """
+    rhs = load_vector(space, f)
+    return SparseSymSystem(stiffness_rows(space).matrix(), rhs, space)
 
 
 def _grouped_stiffness(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -263,16 +325,15 @@ class ReducedSystem:
     """The system on the free DoFs of ``space`` after symmetric boundary
     elimination.
 
-    ``matrix`` is the stiffness matrix A that ``assemble`` built, on all
-    DoFs of ``space``, neither sliced nor copied: the system's matrix is
-    its principal submatrix on the free DoFs, which the direct solver
-    reads from A row by row and ``free_block`` copies out for CG.
-    ``space`` is the space the system was assembled on.  Its DoF anchors
-    and vertex planes let the direct solver order the unknowns by nested
-    dissection, and its mesh lets CG build a multigrid hierarchy.
+    Its matrix is the principal submatrix of the stiffness matrix A on the
+    free DoFs, which no field holds: the direct solver builds A's rows
+    from the element matrices as it reads them (``stiffness_rows``), and
+    CG takes A from ``assemble``.  ``space`` is the space of the system.
+    Its DoF anchors and vertex planes let the direct solver order the
+    unknowns by nested dissection, and its mesh lets CG build a multigrid
+    hierarchy.
     """
 
-    matrix: sp.csr_matrix
     rhs: np.ndarray
     boundary_values: np.ndarray
     space: FeSpace
@@ -281,24 +342,20 @@ class ReducedSystem:
     def free(self) -> np.ndarray:
         return self.space.free_dofs()
 
-    def free_block(self) -> sp.csr_matrix:
-        """A CSR copy of the system's matrix, A on the free DoFs, built anew
-        on every call."""
-        free = self.free
-        return self.matrix[free][:, free].tocsr()
 
-
-def apply_dirichlet(system: SparseSymSystem,
+def apply_dirichlet(space: FeSpace, rhs: np.ndarray,
                     boundary_values: np.ndarray) -> ReducedSystem:
     """Eliminate boundary DoFs symmetrically.
 
-    ``boundary_values`` holds one value per boundary DoF, in the order of
-    ``space.boundary_dofs()``.  The reduced system holds ``system.matrix``
-    itself.  Its right-hand side is ``rhs - A g`` on the free DoFs, with g
-    extended by zero: the zeros add only +-0.0 to each row's sum, which
-    therefore has the bits of the sum over A's boundary columns alone.
+    ``rhs`` is the load on all DoFs of ``space``; ``boundary_values``
+    holds one value per boundary DoF, in the order of
+    ``space.boundary_dofs()``.  The reduced right-hand side is ``rhs - A
+    g`` on the free DoFs, with g extended by zero and each row of the
+    product summed from +0.0, as SciPy sums it: the zeros add only +-0.0,
+    so a row has the bits of its sum over A's boundary columns alone, and
+    a row with none is +0.0 and leaves rhs's bits.  Only the free rows
+    that share a cell with a boundary DoF are built, a block at a time.
     """
-    space = system.space
     bd = space.boundary_dofs()
     g = np.asarray(boundary_values, dtype=float)
     if g.shape != bd.shape:
@@ -306,8 +363,15 @@ def apply_dirichlet(system: SparseSymSystem,
     g_full = np.zeros(space.n_dofs)
     g_full[bd] = g
     free = space.free_dofs()
-    rhs = system.rhs[free] - (system.matrix @ g_full)[free]
-    return ReducedSystem(system.matrix, rhs, g, space)
+    idx = space.cell_dof_indices
+    coupled = np.zeros(space.n_dofs, dtype=bool)
+    coupled[idx[space.boundary_mask[idx].any(axis=1)]] = True
+    at = np.flatnonzero(coupled[free])      # positions in free of those rows
+    out = rhs[free]
+    rows = stiffness_rows(space)
+    for lo, hi in rows.blocks(free[at]):
+        out[at[lo:hi]] -= rows(free[at[lo:hi]]) @ g_full
+    return ReducedSystem(out, g, space)
 
 
 def reconstruct(space: FeSpace, x_free: np.ndarray,

@@ -3,10 +3,10 @@
 Each case supplies the exact solution, all partial derivatives up to order
 three (vectorized over point arrays), and the source f = (-Delta)^3 u.
 
-Points come in one of two forms: a dense ``[m, dim]`` array, giving values
-of shape ``[m]``, or an open grid, a tuple of ``dim`` coordinate arrays that
-broadcast together (as ``np.ix_`` returns), giving values of the broadcast
-shape.  A separable solution, such as a cosine product or each monomial of
+Points come in one of two forms: a dense ``[..., dim]`` array, giving
+values of its leading shape (``[m]`` for ``[m, dim]`` points), or an open
+grid, a tuple of ``dim`` coordinate arrays that broadcast together (as
+``np.ix_`` returns), giving values of the broadcast shape.  A separable solution, such as a cosine product or each monomial of
 a polynomial, evaluates each factor on its own axis array, so a tensor grid
 of q points per axis costs q, not q^dim, evaluations of a factor.
 An open grid may carry extra broadcast axes, such as the cell axis that
@@ -37,15 +37,17 @@ Points = np.ndarray | tuple[np.ndarray, ...]
 
 
 def _axes(points: Points, dim: int) -> tuple[np.ndarray, ...]:
-    """The coordinate arrays of ``points``, one per axis."""
+    """The coordinate arrays of ``points``, one per axis: an open grid's
+    arrays, or the last axis's columns of a dense ``[..., dim]`` array,
+    each of shape ``points.shape[:-1]``."""
     if isinstance(points, tuple):
         if len(points) != dim:
             raise ValueError(f"open grid has {len(points)} axes, need {dim}")
         return tuple(np.asarray(x, dtype=float) for x in points)
     points = np.asarray(points, dtype=float)
     if points.shape[-1:] != (dim,):
-        raise ValueError(f"points of shape {points.shape}, need [m, {dim}]")
-    return tuple(points.reshape(-1, dim).T)
+        raise ValueError(f"points of shape {points.shape}, need [..., {dim}]")
+    return tuple(np.moveaxis(points, -1, 0))
 
 
 @dataclass
@@ -129,8 +131,9 @@ def case_lshape2d() -> ManufacturedCase:
             # the complex product 1j * y would keep
             z = x + 1j * (y + 0.0)
             # the principal root has theta in (-pi, pi]: negating it below
-            # the x-axis moves theta to [0, 2 pi)
-            w = np.sqrt(z)
+            # the x-axis moves theta to [0, 2 pi); an array even of one
+            # point, which np.negative can write
+            w = np.asarray(np.sqrt(z))
             np.negative(w, out=w, where=np.broadcast_to(y < 0, w.shape))
             last.update(axes=tuple(a.copy() for a in axes), z=z, w=w,
                         powers={})

@@ -11,15 +11,15 @@ reads its DoFs off its parent's polynomial, and a fine DoF shared by
 several fine cells takes the average of their readings, the averaging of
 ``quasi_interpolate``.  A fine cell's map depends only on its offset and
 ratio in its parent (2^n maps on a uniform mesh): each group's map is read
-once, and ``assembly.scatter`` sums the maps as it sums element matrices.
+once, and ``assembly.RowBuilder`` sums the maps as it sums element matrices.
 Restricted to the free DoFs of both levels, P gives the Galerkin coarse
 operator P^T A P.
 
 The cycle is a symmetric V(1,1)-cycle: a degree-3 Chebyshev smoother on
 D^-1 A over [lmax / 30, 1.1 lmax], where lmax is estimated from a fixed
 start vector, before and after the coarse correction, and an exact solve by
-``solver.cholesky`` on the coarsest level, assembled on the coarsest space:
-a Galerkin product couples DoFs across nested dissection's separators.  A
+``solver.cholesky`` of the stiffness matrix of the coarsest space: a
+Galerkin product couples DoFs across nested dissection's separators.  A
 system whose mesh does not coarsen has one level, and the preconditioner is
 then its exact solve.  For the smoother see Adams, Brezina, Hu and
 Tuminaro, JCP 188 (2003); for nonconforming multigrid, Brenner, Math.
@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ReducedSystem, assemble, group_rows, scatter
+from .assembly import ReducedSystem, RowBuilder, group_rows
 from .mesh import StructuredMesh
 from .solver import SolveReport, SolverError, cholesky, relative_residual
 from .space import FeSpace, build_space
@@ -74,7 +74,8 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
     d^alpha at the DoF's anchor, in physical coordinates.  Both spaces must
     hold the same element, on ``coarsen(fine.mesh)`` for the coarse one.
     Fine cells share one reference map per group of their offset and ratio
-    in the parent (``group_rows``), read at its key; ``scatter`` sums them.
+    in the parent (``group_rows``), read at its key; ``RowBuilder`` sums
+    them.
     """
     elem = fine.element
     dim, nloc = elem.dim, elem.n_dofs
@@ -102,8 +103,8 @@ def prolongation(fine: FeSpace, coarse: FeSpace) -> sp.csr_matrix:
         block *= scal[cell] / scal[cell, a][:, None]
         block /= incident[cell, a][:, None]
 
-    p = scatter(read, group, rows, coarse.cell_dof_indices[parent],
-                (fine.n_dofs, coarse.n_dofs), weigh)
+    p = RowBuilder(read, group, rows, coarse.cell_dof_indices[parent],
+                   (fine.n_dofs, coarse.n_dofs), weigh).matrix()
     p.eliminate_zeros()
     return p
 
@@ -122,30 +123,31 @@ def _lmax(a: sp.csr_matrix, dinv: np.ndarray) -> float:
 
 
 class VCycle:
-    """Symmetric V(1,1)-cycle on the hierarchy of ``system``'s mesh.
+    """Symmetric V(1,1)-cycle on the hierarchy of ``system``'s mesh, for
+    the stiffness matrix ``matrix`` on all DoFs of the system's space.
 
     ``prolongations[i]`` maps the free DoFs of level i + 1 to those of
     level i; its transpose restricts.  ``matrices[i]`` is level i's matrix
-    on its free DoFs for each smoothed level, the system's ``free_block()``
+    on its free DoFs for each smoothed level, the free block of ``matrix``
     and then Galerkin products; a one-level hierarchy keeps the first, the
-    operator CG iterates on.  ``exact`` factors the coarsest level, A as
-    ``assemble`` builds it on its space.
+    operator CG iterates on.  ``exact`` factors the coarsest level's
+    stiffness matrix (``solver.cholesky`` of its space).
     """
 
-    def __init__(self, system: ReducedSystem):
+    def __init__(self, system: ReducedSystem, matrix: sp.csr_matrix):
         space, self.prolongations = system.space, []
         while (mesh := coarsen(space.mesh)) is not None:
             coarse = build_space(mesh, space.element.family)
             p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
             self.prolongations.append(p)
             space = coarse
-        self.matrices = [system.free_block()]
+        free = system.free
+        self.matrices = [matrix[free][:, free].tocsr()]
         for p in self.prolongations[:-1]:
             a = (p.T @ self.matrices[-1] @ p).tocsr()
             a.eliminate_zeros()
             self.matrices.append(a)
-        coarsest = assemble(space, None).matrix if self.prolongations else system.matrix
-        self.exact = cholesky(coarsest, space)
+        self.exact = cholesky(space)
         smoothed = self.matrices[:len(self.prolongations)]
         self.dinv = [1.0 / a.diagonal() for a in smoothed]
         self.lmax = [_lmax(a, d) for a, d in zip(smoothed, self.dinv)]
@@ -187,25 +189,27 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"CG tolerance must be finite and > 0, got {tol}")
 
 
-def solve_cg(system: ReducedSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
+def solve_cg(system: ReducedSystem, matrix: sp.csr_matrix,
+             tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients preconditioned by a multigrid V-cycle.
 
-    The V-cycle is built from the system's space, and its coarsest level is
-    assembled and factored by ``solver.cholesky``; CG iterates on the
-    system's ``free_block()``, the V-cycle's finest matrix.  Raises
-    SolverError on a non-positive diagonal entry, a non-positive pivot of
-    the coarsest factorization, or no convergence within ``CG_MAXITER``
-    iterations.  A tolerance that is not finite and positive raises
-    ValueError (``check_tolerance``).
+    ``matrix`` is the stiffness matrix on all DoFs of the system's space,
+    as ``assemble`` builds it.  The V-cycle is built from the system's
+    space, and its coarsest level is factored by ``solver.cholesky``; CG
+    iterates on the free block of ``matrix``, the V-cycle's finest matrix.
+    Raises SolverError on a non-positive diagonal entry, a non-positive
+    pivot of the coarsest factorization, or no convergence within
+    ``CG_MAXITER`` iterations.  A tolerance that is not finite and
+    positive raises ValueError (``check_tolerance``).
     """
     check_tolerance(tol)
     b = system.rhs
     t0 = time.perf_counter()
     if len(b) == 0:
         return np.zeros(0), SolveReport("cg", 0, 0.0, time.perf_counter() - t0)
-    if np.any(system.matrix.diagonal()[system.free] <= 0):
+    if np.any(matrix.diagonal()[system.free] <= 0):
         raise SolverError("non-positive diagonal entry; system not SPD")
-    vcycle = VCycle(system)
+    vcycle = VCycle(system, matrix)
     a = vcycle.matrices[0]
     iters = 0
 

@@ -18,20 +18,19 @@ packed, and the fronts of a class share theirs.  A non-positive pivot
 raises SolverError, and a relative residual check of 1e-9 guards every
 direct solve.
 
-The matrix is A as ``assemble`` built it, on all DoFs: ``symbolic`` reads
-the free block's rows straight from A, and no reduced copy is made.  The
-residual check applies the element matrices cell by cell
-(``assembly.apply_stiffness``), so ``solve_direct`` needs A only until
-``symbolic`` has read it.  ``analysis.solve_case`` keeps no reference to
-it, so it is freed before the numeric factor on CPython 3.11 and later; on
-3.10, and under a wrapper that holds the call's arguments, it lives until
-the solve returns.  The peak of a solve then sits in the numeric factor,
-L and the update matrices: at its end for the L-shape, during it for 3D.
+No global matrix is formed: ``symbolic`` builds the rows of A that a
+chunk of fronts reads from the element matrices
+(``assembly.stiffness_rows``), with the bits of the same rows of the
+assembled A, and the residual check applies the element matrices cell by
+cell (``assembly.apply_stiffness``).  The peak of a solve sits in the
+numeric factor, L and the update matrices: at its end for the L-shape,
+during it for 3D.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
-in ``multigrid``, which assembles its coarsest level to factor it with
-``cholesky``: only an assembled matrix is decoupled by the separators, and
-``symbolic`` rejects a pattern that crosses one, as P^T A P does.
+in ``multigrid``, which factors its coarsest level with ``cholesky`` on
+the coarsest space: only an assembled matrix is decoupled by the
+separators, and ``symbolic`` rejects a pattern that crosses one, as P^T A
+P does.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from . import assembly
-from .assembly import ReducedSystem, apply_stiffness
+from .assembly import (
+    ReducedSystem, RowBuilder, apply_stiffness, block_bounds, stiffness_rows,
+)
 from .space import FeSpace
 
 __all__ = ["SolveReport", "solve_direct", "SolverError", "Front", "Cholesky",
@@ -167,15 +166,15 @@ def nested_dissection(points: np.ndarray, axis_nodes: list[np.ndarray]
     return np.concatenate(pieces), fronts
 
 
-def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
+def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
     """The pattern of ``P A P^T = L L^T`` on the fronts, computed once.
 
     Row and column i of ``P A P^T`` are row and column perm[i] of the
-    symmetric matrix A: ``perm`` selects a principal submatrix of A, whose
-    other columns are dropped as its rows are read.  Front f
-    holds k columns of L on its own range and its m update rows: the sorted
-    rows past its range that its entries or its children's update rows
-    reach.  Returns ``(rows, runs, entries)``:
+    symmetric matrix A whose rows ``a`` builds: ``perm`` selects a
+    principal submatrix of A, whose other columns are dropped as its rows
+    are read.  Front f holds k columns of L on its own range and its m
+    update rows: the sorted rows past its range that its entries or its
+    children's update rows reach.  Returns ``(rows, runs, entries)``:
 
     - ``rows[f]``: front f's update rows;
     - ``runs[c]``: child c's update rows as runs ``(at, lo, hi)``: rows
@@ -187,27 +186,24 @@ def symbolic(a: sp.spmatrix, perm: np.ndarray, fronts: list[Front]):
     A child's update row before its parent's range crosses the parent's
     separator: ValueError.
 
-    The rows of A are read in chunks of consecutive fronts, a chunk for
-    every ``assembly.BLOCK_POINTS`` stored entries, so no permuted copy of
-    A is made beyond one chunk.
+    A's rows are built in chunks of consecutive fronts, a chunk for every
+    ``assembly.BLOCK_POINTS`` entries before the sum (``a.entries``), so
+    no part of A beyond one chunk is held.
     """
-    n, nf, size = len(perm), len(fronts), a.shape[0]
+    n, nf, size = len(perm), len(fronts), a.shape[1]
     # -1 off perm, so that keep = i >= j drops the columns perm leaves out
     inverse = np.full(size, -1, dtype=np.int32 if size < 2**31 else np.intp)
     inverse[perm] = np.arange(n)
-    a = a.tocsr()
     starts = np.array([f.start for f in fronts], dtype=inverse.dtype)
-    # fronts whose first entry falls in the same BLOCK_POINTS entries of
-    # P A P^T form one chunk
-    before = np.concatenate(([0], np.cumsum(np.diff(a.indptr)[perm])))[starts]
-    chunks = np.flatnonzero(np.diff(before // assembly.BLOCK_POINTS)) + 1
+    # fronts whose first entry falls in the same BLOCK_POINTS entries form
+    # one chunk
+    before = np.concatenate(([0], np.cumsum(a.entries[perm])))[starts]
     slot, count = np.empty(n, dtype=np.intp), np.arange(n + 1)  # row in front
     rows, entries, parent = [], [], np.full(nf, -1)
     at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
-    for first, stop in zip([0, *chunks.tolist()], [*chunks.tolist(), nf]):
+    for first, stop in block_bounds(before):
         lo, hi = fronts[first].start, fronts[stop - 1].stop
-        b = a[perm[lo:hi]]      # row j of it is column lo + j of P A P^T
-        b.sum_duplicates()
+        b = a(perm[lo:hi])      # row j of it is column lo + j of P A P^T
         # one filtered array at a time, each input freed once it is read
         i, values, counts = inverse[b.indices], b.data, np.diff(b.indptr)
         del b
@@ -411,51 +407,37 @@ class Cholesky:
         return x
 
 
-def _analyse(matrix: sp.spmatrix, space: FeSpace):
-    """The ordering and the symbolic phase of ``cholesky``: the arguments of
-    ``_numeric``, which no longer refer to ``matrix``."""
-    free = space.free_dofs()
-    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
-    t0 = time.perf_counter()
-    return perm, fronts, symbolic(matrix, free[perm], fronts), t0
+def cholesky(space: FeSpace) -> Cholesky:
+    """Multifrontal Cholesky of the stiffness matrix A on the free DoFs of
+    ``space``.
 
-
-def _numeric(perm, fronts, pattern, t0) -> Cholesky:
-    """The numeric phase of ``cholesky``; ``t0`` is when the symbolic began."""
-    rows, runs, entries = pattern
-    classes = _classify(fronts, rows, runs, entries)
-    factors = _factor(fronts, perm, rows, runs, entries, classes)
-    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
-
-
-def cholesky(matrix: sp.spmatrix, space: FeSpace) -> Cholesky:
-    """Multifrontal Cholesky of ``matrix`` on the free DoFs of ``space``.
-
-    ``matrix`` is assembled on all DoFs of ``space``; its block on the free
-    DoFs is factored where it lies, without a copy.  The free DoFs are
+    The rows of A are built where ``symbolic`` reads them, from the
+    element matrices (``assembly.stiffness_rows``).  The free DoFs are
     ordered by nested dissection of their anchor points on the mesh's
     vertex planes; a system with no free DoFs is one empty front.  A
     pattern that crosses a separator raises ValueError, a non-positive
     pivot SolverError.  ``solve`` takes and returns vectors on the free
     DoFs, in the order of ``space.free_dofs()``.
     """
-    return _numeric(*_analyse(matrix, space))
+    free = space.free_dofs()
+    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
+    t0 = time.perf_counter()
+    rows, runs, entries = symbolic(stiffness_rows(space), free[perm], fronts)
+    classes = _classify(fronts, rows, runs, entries)
+    factors = _factor(fronts, perm, rows, runs, entries, classes)
+    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
 
 
 def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     """Multifrontal Cholesky in nested-dissection order, with a residual check.
 
-    The residual is taken with ``apply_stiffness`` on the system's space,
-    not with ``system.matrix``, so the system is dropped after the
-    symbolic phase: A is freed during the numeric factor unless the
-    caller still holds it.  A non-positive pivot raises SolverError,
-    and so does a relative residual above 1e-9.
+    The residual is taken with ``apply_stiffness`` on the system's space.
+    A non-positive pivot raises SolverError, and so does a relative
+    residual above 1e-9.
     """
     t0 = time.perf_counter()
     space, rhs = system.space, system.rhs
-    analysed = _analyse(system.matrix, space)
-    del system
-    factor = _numeric(*analysed)
+    factor = cholesky(space)
     x = factor.solve(rhs)
     free = space.free_dofs()
     full = np.zeros(space.n_dofs)

@@ -1,17 +1,14 @@
 """Broken norms, single solves, and the convergence-study driver."""
 
 import dataclasses
-import gc
 import json
 import math
-import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triharm import analysis, assembly, solver
+from triharm import analysis, assembly
 from triharm.analysis import (
     ErrorReport, broken_norms, check_levels, convergence_study, solve_case,
 )
@@ -232,58 +229,32 @@ def test_coarsest_3d_solve_is_the_canonical_interpolant(family):
         assert h3 == pytest.approx(127.2353, rel=1e-6)
 
 
-SKIP_BEFORE_311 = pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-    "on CPython 3.10 a call's arguments stay on the caller's stack until it "
-    "returns, so solve_case's reduced system lives through solve_direct"))
+@pytest.mark.parametrize("case, family, n", [
+    (case_smooth2d(), MORLEY, 4), (case_lshape2d(), ADINI_TYPE, 8),
+    (case_smooth3d(), ADINI_TYPE, 2),
+], ids=["smooth2d-morley-4", "lshape2d-adini-8", "smooth3d-adini-2"])
+def test_direct_solve_case_never_forms_a_on_all_rows(case, family, n, monkeypatch):
+    # the direct path builds A's rows where it reads them, never all of
+    # them at once: the all-rows build and assemble raise, and every set
+    # of rows built leaves some row out
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed A on all rows")
 
+    built = []
+    real_call = assembly.RowBuilder.__call__
 
-@SKIP_BEFORE_311
-def test_solve_case_frees_the_unreduced_matrix_before_factoring(monkeypatch):
-    # the A that assemble built, on all DoFs, is freed before the numeric
-    # factor: solve_case keeps no name for it or for its system
-    assembled, factored = [], []
+    def call(self, r):
+        built.append((len(r), self.shape[0]))
+        return real_call(self, r)
 
-    def assemble(*args, **kwargs):
-        system = real_assemble(*args, **kwargs)
-        assembled.append(weakref.ref(system.matrix))
-        return system
-
-    def factor(*args):
-        gc.collect()
-        assert len(assembled) == 1 and assembled[0]() is None
-        factored.append(True)
-        return real_factor(*args)
-
-    real_assemble, real_factor = analysis.assemble, solver._factor
-    monkeypatch.setattr(analysis, "assemble", assemble)
-    monkeypatch.setattr(solver, "_factor", factor)
-    _, _, report = solve_case(case_smooth2d(), MORLEY, 4)
-    assert factored and report.relative_residual < 1e-9
-
-
-@SKIP_BEFORE_311
-def test_solve_case_frees_the_reduced_matrix_before_the_numeric_factor(monkeypatch):
-    # the reduced system holds the assembled A itself, uncopied, and it is
-    # freed once solve_direct has read it
-    reduced, factored = [], []
-
-    def apply_dirichlet(system, *args, **kwargs):
-        out = real_apply_dirichlet(system, *args, **kwargs)
-        assert out.matrix is system.matrix
-        reduced.append(weakref.ref(out.matrix))
-        return out
-
-    def factor(*args):
-        gc.collect()
-        assert len(reduced) == 1 and reduced[0]() is None
-        factored.append(True)
-        return real_factor(*args)
-
-    real_apply_dirichlet, real_factor = analysis.apply_dirichlet, solver._factor
-    monkeypatch.setattr(analysis, "apply_dirichlet", apply_dirichlet)
-    monkeypatch.setattr(solver, "_factor", factor)
-    _, _, report = solve_case(case_smooth2d(), MORLEY, 4)
-    assert factored and report.relative_residual < 1e-9
+    monkeypatch.setattr(assembly.RowBuilder, "matrix", refuse)
+    monkeypatch.setattr(assembly.RowBuilder, "__call__", call)
+    monkeypatch.setattr(analysis, "assemble", refuse)
+    monkeypatch.setattr(assembly, "assemble", refuse)
+    space, coeffs, report = solve_case(case, family, n)
+    assert report.method == "direct" and report.relative_residual < 1e-9
+    assert built and all(size < rows for size, rows in built)
+    assert coeffs.shape == (space.n_dofs,)
 
 
 def test_solve_case_cg_matches_direct():

@@ -13,8 +13,9 @@ import scipy.sparse as sp
 from oracle import Polynomial, apply_dof, basis
 from triharm import assembly
 from triharm.assembly import (
-    BLOCK_POINTS, apply_dirichlet, apply_stiffness, assemble,
+    BLOCK_POINTS, RowBuilder, apply_dirichlet, apply_stiffness, assemble,
     derivative_multiindices, element_stiffness, gauss_rule, group_rows, reconstruct,
+    stiffness_rows,
 )
 from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case
 from triharm.interpolation import (
@@ -162,9 +163,8 @@ def test_dirichlet_elimination_readback():
     space = build_space(uniform_mesh(UNIT_SQUARE, (2, 2)), ADINI_TYPE)
     system = assemble(space, case.source)
     bvals = canonical_interpolate(space, case)[space.boundary_dofs()]
-    reduced = apply_dirichlet(system, bvals)
-    assert reduced.matrix is system.matrix
-    assert reduced.free_block().shape == (len(space.free_dofs()),) * 2
+    reduced = apply_dirichlet(space, system.rhs, bvals)
+    assert reduced.rhs.shape == (len(space.free_dofs()),)
     full = reconstruct(space, np.zeros(len(reduced.free)), reduced.boundary_values)
     np.testing.assert_array_equal(full[space.boundary_dofs()], bvals)
 
@@ -318,6 +318,69 @@ def test_assembly_matches_the_list_build_bit_for_bit(mesh, family, f):
 
 
 @pytest.mark.parametrize("mesh, family", [
+    (lambda: uniform_mesh(UNIT_SQUARE, 8), MORLEY),
+    (lambda: uniform_mesh(UNIT_CUBE, 4), ADINI_TYPE),
+    (lambda: lshape_mesh(8), ADINI_TYPE),
+    (graded_box, ADINI_TYPE),
+], ids=["smooth2d8-morley", "smooth3d4-adini", "lshape8-adini", "graded-box-adini"])
+def test_stiffness_rows_have_the_bits_of_the_assembled_rows(mesh, family, monkeypatch):
+    # any rows, in any order, built alone or among others, are A's rows;
+    # A itself is built in blocks of one row and in one block
+    space = build_space(mesh(), family)
+    want = assemble(space, None).matrix
+    rows = stiffness_rows(space)
+    assert not rows.sorted      # SciPy sorts every row of A
+    rng = np.random.default_rng(11)
+    for size in (1, 17, space.n_dofs // 3, space.n_dofs):
+        r = rng.choice(space.n_dofs, size, replace=False)
+        got, ref = rows(r), want[r]
+        assert got.shape == ref.shape and got.indices.dtype == np.int32
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert np.array_equal(got.data.view(np.int64), ref.data.view(np.int64))
+    for block_points in (1, want.nnz * 4):
+        monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+        again = assemble(space, None).matrix
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(again, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+def test_row_builder_leaves_a_matrix_of_sorted_rows_unsorted():
+    # SciPy sorts no row when every row is sorted already, and its unstable
+    # sort reorders equal columns of a sorted row: each cell here fills
+    # columns that never fall, so the whole matrix is sorted, and the
+    # builder's rows keep the sums of the matrix built at once
+    rng = np.random.default_rng(5)
+    ncell, nloc = 40, 6
+    local = rng.standard_normal((3, nloc, nloc))
+    group = rng.integers(0, 3, ncell)
+    rows = np.tile(np.arange(nloc) % 3, (ncell, 1))
+    cols = np.repeat(np.arange(ncell)[:, None] // 4, nloc, axis=1)
+    builder = RowBuilder(local, group, rows, cols, (3, ncell // 4), lambda *_: None)
+    assert builder.sorted
+    triples = sp.coo_matrix((local[group].ravel(), (np.repeat(rows, nloc, axis=1).ravel(),
+                                                    np.tile(cols, nloc).ravel())),
+                            shape=(3, ncell // 4))
+    want = triples.tocsr()
+    assert want.nnz < len(triples.data)
+    # the same fill, sorted all the same, sums in another order
+    order = np.argsort(rows, axis=None, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows.ravel()) * nloc)))
+    forced = sp.csr_matrix((local[group].reshape(-1, nloc)[order].ravel(),
+                            np.repeat(cols, nloc, axis=0)[order].ravel(), indptr),
+                           shape=want.shape)
+    forced.has_sorted_indices = False
+    forced.sum_duplicates()
+    assert forced.data.tobytes() != want.data.tobytes()
+    for r in ([0, 1, 2], [2], [2, 0]):
+        got = builder(np.array(r))
+        assert np.array_equal(got.indices, want[r].indices)
+        assert got.data.tobytes() == want[r].data.tobytes()
+    assert builder.matrix().data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("mesh, family", [
     (lambda: lshape_mesh(8), ADINI_TYPE),
     (lambda: uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (4, 4, 4)), MORLEY),
 ], ids=["lshape8-adini", "smooth3d4-morley"])
@@ -333,12 +396,12 @@ def test_assembled_arrays_own_exactly_nnz_entries(mesh, family):
 
 
 def test_assembly_peak_memory_per_element_entry(traced_peak):
-    # 12 bytes per element-matrix entry for the CSR arrays with duplicates
-    # (an int32 index and a value), summed in place, plus one block of
-    # cells: ~14 bytes per entry, ~15 while the summed indices and then
-    # values are copied to arrays of their own; COO triples and the CSR
-    # that tocsr built from them took ~29, the load of whole groups of
-    # cells ~32, on dense [m, dim] points ~40, and the int64 list build ~68
+    # one block of rows with duplicates, the summed blocks' copies (12
+    # bytes per stored entry, 0.57 stored entries per element-matrix entry
+    # here) and their concatenation: 13.3 bytes per element-matrix entry;
+    # the CSR arrays of all entries with duplicates took ~15, COO triples
+    # and the CSR that tocsr built from them ~29, the load of whole groups
+    # of cells ~32, on dense [m, dim] points ~40, and the int64 list build ~68
     mesh = uniform_mesh(BoxDomain((0.0,) * 3, (1.0,) * 3), (8, 8, 8))
     space = build_space(mesh, MORLEY)
     f = case_smooth3d().source
@@ -399,32 +462,53 @@ def test_assembly_and_quasi_interpolation_read_the_elements_grammians(family,
     assert {(a, q) for a, q, _ in elem._grammian_cache} == set(want)
 
 
-def test_dirichlet_reduction_matches_two_row_slices():
-    case = polynomial_case({(4, 0): 1}, UNIT_SQUARE)
-    space = build_space(uniform_mesh(UNIT_SQUARE, (4, 4)), MORLEY)
-    system = assemble(space, case.source)
-    g = canonical_interpolate(space, case)[space.boundary_dofs()]
-    reduced = apply_dirichlet(system, g)
-    a, free, bd = system.matrix, space.free_dofs(), space.boundary_dofs()
-    assert reduced.matrix is a
-    want, got = a[free][:, free].tocsr(), reduced.free_block()
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert np.array_equal(reduced.rhs, system.rhs[free] - a[free][:, bd] @ g)
+DIRICHLET_CASES = [
+    (polynomial_case({(4, 0): 1}, UNIT_SQUARE), lambda: uniform_mesh(UNIT_SQUARE, (4, 4)),
+     MORLEY),
+    (case_lshape2d(), lambda: lshape_mesh(8), ADINI_TYPE),
+    (case_lshape2d(), lambda: lshape_mesh(8), MORLEY),
+    (case_smooth3d(), lambda: uniform_mesh(UNIT_CUBE, 4), ADINI_TYPE),
+    (case_smooth3d(), graded_box, MORLEY),
+    (case_smooth2d(), lambda: uniform_mesh(UNIT_SQUARE, 1), ADINI_TYPE),   # no free DoF
+]
+
+
+def test_dirichlet_reduction_matches_two_row_slices(monkeypatch):
+    # only the free rows that share a cell with a boundary DoF are built; the
+    # others' products with g are +0.0, so every row keeps the bits of the
+    # full product, with a block per row and with one block
+    for case, mesh, family in DIRICHLET_CASES:
+        space = build_space(mesh(), family)
+        system = assemble(space, case.source)
+        g = canonical_interpolate(space, case)[space.boundary_dofs()]
+        a, free, bd = system.matrix, space.free_dofs(), space.boundary_dofs()
+        g_full = np.zeros(space.n_dofs)
+        g_full[bd] = g
+        want = system.rhs[free] - (a @ g_full)[free]
+        assert np.array_equal(want, system.rhs[free] - a[free][:, bd] @ g)
+        for block_points in (1, BLOCK_POINTS):
+            monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+            got = apply_dirichlet(space, system.rhs, g).rhs
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dirichlet_elimination_allocates_no_matrix(traced_peak):
-    # the reduced system holds A itself: 4.7 float vectors of n_dofs
-    # entries, where the two slices of A took 115
-    case = case_lshape2d()
-    space = build_space(case.mesh(16), ADINI_TYPE)
-    system = assemble(space, case.source)
+    # the free rows that share a cell with a boundary DoF are built a block
+    # at a time: 1.75 blocks of 12 bytes per entry measured (one block's
+    # pre-sum entries and sums, the row builder and the vectors), where the
+    # coupled rows hold 5.2 blocks' entries
+    case = case_smooth3d()
+    space = build_space(case.mesh(8), ADINI_TYPE)
+    rhs = assembly.load_vector(space, case.source)
     g = boundary_values_from_case(space, case)
-    reduced = []
-    peak = traced_peak(lambda: reduced.append(apply_dirichlet(system, g)))
-    assert reduced[0].matrix is system.matrix
-    assert 12 * system.matrix.nnz > 40 * 8 * space.n_dofs
-    assert peak <= 6 * 8 * space.n_dofs
+    apply_dirichlet(space, rhs, g)      # warm the element's Grammians
+    peak = traced_peak(lambda: apply_dirichlet(space, rhs, g))
+    idx = space.cell_dof_indices
+    coupled = np.unique(idx[space.boundary_mask[idx].any(axis=1)])
+    entries = np.bincount(idx.ravel())[coupled[~space.boundary_mask[coupled]]]
+    assert entries.sum() * space.element.n_dofs > 4 * BLOCK_POINTS
+    assert peak <= 3 * 12 * BLOCK_POINTS
 
 
 @pytest.mark.parametrize("mesh, family", [
@@ -440,11 +524,10 @@ def test_dirichlet_elimination_allocates_no_matrix(traced_peak):
         "lshape8-adini", "graded-box-morley", "graded-box-adini", "no-free-dof-adini"])
 def test_apply_stiffness_matches_the_reduced_matrix(mesh, family, monkeypatch):
     space = build_space(mesh(), family)
-    reduced = apply_dirichlet(assemble(space, None), np.zeros(len(space.boundary_dofs())))
     free = space.free_dofs()
     x = np.zeros(space.n_dofs)
     x[free] = np.random.default_rng(7).standard_normal(len(free))
-    want = reduced.free_block() @ x[free]
+    want = assemble(space, None).matrix[free][:, free] @ x[free]
     # one block, then blocks of 5 cells, the last one short
     assert space.mesh.n_cells % 5 != 0
     for block_points in (BLOCK_POINTS, 5 * space.element.n_dofs ** 2):

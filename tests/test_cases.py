@@ -1,5 +1,6 @@
 """Manufactured solutions: sources, derivatives, finite-difference oracle."""
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -319,6 +320,39 @@ def test_dense_points_of_the_wrong_width_raise(name, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             fn(np.zeros(shape))
     assert case.u(np.full((4, 2), 0.5)).shape == (4,)
+
+
+def flattened_axes(points, dim):
+    """The axes of dense points as they were read before values kept the
+    leading shape: the ``[m, dim]`` rows of a flattened array."""
+    if isinstance(points, tuple):
+        return tuple(np.asarray(x, dtype=float) for x in points)
+    return tuple(np.asarray(points, dtype=float).reshape(-1, dim).T)
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_CASES) + ["smooth3d"])
+def test_dense_points_keep_their_leading_shape(name, monkeypatch):
+    # values of [..., dim] points have shape [...], each the value of its
+    # point among [m, dim] points; [m, dim] points keep the bits the
+    # flattened axes gave them
+    case = {**WIDTH_CASES, "smooth3d": case_smooth3d}[name]()
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-1.0, 1.0, (2, 3, case.dim))
+    flat = points.reshape(-1, case.dim)
+    alphas = [a for order in range(4) for a in _multi_indices(case.dim, order)]
+    fns = [case.source] + [functools.partial(case.derivative, a) for a in alphas]
+    want = [fn(flat) for fn in fns]
+    for fn, ref in zip(fns, want):
+        got = fn(points)
+        assert got.shape == (2, 3)
+        assert got.tobytes() == ref.reshape(2, 3).tobytes()
+        one = fn(points[1, 2])
+        assert np.shape(one) == () and np.asarray(one).tobytes() == ref[5:6].tobytes()
+    monkeypatch.setattr(cases, "_axes", flattened_axes)
+    fresh = {**WIDTH_CASES, "smooth3d": case_smooth3d}[name]()
+    fns = [fresh.source] + [functools.partial(fresh.derivative, a) for a in alphas]
+    for fn, ref in zip(fns, want):
+        assert fn(flat).tobytes() == ref.tobytes()
 
 
 def test_lshape_reuses_polar_data_with_bit_identical_values():

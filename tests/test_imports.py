@@ -1,7 +1,7 @@
 """Every import in the package and its tests is used, every function and
 class the package defines is referenced, no package module reads another
-module's private names, and the package imports neither ``fractions`` nor
-the tests."""
+module's private names, the package imports neither ``fractions`` nor
+the tests, and the direct solver reaches no ``scipy.sparse``."""
 
 import ast
 from pathlib import Path
@@ -138,3 +138,37 @@ def test_the_package_imports_no_fractions_and_no_tests():
     forbidden = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests", "fractions"}
     for path in (ROOT / "src").rglob("*.py"):
         assert not {m for _, m, _ in imports(path.read_text())} & forbidden, path
+
+
+def reaches(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or anything in it, under any
+    name, or reads an attribute of that name off another module
+    (``scipy.sparse`` after ``import scipy``)."""
+    last = module.rsplit(".", 1)[-1]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == last:
+            return True
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            return True
+    return False
+
+
+def test_the_scan_sees_sparse_imports():
+    for source in ("import scipy.sparse as sp\n", "from scipy import sparse\n",
+                   "from scipy.sparse import csr_matrix\n", "import scipy.sparse.linalg\n",
+                   "import scipy\nscipy.sparse.eye(2)\n"):
+        assert reaches(source, "scipy.sparse"), source
+    assert not reaches("import scipy\nfrom scipy.linalg import blas\nimport numpy as np\n",
+                       "scipy.sparse")
+
+
+def test_the_solver_reaches_no_sparse_matrices():
+    # the direct solver reads the CSR chunks of rows handed to it and forms
+    # no sparse matrix of its own
+    assert not reaches((ROOT / "src" / "triharm" / "solver.py").read_text(), "scipy.sparse")

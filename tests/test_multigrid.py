@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from test_solver import CUBICS, assert_factors_equal
+from test_solver import CUBICS, MatrixRows, assert_factors_equal, reference_factors
 from triharm.analysis import broken_norms, solve_case
 from triharm.assembly import (
     BLOCK_POINTS, DATA_Q, apply_dirichlet, assemble, derivative_multiindices,
@@ -14,7 +14,7 @@ from triharm.interpolation import boundary_values_from_case, canonical_interpola
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.multigrid import VCycle, coarsen, prolongation, solve_cg
 from triharm.reference import ADINI_TYPE, MORLEY
-from triharm.solver import cholesky, nested_dissection, solve_direct
+from triharm.solver import nested_dissection, solve_direct
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -148,14 +148,16 @@ def test_prolongation_peak_memory_per_fine_cell_map_entry(traced_peak):
 
 
 def reduced_system(case, mesh, family):
+    """(A on all DoFs, the reduced system) of the case on the mesh."""
     space = build_space(mesh, family)
     system = assemble(space, case.source)
-    return apply_dirichlet(system, boundary_values_from_case(space, case))
+    return system.matrix, apply_dirichlet(space, system.rhs,
+                                          boundary_values_from_case(space, case))
 
 
 def test_vcycle_is_symmetric_positive_definite():
-    reduced = reduced_system(case_lshape2d(), lshape_mesh(4), ADINI_TYPE)
-    vcycle = VCycle(reduced)
+    a, reduced = reduced_system(case_lshape2d(), lshape_mesh(4), ADINI_TYPE)
+    vcycle = VCycle(reduced, a)
     assert [a.shape[0] for a in vcycle.matrices] == [165, 25]
     assert len(vcycle.exact.perm) == 0
     m = np.column_stack([vcycle(e) for e in np.eye(len(reduced.free))])
@@ -169,12 +171,12 @@ def test_vcycle_is_symmetric_positive_definite():
     lambda: reduced_system(case_lshape2d(), lshape_mesh(1), MORLEY),
 ], ids=["square-3x5", "masked-cube", "lshape-1"])
 def test_one_level_hierarchy_solves_exactly(build):
-    reduced = build()
+    a, reduced = build()
     assert len(reduced.free) > 0
-    vcycle = VCycle(reduced)
+    vcycle = VCycle(reduced, a)
     assert vcycle.prolongations == [] and len(vcycle.matrices) == 1
     xd, _ = solve_direct(reduced)
-    xc, report = solve_cg(reduced, tol=1e-12)
+    xc, report = solve_cg(reduced, a, tol=1e-12)
     assert report.iterations == 1
     assert np.abs(xc - xd).max() <= 1e-7 * np.abs(xd).max()
 
@@ -189,14 +191,15 @@ def test_one_level_hierarchy_solves_exactly(build):
 def test_coarsest_level_is_ordered_by_its_own_space(build, sizes):
     # the levels between are Galerkin products; the coarsest is the matrix
     # assembled on the coarsest space, in nested-dissection order of its DoFs
-    reduced = build()
-    vcycle = VCycle(reduced)
+    a, reduced = build()
+    vcycle = VCycle(reduced, a)
     levels = len(vcycle.prolongations)
     free_dofs = [p.shape[0] for p in vcycle.prolongations] + [len(vcycle.exact.perm)]
     assert free_dofs == sizes
     # the smoothed levels; a one-level hierarchy keeps the operator of CG
     assert [a.shape[0] for a in vcycle.matrices] == sizes[:max(levels, 1)]
-    assert (vcycle.matrices[0] != reduced.free_block()).nnz == 0
+    free = reduced.free
+    assert (vcycle.matrices[0] != a[free][:, free]).nnz == 0
     for p, fine, coarse in zip(vcycle.prolongations[:-1], vcycle.matrices,
                                vcycle.matrices[1:]):
         assert (coarse != p.T @ fine @ p).nnz == 0
@@ -205,8 +208,9 @@ def test_coarsest_level_is_ordered_by_its_own_space(build, sizes):
         mesh = coarser
     space = build_space(mesh, reduced.space.element.family)
     free = space.free_dofs()
-    assert_factors_equal(vcycle.exact,
-                         cholesky(assemble(space, None).matrix, space).factors)
+    # each front factored on its own, from the rows of the assembled matrix
+    assert_factors_equal(vcycle.exact, reference_factors(
+        MatrixRows(assemble(space, None).matrix), space))
     perm, _ = nested_dissection(space.dof_points[free], mesh.axis_nodes)
     np.testing.assert_array_equal(vcycle.exact.perm, perm)
 

@@ -4,24 +4,24 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from triharm import assembly, multigrid
+from triharm import assembly, multigrid, solver
 from triharm.analysis import broken_norms
-from triharm.assembly import ReducedSystem, apply_dirichlet, assemble, reconstruct
+from triharm.assembly import (
+    ReducedSystem, apply_dirichlet, assemble, load_vector, reconstruct, stiffness_rows,
+)
 from triharm.cases import (
     ManufacturedCase, case_lshape2d, case_smooth2d, case_smooth3d, polynomial_case,
 )
 from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import BoxDomain, StructuredMesh
-from triharm.multigrid import coarsen, prolongation, solve_cg
+from triharm.multigrid import solve_cg
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.solver import (
-    LEAF_DOFS, Cholesky, SolverError, _classify, _extend_add, cholesky,
-    nested_dissection,
-    solve_direct, symbolic,
+    LEAF_DOFS, Cholesky, Front, SolverError, _classify, _extend_add, cholesky,
+    nested_dissection, solve_direct, symbolic,
 )
 from triharm.space import build_space
 
@@ -31,12 +31,35 @@ def small_system() -> ReducedSystem:
     return assembled(case_smooth2d(), ADINI_TYPE, (3, 5))[1]
 
 
-def with_matrix(system: ReducedSystem, edit) -> ReducedSystem:
-    """``system`` with ``edit(a, free)`` applied to a LIL copy of its matrix
-    A, on all DoFs, and its free DoFs."""
-    a = system.matrix.tolil()
+def stiffness(system: ReducedSystem):
+    """The stiffness matrix A on all DoFs of the system's space."""
+    return assemble(system.space, None).matrix
+
+
+def free_block(system: ReducedSystem):
+    """A CSR copy of A on the system's free DoFs."""
+    free = system.free
+    return stiffness(system)[free][:, free].tocsr()
+
+
+class MatrixRows:
+    """The rows of a CSR matrix, handed out as a row builder hands out A's."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.entries = a, a.shape, np.diff(a.indptr)
+
+    def __call__(self, r):
+        return self.a[r]
+
+
+def with_matrix(system: ReducedSystem, edit, monkeypatch):
+    """A, on all DoFs of the system's space, with ``edit(a, free)`` applied to
+    a LIL copy and the system's free DoFs; the direct solver reads its rows."""
+    a = stiffness(system).tolil()
     edit(a, system.free)
-    return dataclasses.replace(system, matrix=a.tocsr())
+    a = a.tocsr()
+    monkeypatch.setattr(solver, "stiffness_rows", lambda space: MatrixRows(a))
+    return a
 
 
 def test_direct_residual_on_a_small_assembled_system():
@@ -44,46 +67,48 @@ def test_direct_residual_on_a_small_assembled_system():
     x, report = solve_direct(system)
     assert report.method == "direct"
     assert report.relative_residual <= 1e-10
-    resid = np.linalg.norm(system.free_block() @ x - system.rhs)
+    resid = np.linalg.norm(free_block(system) @ x - system.rhs)
     assert resid <= 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_cg_agrees_with_direct():
     system = small_system()
     xd, _ = solve_direct(system)
-    xc, report = solve_cg(system, tol=1e-12)
+    xc, report = solve_cg(system, stiffness(system), tol=1e-12)
     assert report.method == "cg"
     assert report.iterations > 0
     np.testing.assert_allclose(xc, xd, rtol=1e-7, atol=1e-10)
 
 
-def test_cg_rejects_indefinite_diagonal():
+def test_cg_rejects_indefinite_diagonal(monkeypatch):
     def negate(a, free):
         a[free[5], free[5]] = -a[free[5], free[5]]
+    system = small_system()
     with pytest.raises(SolverError, match="diagonal"):
-        solve_cg(with_matrix(small_system(), negate))
+        solve_cg(system, with_matrix(system, negate, monkeypatch))
 
 
 def test_cg_nonconvergence_raises(monkeypatch):
     # an assembled system: on a one-level hierarchy the V-cycle is an exact solve
-    _, system = assembled(case_lshape2d(), ADINI_TYPE, 8)
+    full, system = assembled(case_lshape2d(), ADINI_TYPE, 8)
     monkeypatch.setattr(multigrid, "CG_MAXITER", 2)
     with pytest.raises(SolverError, match="failed to converge"):
-        solve_cg(system, tol=1e-14)
+        solve_cg(system, full.matrix, tol=1e-14)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_cg_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    system = small_system()
     with pytest.raises(ValueError, match="tolerance"):
-        solve_cg(small_system(), tol=tol)
+        solve_cg(system, stiffness(system), tol=tol)
 
 
 def test_empty_system():
     # one cell: every DoF lies on the boundary
-    _, empty = assembled(case_smooth2d(), ADINI_TYPE, 1)
-    assert empty.free_block().shape == (0, 0) and len(empty.free) == 0
-    assert empty.matrix.shape == (empty.space.n_dofs,) * 2
-    for solve in (solve_direct, solve_cg):
+    full, empty = assembled(case_smooth2d(), ADINI_TYPE, 1)
+    assert free_block(empty).shape == (0, 0) and len(empty.free) == 0
+    assert empty.rhs.shape == (0,)
+    for solve in (solve_direct, lambda system: solve_cg(system, full.matrix)):
         x, report = solve(empty)
         assert x.size == 0 and report.relative_residual == 0.0
     np.testing.assert_array_equal(reconstruct(empty.space, x, empty.boundary_values),
@@ -104,7 +129,7 @@ def assembled(case, family, n):
     """(full system, reduced system) of one refinement of a manufactured case."""
     space = build_space(case.mesh(n), family)
     system = assemble(space, case.source)
-    return system, apply_dirichlet(system, boundary_values_from_case(space, case))
+    return system, apply_dirichlet(space, system.rhs, boundary_values_from_case(space, case))
 
 
 class AlternatingCells(ManufacturedCase):
@@ -141,7 +166,7 @@ def masked_cube_system():
     active[1, 1, 1] = False
     space = build_space(StructuredMesh([nodes] * 3, active), MORLEY)
     system = assemble(space, None)
-    return system, apply_dirichlet(system, np.zeros(len(space.boundary_dofs())))
+    return system, apply_dirichlet(space, system.rhs, np.zeros(len(space.boundary_dofs())))
 
 
 def free_dissection(reduced):
@@ -173,7 +198,7 @@ def test_separators_decouple_their_subtrees(build):
     system, reduced = build()
     space = system.space
     # the dissection of the free DoFs that solve_direct orders, and of all DoFs
-    assert_separators_decouple(reduced.free_block(), space.dof_points[reduced.free],
+    assert_separators_decouple(free_block(reduced), space.dof_points[reduced.free],
                                space.mesh.axis_nodes)
     assert_separators_decouple(system.matrix, space.dof_points,
                                space.mesh.axis_nodes)
@@ -212,7 +237,7 @@ def test_nested_dissection_is_a_permutation_of_the_free_dofs(case, family, n):
 ], ids=["lshape2d-adini-8", "smooth3d-morley-4", "masked-cube-morley",
         "alternating2d-adini-8x6", "alternating3d-morley-4x6x4"])
 def test_fronts_form_an_elimination_tree(build):
-    _, reduced = build()
+    system, reduced = build()
     n = len(reduced.free)
     perm, fronts = free_dissection(reduced)
     # the fronts' ranges cover 0..n-1 once, in list order
@@ -230,9 +255,9 @@ def test_fronts_form_an_elimination_tree(build):
     assert size[-1] == len(fronts)
 
     dofs = reduced.free[perm]
-    rows, runs, entries = symbolic(reduced.matrix, dofs, fronts)
+    rows, runs, entries = symbolic(stiffness_rows(reduced.space), dofs, fronts)
     assert len(rows[-1]) == 0
-    dense = reduced.matrix.toarray()[dofs][:, dofs]
+    dense = system.matrix.toarray()[dofs][:, dofs]
     lower = np.zeros_like(dense)
 
     def front_rows(i):
@@ -269,7 +294,7 @@ def test_direct_agrees_with_colamd_lu(case, family, n):
     x, report = solve_direct(reduced)
     assert report.ordering == "nested-dissection"
     assert 0 < report.factor_seconds <= report.seconds
-    lu = spla.splu(reduced.free_block().tocsc(), permc_spec="COLAMD")
+    lu = spla.splu(free_block(reduced).tocsc(), permc_spec="COLAMD")
     reference = lu.solve(reduced.rhs)
     err = np.abs(x - reference).max() / np.abs(reference).max()
     assert err <= 1e-10
@@ -281,7 +306,7 @@ def test_direct_solve_reproduces_a_cubic_on_unequal_cells(family):
     case = alternating_cubic(2)
     space = build_space(case.mesh((8, 6)), family)
     assert len(np.unique(np.round(space.mesh.cell_half_lengths, 12), axis=0)) == 4
-    system = apply_dirichlet(assemble(space, case.source),
+    system = apply_dirichlet(space, load_vector(space, case.source),
                              boundary_values_from_case(space, case))
     x, _ = solve_direct(system)
     assert max(broken_norms(space, reconstruct(space, x, system.boundary_values),
@@ -292,7 +317,7 @@ def test_solve_report_counts_the_fronts():
     _, reduced = assembled(case_lshape2d(), ADINI_TYPE, 8)
     _, report = solve_direct(reduced)
     _, fronts = free_dissection(reduced)
-    factor = cholesky(reduced.matrix, reduced.space)
+    factor = cholesky(reduced.space)
     assert report.fronts == len(fronts) == len(factor.fronts) > 1
     _, report = solve_direct(small_system())
     assert report.fronts == 1
@@ -306,12 +331,13 @@ SHARING = [
 SHARING_IDS = ["smooth2d-adini-32", "lshape2d-adini-16", "smooth3d-morley-8"]
 
 
-def reference_factors(matrix, space):
-    """``(L11, L21)`` of every front, each front factored on its own: the
-    numeric loop of ``cholesky`` without classes, the update matrices kept."""
+def reference_factors(a, space):
+    """``(L11, L21)`` of every front of the matrix whose rows ``a`` builds,
+    each front factored on its own: the numeric loop of ``cholesky``
+    without classes, the update matrices kept."""
     free = space.free_dofs()
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
-    rows, runs, entries = symbolic(matrix, free[perm], fronts)
+    rows, runs, entries = symbolic(a, free[perm], fronts)
     factors, updates = [], []
     for front, upd, (pos, val) in zip(fronts, rows, entries):
         k, m = front.stop - front.start, len(upd)
@@ -351,8 +377,9 @@ def test_solve_report_counts_the_factored_fronts(case, family, n, fronts, factor
 def test_shared_fronts_equal_a_per_front_factorization_bit_for_bit(
         case, family, n, fronts, factored):
     _, reduced = assembled(case, family, n)
-    factor = cholesky(reduced.matrix, reduced.space)
-    assert_factors_equal(factor, reference_factors(reduced.matrix, reduced.space))
+    factor = cholesky(reduced.space)
+    assert_factors_equal(factor, reference_factors(stiffness_rows(reduced.space),
+                                                   reduced.space))
     # a repeat shares its class's blocks, and fill still counts them per front
     for f, c in enumerate(factor.classes):
         assert c <= f and factor.classes[c] == c
@@ -362,9 +389,9 @@ def test_shared_fronts_equal_a_per_front_factorization_bit_for_bit(
     assert factor.fill == sum(a.size for pair in factor.factors for a in pair)
 
 
-def test_a_nudged_value_splits_its_front_and_the_ancestors_off():
-    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 32)
-    factor = cholesky(reduced.matrix, reduced.space)
+def test_a_nudged_value_splits_its_front_and_the_ancestors_off(monkeypatch):
+    system, reduced = assembled(case_smooth2d(), ADINI_TYPE, 32)
+    factor = cholesky(reduced.space)
     fronts, classes = factor.fronts, factor.classes
     parent = {c: f for f, front in enumerate(fronts) for c in front.children}
     # a repeated front with columns, and the fronts on its path to the root
@@ -374,19 +401,20 @@ def test_a_nudged_value_splits_its_front_and_the_ancestors_off():
     while path[-1] in parent:
         path.append(parent[path[-1]])
     dof = reduced.free[factor.perm[fronts[front].start]]
-    matrix = reduced.matrix.copy()
+    matrix = system.matrix.copy()
     matrix[dof, dof] = np.nextafter(matrix[dof, dof], np.inf)
-    nudged = cholesky(matrix, reduced.space)
+    monkeypatch.setattr(solver, "stiffness_rows", lambda space: MatrixRows(matrix))
+    nudged = cholesky(reduced.space)
     for f in path:
         assert nudged.classes.count(f) == 1 and nudged.classes[f] == f
     assert nudged.factored > factor.factored
-    assert_factors_equal(nudged, reference_factors(matrix, reduced.space))
+    assert_factors_equal(nudged, reference_factors(MatrixRows(matrix), reduced.space))
 
 
 def test_distinct_blocks_of_l_are_smaller_than_the_fill():
     # repeats hold 39% of L at smooth2d Adini N=32; only one copy is stored
     _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 32)
-    factor = cholesky(reduced.matrix, reduced.space)
+    factor = cholesky(reduced.space)
     stored = {id(a): a.nbytes for pair in factor.factors for a in pair}
     assert sum(stored.values()) < 0.7 * factor.fill * 8
 
@@ -394,23 +422,26 @@ def test_distinct_blocks_of_l_are_smaller_than_the_fill():
 def test_nested_dissection_fills_less_than_colamd():
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     _, report = solve_direct(reduced)
-    lu = spla.splu(reduced.free_block().tocsc(), permc_spec="COLAMD")
+    lu = spla.splu(free_block(reduced).tocsc(), permc_spec="COLAMD")
     # the Cholesky factor L alone against the L half of COLAMD's LU
     assert 0 < report.fill < lu.L.nnz
 
 
 def test_cg_report_has_no_factorization():
-    _, report = solve_cg(small_system())
+    system = small_system()
+    _, report = solve_cg(system, stiffness(system))
     assert (report.ordering, report.fill, report.factor_seconds, report.fronts,
             report.factored) == (None,) * 5
 
 
-def test_singular_matrix_raises():
+def test_singular_matrix_raises(monkeypatch):
     def drop(a, free):
         a[free[7], :] = 0.0
         a[:, free[7]] = 0.0
+    system = small_system()
+    with_matrix(system, drop, monkeypatch)
     with pytest.raises(SolverError):
-        solve_direct(with_matrix(small_system(), drop))
+        solve_direct(system)
 
 
 def test_residual_above_the_bound_raises(monkeypatch):
@@ -420,15 +451,15 @@ def test_residual_above_the_bound_raises(monkeypatch):
     monkeypatch.setattr(Cholesky, "solve",
                         lambda self, b: exact(self, b) * (1 + 1e-6))
     system = small_system()
-    x = cholesky(system.matrix, system.space).solve(system.rhs)
-    res = (np.linalg.norm(system.free_block() @ x - system.rhs)
+    x = cholesky(system.space).solve(system.rhs)
+    res = (np.linalg.norm(free_block(system) @ x - system.rhs)
            / np.linalg.norm(system.rhs))
     assert 1e-9 < res < 1e-3
     with pytest.raises(SolverError, match="residual"):
         solve_direct(system)
 
 
-def test_indefinite_matrix_fails_in_the_cholesky():
+def test_indefinite_matrix_fails_in_the_cholesky(monkeypatch):
     # the earlier pivots are those of the SPD matrix; the pivot of the
     # negated diagonal entry is at most that entry
     system = small_system()
@@ -438,25 +469,32 @@ def test_indefinite_matrix_fails_in_the_cholesky():
 
     def negate(a, free):
         a[free[dof], free[dof]] = -a[free[dof], free[dof]]
+    with_matrix(system, negate, monkeypatch)
     with pytest.raises(SolverError, match=rf"pivot {pivot} \(free DoF {dof}\) is not "
                        "positive") as err:
-        solve_direct(with_matrix(system, negate))
+        solve_direct(system)
     assert "residual" not in str(err.value)
 
 
 def test_symbolic_rejects_a_pattern_that_crosses_a_separator():
-    # a Galerkin operator P^T A P couples DoFs two coarse cells apart, across
-    # the vertex planes that separate the coarse space's assembled matrix
-    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 14)
-    space = reduced.space
-    coarse = build_space(coarsen(space.mesh), ADINI_TYPE)
-    p = prolongation(space, coarse)[space.free_dofs()][:, coarse.free_dofs()]
-    # on all of the coarse space's DoFs, the shape cholesky takes, with no
-    # entry in a boundary row or column
-    embed = sp.identity(coarse.n_dofs, format="csr")[:, coarse.free_dofs()]
-    galerkin = embed @ (p.T @ reduced.free_block() @ p) @ embed.T
-    with pytest.raises(ValueError, match=r"front \d+ .* row \d+ .*crosses a separator"):
-        cholesky(galerkin.tocsr(), coarse)
+    # the root separator S declared a leaf beside the first half L, and
+    # numbered between L and the second half: L's update rows then lie in S,
+    # before the range of the front that takes L as a child
+    _, reduced = assembled(case_smooth2d(), ADINI_TYPE, 8)
+    perm, fronts = free_dissection(reduced)
+    root = fronts[-1]
+    first = []
+    for f in fronts:
+        first.append(first[f.children[0]] if f.children else f.start)
+    left, right = (perm[first[c]:fronts[c].stop] for c in root.children)
+    sep = perm[root.start:root.stop]
+    order = np.concatenate([left, sep, right])
+    crossing = [Front(0, len(left)), Front(len(left), len(left) + len(sep)),
+                Front(len(left) + len(sep), len(order), (0, 1))]
+    rows = stiffness_rows(reduced.space)
+    symbolic(rows, reduced.free[perm], fronts)      # the true tree passes
+    with pytest.raises(ValueError, match=r"front 2 .* row \d+ from child 0.*crosses a separator"):
+        symbolic(rows, reduced.free[order], crossing)
 
 
 def one_pass_symbolic(a, perm, fronts):
@@ -501,16 +539,17 @@ def one_pass_symbolic(a, perm, fronts):
     lambda: assembled(case_smooth3d(), MORLEY, 4),
 ], ids=["lshape2d-adini-16", "smooth3d-morley-4"])
 def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
-    # the reference reads a copy of the free block; symbolic reads A
+    # the reference reads a copy of the free block; symbolic builds A's rows
     _, reduced = build()
     perm, fronts = free_dissection(reduced)
-    want = one_pass_symbolic(reduced.free_block(), perm, fronts)
+    want = one_pass_symbolic(free_block(reduced), perm, fronts)
     classes = _classify(fronts, *want[:2], list(want[2]))
     # a chunk per front, chunks of a few fronts, one chunk of all of them
-    nnz = reduced.matrix.nnz
-    for block_points in (1, nnz // 5, nnz + 1):
+    a = stiffness_rows(reduced.space)
+    total = int(a.entries.sum())
+    for block_points in (1, total // 5, total + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries = symbolic(reduced.matrix, reduced.free[perm], fronts)
+        rows, runs, entries = symbolic(a, reduced.free[perm], fronts)
         assert len(rows) == len(want[0]) and runs == want[1]
         for got, ref in zip(rows, want[0]):
             np.testing.assert_array_equal(got, ref)
@@ -523,14 +562,15 @@ def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
 
 def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
     # 12 bytes per lower entry kept (an int32 position and a value) plus one
-    # chunk of rows: 39 at smooth3d Morley N=8 (18 at N=16); a permuted
-    # copy of the whole matrix and int64 positions took 58
+    # chunk of rows and the row builder: 40 at smooth3d Morley N=8 (20 at
+    # N=16), where reading the chunks off an assembled A took 39 (18) and a
+    # permuted copy of the whole matrix and int64 positions 58
     _, reduced = assembled(case_smooth3d(), MORLEY, 8)
     perm, fronts = free_dissection(reduced)
-    dofs, out = reduced.free[perm], []
-    peak = traced_peak(lambda: out.append(symbolic(reduced.matrix, dofs, fronts)))
+    dofs, out, space = reduced.free[perm], [], reduced.space
+    peak = traced_peak(lambda: out.append(symbolic(stiffness_rows(space), dofs, fronts)))
     lower = sum(len(pos) for pos, _ in out[0][2])
-    assert reduced.matrix.nnz > assembly.BLOCK_POINTS      # several chunks
+    assert stiffness_rows(space).entries.sum() > 4 * assembly.BLOCK_POINTS  # chunks
     assert peak <= 45 * lower
 
 
@@ -539,14 +579,16 @@ def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
     (case_smooth2d(), 8), (case_smooth3d(), 4), (case_lshape2d(), 8),
 ], ids=["square-8", "cube-4", "lshape-8"])
 def test_symbolic_reads_the_free_block_of_a_as_its_copy(case, n, family, monkeypatch):
-    # rows, runs, positions and values, bit for bit, from A itself and from
-    # a copy of its free block, with a chunk per front and one chunk in all
-    _, reduced = assembled(case, family, n)
+    # rows, runs, positions and values, bit for bit, from the rows that the
+    # row builder builds and from a copy of A's free block, with a chunk per
+    # front and one chunk in all
+    system, reduced = assembled(case, family, n)
     perm, fronts = free_dissection(reduced)
-    block = reduced.free_block()
-    for block_points in (1, reduced.matrix.nnz + 1):
+    block = MatrixRows(free_block(reduced))
+    a = stiffness_rows(reduced.space)
+    for block_points in (1, int(a.entries.sum()) + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries = symbolic(reduced.matrix, reduced.free[perm], fronts)
+        rows, runs, entries = symbolic(a, reduced.free[perm], fronts)
         want_rows, want_runs, want_entries = symbolic(block, perm, fronts)
         assert runs == want_runs and len(rows) == len(want_rows) == len(fronts)
         for got, ref in zip(rows, want_rows):
