@@ -16,7 +16,8 @@ The stiffness matrix A's entries are formed in one place, the row builder
 of ``stiffness_rows``: any set of A's rows, built from the element
 matrices with the bits of the same rows of A built at once.  ``assemble``
 builds all of them for CG; the direct solver and the Dirichlet
-elimination build only the rows they read, a block at a time.
+elimination build only the rows they read, a block at a time, with the
+one builder that ``apply_dirichlet`` hands on in its ``ReducedSystem``.
 """
 
 from __future__ import annotations
@@ -191,41 +192,64 @@ class RowBuilder:
     same rows built all at once.  The sums' explicit zeros are kept, and
     the indices are int32 while all entries fit, as ``tocsr`` picks them.
     ``entries[r]`` counts row r's entries before the sum.
+
+    The row index those rules need is built on first use, and ``release``
+    drops it until a call needs it again: a builder kept for its local
+    matrices then holds no array of its own besides them.
     """
 
     def __init__(self, local: np.ndarray, group: np.ndarray, rows: np.ndarray,
                  cols: np.ndarray, shape: tuple[int, int], weigh):
         self.local, self.group, self.shape, self.weigh = local, group, shape, weigh
-        self.nloc = rows.shape[1]
+        self.rows, self.cols, self.nloc = rows, cols, rows.shape[1]
         self.itype = (np.int32 if max(rows.size * self.nloc, *shape)
                       <= np.iinfo(np.int32).max else np.int64)
-        self.cols = cols.astype(self.itype)
-        # a stable sort of the (cell, local row) pairs by global row lists
-        # each row's pairs in mesh order: row r's are order[start[r]:start[r + 1]]
-        self.order = np.argsort(rows, axis=None, kind="stable")
-        count = np.bincount(rows.ravel(), minlength=shape[0])
-        self.start = np.concatenate(([0], np.cumsum(count)))
-        self.entries = count * self.nloc
+
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """``(order, start, entries, cols, sorted)``: a stable sort of the
+        (cell, local row) pairs by global row, which lists each row's pairs
+        in mesh order (row r's are ``order[start[r]:start[r + 1]]``), the
+        entries per row, the columns as ``itype``, and whether every row
+        is sorted."""
+        rows, cols = self.rows, self.cols
+        order = np.argsort(rows, axis=None, kind="stable")
+        count = np.bincount(rows.ravel(), minlength=self.shape[0])
+        start = np.concatenate(([0], np.cumsum(count)))
         # a row is sorted when each of its cells' columns ascend and each
         # cell's last column is at most the next cell's first
-        row, cell = rows.ravel()[self.order], self.order // self.nloc
-        self.sorted = bool((np.diff(cols, axis=1) >= 0).all() and np.all(
+        row, cell = rows.ravel()[order], order // self.nloc
+        is_sorted = bool((np.diff(cols, axis=1) >= 0).all() and np.all(
             (cols[cell[:-1], -1] <= cols[cell[1:], 0]) | (row[1:] != row[:-1])))
+        return order, start, count * self.nloc, cols.astype(self.itype), is_sorted
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._index[2]
+
+    @property
+    def sorted(self) -> bool:
+        return self._index[4]
+
+    def release(self) -> None:
+        """Drop the row index; the next call builds it again."""
+        self.__dict__.pop("_index", None)
 
     def __call__(self, r: np.ndarray) -> sp.csr_matrix:
         """Rows ``r`` as a CSR matrix of ``(len(r), shape[1])``, summed."""
-        first, count = self.start[r], self.start[r + 1] - self.start[r]
+        order, start, _, cols, is_sorted = self._index
+        first, count = start[r], start[r + 1] - start[r]
         ends = np.cumsum(count)
         at = (np.arange(ends[-1] if len(ends) else 0)
               + np.repeat(first - ends + count, count))
-        cell, a = np.divmod(self.order[at], self.nloc)
+        cell, a = np.divmod(order[at], self.nloc)
         data = self.local[self.group[cell], a]
         self.weigh(data, cell, a)
         indptr = np.zeros(len(r) + 1, dtype=self.itype)
         indptr[1:] = ends * self.nloc
-        mat = sp.csr_matrix((data.ravel(), self.cols[cell].ravel(), indptr),
+        mat = sp.csr_matrix((data.ravel(), cols[cell].ravel(), indptr),
                             shape=(len(r), self.shape[1]))
-        mat.has_sorted_indices = self.sorted
+        mat.has_sorted_indices = is_sorted
         mat.sum_duplicates()
         return mat
 
@@ -268,7 +292,8 @@ def stiffness_rows(space: FeSpace) -> RowBuilder:
         block *= scale[cell, a][:, None]
         block *= scale[cell]
 
-    k, group = _grouped_stiffness(space)
+    keys, group = group_rows(space.mesh.cell_half_lengths)
+    k = element_stiffness(keys, space.element)
     return RowBuilder(k, group, idx, idx, (space.n_dofs,) * 2, weigh)
 
 
@@ -292,14 +317,7 @@ def assemble(space: FeSpace, f) -> SparseSymSystem:
     return SparseSymSystem(stiffness_rows(space).matrix(), rhs, space)
 
 
-def _grouped_stiffness(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """``(k, group)``: one element matrix per group of the cells' half-lengths
-    (``group_rows``), and each cell's group."""
-    keys, group = group_rows(space.mesh.cell_half_lengths)
-    return element_stiffness(keys, space.element), group
-
-
-def apply_stiffness(space: FeSpace, x: np.ndarray) -> np.ndarray:
+def apply_stiffness(space: FeSpace, x: np.ndarray, a: RowBuilder) -> np.ndarray:
     """``A x`` for the matrix A that ``assemble`` builds on ``space``, applied
     cell by cell without A.
 
@@ -307,10 +325,12 @@ def apply_stiffness(space: FeSpace, x: np.ndarray) -> np.ndarray:
     scaled by ``s_a``, in blocks of about ``BLOCK_POINTS`` element-matrix
     entries, so only one block of cells' matrices is gathered at a time,
     whatever the number of groups; ``np.bincount`` sums the products over
-    the cells.  It agrees with A up to rounding, not bit for bit.
+    the cells.  It agrees with A up to rounding, not bit for bit.  The
+    grouped element matrices are those of ``a``, the space's
+    ``stiffness_rows``.
     """
     idx, scale = space.cell_dof_indices, space.cell_scalings
-    k, group = _grouped_stiffness(space)
+    k, group = a.local, a.group
     local = x[idx] * scale
     step = max(1, BLOCK_POINTS // idx.shape[1] ** 2)
     for lo in range(0, len(idx), step):
@@ -327,16 +347,19 @@ class ReducedSystem:
 
     Its matrix is the principal submatrix of the stiffness matrix A on the
     free DoFs, which no field holds: the direct solver builds A's rows
-    from the element matrices as it reads them (``stiffness_rows``), and
-    CG takes A from ``assemble``.  ``space`` is the space of the system.
+    from the element matrices as it reads them, with ``rows``, and CG
+    takes A from ``assemble``.  ``space`` is the space of the system.
     Its DoF anchors and vertex planes let the direct solver order the
     unknowns by nested dissection, and its mesh lets CG build a multigrid
-    hierarchy.
+    hierarchy.  ``rows`` is the space's ``stiffness_rows``, built once by
+    the elimination and read again by the direct solver's factor and
+    residuals.
     """
 
     rhs: np.ndarray
     boundary_values: np.ndarray
     space: FeSpace
+    rows: RowBuilder
 
     @property
     def free(self) -> np.ndarray:
@@ -371,7 +394,7 @@ def apply_dirichlet(space: FeSpace, rhs: np.ndarray,
     rows = stiffness_rows(space)
     for lo, hi in rows.blocks(free[at]):
         out[at[lo:hi]] -= rows(free[at[lo:hi]]) @ g_full
-    return ReducedSystem(out, g, space)
+    return ReducedSystem(out, g, space, rows)
 
 
 def reconstruct(space: FeSpace, x_free: np.ndarray,

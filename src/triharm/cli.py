@@ -134,6 +134,11 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _corrections(rep) -> str:
+    """A report's refinement corrections, comma-separated, or ``-``."""
+    return ",".join(f"{c:.1e}" for c in rep.corrections or ()) or "-"
+
+
 def cmd_convergence(args) -> int:
     paths = [p for p in (args.output, args.markdown) if p]
     new = [p for p in paths if not os.path.exists(p)]
@@ -152,9 +157,11 @@ def _convergence(args, paths) -> int:
         _write(path, "", mode="a")
 
     def progress(n, errs, rep):
+        refined = (f", {rep.precision}, corrections={_corrections(rep)}"
+                   if rep.precision else "")
         print(f"# N={n:<4d} errors=({errs[0]:.6e}, {errs[1]:.6e}, "
               f"{errs[2]:.6e}, {errs[3]:.6e})  "
-              f"[{rep.method}, {rep.seconds:.1f}s]", file=sys.stderr)
+              f"[{rep.method}, {rep.seconds:.1f}s{refined}]", file=sys.stderr)
 
     report = convergence_study(
         get_case(args.case), family_from_name(args.element), args.levels,
@@ -193,6 +200,8 @@ def cmd_solve(args) -> int:
           f"factored={show(rep.factored)} "
           f"iterations={show(rep.iterations)} "
           f"residual={rep.relative_residual:.3e} "
+          f"precision={show(rep.precision)} "
+          f"corrections={_corrections(rep)} "
           f"factor_seconds={show(rep.factor_seconds, '.2f')} "
           f"seconds={rep.seconds:.2f}")
     if args.dump:

@@ -1,30 +1,42 @@
 """Direct solver for the symmetric positive definite system on the free DoFs.
 
 It is a multifrontal Cholesky factorization (Duff & Reid 1983; Liu 1992)
-on a geometric nested-dissection tree (George 1973).  Each block
-of free DoFs is cut once, at the mesh vertex plane nearest the median of its
-longest extent, and the DoFs on that plane are numbered after the two halves
-they separate.  A block of fewer than ``LEAF_DOFS`` DoFs is not cut, which
-merges the smallest fronts into one leaf.  Each separator, and each block
-left whole, is a front: a range of the permuted numbering whose columns of L
-are computed together in dense blocks.  ``symbolic`` works out, once, each
+on the fronts of a geometric nested-dissection tree
+(``ordering.nested_dissection``): ranges of the permuted numbering whose
+columns of L are computed together in dense blocks.  ``symbolic`` works out, once, each
 front's update rows, where its matrix entries go, and how each child's
 update matrix maps into its parent, reading the permuted rows a chunk of
 fronts at a time.  Fronts that repeat one another, bit for bit, fall into
 one class (``_classify``), and the numeric loop factors one front per
-class: it only allocates, adds slices and calls LAPACK and BLAS
-(``dpotrf``, ``dtrsm``, ``dsyrk``).  Only L is stored, its diagonal blocks
-packed, and the fronts of a class share theirs.  A non-positive pivot
-raises SolverError, and a relative residual check of 1e-9 guards every
-direct solve.
+class: it only allocates, adds slices and calls LAPACK and BLAS.  Only L
+is stored, its diagonal blocks packed, and the fronts of a class share
+theirs.  A non-positive pivot raises SolverError, and a relative residual
+check of 1e-9 guards every direct solve.
+
+The numeric factor and the substitution take a dtype, and pick their
+routines by its prefix: ``spotrf``, ``strsm``, ``ssyrk`` and ``stpsv`` in
+float32, ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dtpsv`` in float64.
+``symbolic`` and ``_classify`` read and compare A's float64 entries
+either way.  ``solve_direct`` factors a system on a mesh of
+``FLOAT32_DIM`` (3) or more dimensions in float32 and refines its solution
+with float64 residuals, mixed-precision iterative refinement (Carson &
+Higham, SIAM J. Sci. Comput. 40, 2018); a failed float32 pivot or a
+refinement that stalls above ``REFINE_BOUND`` falls back to a float64
+factor.  A 2D system, whose condition number reaches ~1e10 at h = 1/64,
+is factored in float64 and solved once, as is every other caller's
+(``multigrid``'s coarsest level, ``verify_patch_test``).
 
 No global matrix is formed: ``symbolic`` builds the rows of A that a
 chunk of fronts reads from the element matrices
 (``assembly.stiffness_rows``), with the bits of the same rows of the
-assembled A, and the residual check applies the element matrices cell by
-cell (``assembly.apply_stiffness``).  The peak of a solve sits in the
-numeric factor, L and the update matrices: at its end for the L-shape,
-during it for 3D.
+assembled A, and the residuals apply the element matrices cell by cell
+(``assembly.apply_stiffness``).  A reduced system carries its row
+builder, so the Dirichlet elimination, the factor and every residual of
+a solve share one, and its grouped element matrices; ``cholesky``
+releases its row index before the numeric factor.  The peak of a solve
+sits in the numeric factor, L and the update matrices: at its end for the
+L-shape, during it for 3D, where float32 halves that phase (smooth3d
+Morley N=16: process peak 211 -> 151 MB).
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which factors its coarsest level with ``cholesky`` on
@@ -44,13 +56,23 @@ from scipy.linalg import blas, lapack
 from .assembly import (
     ReducedSystem, RowBuilder, apply_stiffness, block_bounds, stiffness_rows,
 )
+from .ordering import Front, nested_dissection
 from .space import FeSpace
 
-__all__ = ["SolveReport", "solve_direct", "SolverError", "Front", "Cholesky",
-           "cholesky", "nested_dissection", "symbolic", "relative_residual",
-           "LEAF_DOFS"]
+__all__ = ["SolveReport", "solve_direct", "SolverError", "Cholesky", "cholesky",
+           "symbolic", "relative_residual"]
 
-LEAF_DOFS = 64   # a block of fewer free DoFs is not cut: it is one front
+# a system on a mesh of this dimension or higher is factored in float32 first
+FLOAT32_DIM = 3
+# a refinement step stops the loop when its correction |dx| / |x| is more than
+# this share of the last one (Demmel et al., ACM TOMS 32, 2006)
+REFINE_SHRINK = 0.5
+# a refinement that stops with a larger last correction falls back to a
+# float64 factor; the last corrections at 3D N <= 16 are at most 1.2e-13
+# (Adini N=16), and that floor grows like the condition number, h^-6, so
+# N=32's ~8e-12 stays an order of magnitude below the bound
+REFINE_BOUND = 1e-10
+REFINE_STEPS = 20   # refinement steps at most
 
 
 class SolverError(RuntimeError):
@@ -68,19 +90,8 @@ class SolveReport:
     factor_seconds: float | None = None  # direct: time spent in the factorization
     fronts: int | None = None        # direct: fronts of the elimination tree
     factored: int | None = None      # direct: fronts factored, the others repeat one
-
-
-@dataclass(frozen=True)
-class Front:
-    """Columns ``start:stop`` of the permuted matrix, eliminated together.
-
-    ``children`` index the fronts whose update matrices this one absorbs;
-    they come before it in postorder.
-    """
-
-    start: int
-    stop: int
-    children: tuple[int, ...] = ()
+    precision: str | None = None     # direct: dtype of the factor, "float32" or "float64"
+    corrections: list[float] | None = None  # direct: |dx| / |x| of each refinement step
 
 
 def relative_residual(ax, b) -> float:
@@ -89,81 +100,6 @@ def relative_residual(ax, b) -> float:
     if nb == 0:
         return float(np.linalg.norm(ax))
     return float(np.linalg.norm(ax - b) / nb)
-
-
-def _cut(coords, axis_nodes: list[np.ndarray]):
-    """``(axis, plane)``: the vertex plane nearest the median of the longest
-    axis of the points with coordinates ``coords`` (one array per axis), or
-    None when no vertex plane lies strictly inside their extent."""
-    lo, hi = [c.min() for c in coords], [c.max() for c in coords]
-    for axis in sorted(range(len(coords)), key=lambda ax: lo[ax] - hi[ax]):
-        nodes = axis_nodes[axis]
-        inside = nodes[np.searchsorted(nodes, lo[axis], "right"):
-                       np.searchsorted(nodes, hi[axis])]
-        if inside.size:
-            coord = coords[axis]
-            # np.median without its overhead: the mean of the middle pair
-            mid = [(len(coord) - 1) // 2, len(coord) // 2]
-            median = np.partition(coord, mid)[mid].sum() / 2
-            return axis, inside[np.abs(inside - median).argmin()]
-    return None
-
-
-def nested_dissection(points: np.ndarray, axis_nodes: list[np.ndarray]
-                      ) -> tuple[np.ndarray, list[Front]]:
-    """Nested-dissection order of the DoFs anchored at ``points``, and its fronts.
-
-    Each block is cut once, at the vertex plane nearest the median of its
-    longest axis; both halves are ordered recursively, then the DoFs on the
-    plane follow them as their parent front.  Every cell lies on one side of
-    a vertex plane, so no cell holds a DoF of each half.  A block of fewer
-    than ``LEAF_DOFS`` DoFs, one that no vertex plane cuts, or one whose
-    separator has at least as many DoFs as its smaller half is not split: it
-    keeps its natural order and becomes one leaf front.  The fronts are
-    listed in postorder.
-
-    A separator's DoFs are then numbered by the cuts its first half made:
-    below, on and above each cut plane in turn, recursively.  The part of
-    it next to a descendant block is then a few contiguous runs.
-    """
-    coords = [np.ascontiguousarray(c) for c in points.T]
-    pieces, fronts, cuts = [], [], []
-
-    def visit(idx) -> int:
-        sub = [c[idx] for c in coords]
-        cut = _cut(sub, axis_nodes) if len(idx) >= LEAF_DOFS else None
-        children = ()
-        if cut is not None:
-            coord = sub[cut[0]]
-            left, right = idx[coord < cut[1]], idx[coord > cut[1]]
-            if len(idx) - len(left) - len(right) < min(len(left), len(right)):
-                children, idx = (visit(left), visit(right)), idx[coord == cut[1]]
-        start = fronts[-1].stop if fronts else 0
-        pieces.append(idx)
-        fronts.append(Front(start, start + len(idx), children))
-        cuts.append(cut if children else (-1, 0.0))
-        return len(fronts) - 1
-
-    visit(np.arange(len(points)))
-    # walk all separator DoFs down their first halves' cuts at once, adding
-    # a digit 0, 1 or 2 for below, on or above each cut, and 0 at a leaf
-    axis, plane = (np.array(v) for v in zip(*cuts))
-    below = np.array([f.children[0] if f.children else -1 for f in fronts])
-    above = np.array([f.children[-1] if f.children else -1 for f in fronts])
-    seps = np.flatnonzero(below >= 0)
-    if len(seps):
-        sizes = [len(pieces[f]) for f in seps]
-        owner, dofs = np.repeat(seps, sizes), np.concatenate([pieces[f] for f in seps])
-        node, key = below[owner], np.zeros(len(dofs), dtype=np.int64)
-        while (live := axis[node] >= 0).any():
-            x, at = points[dofs, axis[node]], plane[node]
-            digit = np.where(live, np.sign(x - at) + 1, 0).astype(np.int64)
-            key = 3 * key + digit
-            node = np.where(~live, node, np.where(digit == 2, above[node], below[node]))
-        dofs = dofs[np.lexsort((key, owner))]
-        for f, d in zip(seps, np.split(dofs, np.cumsum(sizes)[:-1])):
-            pieces[f] = d
-    return np.concatenate(pieces), fronts
 
 
 def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
@@ -305,19 +241,24 @@ def _classify(fronts, rows, runs, entries) -> list[int]:
     return classes
 
 
-def _factor(fronts, perm, rows, runs, entries, classes):
-    """Multifrontal Cholesky: ``(L11, L21)`` of each front, L11 packed.
+def _factor(fronts, perm, rows, runs, entries, classes, dtype):
+    """Multifrontal Cholesky in ``dtype``: ``(L11, L21)`` of each front, L11
+    packed.
 
     Only the first front of each class is factored; a repeat shares its
     ``(L11, L21)``, and its parent reads the class's update matrix.  A
     factored front gathers its entries (dropping them from ``entries``) and
     its children's updates in its own columns, factors them, forms its
-    update matrix with ``dsyrk``, then adds its children's updates past its
+    update matrix with ``?syrk``, then adds its children's updates past its
     range.  A class's update matrix lives until the last factored front
     that reads it.  Blocks are C-ordered lower triangles, which LAPACK and
-    BLAS see as Fortran-ordered upper ones; L11 is kept in ``dtpsv``'s
-    packed form.
+    BLAS see as Fortran-ordered upper ones; L11 is kept in ``?tpsv``'s
+    packed form.  The float64 entries are rounded to ``dtype`` as they are
+    gathered, and ``?potrf``, ``?trsm`` and ``?syrk`` of that precision do
+    the rest.
     """
+    [potrf] = lapack.get_lapack_funcs(["potrf"], dtype=dtype)
+    trsm, syrk = blas.get_blas_funcs(["trsm", "syrk"], dtype=dtype)
     last = {}       # class -> the last factored front that reads its update
     for f, front in enumerate(fronts):
         if classes[f] == f:
@@ -329,7 +270,7 @@ def _factor(fronts, perm, rows, runs, entries, classes):
             factors.append(factors[classes[i]])
             continue
         k, m = front.stop - front.start, len(upd)
-        l11, l21, f22 = np.zeros((k, k)), np.zeros((m, k)), np.zeros((m, m))
+        l11, l21, f22 = (np.zeros(shape, dtype) for shape in ((k, k), (m, k), (m, m)))
         (pos, val), entries[i] = entries[i], None
         low = pos < k * k
         l11.reshape(-1)[pos[low]] = val[low]
@@ -337,15 +278,15 @@ def _factor(fronts, perm, rows, runs, entries, classes):
         for c in front.children:
             _extend_add(l11, l21, f22, updates[classes[c]], runs[c], True)
         if k:
-            _, info = lapack.dpotrf(l11.T, lower=0, clean=0, overwrite_a=1)
+            _, info = potrf(l11.T, lower=0, clean=0, overwrite_a=1)
             if info > 0:
                 pos = front.start + info - 1
                 raise SolverError(
                     f"Cholesky pivot {pos} (free DoF {perm[pos]}) is not "
                     "positive; system not SPD")
             if m:
-                blas.dtrsm(1.0, l11.T, l21.T, trans_a=1, overwrite_b=1)
-                blas.dsyrk(-1.0, l21.T, c=f22.T, trans=1, overwrite_c=1)
+                trsm(1.0, l11.T, l21.T, trans_a=1, overwrite_b=1)
+                syrk(-1.0, l21.T, c=f22.T, trans=1, overwrite_c=1)
         for c in front.children:
             _extend_add(l11, l21, f22, updates[classes[c]], runs[c], False)
         for c in front.children:
@@ -360,19 +301,21 @@ def _factor(fronts, perm, rows, runs, entries, classes):
 
 
 def _substitute(factors, fronts, rows, b) -> np.ndarray:
-    """Solve ``L L^T x = b`` front by front: forward in postorder, then back."""
+    """Solve ``L L^T x = b`` front by front: forward in postorder, then back,
+    with ``?tpsv`` in the precision of ``b``."""
     x = b.copy()
+    tpsv = blas.get_blas_funcs("tpsv", dtype=b.dtype)
     for (l11, l21), front, upd in zip(factors, fronts, rows):
         k = front.stop - front.start
         if k:
-            y = blas.dtpsv(k, l11, x[front.start:front.stop], trans=1)
+            y = tpsv(k, l11, x[front.start:front.stop], trans=1)
             x[front.start:front.stop] = y
             x[upd] -= l21 @ y
     for (l11, l21), front, upd in zip(factors[::-1], fronts[::-1], rows[::-1]):
         k = front.stop - front.start
         if k:
             y = x[front.start:front.stop] - l21.T @ x[upd]
-            x[front.start:front.stop] = blas.dtpsv(k, l11, y)
+            x[front.start:front.stop] = tpsv(k, l11, y)
     return x
 
 
@@ -380,7 +323,7 @@ def _substitute(factors, fronts, rows, b) -> np.ndarray:
 class Cholesky:
     """``P A P^T = L L^T``, with L kept front by front as ``(L11, L21)``.
 
-    The fronts of one class share one ``(L11, L21)``.
+    The fronts of one class share one ``(L11, L21)``, of type ``dtype``.
     """
 
     perm: np.ndarray
@@ -389,6 +332,7 @@ class Cholesky:
     factors: list[tuple[np.ndarray, np.ndarray]]
     classes: list[int]      # each front's class: the first front it repeats
     seconds: float          # spent in the factorization, after the ordering
+    dtype: np.dtype
 
     @property
     def fill(self) -> int:
@@ -401,18 +345,31 @@ class Cholesky:
         return len(set(self.classes))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` in float64.  Below float64, ``b`` is first divided by
+        the power of two s at or above its largest entry and x multiplied
+        by s after, which changes no bit unless it spares the float32
+        operands an overflow or underflow."""
         x = np.empty(len(self.perm))
+        b = b[self.perm]
+        if self.dtype == np.float64:
+            x[self.perm] = _substitute(self.factors, self.fronts, self.rows, b)
+            return x
+        s = np.ldexp(1.0, np.frexp(np.abs(b).max(initial=0.0))[1])
         x[self.perm] = _substitute(self.factors, self.fronts, self.rows,
-                                   b[self.perm])
+                                   (b / s).astype(self.dtype))
+        x *= s
         return x
 
 
-def cholesky(space: FeSpace) -> Cholesky:
+def cholesky(space: FeSpace, a: RowBuilder | None = None,
+             dtype=np.float64) -> Cholesky:
     """Multifrontal Cholesky of the stiffness matrix A on the free DoFs of
-    ``space``.
+    ``space``, in ``dtype`` (float64 or float32).
 
-    The rows of A are built where ``symbolic`` reads them, from the
-    element matrices (``assembly.stiffness_rows``).  The free DoFs are
+    The rows of A are built where ``symbolic`` reads them, by ``a``, the
+    space's row builder (``assembly.stiffness_rows`` when it is not
+    given), from the element matrices; its row index is released before
+    the numeric factor.  The free DoFs are
     ordered by nested dissection of their anchor points on the mesh's
     vertex planes; a system with no free DoFs is one empty front.  A
     pattern that crosses a separator raises ValueError, a non-positive
@@ -422,31 +379,75 @@ def cholesky(space: FeSpace) -> Cholesky:
     free = space.free_dofs()
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     t0 = time.perf_counter()
-    rows, runs, entries = symbolic(stiffness_rows(space), free[perm], fronts)
+    a = stiffness_rows(space) if a is None else a
+    rows, runs, entries = symbolic(a, free[perm], fronts)
+    a.release()     # its row index would add to the numeric factor's peak
     classes = _classify(fronts, rows, runs, entries)
-    factors = _factor(fronts, perm, rows, runs, entries, classes)
-    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0)
+    factors = _factor(fronts, perm, rows, runs, entries, classes, dtype)
+    return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0,
+                    np.dtype(dtype))
+
+
+def _refine(factor: Cholesky, x: np.ndarray, residual) -> list[float]:
+    """Refine x in place by ``x += factor.solve(residual(x))``, where
+    ``residual(x)`` is ``b - A x`` in float64, and return each step's
+    ``|dx| / |x|``.  Stops when a correction stops shrinking: when it is
+    zero, or more than ``REFINE_SHRINK`` times the one before (a NaN stops
+    it too), or after ``REFINE_STEPS`` steps."""
+    corrections = [np.inf]
+    while len(corrections) <= REFINE_STEPS:
+        dx = factor.solve(residual(x))
+        x += dx
+        corrections.append(float(np.linalg.norm(dx) / (np.linalg.norm(x) or 1.0)))
+        if not 0 < corrections[-1] <= REFINE_SHRINK * corrections[-2]:
+            break
+    return corrections[1:]
 
 
 def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
-    """Multifrontal Cholesky in nested-dissection order, with a residual check.
+    """Multifrontal Cholesky in nested-dissection order, refined in float64
+    where it is factored in float32, with a residual check.
 
-    The residual is taken with ``apply_stiffness`` on the system's space.
-    A non-positive pivot raises SolverError, and so does a relative
-    residual above 1e-9.
+    A system on a mesh of ``FLOAT32_DIM`` or more dimensions is factored in
+    float32 first, and its solution refined (``_refine``) with residuals
+    ``b - A x`` taken in float64 from the element matrices
+    (``apply_stiffness``).  A non-positive float32 pivot, or a last
+    correction above ``REFINE_BOUND``, discards that factor for a float64
+    one, whose solve is returned unrefined, as in fewer dimensions; the
+    report records the precision of the factor that made the answer and
+    its corrections.  The system's row builder serves the factor and every
+    residual.  A non-positive float64 pivot raises SolverError, and so does
+    a relative residual of the answer above 1e-9.
     """
     t0 = time.perf_counter()
-    space, rhs = system.space, system.rhs
-    factor = cholesky(space)
-    x = factor.solve(rhs)
+    space, rhs, a = system.space, system.rhs, system.rows
     free = space.free_dofs()
-    full = np.zeros(space.n_dofs)
-    full[free] = x
-    res = relative_residual(apply_stiffness(space, full)[free], rhs)
+
+    def product(x):
+        full = np.zeros(space.n_dofs)
+        full[free] = x
+        return apply_stiffness(space, full, a)[free]
+
+    precisions = [np.float32] if space.dim >= FLOAT32_DIM else []
+    for dtype in precisions + [np.float64]:
+        try:
+            factor = cholesky(space, a, dtype)
+        except SolverError:
+            if dtype == np.float64:
+                raise
+            continue
+        x = factor.solve(rhs)
+        corrections = [] if dtype == np.float64 else _refine(
+            factor, x, lambda x: rhs - product(x))
+        if not corrections or corrections[-1] <= REFINE_BOUND:
+            break
+        factor = x = None       # freed before the float64 factor is formed
+    res = relative_residual(product(x), rhs)
     report = SolveReport("direct", None, res, time.perf_counter() - t0,
                          ordering="nested-dissection", fill=factor.fill,
                          factor_seconds=factor.seconds,
-                         fronts=len(factor.fronts), factored=factor.factored)
+                         fronts=len(factor.fronts), factored=factor.factored,
+                         precision=str(factor.dtype), corrections=corrections)
     if not np.isfinite(res) or res > 1e-9:
         raise SolverError(
             f"direct solve residual {res:.3e} exceeds 1e-9; "

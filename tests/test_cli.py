@@ -36,7 +36,30 @@ def test_solve_with_cg_marks_direct_only_fields(capsys):
          "--solver", "cg"], capsys)
     assert code == 0
     assert "solver=cg ordering=- fill=- fronts=- factored=- iterations=" in out
-    assert "factor_seconds=- " in out
+    assert " precision=- corrections=- factor_seconds=- " in out
+
+
+def test_solve_prints_the_precision_and_the_corrections(capsys):
+    for case, precision in (("smooth2d", "float64"), ("smooth3d", "float32")):
+        code, out, _ = run_cli(["solve", "--case", case, "--n", "2"], capsys)
+        assert code == 0
+        assert f" precision={precision} corrections=" in out
+        corrections = out.split(" corrections=")[1].split()[0]
+        if precision == "float64":
+            assert corrections == "-"
+        else:
+            values = [float(c) for c in corrections.split(",")]
+            assert len(values) >= 2 and values[-1] <= 1e-10
+
+
+def test_convergence_progress_shows_the_precision_and_the_corrections(capsys):
+    code, _, err = run_cli(["convergence", "--case", "smooth3d", "--levels", "2,4"],
+                           capsys)
+    assert code == 0
+    progress = [line for line in err.splitlines() if line.startswith("# N=")]
+    assert len(progress) == 2
+    assert all("[direct, " in line and ", float32, corrections=" in line
+               for line in progress)
 
 
 def test_convergence_csv_to_stdout(capsys):

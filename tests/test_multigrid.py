@@ -13,8 +13,9 @@ from triharm.cases import case_lshape2d, case_smooth2d, case_smooth3d, polynomia
 from triharm.interpolation import boundary_values_from_case, canonical_interpolate
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
 from triharm.multigrid import VCycle, coarsen, prolongation, solve_cg
+from triharm.ordering import nested_dissection
 from triharm.reference import ADINI_TYPE, MORLEY
-from triharm.solver import nested_dissection, solve_direct
+from triharm.solver import solve_direct
 from triharm.space import build_space
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))

@@ -19,9 +19,9 @@ from triharm.interpolation import boundary_values_from_case
 from triharm.mesh import BoxDomain, StructuredMesh
 from triharm.multigrid import solve_cg
 from triharm.reference import ADINI_TYPE, MORLEY
+from triharm.ordering import LEAF_DOFS, Front, nested_dissection
 from triharm.solver import (
-    LEAF_DOFS, Cholesky, Front, SolverError, _classify, _extend_add, cholesky,
-    nested_dissection, solve_direct, symbolic,
+    Cholesky, SolverError, _classify, _extend_add, cholesky, solve_direct, symbolic,
 )
 from triharm.space import build_space
 
@@ -51,14 +51,19 @@ class MatrixRows:
     def __call__(self, r):
         return self.a[r]
 
+    def release(self):
+        pass
+
 
 def with_matrix(system: ReducedSystem, edit, monkeypatch):
     """A, on all DoFs of the system's space, with ``edit(a, free)`` applied to
-    a LIL copy and the system's free DoFs; the direct solver reads its rows."""
+    a LIL copy and the system's free DoFs; the direct solver reads its rows,
+    through the system's row builder or one ``cholesky`` builds."""
     a = stiffness(system).tolil()
     edit(a, system.free)
     a = a.tocsr()
     monkeypatch.setattr(solver, "stiffness_rows", lambda space: MatrixRows(a))
+    monkeypatch.setattr(system, "rows", MatrixRows(a))
     return a
 
 
@@ -431,7 +436,7 @@ def test_cg_report_has_no_factorization():
     system = small_system()
     _, report = solve_cg(system, stiffness(system))
     assert (report.ordering, report.fill, report.factor_seconds, report.fronts,
-            report.factored) == (None,) * 5
+            report.factored, report.precision, report.corrections) == (None,) * 7
 
 
 def test_singular_matrix_raises(monkeypatch):
@@ -596,3 +601,127 @@ def test_symbolic_reads_the_free_block_of_a_as_its_copy(case, n, family, monkeyp
         for (pos, val), (ref_pos, ref_val) in zip(entries, want_entries):
             assert pos.dtype == ref_pos.dtype and np.array_equal(pos, ref_pos)
             assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
+
+
+def spy_cholesky(monkeypatch):
+    """The dtypes ``solve_direct`` factors in, in order, each with whether
+    its factor failed with a SolverError."""
+    calls, real = [], solver.cholesky
+
+    def spy(space, a=None, dtype=np.float64):
+        try:
+            factor = real(space, a, dtype)
+        except SolverError:
+            calls.append((np.dtype(dtype).name, "failed"))
+            raise
+        calls.append((np.dtype(dtype).name, "factored"))
+        return factor
+    monkeypatch.setattr(solver, "cholesky", spy)
+    return calls
+
+
+def test_a_float32_pivot_failure_falls_back_to_the_float64_bits(monkeypatch):
+    # at h = 1/64 the L-shape's condition number (~1e10) breaks a float32 factor
+    system = assembled(case_lshape2d(), ADINI_TYPE, 64)[1]
+    want, _ = solve_direct(system)
+    monkeypatch.setattr(solver, "FLOAT32_DIM", 2)
+    calls = spy_cholesky(monkeypatch)
+    x, report = solve_direct(system)
+    assert calls == [("float32", "failed"), ("float64", "factored")]
+    assert (report.precision, report.corrections) == ("float64", [])
+    assert x.tobytes() == want.tobytes()
+
+
+def double_the_float32_solves(monkeypatch):
+    # x += 2 A^-1 (b - A x) flips the error's sign at the same size
+    exact = Cholesky.solve
+    monkeypatch.setattr(Cholesky, "solve", lambda self, b: exact(self, b) * (
+        2.0 if self.dtype == np.float32 else 1.0))
+
+
+@pytest.mark.parametrize("stall", [
+    lambda monkeypatch: monkeypatch.setattr(solver, "REFINE_BOUND", 0.0),
+    double_the_float32_solves,
+], ids=["bound-zero", "doubled-corrections"])
+def test_a_refinement_that_does_not_contract_falls_back_to_float64(stall, monkeypatch):
+    system = assembled(case_smooth3d(), MORLEY, 4)[1]
+    want = cholesky(system.space).solve(system.rhs)
+    calls = spy_cholesky(monkeypatch)
+    stall(monkeypatch)
+    x, report = solve_direct(system)
+    assert calls == [("float32", "factored"), ("float64", "factored")]
+    assert (report.precision, report.corrections) == ("float64", [])
+    assert x.tobytes() == want.tobytes()
+
+
+def test_a_2d_solve_is_one_unrefined_float64_solve(monkeypatch):
+    system = assembled(case_lshape2d(), ADINI_TYPE, 16)[1]
+    want = cholesky(system.space).solve(system.rhs)
+    calls = spy_cholesky(monkeypatch)
+    x, report = solve_direct(system)
+    assert calls == [("float64", "factored")]
+    assert (report.precision, report.corrections) == ("float64", [])
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_a_3d_solve_is_refined_to_the_float64_errors(family, monkeypatch):
+    case = case_smooth3d()
+    system = assembled(case, family, 8)[1]
+    space, g = system.space, system.boundary_values
+    calls = spy_cholesky(monkeypatch)
+    x, report = solve_direct(system)
+    assert calls == [("float32", "factored")]
+    assert report.precision == "float32"
+    # each correction shrinks by REFINE_SHRINK at least, but the last
+    c = report.corrections
+    assert 2 <= len(c) <= solver.REFINE_STEPS and c[-1] <= solver.REFINE_BOUND
+    assert all(b <= solver.REFINE_SHRINK * a for a, b in zip(c[:-2], c[1:-1]))
+    assert report.relative_residual <= 1e-9
+    res = np.linalg.norm(free_block(system) @ x - system.rhs) / np.linalg.norm(system.rhs)
+    assert res <= 1e-9
+    want = cholesky(space).solve(system.rhs)
+    got = broken_norms(space, reconstruct(space, x, g), case)
+    ref = broken_norms(space, reconstruct(space, want, g), case)
+    np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
+def test_a_float32_factor_takes_at_most_six_tenths_of_the_float64_memory(
+        family, traced_peak):
+    # L and the update matrices in float32: 0.50 of float64's at N=8
+    space = assembled(case_smooth3d(), family, 8)[1].space
+    free = space.free_dofs()
+    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
+    peaks = {}
+    for dtype in (np.float64, np.float32):
+        rows, runs, entries = symbolic(stiffness_rows(space), free[perm], fronts)
+        classes = _classify(fronts, rows, runs, entries)
+        out = []
+        peaks[dtype] = traced_peak(lambda: out.append(
+            solver._factor(fronts, perm, rows, runs, entries, classes, dtype)))
+        assert all(a.dtype == dtype for pair in out[0] for a in pair)
+    assert peaks[np.float32] <= 0.6 * peaks[np.float64]
+
+
+def test_a_direct_solve_builds_its_element_matrices_once(monkeypatch):
+    # the Dirichlet elimination, the factor and every refinement residual
+    # share the system's row builder and its grouped element matrices
+    calls, real = [], assembly.element_stiffness
+    monkeypatch.setattr(assembly, "element_stiffness",
+                        lambda *args: calls.append(1) or real(*args))
+    case = case_smooth3d()
+    space = build_space(case.mesh(4), ADINI_TYPE)
+    system = apply_dirichlet(space, load_vector(space, case.source),
+                             boundary_values_from_case(space, case))
+    _, report = solve_direct(system)
+    assert len(report.corrections) >= 2 and len(calls) == 1
+
+
+def test_cholesky_releases_the_row_index_of_the_builder_it_reads():
+    # only the local matrices stay for the residuals; the index would add
+    # to the numeric factor's peak
+    system = assembled(case_lshape2d(), ADINI_TYPE, 8)[1]
+    assert "_index" in vars(system.rows)       # built by the elimination
+    cholesky(system.space, system.rows)
+    assert "_index" not in vars(system.rows)
