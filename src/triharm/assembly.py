@@ -15,9 +15,9 @@ the mesh beyond one block.
 The stiffness matrix A's entries are formed in one place, the row builder
 of ``stiffness_rows``: any set of A's rows, built from the element
 matrices with the bits of the same rows of A built at once.  ``assemble``
-builds all of them for CG; the direct solver and the Dirichlet
-elimination build only the rows they read, a block at a time, with the
-one builder that ``apply_dirichlet`` hands on in its ``ReducedSystem``.
+builds all of them for CG; the direct solver builds only the rows it
+reads, a block at a time.  ``apply_dirichlet`` builds none: each solver
+eliminates the boundary data in the pass that already reads A's free rows.
 """
 
 from __future__ import annotations
@@ -253,17 +253,13 @@ class RowBuilder:
         mat.sum_duplicates()
         return mat
 
-    def blocks(self, r: np.ndarray) -> list[tuple[int, int]]:
-        """``(lo, hi)`` slices of ``r`` of about ``BLOCK_POINTS`` entries
-        before the sum each (``block_bounds``)."""
-        return block_bounds(np.concatenate(([0], np.cumsum(self.entries[r])))[:-1])
-
     def matrix(self) -> sp.csr_matrix:
-        """All rows, built a block at a time (``blocks``); ``indices`` and
-        ``data`` are arrays of their own of exactly nnz entries."""
+        """All rows, built a block of about ``BLOCK_POINTS`` entries before
+        the sum at a time (``block_bounds``); ``indices`` and ``data`` are
+        arrays of their own of exactly nnz entries."""
         indptr = np.zeros(self.shape[0] + 1, dtype=self.itype)
         indices, data = [], []
-        for lo, hi in self.blocks(np.arange(self.shape[0])):
+        for lo, hi in block_bounds(np.concatenate(([0], np.cumsum(self.entries)))[:-1]):
             b = self(np.arange(lo, hi))
             indptr[lo + 1:hi + 1] = indptr[lo] + b.indptr[1:]
             # copies of the sums alone, so that no block's pre-sum arrays
@@ -342,59 +338,40 @@ def apply_stiffness(space: FeSpace, x: np.ndarray, a: RowBuilder) -> np.ndarray:
 
 @dataclass
 class ReducedSystem:
-    """The system on the free DoFs of ``space`` after symmetric boundary
-    elimination.
+    """The problem on the free DoFs of ``space``: the load on them and the
+    boundary values g, in the order of ``space.boundary_dofs()``.
 
-    Its matrix is the principal submatrix of the stiffness matrix A on the
-    free DoFs, which no field holds: the direct solver builds A's rows
-    from the element matrices as it reads them, with ``rows``, and CG
-    takes A from ``assemble``.  ``space`` is the space of the system.
-    Its DoF anchors and vertex planes let the direct solver order the
-    unknowns by nested dissection, and its mesh lets CG build a multigrid
-    hierarchy.  ``rows`` is the space's ``stiffness_rows``, built once by
-    the elimination and read again by the direct solver's factor and
-    residuals.
+    Its right-hand side, ``load - A_FB g``, is formed by each solver in the
+    pass that already reads A's free rows, as their product with g
+    extended by zero (``lifted``).  SciPy sums each row of it from +0.0:
+    the zeros add only +-0.0, so a row has the bits of its sum over A's
+    boundary columns alone, and a row with none is +0.0 and leaves the
+    load's bits.  The direct solver orders the unknowns by the space's DoF
+    anchors, and CG builds a multigrid hierarchy on its mesh.
     """
 
-    rhs: np.ndarray
+    load: np.ndarray
     boundary_values: np.ndarray
     space: FeSpace
-    rows: RowBuilder
 
     @property
     def free(self) -> np.ndarray:
         return self.space.free_dofs()
 
+    def lifted(self) -> np.ndarray:
+        """g on all DoFs of ``space``, zero on the free ones."""
+        return reconstruct(self.space, np.zeros(len(self.free)), self.boundary_values)
+
 
 def apply_dirichlet(space: FeSpace, rhs: np.ndarray,
                     boundary_values: np.ndarray) -> ReducedSystem:
-    """Eliminate boundary DoFs symmetrically.
-
-    ``rhs`` is the load on all DoFs of ``space``; ``boundary_values``
-    holds one value per boundary DoF, in the order of
-    ``space.boundary_dofs()``.  The reduced right-hand side is ``rhs - A
-    g`` on the free DoFs, with g extended by zero and each row of the
-    product summed from +0.0, as SciPy sums it: the zeros add only +-0.0,
-    so a row has the bits of its sum over A's boundary columns alone, and
-    a row with none is +0.0 and leaves rhs's bits.  Only the free rows
-    that share a cell with a boundary DoF are built, a block at a time.
-    """
-    bd = space.boundary_dofs()
+    """The problem on the free DoFs of ``space`` for the load ``rhs`` on
+    all DoFs and the boundary DoFs held at ``boundary_values``, with no row
+    of A built: the solver eliminates them (``ReducedSystem``)."""
     g = np.asarray(boundary_values, dtype=float)
-    if g.shape != bd.shape:
+    if g.shape != space.boundary_dofs().shape:
         raise ValueError("boundary value vector has wrong length")
-    g_full = np.zeros(space.n_dofs)
-    g_full[bd] = g
-    free = space.free_dofs()
-    idx = space.cell_dof_indices
-    coupled = np.zeros(space.n_dofs, dtype=bool)
-    coupled[idx[space.boundary_mask[idx].any(axis=1)]] = True
-    at = np.flatnonzero(coupled[free])      # positions in free of those rows
-    out = rhs[free]
-    rows = stiffness_rows(space)
-    for lo, hi in rows.blocks(free[at]):
-        out[at[lo:hi]] -= rows(free[at[lo:hi]]) @ g_full
-    return ReducedSystem(out, g, space, rows)
+    return ReducedSystem(rhs[space.free_dofs()], g, space)
 
 
 def reconstruct(space: FeSpace, x_free: np.ndarray,

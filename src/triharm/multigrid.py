@@ -194,17 +194,19 @@ def solve_cg(system: ReducedSystem, matrix: sp.csr_matrix,
     """Conjugate gradients preconditioned by a multigrid V-cycle.
 
     ``matrix`` is the stiffness matrix on all DoFs of the system's space,
-    as ``assemble`` builds it.  The V-cycle is built from the system's
-    space, and its coarsest level is factored by ``solver.cholesky``; CG
-    iterates on the free block of ``matrix``, the V-cycle's finest matrix.
+    as ``assemble`` builds it.  The right-hand side is the load minus the
+    free rows of ``matrix`` times the boundary values (``ReducedSystem``).
+    The V-cycle is built from the system's space, and its coarsest level is
+    factored by ``solver.cholesky``; CG iterates on the free block of
+    ``matrix``, the V-cycle's finest matrix.
     Raises SolverError on a non-positive diagonal entry, a non-positive
     pivot of the coarsest factorization, or no convergence within
     ``CG_MAXITER`` iterations.  A tolerance that is not finite and
     positive raises ValueError (``check_tolerance``).
     """
     check_tolerance(tol)
-    b = system.rhs
     t0 = time.perf_counter()
+    b = system.load - (matrix @ system.lifted())[system.free]
     if len(b) == 0:
         return np.zeros(0), SolveReport("cg", 0, 0.0, time.perf_counter() - t0)
     if np.any(matrix.diagonal()[system.free] <= 0):

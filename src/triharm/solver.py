@@ -30,13 +30,14 @@ No global matrix is formed: ``symbolic`` builds the rows of A that a
 chunk of fronts reads from the element matrices
 (``assembly.stiffness_rows``), with the bits of the same rows of the
 assembled A, and the residuals apply the element matrices cell by cell
-(``assembly.apply_stiffness``).  A reduced system carries its row
-builder, so the Dirichlet elimination, the factor and every residual of
-a solve share one, and its grouped element matrices; ``cholesky``
-releases its row index before the numeric factor.  The peak of a solve
-sits in the numeric factor, L and the update matrices: at its end for the
-L-shape, during it for 3D, where float32 halves that phase (smooth3d
-Morley N=16: process peak 211 -> 151 MB).
+(``assembly.apply_stiffness``).  A solve's factor and residuals share
+one row builder and its element matrices, and ``symbolic`` builds each
+free row once, multiplying it by the boundary values before it drops the
+boundary columns; ``cholesky`` releases the row index before the numeric
+factor.  The peak of a solve sits in the numeric factor, L and the
+update matrices: at its end for the L-shape, during it for 3D, where
+float32 halves that phase (smooth3d Morley N=16: process peak 211 -> 151
+MB).
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which factors its coarsest level with ``cholesky`` on
@@ -102,7 +103,8 @@ def relative_residual(ax, b) -> float:
     return float(np.linalg.norm(ax - b) / nb)
 
 
-def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
+def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
+             x: np.ndarray | None = None):
     """The pattern of ``P A P^T = L L^T`` on the fronts, computed once.
 
     Row and column i of ``P A P^T`` are row and column perm[i] of the
@@ -110,7 +112,7 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
     principal submatrix of A, whose other columns are dropped as its rows
     are read.  Front f holds k columns of L on its own range and its m
     update rows: the sorted rows past its range that its entries or its
-    children's update rows reach.  Returns ``(rows, runs, entries)``:
+    children's update rows reach.  Returns ``(rows, runs, entries, ax)``:
 
     - ``rows[f]``: front f's update rows;
     - ``runs[c]``: child c's update rows as runs ``(at, lo, hi)``: rows
@@ -118,7 +120,10 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
       parent (own range first), never crossing into its update rows;
     - ``entries[f]``: ``(positions, values)`` of front f's entries on and
       below the diagonal in its flat C-ordered ``(k + m, k)`` block, the
-      positions int32 while ``(k + m) k`` fits.
+      positions int32 while ``(k + m) k`` fits;
+    - ``ax``: ``(A x)[perm]`` for ``x``, a vector or columns on all of A's
+      columns, each row multiplied as it is built, before the columns off
+      perm are dropped; None without ``x``.
     A child's update row before its parent's range crosses the parent's
     separator: ValueError.
 
@@ -135,11 +140,13 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
     # one chunk
     before = np.concatenate(([0], np.cumsum(a.entries[perm])))[starts]
     slot, count = np.empty(n, dtype=np.intp), np.arange(n + 1)  # row in front
-    rows, entries, parent = [], [], np.full(nf, -1)
+    rows, entries, parent, ax = [], [], np.full(nf, -1), []
     at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
     for first, stop in block_bounds(before):
         lo, hi = fronts[first].start, fronts[stop - 1].stop
         b = a(perm[lo:hi])      # row j of it is column lo + j of P A P^T
+        if x is not None:
+            ax.append(b @ x)
         # one filtered array at a time, each input freed once it is read
         i, values, counts = inverse[b.indices], b.data, np.diff(b.indptr)
         del b
@@ -158,10 +165,10 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
                                      f" gets row {rows[c][0]} from child {c}: the"
                                      " pattern crosses a separator")
             k = front.stop - front.start
-            x = np.concatenate([own[own >= front.stop]] + [
+            u = np.concatenate([own[own >= front.stop]] + [
                 rows[c][rows[c].searchsorted(front.stop):] for c in front.children])
-            x.sort()
-            rows.append(x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x)
+            u.sort()
+            rows.append(u[np.concatenate(([True], u[1:] != u[:-1]))] if len(u) else u)
             slot[front.start:front.stop] = count[:k]
             slot[rows[f]] = count[k:k + len(rows[f])]
             itype = np.int32 if (k + len(rows[f])) * k < 2**31 else np.intp
@@ -185,7 +192,7 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front]):
     for c, *run in zip(child[cuts].tolist(), at[cuts].tolist(), lo.tolist(),
                        hi.tolist()):
         runs[c].append(tuple(run))
-    return rows, runs, entries
+    return rows, runs, entries, None if x is None else np.concatenate(ax)
 
 
 def _extend_add(l11, l21, f22, update, runs, own: bool) -> None:
@@ -333,6 +340,7 @@ class Cholesky:
     classes: list[int]      # each front's class: the first front it repeats
     seconds: float          # spent in the factorization, after the ordering
     dtype: np.dtype
+    ax: np.ndarray | None   # A x on the free DoFs for cholesky's x, or None
 
     @property
     def fill(self) -> int:
@@ -345,31 +353,29 @@ class Cholesky:
         return len(set(self.classes))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` in float64.  Below float64, ``b`` is first divided by
-        the power of two s at or above its largest entry and x multiplied
-        by s after, which changes no bit unless it spares the float32
-        operands an overflow or underflow."""
+        """``A^-1 b`` in float64.  ``b`` is first divided by the power of two
+        s at or above its largest entry and x multiplied by s after, which
+        changes no bit unless it spares the operands of ``dtype`` an
+        overflow or underflow."""
         x = np.empty(len(self.perm))
         b = b[self.perm]
-        if self.dtype == np.float64:
-            x[self.perm] = _substitute(self.factors, self.fronts, self.rows, b)
-            return x
         s = np.ldexp(1.0, np.frexp(np.abs(b).max(initial=0.0))[1])
         x[self.perm] = _substitute(self.factors, self.fronts, self.rows,
-                                   (b / s).astype(self.dtype))
+                                   (b / s).astype(self.dtype, copy=False))
         x *= s
         return x
 
 
 def cholesky(space: FeSpace, a: RowBuilder | None = None,
-             dtype=np.float64) -> Cholesky:
+             dtype=np.float64, x: np.ndarray | None = None) -> Cholesky:
     """Multifrontal Cholesky of the stiffness matrix A on the free DoFs of
     ``space``, in ``dtype`` (float64 or float32).
 
     The rows of A are built where ``symbolic`` reads them, by ``a``, the
     space's row builder (``assembly.stiffness_rows`` when it is not
     given), from the element matrices; its row index is released before
-    the numeric factor.  The free DoFs are
+    the numeric factor.  With ``x``, a vector or columns on all DoFs, the
+    factor's ``ax`` is ``symbolic``'s product.  The free DoFs are
     ordered by nested dissection of their anchor points on the mesh's
     vertex planes; a system with no free DoFs is one empty front.  A
     pattern that crosses a separator raises ValueError, a non-positive
@@ -380,12 +386,15 @@ def cholesky(space: FeSpace, a: RowBuilder | None = None,
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     t0 = time.perf_counter()
     a = stiffness_rows(space) if a is None else a
-    rows, runs, entries = symbolic(a, free[perm], fronts)
+    rows, runs, entries, ax = symbolic(a, free[perm], fronts, x)
     a.release()     # its row index would add to the numeric factor's peak
+    del x           # and so would x, when the caller holds no other reference
+    if ax is not None:
+        ax[perm] = ax.copy()        # into the order of free
     classes = _classify(fronts, rows, runs, entries)
     factors = _factor(fronts, perm, rows, runs, entries, classes, dtype)
     return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0,
-                    np.dtype(dtype))
+                    np.dtype(dtype), ax)
 
 
 def _refine(factor: Cholesky, x: np.ndarray, residual) -> list[float]:
@@ -415,13 +424,13 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     correction above ``REFINE_BOUND``, discards that factor for a float64
     one, whose solve is returned unrefined, as in fewer dimensions; the
     report records the precision of the factor that made the answer and
-    its corrections.  The system's row builder serves the factor and every
-    residual.  A non-positive float64 pivot raises SolverError, and so does
-    a relative residual of the answer above 1e-9.
+    its corrections.  The right-hand side is the load minus the factor's
+    ``ax`` of the boundary values (``ReducedSystem``).  A non-positive
+    float64 pivot raises SolverError, and so does a relative residual of
+    the answer above 1e-9.
     """
     t0 = time.perf_counter()
-    space, rhs, a = system.space, system.rhs, system.rows
-    free = space.free_dofs()
+    space, free, a = system.space, system.free, stiffness_rows(system.space)
 
     def product(x):
         full = np.zeros(space.n_dofs)
@@ -431,11 +440,12 @@ def solve_direct(system: ReducedSystem) -> tuple[np.ndarray, SolveReport]:
     precisions = [np.float32] if space.dim >= FLOAT32_DIM else []
     for dtype in precisions + [np.float64]:
         try:
-            factor = cholesky(space, a, dtype)
+            factor = cholesky(space, a, dtype, system.lifted())
         except SolverError:
             if dtype == np.float64:
                 raise
             continue
+        rhs = system.load - factor.ax
         x = factor.solve(rhs)
         corrections = [] if dtype == np.float64 else _refine(
             factor, x, lambda x: rhs - product(x))

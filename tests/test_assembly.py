@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from oracle import Polynomial, apply_dof, basis
-from triharm import assembly
+from triharm import assembly, multigrid, solver
 from triharm.assembly import (
     BLOCK_POINTS, RowBuilder, apply_dirichlet, apply_stiffness, assemble,
     derivative_multiindices, element_stiffness, gauss_rule, group_rows, reconstruct,
@@ -22,6 +22,7 @@ from triharm.interpolation import (
     boundary_values_from_case, canonical_interpolate, quasi_interpolate,
 )
 from triharm.mesh import BoxDomain, StructuredMesh, lshape_mesh, uniform_mesh
+from triharm.ordering import nested_dissection
 from triharm.reference import ADINI_TYPE, MORLEY, Q1, build_dual_basis
 from triharm.space import build_space
 
@@ -164,7 +165,7 @@ def test_dirichlet_elimination_readback():
     system = assemble(space, case.source)
     bvals = canonical_interpolate(space, case)[space.boundary_dofs()]
     reduced = apply_dirichlet(space, system.rhs, bvals)
-    assert reduced.rhs.shape == (len(space.free_dofs()),)
+    assert reduced.load.shape == (len(space.free_dofs()),)
     full = reconstruct(space, np.zeros(len(reduced.free)), reduced.boundary_values)
     np.testing.assert_array_equal(full[space.boundary_dofs()], bvals)
 
@@ -475,9 +476,16 @@ DIRICHLET_CASES = [
 
 
 def test_dirichlet_reduction_matches_two_row_slices(monkeypatch):
-    # only the free rows that share a cell with a boundary DoF are built; the
-    # others' products with g are +0.0, so every row keeps the bits of the
-    # full product, with a block per row and with one block
+    # each solver eliminates g where it reads A's free rows: the direct
+    # solver as symbolic builds them, with a chunk per front and with the
+    # default chunks, and CG from the assembled A.  The rows with no
+    # boundary column give +0.0, so every row of the right-hand side keeps
+    # the bits of the full product
+    seen, solve, cg = [], solver.Cholesky.solve, multigrid.spla.cg
+    monkeypatch.setattr(solver.Cholesky, "solve",
+                        lambda self, b: seen.append(b.copy()) or solve(self, b))
+    monkeypatch.setattr(multigrid.spla, "cg",
+                        lambda a, b, **kw: seen.append(b.copy()) or cg(a, b, **kw))
     for case, mesh, family in DIRICHLET_CASES:
         space = build_space(mesh(), family)
         system = assemble(space, case.source)
@@ -487,29 +495,41 @@ def test_dirichlet_reduction_matches_two_row_slices(monkeypatch):
         g_full[bd] = g
         want = system.rhs[free] - (a @ g_full)[free]
         assert np.array_equal(want, system.rhs[free] - a[free][:, bd] @ g)
+        reduced = apply_dirichlet(space, system.rhs, g)
         for block_points in (1, BLOCK_POINTS):
             monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-            got = apply_dirichlet(space, system.rhs, g).rhs
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            seen.clear()
+            solver.solve_direct(reduced)    # its first solve is of the rhs
+            assert seen[0].shape == want.shape
+            assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
+        if len(free):
+            seen.clear()
+            multigrid.solve_cg(reduced, a)
+            assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
 
 
 def test_dirichlet_elimination_allocates_no_matrix(traced_peak):
-    # the free rows that share a cell with a boundary DoF are built a block
-    # at a time: 1.75 blocks of 12 bytes per entry measured (one block's
-    # pre-sum entries and sums, the row builder and the vectors), where the
-    # coupled rows hold 5.2 blocks' entries
+    # apply_dirichlet builds no row of A, and symbolic's products with g
+    # add vectors, not rows, to its pass: measured 7.6 and 11.4 bytes per
+    # DoF, where the free rows that share a cell with a boundary DoF hold
+    # 5.2 blocks' entries
     case = case_smooth3d()
     space = build_space(case.mesh(8), ADINI_TYPE)
     rhs = assembly.load_vector(space, case.source)
     g = boundary_values_from_case(space, case)
-    apply_dirichlet(space, rhs, g)      # warm the element's Grammians
+    reduced = apply_dirichlet(space, rhs, g)
     peak = traced_peak(lambda: apply_dirichlet(space, rhs, g))
+    free, a = space.free_dofs(), stiffness_rows(space)
+    perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
+    a.entries       # the row index, kept by the builder between the two passes
+    alone = traced_peak(lambda: solver.symbolic(a, free[perm], fronts))
+    with_g = traced_peak(lambda: solver.symbolic(a, free[perm], fronts, reduced.lifted()))
     idx = space.cell_dof_indices
     coupled = np.unique(idx[space.boundary_mask[idx].any(axis=1)])
     entries = np.bincount(idx.ravel())[coupled[~space.boundary_mask[coupled]]]
     assert entries.sum() * space.element.n_dofs > 4 * BLOCK_POINTS
-    assert peak <= 3 * 12 * BLOCK_POINTS
+    assert peak <= 2 * 8 * space.n_dofs
+    assert with_g - alone <= 2 * 8 * space.n_dofs
 
 
 @pytest.mark.parametrize("mesh, family", [

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from triharm import assembly, multigrid, solver
-from triharm.analysis import broken_norms
+from triharm.analysis import broken_norms, solve_case
 from triharm.assembly import (
     ReducedSystem, apply_dirichlet, assemble, load_vector, reconstruct, stiffness_rows,
 )
@@ -24,6 +24,7 @@ from triharm.solver import (
     Cholesky, SolverError, _classify, _extend_add, cholesky, solve_direct, symbolic,
 )
 from triharm.space import build_space
+from triharm.verify import verify_patch_test
 
 
 def small_system() -> ReducedSystem:
@@ -42,6 +43,11 @@ def free_block(system: ReducedSystem):
     return stiffness(system)[free][:, free].tocsr()
 
 
+def reduced_rhs(system: ReducedSystem):
+    """The system's right-hand side ``load - A_FB g``, from the assembled A."""
+    return system.load - (stiffness(system) @ system.lifted())[system.free]
+
+
 class MatrixRows:
     """The rows of a CSR matrix, handed out as a row builder hands out A's."""
 
@@ -57,13 +63,12 @@ class MatrixRows:
 
 def with_matrix(system: ReducedSystem, edit, monkeypatch):
     """A, on all DoFs of the system's space, with ``edit(a, free)`` applied to
-    a LIL copy and the system's free DoFs; the direct solver reads its rows,
-    through the system's row builder or one ``cholesky`` builds."""
+    a LIL copy and the system's free DoFs; the direct solver reads its rows
+    through the row builder it makes."""
     a = stiffness(system).tolil()
     edit(a, system.free)
     a = a.tocsr()
     monkeypatch.setattr(solver, "stiffness_rows", lambda space: MatrixRows(a))
-    monkeypatch.setattr(system, "rows", MatrixRows(a))
     return a
 
 
@@ -72,8 +77,9 @@ def test_direct_residual_on_a_small_assembled_system():
     x, report = solve_direct(system)
     assert report.method == "direct"
     assert report.relative_residual <= 1e-10
-    resid = np.linalg.norm(free_block(system) @ x - system.rhs)
-    assert resid <= 1e-10 * np.linalg.norm(system.rhs)
+    b = reduced_rhs(system)
+    resid = np.linalg.norm(free_block(system) @ x - b)
+    assert resid <= 1e-10 * np.linalg.norm(b)
 
 
 def test_cg_agrees_with_direct():
@@ -112,7 +118,7 @@ def test_empty_system():
     # one cell: every DoF lies on the boundary
     full, empty = assembled(case_smooth2d(), ADINI_TYPE, 1)
     assert free_block(empty).shape == (0, 0) and len(empty.free) == 0
-    assert empty.rhs.shape == (0,)
+    assert empty.load.shape == (0,)
     for solve in (solve_direct, lambda system: solve_cg(system, full.matrix)):
         x, report = solve(empty)
         assert x.size == 0 and report.relative_residual == 0.0
@@ -260,7 +266,7 @@ def test_fronts_form_an_elimination_tree(build):
     assert size[-1] == len(fronts)
 
     dofs = reduced.free[perm]
-    rows, runs, entries = symbolic(stiffness_rows(reduced.space), dofs, fronts)
+    rows, runs, entries, _ = symbolic(stiffness_rows(reduced.space), dofs, fronts)
     assert len(rows[-1]) == 0
     dense = system.matrix.toarray()[dofs][:, dofs]
     lower = np.zeros_like(dense)
@@ -300,7 +306,7 @@ def test_direct_agrees_with_colamd_lu(case, family, n):
     assert report.ordering == "nested-dissection"
     assert 0 < report.factor_seconds <= report.seconds
     lu = spla.splu(free_block(reduced).tocsc(), permc_spec="COLAMD")
-    reference = lu.solve(reduced.rhs)
+    reference = lu.solve(reduced_rhs(reduced))
     err = np.abs(x - reference).max() / np.abs(reference).max()
     assert err <= 1e-10
 
@@ -342,7 +348,7 @@ def reference_factors(a, space):
     without classes, the update matrices kept."""
     free = space.free_dofs()
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
-    rows, runs, entries = symbolic(a, free[perm], fronts)
+    rows, runs, entries, _ = symbolic(a, free[perm], fronts)
     factors, updates = [], []
     for front, upd, (pos, val) in zip(fronts, rows, entries):
         k, m = front.stop - front.start, len(upd)
@@ -456,9 +462,9 @@ def test_residual_above_the_bound_raises(monkeypatch):
     monkeypatch.setattr(Cholesky, "solve",
                         lambda self, b: exact(self, b) * (1 + 1e-6))
     system = small_system()
-    x = cholesky(system.space).solve(system.rhs)
-    res = (np.linalg.norm(free_block(system) @ x - system.rhs)
-           / np.linalg.norm(system.rhs))
+    b = reduced_rhs(system)
+    x = cholesky(system.space).solve(b)
+    res = np.linalg.norm(free_block(system) @ x - b) / np.linalg.norm(b)
     assert 1e-9 < res < 1e-3
     with pytest.raises(SolverError, match="residual"):
         solve_direct(system)
@@ -554,7 +560,7 @@ def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
     total = int(a.entries.sum())
     for block_points in (1, total // 5, total + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries = symbolic(a, reduced.free[perm], fronts)
+        rows, runs, entries, _ = symbolic(a, reduced.free[perm], fronts)
         assert len(rows) == len(want[0]) and runs == want[1]
         for got, ref in zip(rows, want[0]):
             np.testing.assert_array_equal(got, ref)
@@ -593,8 +599,8 @@ def test_symbolic_reads_the_free_block_of_a_as_its_copy(case, n, family, monkeyp
     a = stiffness_rows(reduced.space)
     for block_points in (1, int(a.entries.sum()) + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries = symbolic(a, reduced.free[perm], fronts)
-        want_rows, want_runs, want_entries = symbolic(block, perm, fronts)
+        rows, runs, entries, _ = symbolic(a, reduced.free[perm], fronts)
+        want_rows, want_runs, want_entries, _ = symbolic(block, perm, fronts)
         assert runs == want_runs and len(rows) == len(want_rows) == len(fronts)
         for got, ref in zip(rows, want_rows):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -608,9 +614,9 @@ def spy_cholesky(monkeypatch):
     its factor failed with a SolverError."""
     calls, real = [], solver.cholesky
 
-    def spy(space, a=None, dtype=np.float64):
+    def spy(space, a=None, dtype=np.float64, x=None):
         try:
-            factor = real(space, a, dtype)
+            factor = real(space, a, dtype, x)
         except SolverError:
             calls.append((np.dtype(dtype).name, "failed"))
             raise
@@ -645,7 +651,7 @@ def double_the_float32_solves(monkeypatch):
 ], ids=["bound-zero", "doubled-corrections"])
 def test_a_refinement_that_does_not_contract_falls_back_to_float64(stall, monkeypatch):
     system = assembled(case_smooth3d(), MORLEY, 4)[1]
-    want = cholesky(system.space).solve(system.rhs)
+    want = cholesky(system.space).solve(reduced_rhs(system))
     calls = spy_cholesky(monkeypatch)
     stall(monkeypatch)
     x, report = solve_direct(system)
@@ -656,7 +662,7 @@ def test_a_refinement_that_does_not_contract_falls_back_to_float64(stall, monkey
 
 def test_a_2d_solve_is_one_unrefined_float64_solve(monkeypatch):
     system = assembled(case_lshape2d(), ADINI_TYPE, 16)[1]
-    want = cholesky(system.space).solve(system.rhs)
+    want = cholesky(system.space).solve(reduced_rhs(system))
     calls = spy_cholesky(monkeypatch)
     x, report = solve_direct(system)
     assert calls == [("float64", "factored")]
@@ -678,9 +684,10 @@ def test_a_3d_solve_is_refined_to_the_float64_errors(family, monkeypatch):
     assert 2 <= len(c) <= solver.REFINE_STEPS and c[-1] <= solver.REFINE_BOUND
     assert all(b <= solver.REFINE_SHRINK * a for a, b in zip(c[:-2], c[1:-1]))
     assert report.relative_residual <= 1e-9
-    res = np.linalg.norm(free_block(system) @ x - system.rhs) / np.linalg.norm(system.rhs)
+    b = reduced_rhs(system)
+    res = np.linalg.norm(free_block(system) @ x - b) / np.linalg.norm(b)
     assert res <= 1e-9
-    want = cholesky(space).solve(system.rhs)
+    want = cholesky(space).solve(b)
     got = broken_norms(space, reconstruct(space, x, g), case)
     ref = broken_norms(space, reconstruct(space, want, g), case)
     np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0)
@@ -695,7 +702,7 @@ def test_a_float32_factor_takes_at_most_six_tenths_of_the_float64_memory(
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     peaks = {}
     for dtype in (np.float64, np.float32):
-        rows, runs, entries = symbolic(stiffness_rows(space), free[perm], fronts)
+        rows, runs, entries, _ = symbolic(stiffness_rows(space), free[perm], fronts)
         classes = _classify(fronts, rows, runs, entries)
         out = []
         peaks[dtype] = traced_peak(lambda: out.append(
@@ -705,8 +712,8 @@ def test_a_float32_factor_takes_at_most_six_tenths_of_the_float64_memory(
 
 
 def test_a_direct_solve_builds_its_element_matrices_once(monkeypatch):
-    # the Dirichlet elimination, the factor and every refinement residual
-    # share the system's row builder and its grouped element matrices
+    # the factor, which eliminates the boundary values, and every
+    # refinement residual share one row builder and its element matrices
     calls, real = [], assembly.element_stiffness
     monkeypatch.setattr(assembly, "element_stiffness",
                         lambda *args: calls.append(1) or real(*args))
@@ -721,7 +728,58 @@ def test_a_direct_solve_builds_its_element_matrices_once(monkeypatch):
 def test_cholesky_releases_the_row_index_of_the_builder_it_reads():
     # only the local matrices stay for the residuals; the index would add
     # to the numeric factor's peak
-    system = assembled(case_lshape2d(), ADINI_TYPE, 8)[1]
-    assert "_index" in vars(system.rows)       # built by the elimination
-    cholesky(system.space, system.rows)
-    assert "_index" not in vars(system.rows)
+    space = assembled(case_lshape2d(), ADINI_TYPE, 8)[1].space
+    a = stiffness_rows(space)
+    a(space.free_dofs()[:1])
+    assert "_index" in vars(a)          # built by the first call
+    cholesky(space, a)
+    assert "_index" not in vars(a)
+
+
+def spy_builds(monkeypatch):
+    """``(rows, stiffness)``: the rows each call of a row builder builds,
+    listed per builder, and one entry per build of grouped element
+    matrices."""
+    rows, stiffness = {}, []
+    call, element = assembly.RowBuilder.__call__, assembly.element_stiffness
+
+    def spy(self, r):
+        rows.setdefault(self, []).append(np.array(r))
+        return call(self, r)
+    monkeypatch.setattr(assembly.RowBuilder, "__call__", spy)
+    monkeypatch.setattr(assembly, "element_stiffness",
+                        lambda *args: stiffness.append(1) or element(*args))
+    return rows, stiffness
+
+
+@pytest.mark.parametrize("case, family, n", [
+    (case_lshape2d(), ADINI_TYPE, 8), (case_smooth3d(), MORLEY, 4),
+], ids=["lshape2d-adini-8", "smooth3d-morley-4"])
+def test_a_direct_solve_builds_each_free_row_of_a_once(case, family, n, monkeypatch):
+    # apply_dirichlet builds no row; the factor's symbolic pass builds every
+    # free row, in chunks, and eliminates the boundary values there
+    monkeypatch.setattr(assembly, "BLOCK_POINTS", 4096)
+    rows, stiffness = spy_builds(monkeypatch)
+    space = build_space(case.mesh(n), family)
+    system = apply_dirichlet(space, load_vector(space, case.source),
+                             boundary_values_from_case(space, case))
+    assert rows == {} and stiffness == []
+    solve_direct(system)
+    [built] = rows.values()
+    assert len(built) > 1 and len(stiffness) == 1
+    assert np.array_equal(np.sort(np.concatenate(built)), space.free_dofs())
+
+
+def test_the_patch_test_and_a_cg_solve_build_each_element_matrix_and_row_once(
+        monkeypatch):
+    # the patch test factors two meshes, each with one build of its element
+    # matrices; CG builds the finest level's, for assemble, and the
+    # coarsest's, for its factor: the levels between are Galerkin products
+    for run in (lambda: verify_patch_test(MORLEY, 2),
+                lambda: solve_case(case_lshape2d(), ADINI_TYPE, 8, solver="cg")):
+        rows, stiffness = spy_builds(monkeypatch)
+        run()
+        assert len(stiffness) == 2 and rows
+        for built in rows.values():
+            built = np.concatenate(built)
+            assert len(np.unique(built)) == len(built)
