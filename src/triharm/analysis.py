@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    DATA_Q, apply_dirichlet, assemble, cell_blocks, derivative_multiindices,
-    gauss_rule, load_vector, reconstruct,
+    DATA_Q, apply_dirichlet, assemble, cell_blocks, check_length,
+    derivative_multiindices, gauss_rule, load_vector, reconstruct,
 )
 from .cases import ManufacturedCase
 from .interpolation import boundary_values_from_case
@@ -45,6 +45,7 @@ def broken_norms(space: FeSpace, coeffs: np.ndarray, case: ManufacturedCase,
     d^alpha u_h is evaluated through the element's monomials that survive
     d^alpha (``ReferenceElement.monomial_table``).
     """
+    check_length("coefficient vector", coeffs, space.n_dofs)
     mesh = space.mesh
     elem = space.element
     dim = mesh.dim

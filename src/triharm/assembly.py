@@ -38,7 +38,8 @@ __all__ = [
     "cell_moments", "derivative_multiindices",
     "element_stiffness", "group_rows", "block_bounds", "RowBuilder",
     "stiffness_rows", "load_vector", "assemble", "apply_stiffness",
-    "SparseSymSystem", "ReducedSystem", "apply_dirichlet", "reconstruct",
+    "SparseSymSystem", "ReducedSystem", "apply_dirichlet", "check_length",
+    "reconstruct",
 ]
 
 
@@ -181,19 +182,15 @@ class RowBuilder:
     ``weigh(block, cells, a)``, goes to global row ``rows[c, a]`` and
     columns ``cols[c]``.
 
-    ``builder(r)`` fills row r[i] with the row a of each cell that has
-    r[i] as its local row a, in mesh order: the order ``coo_tocsr`` gives
-    COO triples listed by cell, then row-major.  SciPy's ``sum_duplicates``
-    then sorts each row by column with an unstable sort
-    (``csr_sort_indices``) and sums in the sorted order, row by row, so a
-    row's last bits follow from its own fill.  SciPy skips the sort only
-    when every row is sorted already; the builder tells it whether every
-    row of the whole matrix is, so any set of rows has the bits of the
-    same rows built all at once.  The sums' explicit zeros are kept, and
-    the indices are int32 while all entries fit, as ``tocsr`` picks them.
-    ``entries[r]`` counts row r's entries before the sum.
+    Row r is SciPy's sort-and-sum of its (cell, local row) contributions,
+    filled in mesh order: ``builder(r)`` fills row r[i] with the row a of
+    each cell that has r[i] as its local row a, cell after cell, and
+    ``sum_duplicates`` sorts each row by column (``csr_sort_indices``) and
+    sums it in the sorted order.  A row's bits thus follow from its own
+    fill alone, whichever rows are built with it.  The sums' explicit
+    zeros are kept.  ``entries[r]`` counts row r's entries before the sum.
 
-    The row index those rules need is built on first use, and ``release``
+    The row index that rule needs is built on first use, and ``release``
     drops it until a call needs it again: a builder kept for its local
     matrices then holds no array of its own besides them.
     """
@@ -202,34 +199,20 @@ class RowBuilder:
                  cols: np.ndarray, shape: tuple[int, int], weigh):
         self.local, self.group, self.shape, self.weigh = local, group, shape, weigh
         self.rows, self.cols, self.nloc = rows, cols, rows.shape[1]
-        self.itype = (np.int32 if max(rows.size * self.nloc, *shape)
-                      <= np.iinfo(np.int32).max else np.int64)
 
     @functools.cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(order, start, entries, cols, sorted)``: a stable sort of the
-        (cell, local row) pairs by global row, which lists each row's pairs
-        in mesh order (row r's are ``order[start[r]:start[r + 1]]``), the
-        entries per row, the columns as ``itype``, and whether every row
-        is sorted."""
-        rows, cols = self.rows, self.cols
-        order = np.argsort(rows, axis=None, kind="stable")
-        count = np.bincount(rows.ravel(), minlength=self.shape[0])
-        start = np.concatenate(([0], np.cumsum(count)))
-        # a row is sorted when each of its cells' columns ascend and each
-        # cell's last column is at most the next cell's first
-        row, cell = rows.ravel()[order], order // self.nloc
-        is_sorted = bool((np.diff(cols, axis=1) >= 0).all() and np.all(
-            (cols[cell[:-1], -1] <= cols[cell[1:], 0]) | (row[1:] != row[:-1])))
-        return order, start, count * self.nloc, cols.astype(self.itype), is_sorted
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, start, entries)``: a stable sort of the (cell, local
+        row) pairs by global row, which lists each row's pairs in mesh
+        order (row r's are ``order[start[r]:start[r + 1]]``), and the
+        entries per row."""
+        order = np.argsort(self.rows, axis=None, kind="stable")
+        count = np.bincount(self.rows.ravel(), minlength=self.shape[0])
+        return order, np.concatenate(([0], np.cumsum(count))), count * self.nloc
 
     @property
     def entries(self) -> np.ndarray:
         return self._index[2]
-
-    @property
-    def sorted(self) -> bool:
-        return self._index[4]
 
     def release(self) -> None:
         """Drop the row index; the next call builds it again."""
@@ -237,7 +220,7 @@ class RowBuilder:
 
     def __call__(self, r: np.ndarray) -> sp.csr_matrix:
         """Rows ``r`` as a CSR matrix of ``(len(r), shape[1])``, summed."""
-        order, start, _, cols, is_sorted = self._index
+        order, start, _ = self._index
         first, count = start[r], start[r + 1] - start[r]
         ends = np.cumsum(count)
         at = (np.arange(ends[-1] if len(ends) else 0)
@@ -245,11 +228,10 @@ class RowBuilder:
         cell, a = np.divmod(order[at], self.nloc)
         data = self.local[self.group[cell], a]
         self.weigh(data, cell, a)
-        indptr = np.zeros(len(r) + 1, dtype=self.itype)
-        indptr[1:] = ends * self.nloc
-        mat = sp.csr_matrix((data.ravel(), cols[cell].ravel(), indptr),
+        mat = sp.csr_matrix((data.ravel(), self.cols[cell].ravel(),
+                             np.concatenate(([0], ends * self.nloc))),
                             shape=(len(r), self.shape[1]))
-        mat.has_sorted_indices = is_sorted
+        mat.has_sorted_indices = False
         mat.sum_duplicates()
         return mat
 
@@ -257,7 +239,7 @@ class RowBuilder:
         """All rows, built a block of about ``BLOCK_POINTS`` entries before
         the sum at a time (``block_bounds``); ``indices`` and ``data`` are
         arrays of their own of exactly nnz entries."""
-        indptr = np.zeros(self.shape[0] + 1, dtype=self.itype)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
         indices, data = [], []
         for lo, hi in block_bounds(np.concatenate(([0], np.cumsum(self.entries)))[:-1]):
             b = self(np.arange(lo, hi))
@@ -269,8 +251,9 @@ class RowBuilder:
         indices = np.concatenate(indices)
         data = np.concatenate(data)
         mat = sp.csr_matrix((data, indices, indptr), shape=self.shape)
-        # SciPy's constructor keeps views of the arrays it is given
-        mat.indices, mat.data = indices, data
+        # SciPy's constructor keeps views of the arrays it is given, and
+        # may pick a wider index dtype for all rows than for a block's
+        mat.indices, mat.data = indices.astype(mat.indptr.dtype, copy=False), data
         mat.has_canonical_format = True
         return mat
 
@@ -368,10 +351,17 @@ def apply_dirichlet(space: FeSpace, rhs: np.ndarray,
     """The problem on the free DoFs of ``space`` for the load ``rhs`` on
     all DoFs and the boundary DoFs held at ``boundary_values``, with no row
     of A built: the solver eliminates them (``ReducedSystem``)."""
+    check_length("load vector", rhs, space.n_dofs)
     g = np.asarray(boundary_values, dtype=float)
-    if g.shape != space.boundary_dofs().shape:
-        raise ValueError("boundary value vector has wrong length")
+    check_length("boundary value vector", g, len(space.boundary_dofs()))
     return ReducedSystem(rhs[space.free_dofs()], g, space)
+
+
+def check_length(name: str, vector, n: int) -> None:
+    """Raise ``ValueError`` unless ``vector`` is one-dimensional of length
+    ``n``, naming both shapes."""
+    if np.shape(vector) != (n,):
+        raise ValueError(f"{name} has shape {np.shape(vector)}, expected ({n},)")
 
 
 def reconstruct(space: FeSpace, x_free: np.ndarray,

@@ -139,23 +139,27 @@ def _corrections(rep) -> str:
     return ",".join(f"{c:.1e}" for c in rep.corrections or ()) or "-"
 
 
-def cmd_convergence(args) -> int:
-    paths = [p for p in (args.output, args.markdown) if p]
+def _writing(paths, work, args) -> int:
+    """``work(args)``, the one rule of the commands' output files: every
+    path given is checked before the work, by opening it to append, which
+    truncates no file, and a failed run leaves behind no file it created."""
+    paths = [p for p in paths if p]
     new = [p for p in paths if not os.path.exists(p)]
     try:
-        return _convergence(args, paths)
+        for path in paths:
+            _write(path, "", mode="a")
+        return work(args)
     except BaseException:
-        # a failed run leaves behind no output file it created
         for path in filter(os.path.exists, new):
             os.remove(path)
         raise
 
 
-def _convergence(args, paths) -> int:
-    # fail on an unwritable path before any solve, without truncating a file
-    for path in paths:
-        _write(path, "", mode="a")
+def cmd_convergence(args) -> int:
+    return _writing([args.output, args.markdown], _convergence, args)
 
+
+def _convergence(args) -> int:
     def progress(n, errs, rep):
         refined = (f", {rep.precision}, corrections={_corrections(rep)}"
                    if rep.precision else "")
@@ -181,6 +185,10 @@ def _convergence(args, paths) -> int:
 
 
 def cmd_solve(args) -> int:
+    return _writing([args.dump], _solve, args)
+
+
+def _solve(args) -> int:
     case, family = get_case(args.case), family_from_name(args.element)
     space, coeffs, rep = solve_case(case, family, args.n, solver=args.solver,
                                     cg_tol=args.tol)

@@ -36,8 +36,7 @@ free row once, multiplying it by the boundary values before it drops the
 boundary columns; ``cholesky`` releases the row index before the numeric
 factor.  The peak of a solve sits in the numeric factor, L and the
 update matrices: at its end for the L-shape, during it for 3D, where
-float32 halves that phase (smooth3d Morley N=16: process peak 211 -> 151
-MB).
+float32 halves that phase.
 
 The iterative alternative, CG preconditioned by a multigrid V-cycle, lives
 in ``multigrid``, which factors its coarsest level with ``cholesky`` on

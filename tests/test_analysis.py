@@ -34,6 +34,18 @@ def test_broken_norms_of_known_polynomial():
     assert h3 == pytest.approx(0.0, abs=1e-13)
 
 
+def test_broken_norms_reject_coefficients_of_another_space():
+    # N=8 coefficients read on the N=4 space would give a wrong H3 in silence
+    case = case_smooth2d()
+    space = build_space(case.mesh(4), ADINI_TYPE)
+    for n in (8, 2):
+        other = build_space(case.mesh(n), ADINI_TYPE)
+        with pytest.raises(ValueError, match=rf"coefficient vector has shape "
+                                             rf"\({other.n_dofs},\), expected "
+                                             rf"\({space.n_dofs},\)"):
+            broken_norms(space, np.zeros(other.n_dofs), case)
+
+
 def test_broken_norms_mixed_multiplicity():
     # u = xy: |u|_2^2 integrates 2 (d_xy u)^2 = 2 via the 2!/(1!1!) weight
     case = polynomial_case({(1, 1): 1}, UNIT_SQUARE)

@@ -170,6 +170,20 @@ def test_dirichlet_elimination_readback():
     np.testing.assert_array_equal(full[space.boundary_dofs()], bvals)
 
 
+def test_apply_dirichlet_rejects_a_load_of_another_space():
+    # the N=8 load on the N=4 space would solve another problem in silence
+    case = case_smooth2d()
+    space = build_space(case.mesh(4), ADINI_TYPE)
+    g = boundary_values_from_case(space, case)
+    for n in (8, 2):
+        rhs = assembly.load_vector(build_space(case.mesh(n), ADINI_TYPE), case.source)
+        with pytest.raises(ValueError, match=rf"load vector has shape \({len(rhs)},\), "
+                                             rf"expected \({space.n_dofs},\)"):
+            apply_dirichlet(space, rhs, g)
+    with pytest.raises(ValueError, match=rf"boundary value vector .*\({len(g)},\)"):
+        apply_dirichlet(space, np.zeros(space.n_dofs), g[1:])
+
+
 def test_cell_groups_match_a_per_cell_loop():
     # three distinct half-lengths, one differing only below the rounding
     rng = np.random.default_rng(3)
@@ -330,7 +344,6 @@ def test_stiffness_rows_have_the_bits_of_the_assembled_rows(mesh, family, monkey
     space = build_space(mesh(), family)
     want = assemble(space, None).matrix
     rows = stiffness_rows(space)
-    assert not rows.sorted      # SciPy sorts every row of A
     rng = np.random.default_rng(11)
     for size in (1, 17, space.n_dofs // 3, space.n_dofs):
         r = rng.choice(space.n_dofs, size, replace=False)
@@ -349,37 +362,42 @@ def test_stiffness_rows_have_the_bits_of_the_assembled_rows(mesh, family, monkey
 
 
 def test_row_builder_leaves_a_matrix_of_sorted_rows_unsorted():
-    # SciPy sorts no row when every row is sorted already, and its unstable
-    # sort reorders equal columns of a sorted row: each cell here fills
-    # columns that never fall, so the whole matrix is sorted, and the
-    # builder's rows keep the sums of the matrix built at once
+    # row r is SciPy's sort-and-sum of its own fill in mesh order, whatever
+    # the other rows: rows 0-2 fill columns that never fall, with
+    # duplicates that SciPy's unstable sort reorders, so a builder that
+    # lets SciPy skip the sort of sorted rows sums them in another order;
+    # the second matrix adds a row 3 whose columns fall
     rng = np.random.default_rng(5)
-    ncell, nloc = 40, 6
+    ncell, nloc, extra = 40, 6, 4
     local = rng.standard_normal((3, nloc, nloc))
-    group = rng.integers(0, 3, ncell)
-    rows = np.tile(np.arange(nloc) % 3, (ncell, 1))
-    cols = np.repeat(np.arange(ncell)[:, None] // 4, nloc, axis=1)
-    builder = RowBuilder(local, group, rows, cols, (3, ncell // 4), lambda *_: None)
-    assert builder.sorted
-    triples = sp.coo_matrix((local[group].ravel(), (np.repeat(rows, nloc, axis=1).ravel(),
-                                                    np.tile(cols, nloc).ravel())),
-                            shape=(3, ncell // 4))
-    want = triples.tocsr()
-    assert want.nnz < len(triples.data)
-    # the same fill, sorted all the same, sums in another order
-    order = np.argsort(rows, axis=None, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows.ravel()) * nloc)))
-    forced = sp.csr_matrix((local[group].reshape(-1, nloc)[order].ravel(),
-                            np.repeat(cols, nloc, axis=0)[order].ravel(), indptr),
-                           shape=want.shape)
-    forced.has_sorted_indices = False
-    forced.sum_duplicates()
-    assert forced.data.tobytes() != want.data.tobytes()
-    for r in ([0, 1, 2], [2], [2, 0]):
-        got = builder(np.array(r))
-        assert np.array_equal(got.indices, want[r].indices)
-        assert got.data.tobytes() == want[r].data.tobytes()
-    assert builder.matrix().data.tobytes() == want.data.tobytes()
+    group = rng.integers(0, 3, ncell + extra)
+    sorted_rows = np.tile(np.arange(nloc) % 3, (ncell, 1))
+    sorted_cols = np.repeat(np.arange(ncell)[:, None] // 4, nloc, axis=1)
+    for k in (0, extra):
+        rows = np.vstack([sorted_rows, np.full((k, nloc), 3)])
+        cols = np.vstack([sorted_cols, np.tile(np.arange(nloc)[::-1], (k, 1))])
+        g = group[:len(rows)]
+        shape = (rows.max() + 1, ncell // 4)
+        builder = RowBuilder(local, g, rows, cols, shape, lambda *_: None)
+        order = np.argsort(rows, axis=None, kind="stable")
+        fill = (local[g].reshape(-1, nloc)[order].ravel(),
+                np.repeat(cols, nloc, axis=0)[order].ravel(),
+                np.concatenate(([0], np.cumsum(np.bincount(rows.ravel()) * nloc))))
+        want, unsorted = (sp.csr_matrix(fill, shape=shape) for _ in range(2))
+        want.has_sorted_indices = False
+        want.sum_duplicates()
+        unsorted.has_sorted_indices = True
+        unsorted.sum_duplicates()
+        assert want[:3].data.tobytes() != unsorted[:3].data.tobytes()
+        for r in ([0, 1, 2], [2], [2, 0], [3], [1, 3], [3, 0, 1, 2]):
+            if max(r) < shape[0]:
+                got, ref = builder(np.array(r)), want[r]
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert got.data.tobytes() == ref.data.tobytes()
+        got = builder.matrix()
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("mesh, family", [

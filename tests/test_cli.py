@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from triharm.cli import build_parser, main
+from triharm.solver import SolverError
 
 
 def run_cli(args, capsys):
@@ -286,16 +287,20 @@ def test_unusable_config_file_is_a_config_error(text, tmp_path, capsys):
     assert lines[0].startswith("error: ") and str(cfg) in lines[0]
 
 
-def test_unwritable_output_fails_before_any_solve(tmp_path, capsys,
+@pytest.mark.parametrize("work, args", [
+    ("convergence_study", ["convergence", "--levels", "2,4", "--output"]),
+    ("solve_case", ["solve", "--n", "2", "--dump"]),
+], ids=["convergence", "solve-dump"])
+def test_unwritable_output_fails_before_any_solve(work, args, tmp_path, capsys,
                                                   monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("convergence_study ran")
+        raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr("triharm.cli.convergence_study", fail)
-    missing = tmp_path / "no-such-dir" / "table.csv"
-    code, _, err = run_cli(
-        ["convergence", "--levels", "2,4", "--output", str(missing)], capsys)
+    monkeypatch.setattr(f"triharm.cli.{work}", fail)
+    missing = tmp_path / "no-such-dir" / "output.txt"
+    code, out, err = run_cli([*args, str(missing)], capsys)
     assert code == 2
+    assert out == ""
     assert err.startswith(f"error: cannot write {missing}")
 
 
@@ -308,13 +313,31 @@ def test_existing_output_is_kept_when_the_study_fails(tmp_path, capsys):
     assert csv_path.read_text() == "kept\n"
 
 
-def test_new_output_is_removed_when_the_study_fails(tmp_path, capsys):
+def test_new_output_is_removed_when_the_study_fails(tmp_path, capsys,
+                                                   monkeypatch):
     csv_path, md_path = tmp_path / "new.csv", tmp_path / "new.md"
     code, _, err = run_cli(["convergence", "--levels", "2,3", "--output",
                             str(csv_path), "--markdown", str(md_path)], capsys)
     assert code == 2
     assert err.startswith("error: levels must double")
     assert not csv_path.exists() and not md_path.exists()
+
+    # a run that fails after it created its output files removes them
+    def breakdown(*args, **kwargs):
+        assert all(path.exists() for path in created)
+        raise SolverError("breakdown")
+
+    dump = tmp_path / "coeffs.txt"
+    for work, args, created in [
+        ("convergence_study", ["convergence", "--levels", "2,4", "--output",
+                               str(csv_path), "--markdown", str(md_path)],
+         [csv_path, md_path]),
+        ("solve_case", ["solve", "--n", "2", "--dump", str(dump)], [dump]),
+    ]:
+        monkeypatch.setattr(f"triharm.cli.{work}", breakdown)
+        code, _, _ = run_cli(args, capsys)
+        assert code == 3
+        assert not any(path.exists() for path in created)
 
 
 def test_cg_tolerance_that_is_not_positive_is_a_config_error(capsys):
