@@ -369,7 +369,10 @@ def reconstruct(space: FeSpace, x_free: np.ndarray,
     """The coefficient vector of all DoFs of ``space``: ``x_free`` on the
     free DoFs and ``boundary_values`` on the boundary DoFs, each in the
     order of ``space.free_dofs()`` and ``space.boundary_dofs()``."""
+    free, boundary = space.free_dofs(), space.boundary_dofs()
+    check_length("free DoF vector", x_free, len(free))
+    check_length("boundary value vector", boundary_values, len(boundary))
     full = np.empty(space.n_dofs)
-    full[space.free_dofs()] = x_free
-    full[space.boundary_dofs()] = boundary_values
+    full[free] = x_free
+    full[boundary] = boundary_values
     return full

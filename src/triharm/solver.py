@@ -3,26 +3,26 @@
 It is a multifrontal Cholesky factorization (Duff & Reid 1983; Liu 1992)
 on the fronts of a geometric nested-dissection tree
 (``ordering.nested_dissection``): ranges of the permuted numbering whose
-columns of L are computed together in dense blocks.  ``symbolic`` works out, once, each
-front's update rows, where its matrix entries go, and how each child's
-update matrix maps into its parent, reading the permuted rows a chunk of
-fronts at a time.  Fronts that repeat one another, bit for bit, fall into
-one class (``_classify``), and the numeric loop factors one front per
-class: it only allocates, adds slices and calls LAPACK and BLAS.  Only L
-is stored, its diagonal blocks packed, and the fronts of a class share
-theirs.  A non-positive pivot raises SolverError, and a relative residual
-check of 1e-9 guards every direct solve.
+columns of L are computed together in dense blocks.  ``symbolic`` works
+out, once, each front's update rows, where its matrix entries go, and how
+each child's update matrix maps into its parent, reading the permuted
+rows a chunk of fronts at a time.  It puts each front it builds in the
+class of the first front it repeats, bit for bit, and keeps no entries
+for a repeat; the numeric loop factors one front per class: it only
+allocates, adds slices and calls LAPACK and BLAS.  Only L is stored, its
+diagonal blocks packed, and the fronts of a class share theirs.  A
+non-positive pivot raises SolverError, and a relative residual check of
+1e-9 guards every direct solve.
 
 The numeric factor and the substitution take a dtype, and pick their
 routines by its prefix: ``spotrf``, ``strsm``, ``ssyrk`` and ``stpsv`` in
 float32, ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dtpsv`` in float64.
-``symbolic`` and ``_classify`` read and compare A's float64 entries
-either way.  ``solve_direct`` factors a system on a mesh of
-``FLOAT32_DIM`` (3) or more dimensions in float32 and refines its solution
-with float64 residuals, mixed-precision iterative refinement (Carson &
-Higham, SIAM J. Sci. Comput. 40, 2018); a failed float32 pivot or a
-refinement that stalls above ``REFINE_BOUND`` falls back to a float64
-factor.  A 2D system, whose condition number reaches ~1e10 at h = 1/64,
+``symbolic`` reads and compares A's float64 entries either way.
+``solve_direct`` factors a system on a mesh of ``FLOAT32_DIM`` (3) or
+more dimensions in float32 and refines its solution with float64
+residuals, mixed-precision iterative refinement (Carson & Higham, SIAM J.
+Sci. Comput. 40, 2018); a failed float32 pivot or a refinement that
+stalls above ``REFINE_BOUND`` falls back to a float64 factor.  A 2D system, whose condition number reaches ~1e10 at h = 1/64,
 is factored in float64 and solved once, as is every other caller's
 (``multigrid``'s coarsest level, ``verify_patch_test``).
 
@@ -54,7 +54,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .assembly import (
-    ReducedSystem, RowBuilder, apply_stiffness, block_bounds, stiffness_rows,
+    ReducedSystem, RowBuilder, apply_stiffness, block_bounds, check_length,
+    stiffness_rows,
 )
 from .ordering import Front, nested_dissection
 from .space import FeSpace
@@ -111,7 +112,8 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
     principal submatrix of A, whose other columns are dropped as its rows
     are read.  Front f holds k columns of L on its own range and its m
     update rows: the sorted rows past its range that its entries or its
-    children's update rows reach.  Returns ``(rows, runs, entries, ax)``:
+    children's update rows reach.  Returns ``(rows, runs, entries, classes,
+    ax)``:
 
     - ``rows[f]``: front f's update rows;
     - ``runs[c]``: child c's update rows as runs ``(at, lo, hi)``: rows
@@ -119,12 +121,23 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
       parent (own range first), never crossing into its update rows;
     - ``entries[f]``: ``(positions, values)`` of front f's entries on and
       below the diagonal in its flat C-ordered ``(k + m, k)`` block, the
-      positions int32 while ``(k + m) k`` fits;
+      positions int32 while ``(k + m) k`` fits; None for a repeat;
+    - ``classes[f]``: the first front that front f repeats, or f;
     - ``ax``: ``(A x)[perm]`` for ``x``, a vector or columns on all of A's
       columns, each row multiplied as it is built, before the columns off
       perm are dropped; None without ``x``.
     A child's update row before its parent's range crosses the parent's
     separator: ValueError.
+
+    Two fronts repeat each other when they have equal ``k`` and ``m``, the
+    same entries at the same positions, bit for bit, and children of equal
+    classes with equal runs, in order: equal inputs to the same operations,
+    so their factors and update matrices are equal bit for bit.  Each front
+    is bucketed as it is built by shape, its children's classes and parent
+    rows (which fix their runs, given k) and a hash of about eight evenly
+    strided entries (hashing all costs as much as the comparisons it
+    saves), then matched against each class of its bucket by its arrays,
+    never by a hash alone.
 
     A's rows are built in chunks of consecutive fronts, a chunk for every
     ``assembly.BLOCK_POINTS`` entries before the sum (``a.entries``), so
@@ -139,7 +152,7 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
     # one chunk
     before = np.concatenate(([0], np.cumsum(a.entries[perm])))[starts]
     slot, count = np.empty(n, dtype=np.intp), np.arange(n + 1)  # row in front
-    rows, entries, parent, ax = [], [], np.full(nf, -1), []
+    rows, entries, parent, ax, classes, buckets = [], [], np.full(nf, -1), [], [], {}
     at = [np.zeros(0, dtype=np.intp)] * nf      # parent's rows of a child's
     for first, stop in block_bounds(before):
         lo, hi = fronts[first].start, fronts[stop - 1].stop
@@ -172,11 +185,27 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
             slot[rows[f]] = count[k:k + len(rows[f])]
             itype = np.int32 if (k + len(rows[f])) * k < 2**31 else np.intp
             part = slice(bounds[f - first], bounds[f - first + 1])
-            # its own copy of the values, so that a factored front frees them
-            entries.append(((slot[own] * k + j[part] - front.start).astype(itype),
-                            values[part].copy()))
+            pos, val = (slot[own] * k + j[part] - front.start).astype(itype), values[part]
             for c in front.children:
                 at[c], parent[c] = slot[rows[c]], f
+            step = max(1, len(pos) // 8)
+            key = (k, len(rows[f]), len(pos),
+                   tuple((classes[c], at[c].tobytes()) for c in front.children),
+                   hash(pos[::step].tobytes()), hash(val[::step].tobytes()))
+            bucket = buckets.setdefault(key, [])
+            for r in bucket:
+                # compared as bits, so that 0.0 and -0.0 differ
+                if (np.array_equal(entries[r][0], pos)
+                        and np.array_equal(entries[r][1].view(np.int64),
+                                           val.view(np.int64))):
+                    classes.append(r)
+                    entries.append(None)
+                    break
+            else:
+                bucket.append(f)
+                classes.append(f)
+                # its own copy of the values, so that a factored front frees them
+                entries.append((pos, val.copy()))
     # a run ends where the child, the contiguity or the parent's part changes
     m = np.array([len(r) for r in rows])
     k = np.array([f.stop - f.start for f in fronts])
@@ -191,7 +220,7 @@ def symbolic(a: RowBuilder, perm: np.ndarray, fronts: list[Front],
     for c, *run in zip(child[cuts].tolist(), at[cuts].tolist(), lo.tolist(),
                        hi.tolist()):
         runs[c].append(tuple(run))
-    return rows, runs, entries, None if x is None else np.concatenate(ax)
+    return rows, runs, entries, classes, None if x is None else np.concatenate(ax)
 
 
 def _extend_add(l11, l21, f22, update, runs, own: bool) -> None:
@@ -210,41 +239,6 @@ def _extend_add(l11, l21, f22, update, runs, own: bool) -> None:
                          (l11, row, col) if row < k else (l21, row - k, col))
             dst[r:r + hi_r - lo_r, c:c + hi_c - lo_c] += \
                 update[lo_r:hi_r, lo_c:hi_c]
-
-
-def _classify(fronts, rows, runs, entries) -> list[int]:
-    """Each front's class: the first front in postorder that it repeats.
-
-    Two fronts repeat each other when they have equal ``k`` and ``m``, the
-    same entries at the same positions, bit for bit, and children of equal
-    classes with equal runs, in order: equal inputs to the same operations,
-    so their factors and update matrices are equal bit for bit.  Fronts are
-    bucketed by shape, children and a hash of the bytes of about eight of
-    their entries, evenly strided (hashing all of them costs as much as the
-    comparisons it saves), then matched against each class of the bucket
-    by their arrays, never by a hash alone.  A repeat's entries are
-    dropped from ``entries``.
-    """
-    classes, buckets = [], {}
-    for f, front in enumerate(fronts):
-        pos, val = entries[f]
-        step = max(1, len(pos) // 8)
-        key = (front.stop - front.start, len(rows[f]), len(pos),
-               tuple((classes[c], tuple(runs[c])) for c in front.children),
-               hash(pos[::step].tobytes()), hash(val[::step].tobytes()))
-        bucket = buckets.setdefault(key, [])
-        for r in bucket:
-            # compared as bits, so that 0.0 and -0.0 differ
-            if (np.array_equal(entries[r][0], pos)
-                    and np.array_equal(entries[r][1].view(np.int64),
-                                       val.view(np.int64))):
-                classes.append(r)
-                entries[f] = None
-                break
-        else:
-            bucket.append(f)
-            classes.append(f)
-    return classes
 
 
 def _factor(fronts, perm, rows, runs, entries, classes, dtype):
@@ -356,6 +350,7 @@ class Cholesky:
         s at or above its largest entry and x multiplied by s after, which
         changes no bit unless it spares the operands of ``dtype`` an
         overflow or underflow."""
+        check_length("right-hand side", b, len(self.perm))
         x = np.empty(len(self.perm))
         b = b[self.perm]
         s = np.ldexp(1.0, np.frexp(np.abs(b).max(initial=0.0))[1])
@@ -385,12 +380,11 @@ def cholesky(space: FeSpace, a: RowBuilder | None = None,
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     t0 = time.perf_counter()
     a = stiffness_rows(space) if a is None else a
-    rows, runs, entries, ax = symbolic(a, free[perm], fronts, x)
+    rows, runs, entries, classes, ax = symbolic(a, free[perm], fronts, x)
     a.release()     # its row index would add to the numeric factor's peak
     del x           # and so would x, when the caller holds no other reference
     if ax is not None:
         ax[perm] = ax.copy()        # into the order of free
-    classes = _classify(fronts, rows, runs, entries)
     factors = _factor(fronts, perm, rows, runs, entries, classes, dtype)
     return Cholesky(perm, fronts, rows, factors, classes, time.perf_counter() - t0,
                     np.dtype(dtype), ax)

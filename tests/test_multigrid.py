@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from test_solver import CUBICS, MatrixRows, assert_factors_equal, reference_factors
+from test_solver import CUBICS, assert_factors_equal, reference_factors
 from triharm.analysis import broken_norms, solve_case
 from triharm.assembly import (
     BLOCK_POINTS, DATA_Q, apply_dirichlet, assemble, derivative_multiindices,
@@ -210,8 +210,8 @@ def test_coarsest_level_is_ordered_by_its_own_space(build, sizes):
     space = build_space(mesh, reduced.space.element.family)
     free = space.free_dofs()
     # each front factored on its own, from the rows of the assembled matrix
-    assert_factors_equal(vcycle.exact, reference_factors(
-        MatrixRows(assemble(space, None).matrix), space))
+    assert_factors_equal(vcycle.exact, reference_factors(assemble(space, None).matrix,
+                                                         space))
     perm, _ = nested_dissection(space.dof_points[free], mesh.axis_nodes)
     np.testing.assert_array_equal(vcycle.exact.perm, perm)
 

@@ -21,7 +21,7 @@ from triharm.multigrid import solve_cg
 from triharm.reference import ADINI_TYPE, MORLEY
 from triharm.ordering import LEAF_DOFS, Front, nested_dissection
 from triharm.solver import (
-    Cholesky, SolverError, _classify, _extend_add, cholesky, solve_direct, symbolic,
+    Cholesky, SolverError, _extend_add, cholesky, solve_direct, symbolic,
 )
 from triharm.space import build_space
 from triharm.verify import verify_patch_test
@@ -124,6 +124,15 @@ def test_empty_system():
         assert x.size == 0 and report.relative_residual == 0.0
     np.testing.assert_array_equal(reconstruct(empty.space, x, empty.boundary_values),
                                   empty.boundary_values)
+
+
+@pytest.mark.parametrize("block", ["free", "boundary"])
+def test_reconstruct_rejects_a_vector_of_another_length(block):
+    # a length-1 vector would broadcast over the whole block
+    system = small_system()
+    x, g = np.ones(len(system.free)), system.boundary_values
+    with pytest.raises(ValueError, match=r"shape \(1,\), expected"):
+        reconstruct(system.space, *((x[:1], g) if block == "free" else (x, g[:1])))
 
 
 def test_reconstruct_scatters_both_blocks():
@@ -266,7 +275,8 @@ def test_fronts_form_an_elimination_tree(build):
     assert size[-1] == len(fronts)
 
     dofs = reduced.free[perm]
-    rows, runs, entries, _ = symbolic(stiffness_rows(reduced.space), dofs, fronts)
+    rows, runs, entries, classes, _ = symbolic(stiffness_rows(reduced.space), dofs,
+                                               fronts)
     assert len(rows[-1]) == 0
     dense = system.matrix.toarray()[dofs][:, dofs]
     lower = np.zeros_like(dense)
@@ -275,8 +285,9 @@ def test_fronts_form_an_elimination_tree(build):
         return np.concatenate([np.arange(fronts[i].start, fronts[i].stop), rows[i]])
 
     for i, f in enumerate(fronts):
-        # the entries of the front's columns lie in its rows, and are A's
-        k, (pos, val) = f.stop - f.start, entries[i]
+        # the entries of the front's columns lie in its rows, and are A's; a
+        # repeat's are its class's
+        k, (pos, val) = f.stop - f.start, entries[classes[i]]
         r, c = np.divmod(pos, k) if k else (pos, pos)
         lower[front_rows(i)[r], f.start + c] = val
         for c in f.children:
@@ -342,13 +353,36 @@ SHARING = [
 SHARING_IDS = ["smooth2d-adini-32", "lshape2d-adini-16", "smooth3d-morley-8"]
 
 
-def reference_factors(a, space):
-    """``(L11, L21)`` of every front of the matrix whose rows ``a`` builds,
-    each front factored on its own: the numeric loop of ``cholesky``
-    without classes, the update matrices kept."""
+def reference_classes(fronts, rows, runs, entries):
+    """Each front's class, by the rule ``symbolic`` applies as it builds
+    the fronts, from every front's rows, runs and entries: the first
+    earlier class with equal ``k`` and ``m``, children of equal classes
+    with equal runs, in order, and the same entries at the same positions,
+    bit for bit (so that 0.0 and -0.0 differ)."""
+    def repeats(f, r):
+        (pos, val), (ref_pos, ref_val) = entries[f], entries[r]
+        return ((fronts[f].stop - fronts[f].start, len(rows[f]))
+                == (fronts[r].stop - fronts[r].start, len(rows[r]))
+                and [(classes[c], runs[c]) for c in fronts[f].children]
+                == [(classes[c], runs[c]) for c in fronts[r].children]
+                and np.array_equal(pos, ref_pos)
+                and np.array_equal(val.view(np.int64), ref_val.view(np.int64)))
+
+    classes = []
+    for f in range(len(fronts)):
+        classes.append(next((r for r in sorted(set(classes)) if repeats(f, r)), f))
+    return classes
+
+
+def reference_factors(matrix, space):
+    """``(factors, classes)`` of the matrix A on all DoFs of ``space``:
+    ``(L11, L21)`` of every front, each factored on its own (the numeric
+    loop of ``cholesky`` without classes, the update matrices kept), and
+    ``reference_classes``, both from ``one_pass_symbolic`` of A's free
+    block."""
     free = space.free_dofs()
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
-    rows, runs, entries, _ = symbolic(a, free[perm], fronts)
+    rows, runs, entries = one_pass_symbolic(matrix[free][:, free], perm, fronts)
     factors, updates = [], []
     for front, upd, (pos, val) in zip(fronts, rows, entries):
         k, m = front.stop - front.start, len(upd)
@@ -367,12 +401,15 @@ def reference_factors(a, space):
             _extend_add(l11, l21, f22, updates[c], runs[c], False)
         factors.append((l11[np.tri(k, dtype=bool)], l21))
         updates.append(f22)
-    return factors
+    return factors, reference_classes(fronts, rows, runs, entries)
 
 
 def assert_factors_equal(factor, want):
-    assert len(factor.factors) == len(want)
-    for got, ref in zip(factor.factors, want):
+    """``factor`` has the blocks and classes of ``reference_factors``."""
+    factors, classes = want
+    assert factor.classes == classes
+    assert len(factor.factors) == len(factors)
+    for got, ref in zip(factor.factors, factors):
         for a, b in zip(got, ref):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -389,8 +426,7 @@ def test_shared_fronts_equal_a_per_front_factorization_bit_for_bit(
         case, family, n, fronts, factored):
     _, reduced = assembled(case, family, n)
     factor = cholesky(reduced.space)
-    assert_factors_equal(factor, reference_factors(stiffness_rows(reduced.space),
-                                                   reduced.space))
+    assert_factors_equal(factor, reference_factors(stiffness(reduced), reduced.space))
     # a repeat shares its class's blocks, and fill still counts them per front
     for f, c in enumerate(factor.classes):
         assert c <= f and factor.classes[c] == c
@@ -419,7 +455,7 @@ def test_a_nudged_value_splits_its_front_and_the_ancestors_off(monkeypatch):
     for f in path:
         assert nudged.classes.count(f) == 1 and nudged.classes[f] == f
     assert nudged.factored > factor.factored
-    assert_factors_equal(nudged, reference_factors(MatrixRows(matrix), reduced.space))
+    assert_factors_equal(nudged, reference_factors(matrix, reduced.space))
 
 
 def test_distinct_blocks_of_l_are_smaller_than_the_fill():
@@ -453,6 +489,14 @@ def test_singular_matrix_raises(monkeypatch):
     with_matrix(system, drop, monkeypatch)
     with pytest.raises(SolverError):
         solve_direct(system)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+def test_cholesky_solve_rejects_a_right_hand_side_of_another_length(extra):
+    system = small_system()
+    n = len(system.free)
+    with pytest.raises(ValueError, match=rf"shape \({n + extra},\), expected \({n},\)"):
+        cholesky(system.space).solve(np.ones(n + extra))
 
 
 def test_residual_above_the_bound_raises(monkeypatch):
@@ -554,21 +598,25 @@ def test_symbolic_in_chunks_matches_one_pass(build, monkeypatch):
     _, reduced = build()
     perm, fronts = free_dissection(reduced)
     want = one_pass_symbolic(free_block(reduced), perm, fronts)
-    classes = _classify(fronts, *want[:2], list(want[2]))
+    classes = reference_classes(fronts, *want)
     # a chunk per front, chunks of a few fronts, one chunk of all of them
     a = stiffness_rows(reduced.space)
     total = int(a.entries.sum())
     for block_points in (1, total // 5, total + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries, _ = symbolic(a, reduced.free[perm], fronts)
+        rows, runs, entries, got_classes, _ = symbolic(a, reduced.free[perm], fronts)
         assert len(rows) == len(want[0]) and runs == want[1]
+        assert got_classes == classes
         for got, ref in zip(rows, want[0]):
             np.testing.assert_array_equal(got, ref)
-        for (pos, val), (ref_pos, ref_val) in zip(entries, want[2]):
-            assert pos.dtype == np.int32
-            np.testing.assert_array_equal(pos, ref_pos)
-            assert val.tobytes() == ref_val.tobytes()
-        assert _classify(fronts, rows, runs, entries) == classes
+        # a repeat holds no entries: its class's are its own
+        for f, c in enumerate(classes):
+            assert (entries[f] is None) == (c != f)
+            if c == f:
+                (pos, val), (ref_pos, ref_val) = entries[f], want[2][f]
+                assert pos.dtype == np.int32
+                np.testing.assert_array_equal(pos, ref_pos)
+                assert val.tobytes() == ref_val.tobytes()
 
 
 def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
@@ -580,9 +628,26 @@ def test_symbolic_peak_memory_per_stored_lower_entry(traced_peak):
     perm, fronts = free_dissection(reduced)
     dofs, out, space = reduced.free[perm], [], reduced.space
     peak = traced_peak(lambda: out.append(symbolic(stiffness_rows(space), dofs, fronts)))
-    lower = sum(len(pos) for pos, _ in out[0][2])
+    _, _, entries, classes, _ = out[0]
+    lower = sum(len(entries[c][0]) for c in classes)
     assert stiffness_rows(space).entries.sum() > 4 * assembly.BLOCK_POINTS  # chunks
     assert peak <= 45 * lower
+
+
+def test_symbolic_holds_no_entries_for_a_repeated_front(traced_peak):
+    # 245 of the 399 fronts of lshape2d Adini N=32 repeat an earlier one; a
+    # copy of every front's entries, kept until a second pass found the
+    # repeats, took the peak to 78 bytes per lower entry of the 154 factored
+    # fronts, and finding each repeat as it is built to 57
+    _, reduced = assembled(case_lshape2d(), ADINI_TYPE, 32)
+    perm, fronts = free_dissection(reduced)
+    dofs, out, space = reduced.free[perm], [], reduced.space
+    peak = traced_peak(lambda: out.append(symbolic(stiffness_rows(space), dofs, fronts)))
+    _, _, entries, classes, _ = out[0]
+    assert (len(fronts), len(set(classes))) == (399, 154)
+    assert [e is None for e in entries] == [c != f for f, c in enumerate(classes)]
+    lower = sum(len(entries[c][0]) for c in set(classes))
+    assert peak <= 65 * lower
 
 
 @pytest.mark.parametrize("family", [MORLEY, ADINI_TYPE])
@@ -599,12 +664,14 @@ def test_symbolic_reads_the_free_block_of_a_as_its_copy(case, n, family, monkeyp
     a = stiffness_rows(reduced.space)
     for block_points in (1, int(a.entries.sum()) + 1):
         monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
-        rows, runs, entries, _ = symbolic(a, reduced.free[perm], fronts)
-        want_rows, want_runs, want_entries, _ = symbolic(block, perm, fronts)
+        rows, runs, entries, classes, _ = symbolic(a, reduced.free[perm], fronts)
+        want_rows, want_runs, want_entries, want_classes, _ = symbolic(block, perm, fronts)
         assert runs == want_runs and len(rows) == len(want_rows) == len(fronts)
+        assert classes == want_classes
         for got, ref in zip(rows, want_rows):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        for (pos, val), (ref_pos, ref_val) in zip(entries, want_entries):
+        for (pos, val), (ref_pos, ref_val) in zip(
+                (e for e in entries if e), (e for e in want_entries if e)):
             assert pos.dtype == ref_pos.dtype and np.array_equal(pos, ref_pos)
             assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
 
@@ -702,8 +769,8 @@ def test_a_float32_factor_takes_at_most_six_tenths_of_the_float64_memory(
     perm, fronts = nested_dissection(space.dof_points[free], space.mesh.axis_nodes)
     peaks = {}
     for dtype in (np.float64, np.float32):
-        rows, runs, entries, _ = symbolic(stiffness_rows(space), free[perm], fronts)
-        classes = _classify(fronts, rows, runs, entries)
+        rows, runs, entries, classes, _ = symbolic(stiffness_rows(space), free[perm],
+                                                   fronts)
         out = []
         peaks[dtype] = traced_peak(lambda: out.append(
             solver._factor(fronts, perm, rows, runs, entries, classes, dtype)))
